@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .errors import BBEMError, InvalidLabeling, InvalidSource
+from .errors import (BBEMError, InvalidLabeling, InvalidSource,
+                     InvalidThreadCount)
 from .harness import (
     SUITE_NAMES,
     ConfigError,
@@ -148,7 +149,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSource, InvalidLabeling) as exc:
+    except (InvalidSource, InvalidLabeling, InvalidThreadCount) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -43,3 +43,7 @@ class NotConverged(BBEMError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+class InvalidThreadCount(BBEMError):
+    """BBEM_THREADS is set to something other than a whole number >= 1."""

@@ -60,18 +60,15 @@ class SurfaceMesh:
         self.normals = normals
         edges = corners - np.roll(corners, 1, axis=1)
         self.diameters = np.linalg.norm(edges, axis=2).max(axis=1)
+        # vertex coordinates per panel, shape (nf, 3, 3), in final orientation
+        self.panel_corners = vertices[triangles]
         for arr in (self.vertices, self.triangles, self.centroids, self.areas,
-                    self.normals, self.diameters):
+                    self.normals, self.diameters, self.panel_corners):
             arr.setflags(write=False)
 
     @property
     def n_panels(self):
         return len(self.triangles)
-
-    @property
-    def panel_corners(self):
-        """Vertex coordinates per panel, shape (nf, 3, 3)."""
-        return self.vertices[self.triangles]
 
     @property
     def total_area(self):
@@ -361,58 +358,77 @@ def _duffy_template(order):
 
 
 def _cross3(a, b):
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """Cross product over the last axis, component by component."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
-def duffy_singular_rule(panel_corners, singular_point, order):
-    """Singularity-absorbing rule on one panel for integrands with a 1/r factor.
+def _dot3(a, b):
+    """Dot product over the last axis.  Stacked matmul takes the same BLAS
+    dot for every row, so a row's value does not depend on the batch."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    The panel is fanned into sub-triangles at the singular point (3 for an
-    interior point, fewer when it sits on an edge or vertex); each fan
-    triangle (P, A, B) carries the tensor-Gauss rule mapped by
+
+def duffy_rule_batch(corners, points, order):
+    """Singularity-absorbing rules on many panels for integrands with a 1/r
+    factor.
+
+    Panel k (corners (m, 3, 3)) is fanned into sub-triangles at its singular
+    point points[k] (3 for an interior point, fewer when it sits on an edge
+    or vertex: fan triangles below 1e-14 of the panel area are dropped);
+    each fan triangle (P, A, B) carries the tensor-Gauss rule mapped by
     x = P + u (A - P) + u v (B - A), whose Jacobian 2·area·u cancels the 1/r
-    singularity at P.  Returns nodes (m, 3) and weights (m,).
+    singularity at P.  Returns nodes (M, 3), weights (M,) and per-panel node
+    counts (m,); panel k's rule is the k-th run of counts[k] rows.
     """
-    corners = np.asarray(panel_corners, dtype=float)
-    p = np.asarray(singular_point, dtype=float)
-    if corners.shape != (3, 3):
-        raise ValueError("panel_corners must have shape (3, 3)")
+    corners = np.asarray(corners, dtype=float)
+    p = np.asarray(points, dtype=float)
+    if corners.ndim != 3 or corners.shape[1:] != (3, 3):
+        raise ValueError("panel corners must have shape (m, 3, 3)")
+    if p.shape != (len(corners), 3):
+        raise ValueError("singular points must have shape (m, 3)")
 
     # the singular point must lie on the panel (plane + barycentric test)
-    e1 = corners[1] - corners[0]
-    e2 = corners[2] - corners[0]
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
     normal = _cross3(e1, e2)
-    two_area = np.sqrt(normal @ normal)
+    two_area = np.sqrt(_dot3(normal, normal))
     scale = np.sqrt(two_area)
-    rel = p - corners[0]
-    if abs(rel @ normal) > 1.0e-9 * scale * two_area:
+    rel = p - corners[:, 0]
+    if np.any(np.abs(_dot3(rel, normal)) > 1.0e-9 * scale * two_area):
         raise ValueError("singular point does not lie in the panel plane")
-    a11, a12, a22 = e1 @ e1, e1 @ e2, e2 @ e2
-    b1, b2 = e1 @ rel, e2 @ rel
+    a11, a12, a22 = _dot3(e1, e1), _dot3(e1, e2), _dot3(e2, e2)
+    b1, b2 = _dot3(e1, rel), _dot3(e2, rel)
     det = a11 * a22 - a12 * a12
     bary0 = (a22 * b1 - a12 * b2) / det
     bary1 = (a11 * b2 - a12 * b1) / det
-    if bary0 < -1.0e-9 or bary1 < -1.0e-9 or bary0 + bary1 > 1.0 + 1.0e-9:
+    if np.any((bary0 < -1.0e-9) | (bary1 < -1.0e-9)
+              | (bary0 + bary1 > 1.0 + 1.0e-9)):
         raise ValueError("singular point lies outside the panel")
 
     u_flat, uv_flat, wu_flat = _duffy_template(int(order))
 
-    nodes = []
-    weights = []
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        va, vb = corners[a], corners[b]
-        arm = _cross3(va - p, vb - va)
-        sub_area = 0.5 * np.sqrt(arm @ arm)
-        if sub_area <= 1.0e-14 * two_area:
-            continue
-        pts = (p[None, :]
-               + u_flat[:, None] * (va - p)[None, :]
-               + uv_flat[:, None] * (vb - va)[None, :])
-        nodes.append(pts)
-        weights.append(wu_flat * (2.0 * sub_area))
-    return np.concatenate(nodes, axis=0), np.concatenate(weights, axis=0)
+    # fan triangles (P, corner a, corner b) for edges (0,1), (1,2), (2,0)
+    to_a = corners - p[:, None, :]
+    along = corners[:, [1, 2, 0]] - corners
+    arm = _cross3(to_a, along)
+    sub_area = 0.5 * np.sqrt(_dot3(arm, arm))           # (m, 3)
+    keep = ~(sub_area <= 1.0e-14 * two_area[:, None])
+    fan_panel = np.nonzero(keep)[0]
+    nodes = (p[fan_panel, None, :]
+             + u_flat[None, :, None] * to_a[keep][:, None, :]
+             + uv_flat[None, :, None] * along[keep][:, None, :])
+    weights = wu_flat[None, :] * (2.0 * sub_area[keep])[:, None]
+    counts = keep.sum(axis=1) * len(wu_flat)
+    return nodes.reshape(-1, 3), weights.reshape(-1), counts
+
+
+def duffy_singular_rule(panel_corners, singular_point, order):
+    """The duffy_rule_batch rule on one panel: nodes (q, 3), weights (q,)."""
+    nodes, weights, _ = duffy_rule_batch(np.asarray(panel_corners)[None],
+                                         np.asarray(singular_point)[None], order)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------- volume grid

@@ -50,9 +50,8 @@ from .potentials import (
     eval_double_layer,
     eval_single_layer,
     newtonian_pressure,
+    _NearFar,
     _closest_points_on_panels,
-    _near_panels,
-    _near_rule_batch,
 )
 from .semilinear import (
     PicardConfig,
@@ -317,21 +316,9 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
 def _sl_traction(mesh, quad, density, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point, with the same
     near-panel upgrade policy as the library evaluators."""
-    near, _ = _near_panels(mesh, x)
-    far = np.ones(mesh.n_panels, bool)
-    for j, _ in near:
-        far[j] = False
-    kern = traction_kernel(x[None, None, :], quad.nodes[far],
-                           nu_x[None, None, :], alpha)
-    t = np.einsum("fq,fqib,fb->i", quad.weights[far], kern, density[far])
-    batch = _near_rule_batch(mesh, near)
-    if batch is not None:
-        nodes, weights, _, slices = batch
-        kern_near = traction_kernel(x[None, :], nodes, nu_x[None, :], alpha)
-        for j, s0, s1 in slices:
-            t += np.einsum("q,qib,b->i", weights[s0:s1], kern_near[s0:s1],
-                           density[j])
-    return t
+    blocks = _NearFar(mesh, quad, x).integrate(
+        lambda y, _: traction_kernel(x[None, :], y, nu_x[None, :], alpha))
+    return np.einsum("jib,jb->i", blocks, density)
 
 
 def jump_battery(mesh, params, seed=SUITE_SEED, n_points=6,

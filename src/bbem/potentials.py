@@ -25,6 +25,13 @@ represented as u = V(t) − W(γu), π = Q^s(t) − Q^d(γu).
 Densities are piecewise constant at panel centroids.  Assembly and evaluation
 run over fixed 64-row chunks whose per-row arithmetic does not depend on the
 thread count, so results are byte-identical for any BBEM_THREADS setting.
+
+One near/far split, _NearFar, integrates every layer kernel at one target
+point.  Panels within two diameters of it are near and take the singular
+rules of one geometry.duffy_rule_batch call, which the Stokes and difference
+passes of K share; the far panels take the regular rule in one einsum.  Near
+blocks are summed by reshaping the batch, grouped by fan-triangle count, with
+no per-panel loop.  Self panels keep their analytic or single-panel blocks.
 """
 
 from __future__ import annotations
@@ -37,15 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidThreadCount
 from .geometry import (
     SurfaceMesh,
     VolumeGrid,
-    QuadratureSet,
+    duffy_rule_batch,
     duffy_singular_rule,
     panel_quadrature,
 )
 from .kernels import (
-    BrinkmanParams,
     brinkman_pressure_tensor,
     brinkman_velocity_tensor,
     pressure_vector,
@@ -187,9 +194,13 @@ def _thread_count():
     if setting is None:
         return os.cpu_count() or 1
     try:
-        return max(1, int(setting))
+        threads = int(setting)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise InvalidThreadCount(
+            f"BBEM_THREADS must be a whole number >= 1, got {setting!r}")
+    return threads
 
 
 def _run_chunked(n_rows, worker):
@@ -257,13 +268,13 @@ def _closest_points_on_panels(corners, p):
     return out
 
 
-def _near_panels(mesh, x, skip=-1):
+def _near_search(mesh, x, skip=-1):
     """Panels whose true distance to x is below the Duffy-upgrade threshold.
 
-    Returns (entries, min_distance) where entries are (panel, closest_point)
-    pairs.  min_distance is over the candidate panels only (inf when none),
-    which is exact whenever it matters: any non-candidate panel is farther
-    than every candidate cutoff.
+    Returns (panels, closest points, distances, min_distance).  min_distance
+    is over the candidate panels only (inf when none), which is exact
+    whenever it matters: any non-candidate panel is farther than every
+    candidate cutoff.
     """
     centroid_dist = np.linalg.norm(mesh.centroids - x, axis=1)
     # centroid-to-farthest-corner is at most one diameter, so this is safe
@@ -271,37 +282,93 @@ def _near_panels(mesh, x, skip=-1):
     if skip >= 0:
         candidates = candidates[candidates != skip]
     if len(candidates) == 0:
-        return [], np.inf
+        return candidates, np.empty((0, 3)), np.empty(0), np.inf
     closest = _closest_points_on_panels(mesh.panel_corners[candidates], x)
     dist = np.linalg.norm(x - closest, axis=1)
-    min_dist = float(dist.min())
     keep = dist < _NEAR_FACTOR * mesh.diameters[candidates]
-    entries = [(int(j), point) for j, point in
-               zip(candidates[keep], closest[keep])]
-    return entries, min_dist
+    return candidates[keep], closest[keep], dist[keep], float(dist.min())
+
+
+def _near_panels(mesh, x, skip=-1):
+    """_near_search as (entries, min_distance), entries being
+    (panel, closest_point) pairs."""
+    panels, closest, _, min_dist = _near_search(mesh, x, skip)
+    return list(zip(panels.tolist(), closest)), min_dist
 
 
 def _near_rule_batch(mesh, near):
-    """Concatenated singular rules for all near panels of one target.
+    """Concatenated singular rules for the near entries of one target.
 
     Returns (nodes (M, 3), weights (M,), normals (M, 3), slices) with slices
     a list of (panel, start, stop), or None when there are no near panels.
-    Batching lets the kernel be evaluated once per target instead of once
-    per panel.
     """
     if not near:
         return None
-    nodes, weights, normals, slices = [], [], [], []
-    start = 0
-    for j, point in near:
-        dn, dw = duffy_singular_rule(mesh.panel_corners[j], point, _DUFFY_ORDER)
-        nodes.append(dn)
-        weights.append(dw)
-        normals.append(np.broadcast_to(mesh.normals[j], (len(dw), 3)))
-        slices.append((j, start, start + len(dw)))
-        start += len(dw)
-    return (np.concatenate(nodes, axis=0), np.concatenate(weights, axis=0),
-            np.concatenate(normals, axis=0), slices)
+    panels, points = map(np.array, zip(*near))
+    nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[panels], points,
+                                              _DUFFY_ORDER)
+    normals = np.repeat(mesh.normals[panels], counts, axis=0)
+    stops = np.cumsum(counts)
+    slices = list(zip(panels.tolist(), (stops - counts).tolist(), stops.tolist()))
+    return nodes, weights, normals, slices
+
+
+class _NearFar:
+    """Near/far split of the panels around one target point, with the near
+    panels' singular rules built once for every kernel integrated there.
+
+    The skipped panel (the target's own) is in neither set.  A near rule has
+    1, 2 or 3 fan triangles of _DUFFY_ORDER² nodes; grouping the rules by
+    fan count lets each group sum in node order, bit for bit as per panel.
+    """
+
+    def __init__(self, mesh, quadrature, x, skip=-1):
+        self.mesh = mesh
+        self.quadrature = quadrature
+        near, closest, near_dist, self.min_dist = _near_search(mesh, x, skip)
+        self.far = np.ones(mesh.n_panels, dtype=bool)
+        self.far[near] = False
+        if skip >= 0:
+            self.far[skip] = False
+        self.near, self.near_dist = near, near_dist
+        self.groups = []
+        if len(near):
+            nodes, weights, counts = duffy_rule_batch(
+                mesh.panel_corners[near], closest, _DUFFY_ORDER)
+            normals = np.repeat(mesh.normals[near], counts, axis=0)
+            fan = _DUFFY_ORDER ** 2
+            fans = counts // fan
+            take = np.argsort(np.repeat(fans, fans), kind="stable")
+            self.nodes, self.weights, self.normals = (
+                a.reshape((-1, fan) + a.shape[1:])[take].reshape(a.shape)
+                for a in (nodes, weights, normals))
+            start = 0
+            for count in np.unique(counts):
+                members = near[counts == count]
+                self.groups.append((members, start, start + count * len(members),
+                                    count))
+                start += count * len(members)
+
+    def integrate(self, kernel):
+        """Per-panel integrals of kernel(nodes (M, 3), normals (M, 3)), which
+        returns (M, *shape) values; the result has shape (N, *shape) and is
+        zero at the skipped panel."""
+        nodes, weights = self.quadrature.nodes, self.quadrature.weights
+        far = self.far
+        n_far, q = int(far.sum()), nodes.shape[1]
+        fk = kernel(nodes[far].reshape(-1, 3),
+                    np.repeat(self.mesh.normals[far], q, axis=0))
+        shape = fk.shape[1:]
+        blocks = np.zeros((self.mesh.n_panels,) + shape)
+        blocks[far] = np.einsum("jq,jq...->j...", weights[far],
+                                fk.reshape((n_far, q) + shape))
+        if self.groups:
+            bk = kernel(self.nodes, self.normals)
+            bk = self.weights.reshape((-1,) + (1,) * len(shape)) * bk
+            for panels, start, stop, count in self.groups:
+                blocks[panels] = bk[start:stop].reshape(
+                    (-1, count) + shape).sum(axis=1)
+        return blocks
 
 
 def _check_mesh_panels(mesh):
@@ -375,28 +442,14 @@ def assemble_single_layer(mesh, quadrature, params):
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
     n = mesh.n_panels
-    nodes, weights = quadrature.nodes, quadrature.weights
     centroids = mesh.centroids
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
         for i in range(start, stop):
             x = centroids[i]
-            near, _ = _near_panels(mesh, x, skip=i)
-            far = np.ones(n, dtype=bool)
-            far[i] = False
-            for j, _ in near:
-                far[j] = False
-            row = np.zeros((n, 3, 3))
-            kernel = brinkman_velocity_tensor(x[None, None, :] - nodes[far], alpha)
-            row[far] = np.einsum("fq,fqab->fab", weights[far], kernel)
-            batch = _near_rule_batch(mesh, near)
-            if batch is not None:
-                bn, bw, _, slices = batch
-                bk = bw[:, None, None] * brinkman_velocity_tensor(
-                    x[None, :] - bn, alpha)
-                for j, s0, s1 in slices:
-                    row[j] = bk[s0:s1].sum(axis=0)
+            row = _NearFar(mesh, quadrature, x, skip=i).integrate(
+                lambda y, _: brinkman_velocity_tensor(x[None, :] - y, alpha))
             row[i] = _self_single_layer_block(mesh, i, alpha)
             out[3 * i:3 * i + 3, :] = row.transpose(1, 0, 2).reshape(3, 3 * n)
 
@@ -418,40 +471,21 @@ def assemble_double_layer(mesh, quadrature, params):
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
     n = mesh.n_panels
-    nodes, weights = quadrature.nodes, quadrature.weights
     centroids, normals = mesh.centroids, mesh.normals
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
         for i in range(start, stop):
             x = centroids[i]
-            near, _ = _near_panels(mesh, x, skip=i)
-            far = np.ones(n, dtype=bool)
-            far[i] = False
-            for j, _ in near:
-                far[j] = False
-            row = np.zeros((n, 3, 3))
-            batch = _near_rule_batch(mesh, near)
+            target = _NearFar(mesh, quadrature, x, skip=i)
             # Stokes part, off-diagonal
-            t0 = traction_kernel(nodes[far], x[None, None, :],
-                                 normals[far][:, None, :], 0.0)
-            row[far] = np.einsum("fq,fqba->fab", weights[far], t0)
-            if batch is not None:
-                bn, bw, bnu, slices = batch
-                bt0 = bw[:, None, None] * traction_kernel(bn, x[None, :], bnu, 0.0)
-                for j, s0, s1 in slices:
-                    row[j] = bt0[s0:s1].sum(axis=0).T
+            row = target.integrate(lambda y, nu: traction_kernel(
+                y, x[None, :], nu, 0.0).swapaxes(1, 2))
             diag = -0.5 * np.eye(3) - row.sum(axis=0)
             # bounded difference part K_alpha - K0
             if alpha > 0.0:
-                dk = stress_difference_normal(nodes[far], x[None, None, :],
-                                              normals[far][:, None, :], alpha)
-                row[far] += np.einsum("fq,fqba->fab", weights[far], dk)
-                if batch is not None:
-                    bd = bw[:, None, None] * stress_difference_normal(
-                        bn, x[None, :], bnu, alpha)
-                    for j, s0, s1 in slices:
-                        row[j] += bd[s0:s1].sum(axis=0).T
+                row += target.integrate(lambda y, nu: stress_difference_normal(
+                    y, x[None, :], nu, alpha).swapaxes(1, 2))
                 dn, dw = duffy_singular_rule(mesh.panel_corners[i], x, _DUFFY_ORDER)
                 dd = stress_difference_normal(dn, x[None, :], normals[i][None, :],
                                               alpha)
@@ -480,16 +514,14 @@ def adjoint_double_layer(double_layer, weights):
 
 # ----------------------------------------------------------- off-boundary evaluation
 
-def _point_guard(mesh, x, near_entries, min_dist):
-    if min_dist < 1.0e-6 * mesh.scale:
+def _point_guard(mesh, target):
+    if target.min_dist < 1.0e-6 * mesh.scale:
         raise ValueError("evaluation point lies on the boundary "
-                         f"(distance {min_dist:.3e})")
-    for j, point in near_entries:
-        if np.linalg.norm(x - point) < _WARN_FACTOR * mesh.diameters[j]:
-            warnings.warn("evaluation point is within 0.05 panel diameters of "
-                          "the boundary; accuracy degrades", RuntimeWarning,
-                          stacklevel=3)
-            break
+                         f"(distance {target.min_dist:.3e})")
+    if np.any(target.near_dist < _WARN_FACTOR * mesh.diameters[target.near]):
+        warnings.warn("evaluation point is within 0.05 panel diameters of "
+                      "the boundary; accuracy degrades", RuntimeWarning,
+                      stacklevel=3)
 
 
 def _layer_rows(mesh, quadrature, params, points, which):
@@ -503,8 +535,6 @@ def _layer_rows(mesh, quadrature, params, points, which):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = mesh.n_panels
     n_points = len(points)
-    nodes, weights = quadrature.nodes, quadrature.weights
-    normals = mesh.normals
     vector_valued = which in ("V", "W")
     out = np.zeros((n_points, 3, 3 * n) if vector_valued else (n_points, 3 * n))
 
@@ -523,24 +553,9 @@ def _layer_rows(mesh, quadrature, params, points, which):
     def worker(start, stop):
         for p in range(start, stop):
             x = points[p]
-            near, min_dist = _near_panels(mesh, x)
-            _point_guard(mesh, x, near, min_dist)
-            far = np.ones(n, dtype=bool)
-            for j, _ in near:
-                far[j] = False
-            blocks = np.zeros((n, 3, 3) if vector_valued else (n, 3))
-            n_far = int(far.sum())
-            fk = flat_rows(x, nodes[far].reshape(-1, 3),
-                           np.repeat(normals[far], nodes.shape[1], axis=0))
-            fk = fk.reshape((n_far, nodes.shape[1]) + fk.shape[1:])
-            blocks[far] = np.einsum("jq,jq...->j...", weights[far], fk)
-            batch = _near_rule_batch(mesh, near)
-            if batch is not None:
-                bn, bw, bnu, slices = batch
-                bk = flat_rows(x, bn, bnu)
-                bk = bw.reshape((-1,) + (1,) * (bk.ndim - 1)) * bk
-                for j, s0, s1 in slices:
-                    blocks[j] = bk[s0:s1].sum(axis=0)
+            target = _NearFar(mesh, quadrature, x)
+            _point_guard(mesh, target)
+            blocks = target.integrate(lambda y, nu: flat_rows(x, y, nu))
             if vector_valued:
                 out[p] = blocks.transpose(1, 0, 2).reshape(3, 3 * n)
             else:

@@ -34,9 +34,9 @@ from .potentials import BoundaryField, VolumeField, newtonian_velocity
 from .solvers import (
     MIXED,
     BVPSpec,
-    SolverWorkspace,
     evaluate_solution,
     solve_poisson,
+    _workspace_for,
 )
 
 # Seed for the constant-estimation sampler (2³²/φ, a common hashing constant);
@@ -132,15 +132,6 @@ class ContractionReport:
 
 # ------------------------------------------------------------------- helpers
 
-def _shared_workspace(mesh, params, quadrature_order, workspace):
-    if workspace is None:
-        return SolverWorkspace(mesh, params, quadrature_order)
-    if (workspace.mesh is not mesh or workspace.params != params
-            or workspace.quadrature_order != quadrature_order):
-        raise ValueError("workspace was built for a different problem")
-    return workspace
-
-
 def _grid_norm(grid, values):
     return float(np.sqrt(np.einsum("c,ca,ca->", grid.volumes, values, values)))
 
@@ -235,7 +226,7 @@ def picard_solve(mesh, labeling, grid, params, forcing, dirichlet_data,
                    dirichlet_data=dirichlet_data, neumann_data=neumann_data,
                    forcing=forcing, grid=grid,
                    quadrature_order=quadrature_order)
-    ws = _shared_workspace(mesh, params, quadrature_order, workspace)
+    ws = _workspace_for(mesh, params, quadrature_order, workspace)
     beta = params.beta
     if constants is None and beta > 0.0:
         constants = estimate_constants(mesh, labeling, grid, params,
@@ -374,7 +365,7 @@ def estimate_constants(mesh, labeling, grid, params, samples,
         raise ValueError(f"need at least 8 samples, got {samples}")
     if params.alpha <= 0.0:
         raise UnsupportedParameter("constant estimation needs alpha > 0")
-    ws = _shared_workspace(mesh, params, quadrature_order, workspace)
+    ws = _workspace_for(mesh, params, quadrature_order, workspace)
     scale = mesh.scale
 
     basis = []

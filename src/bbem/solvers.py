@@ -195,9 +195,9 @@ class SolverWorkspace:
         self._neumann_lu = None
         self._grid_rows = {}
 
-    def matches(self, spec):
-        return (spec.mesh is self.mesh and spec.params == self.params
-                and spec.quadrature_order == self.quadrature_order)
+    def matches(self, mesh, params, quadrature_order):
+        return (mesh is self.mesh and params == self.params
+                and quadrature_order == self.quadrature_order)
 
     @property
     def single_layer(self):
@@ -259,10 +259,10 @@ class SolverWorkspace:
         return cached[1]
 
 
-def _workspace_for(spec, workspace):
+def _workspace_for(mesh, params, quadrature_order, workspace):
     if workspace is None:
-        return SolverWorkspace(spec.mesh, spec.params, spec.quadrature_order)
-    if not workspace.matches(spec):
+        return SolverWorkspace(mesh, params, quadrature_order)
+    if not workspace.matches(mesh, params, quadrature_order):
         raise ValueError("workspace was built for a different problem")
     return workspace
 
@@ -321,7 +321,7 @@ def solve_dirichlet(spec, workspace=None, _check_flux=True):
     if spec.kind != DIRICHLET:
         raise ValueError("spec kind must be dirichlet")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     mesh = spec.mesh
     h0 = spec.dirichlet_data
     if _check_flux:
@@ -378,7 +378,7 @@ def solve_neumann(spec, workspace=None):
             "the Neumann problem needs alpha > 0; the alpha = 0 system has "
             "rigid-motion defects")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     mesh = spec.mesh
     g0 = spec.neumann_data
 
@@ -416,7 +416,7 @@ def solve_mixed(spec, workspace=None):
     if spec.params.alpha <= 0.0:
         raise UnsupportedParameter("the mixed problem needs alpha > 0")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     mesh = spec.mesh
     labeling = spec.labeling
 
@@ -496,7 +496,7 @@ def solve_poisson(spec, workspace=None):
     if spec.forcing is None:
         raise ValueError("solve_poisson needs volume forcing and a grid")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     mesh = spec.mesh
 
     if spec.kind == DIRICHLET:

@@ -15,6 +15,7 @@ from bbem.geometry import (
     build_icosphere,
     build_volume_grid,
     check_closed,
+    duffy_rule_batch,
     duffy_singular_rule,
     label_patches,
     load_off,
@@ -345,6 +346,52 @@ def test_duffy_rejects_off_panel_points():
         duffy_singular_rule(UNIT_RIGHT, np.array([0.3, 0.3, 0.5]), order=4)
     with pytest.raises(ValueError, match="outside"):
         duffy_singular_rule(UNIT_RIGHT, np.array([0.8, 0.8, 0.0]), order=4)
+
+
+def _mixed_singular_points(corners):
+    """Per panel, in turn: the centroid, an edge midpoint, a vertex."""
+    kinds = (lambda c: c.mean(axis=0), lambda c: 0.5 * (c[1] + c[2]),
+             lambda c: c[2].copy())
+    return np.array([kinds[k % 3](c) for k, c in enumerate(corners)])
+
+
+@pytest.mark.parametrize("geometry", ["cube", "icosphere"])
+def test_duffy_batch_matches_per_panel_rules(geometry):
+    mesh = build_cube(1) if geometry == "cube" else build_icosphere(1)
+    corners = mesh.panel_corners
+    points = _mixed_singular_points(corners)
+    nodes, weights, counts = duffy_rule_batch(corners, points, order=6)
+    single = [duffy_singular_rule(c, p, order=6)
+              for c, p in zip(corners, points)]
+    expected_counts = np.array([len(w) for _, w in single])
+    expected_nodes = np.concatenate([n for n, _ in single])
+    expected_weights = np.concatenate([w for _, w in single])
+    np.testing.assert_array_equal(counts, expected_counts)
+    # interior points keep 3 fan triangles, edge points 2, vertices 1
+    np.testing.assert_array_equal(counts // 36,
+                                  [3, 2, 1] * (len(corners) // 3)
+                                  + [3, 2, 1][:len(corners) % 3])
+    if geometry == "cube":
+        np.testing.assert_array_equal(nodes, expected_nodes)
+        np.testing.assert_array_equal(weights, expected_weights)
+    else:
+        np.testing.assert_allclose(nodes, expected_nodes, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(weights, expected_weights, rtol=1e-15,
+                                   atol=0)
+
+
+def test_duffy_batch_rejects_any_off_panel_point():
+    mesh = build_cube(1)
+    corners = mesh.panel_corners
+    points = _mixed_singular_points(corners)
+    off_plane = points.copy()
+    off_plane[5] += 0.1 * mesh.normals[5]
+    with pytest.raises(ValueError, match="plane"):
+        duffy_rule_batch(corners, off_plane, order=4)
+    outside = points.copy()
+    outside[7] = corners[7, 0] + 2.0 * (corners[7, 1] - corners[7, 0])
+    with pytest.raises(ValueError, match="outside"):
+        duffy_rule_batch(corners, outside, order=4)
 
 
 # ---------------------------------------------------------------- volume grid

@@ -468,3 +468,15 @@ def test_cli_kernels_rejects_malformed_point():
     with pytest.raises(SystemExit) as info:
         cli.main(["kernels", "--eval", "1,2", "--alpha", "1.0"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("setting", ["abc", "0", "-3"])
+def test_cli_solve_invalid_thread_count_is_config_error(tmp_path, capsys,
+                                                        monkeypatch, setting):
+    monkeypatch.setenv("BBEM_THREADS", setting)
+    code = cli.main(["solve", "--config", _write_config(tmp_path, RUN),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "BBEM_THREADS" in err
+    assert repr(setting) in err

@@ -24,7 +24,9 @@ from bbem.kernels import (
     pressure_vector,
     traction_kernel,
 )
+from bbem import harness as H
 from bbem import potentials as P
+from bbem.errors import InvalidThreadCount
 
 ALPHA = 1.0
 PARAMS = BrinkmanParams(alpha=ALPHA)
@@ -276,6 +278,20 @@ def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
     return t
 
 
+def test_near_far_split_matches_per_panel_loop(fine):
+    # the library's batched near/far split against the per-panel loop
+    # above, at points close enough to the boundary to have near panels
+    mesh, quad = fine
+    g = smooth_density(mesh)
+    for i in (3, 97, 210):
+        x = mesh.centroids[i] - 0.3 * mesh.diameters[i] * mesh.normals[i]
+        assert len(P._near_panels(mesh, x)[0]) > 0
+        expected = _sl_traction(mesh, quad, g, x, mesh.normals[i], ALPHA)
+        got = H._sl_traction(mesh, quad, g, x, mesh.normals[i], ALPHA)
+        np.testing.assert_allclose(got, expected, rtol=1.0e-13,
+                                   atol=1.0e-13 * np.abs(expected).max())
+
+
 def test_single_layer_trace_continuity(fine_ops, fine):
     mesh, quad = fine
     v = fine_ops[0]
@@ -473,6 +489,51 @@ def test_evaluation_thread_count_invariance(coarse, monkeypatch):
         results[threads] = P.eval_single_layer(mesh, g, pts, PARAMS,
                                                quad).tobytes()
     assert results["1"] == results["4"]
+
+
+def _interior_points(count):
+    """Seeded points inside the unit icosphere, enough for several chunks."""
+    rng = np.random.default_rng(5)
+    directions = rng.standard_normal((count, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return 0.6 * rng.uniform(0.0, 1.0, (count, 1)) * directions
+
+
+@pytest.mark.parametrize("evaluate", [P.eval_single_layer,
+                                      P.eval_double_layer,
+                                      P.eval_single_layer_pressure,
+                                      P.eval_double_layer_pressure])
+def test_layer_evaluation_thread_count_invariance(coarse, monkeypatch,
+                                                  evaluate):
+    mesh, quad = coarse
+    g = smooth_density(mesh)
+    pts = _interior_points(3 * P._CHUNK_ROWS - 5)
+    results = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("BBEM_THREADS", threads)
+        results[threads] = evaluate(mesh, g, pts, PARAMS, quad).tobytes()
+    assert results["1"] == results["4"]
+
+
+def test_single_layer_traction_thread_count_invariance(coarse, monkeypatch):
+    mesh, quad = coarse
+    g = smooth_density(mesh)
+    results = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("BBEM_THREADS", threads)
+        results[threads] = np.array([
+            H._sl_traction(mesh, quad, g, x, mesh.normals[0], ALPHA)
+            for x in _interior_points(8)]).tobytes()
+    assert results["1"] == results["4"]
+
+
+@pytest.mark.parametrize("setting", ["abc", "0", "-3"])
+def test_invalid_thread_count_is_named(coarse, monkeypatch, setting):
+    mesh, quad = coarse
+    monkeypatch.setenv("BBEM_THREADS", setting)
+    with pytest.raises(InvalidThreadCount,
+                       match=f"BBEM_THREADS.*'{setting}'"):
+        P.assemble_single_layer(mesh, quad, PARAMS)
 
 
 # --------------------------------------------------------- volume potentials

@@ -109,6 +109,15 @@ def test_solver_rejects_foreign_workspace(setting):
                         workspace=other)
 
 
+def test_estimates_reject_foreign_workspace(setting):
+    mesh, labeling, grid, _, _ = setting
+    other = S.SolverWorkspace(mesh, PARAMS, quadrature_order=3)
+    with pytest.raises(ValueError, match="workspace was built for a "
+                                         "different problem"):
+        SL.estimate_constants(mesh, labeling, grid, PARAMS, samples=8,
+                              workspace=other)
+
+
 def test_initial_velocity_validation(setting):
     mesh, labeling, grid, workspace, constants = setting
     forcing, trace, traction = scaled_data(mesh, grid, 1.0)
