@@ -589,8 +589,7 @@ def semilinear_battery(level=1, resolution=12, params=None, tol=1.0e-8,
     residual = semilinear_residual(handle, grid, params, forcing)
     params0 = BrinkmanParams(alpha=params.alpha, beta=0.0)
     _, report0 = picard_solve(mesh, labeling, grid, params0, forcing, h0, g0,
-                              config,
-                              workspace=SolverWorkspace(mesh, params0))
+                              config, workspace=ws)
     return {"iterations": len(report.iterates),
             "measured_ratio": report.measured_ratio,
             "converged": report.converged,

@@ -201,6 +201,18 @@ def _radial(x, require_nonzero=True):
     return x, r
 
 
+def _mirror_upper(m):
+    """Copy the upper triangle of (..., 3, 3) matrices onto the lower one.
+
+    s·x̂_i·x̂_j rounds differently from s·x̂_j·x̂_i, so a symmetric tensor
+    built that way is symmetric only to rounding (and not even to a relative
+    1e-13 once a component is subnormal); mirroring makes it exact.
+    """
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        m[..., j, i] = m[..., i, j]
+    return m
+
+
 def brinkman_velocity_tensor(x, alpha):
     """Fundamental velocity tensor G(x) of the Brinkman system, shape (..., 3, 3)."""
     alpha = _check_alpha(alpha)
@@ -210,8 +222,9 @@ def brinkman_velocity_tensor(x, alpha):
     f2 = a2(z) / (FOUR_PI * r)
     xhat = x / r[..., None]
     eye = np.eye(3)
-    return (f1[..., None, None] * eye
-            + f2[..., None, None] * xhat[..., :, None] * xhat[..., None, :])
+    return _mirror_upper(f1[..., None, None] * eye
+                         + f2[..., None, None] * xhat[..., :, None]
+                         * xhat[..., None, :])
 
 
 def stokeslet(x):
@@ -320,8 +333,9 @@ def velocity_difference(x, alpha):
     rad = (alpha / FOUR_PI) * r * _b3(z)
     rsafe = np.where(r == 0.0, 1.0, r)
     xh = x / rsafe[..., None]
-    return (iso[..., None, None] * eye
-            + rad[..., None, None] * xh[..., :, None] * xh[..., None, :])
+    return _mirror_upper(iso[..., None, None] * eye
+                         + rad[..., None, None] * xh[..., :, None]
+                         * xh[..., None, :])
 
 
 def velocity_difference_gradient(x, alpha):

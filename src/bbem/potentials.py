@@ -27,11 +27,20 @@ run over fixed 64-row chunks whose per-row arithmetic does not depend on the
 thread count, so results are byte-identical for any BBEM_THREADS setting.
 
 One near/far split, _NearFar, integrates every layer kernel at one target
-point.  Panels within two diameters of it are near and take the singular
-rules of one geometry.duffy_rule_batch call, which the Stokes and difference
-passes of K share; the far panels take the regular rule in one einsum.  Near
-blocks are summed by reshaping the batch, grouped by fan-triangle count, with
-no per-panel loop.  Self panels keep their analytic or single-panel blocks.
+point: the Stokes and difference passes of K, and velocity and pressure in
+evaluation, share it.  Panels within two diameters of the target are near
+and take singular Duffy rules at their closest point; the far panels take
+the regular rule in one einsum.  Near blocks are summed by reshaping the
+rules, grouped by order and fan-triangle count, with no per-panel loop.
+Self panels keep their analytic or order-12 single-panel blocks.
+
+The Duffy order of a near panel is graded by its distance d to the target
+over its diameter h (_NEAR_ORDERS): 12 for d < h/2, 8 for d < h, 6 for
+d < 1.5h and 5 for d < 2h, one geometry.duffy_rule_batch call per order.
+Each graded band keeps every layer kernel's block within 1e-6 (relative)
+of the order-24 rule, on icosphere centroids and cube lattice points.  That
+criterion sits well below the error of the regular rule that takes over at
+2h, up to 3e-5 relative, so the near field stays the more accurate side.
 """
 
 from __future__ import annotations
@@ -62,8 +71,12 @@ from .kernels import (
 )
 
 _CHUNK_ROWS = 64
-_DUFFY_ORDER = 12
-_NEAR_FACTOR = 2.0          # Duffy upgrade inside this many panel diameters
+_DUFFY_ORDER = 12           # self panels
+# Duffy order of a near panel by its distance to the target over its
+# diameter: the first band whose limit the ratio is below.  Panels past the
+# last limit take the regular rule.
+_NEAR_ORDERS = ((0.5, 12), (1.0, 8), (1.5, 6), (2.0, 5))
+_NEAR_FACTOR = _NEAR_ORDERS[-1][0]
 _WARN_FACTOR = 0.05         # accuracy warning inside this many diameters
 _KIND_CODES = {"V": 0, "K": 1, "Kstar": 2, "S_mixed": 3, "custom": 255}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
@@ -296,8 +309,43 @@ def _near_panels(mesh, x, skip=-1):
     return list(zip(panels.tolist(), closest)), min_dist
 
 
-def _near_rule_batch(mesh, near):
-    """Concatenated singular rules for the near entries of one target.
+def _near_rules(mesh, panels, closest, dist):
+    """Singular rules of the near panels, graded by distance.
+
+    Each panel takes the Duffy order of its band in _NEAR_ORDERS, with one
+    geometry.duffy_rule_batch call per order.  Returns the concatenated
+    (nodes (M, 3), weights (M,), normals (M, 3)) and the groups
+    (panels, start, stop, count): the rules of one order and fan-triangle
+    count, count nodes per panel, stored panel after panel in rows
+    start:stop.
+    """
+    diameters = mesh.diameters[panels]
+    band = np.zeros(len(panels), dtype=int)
+    for limit, _ in _NEAR_ORDERS[:-1]:
+        band += dist >= limit * diameters
+    parts, groups, start = [], [], 0
+    for b, (_, order) in enumerate(_NEAR_ORDERS):
+        members, points = panels[band == b], closest[band == b]
+        if not len(members):
+            continue
+        nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[members],
+                                                  points, order)
+        normals = np.repeat(mesh.normals[members], counts, axis=0)
+        fan = order ** 2
+        fans = counts // fan
+        take = np.argsort(np.repeat(fans, fans), kind="stable")
+        parts.append([a.reshape((-1, fan) + a.shape[1:])[take].reshape(a.shape)
+                      for a in (nodes, weights, normals)])
+        for count in np.unique(counts):
+            group = members[counts == count]
+            groups.append((group, start, start + count * len(group), count))
+            start += count * len(group)
+    nodes, weights, normals = (np.concatenate(a) for a in zip(*parts))
+    return nodes, weights, normals, groups
+
+
+def _near_rule_batch(mesh, near, x):
+    """Concatenated singular rules for the near entries of target x.
 
     Returns (nodes (M, 3), weights (M,), normals (M, 3), slices) with slices
     a list of (panel, start, stop), or None when there are no near panels.
@@ -305,11 +353,11 @@ def _near_rule_batch(mesh, near):
     if not near:
         return None
     panels, points = map(np.array, zip(*near))
-    nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[panels], points,
-                                              _DUFFY_ORDER)
-    normals = np.repeat(mesh.normals[panels], counts, axis=0)
-    stops = np.cumsum(counts)
-    slices = list(zip(panels.tolist(), (stops - counts).tolist(), stops.tolist()))
+    dist = np.linalg.norm(x - points, axis=1)
+    nodes, weights, normals, groups = _near_rules(mesh, panels, points, dist)
+    slices = [(panel, start + k * count, start + (k + 1) * count)
+              for group, start, _, count in groups
+              for k, panel in enumerate(group.tolist())]
     return nodes, weights, normals, slices
 
 
@@ -317,9 +365,9 @@ class _NearFar:
     """Near/far split of the panels around one target point, with the near
     panels' singular rules built once for every kernel integrated there.
 
-    The skipped panel (the target's own) is in neither set.  A near rule has
-    1, 2 or 3 fan triangles of _DUFFY_ORDER² nodes; grouping the rules by
-    fan count lets each group sum in node order, bit for bit as per panel.
+    The skipped panel (the target's own) is in neither set.  The near rules
+    are grouped by order and fan-triangle count (see _near_rules), so each
+    group sums in node order, bit for bit as per panel.
     """
 
     def __init__(self, mesh, quadrature, x, skip=-1):
@@ -333,21 +381,8 @@ class _NearFar:
         self.near, self.near_dist = near, near_dist
         self.groups = []
         if len(near):
-            nodes, weights, counts = duffy_rule_batch(
-                mesh.panel_corners[near], closest, _DUFFY_ORDER)
-            normals = np.repeat(mesh.normals[near], counts, axis=0)
-            fan = _DUFFY_ORDER ** 2
-            fans = counts // fan
-            take = np.argsort(np.repeat(fans, fans), kind="stable")
-            self.nodes, self.weights, self.normals = (
-                a.reshape((-1, fan) + a.shape[1:])[take].reshape(a.shape)
-                for a in (nodes, weights, normals))
-            start = 0
-            for count in np.unique(counts):
-                members = near[counts == count]
-                self.groups.append((members, start, start + count * len(members),
-                                    count))
-                start += count * len(members)
+            self.nodes, self.weights, self.normals, self.groups = _near_rules(
+                mesh, near, closest, near_dist)
 
     def integrate(self, kernel):
         """Per-panel integrals of kernel(nodes (M, 3), normals (M, 3)), which
@@ -524,10 +559,11 @@ def _point_guard(mesh, target):
                       stacklevel=3)
 
 
-def _layer_rows(mesh, quadrature, params, points, which):
-    """Evaluation matrix rows for one layer kernel at the given points.
+def _layer_rows(mesh, quadrature, params, points, kinds):
+    """Evaluation matrix rows of the given layer kernels at the points, all
+    integrated on one near/far split per point; returns one array per kind.
 
-    which: "V" and "W" give (P, 3, 3N) tensors; "Qs" and "Qd" give (P, 3N).
+    kinds: "V" and "W" give (P, 3, 3N) tensors; "Qs" and "Qd" give (P, 3N).
     Near-singular panels are integrated with singularity-clustered rules.
     """
     _check_quadrature(mesh, quadrature)
@@ -535,17 +571,17 @@ def _layer_rows(mesh, quadrature, params, points, which):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = mesh.n_panels
     n_points = len(points)
-    vector_valued = which in ("V", "W")
-    out = np.zeros((n_points, 3, 3 * n) if vector_valued else (n_points, 3 * n))
+    outs = [np.zeros((n_points, 3, 3 * n) if kind in ("V", "W")
+                     else (n_points, 3 * n)) for kind in kinds]
 
-    def flat_rows(x, sel_nodes, sel_normals):
+    def flat_rows(kind, x, sel_nodes, sel_normals):
         # pointwise kernel values at flattened nodes: (M, 3, 3) or (M, 3)
-        if which == "V":
+        if kind == "V":
             return brinkman_velocity_tensor(x[None, :] - sel_nodes, alpha)
-        if which == "W":
+        if kind == "W":
             kern = traction_kernel(sel_nodes, x[None, :], sel_normals, alpha)
             return kern.transpose(0, 2, 1)
-        if which == "Qs":
+        if kind == "Qs":
             return pressure_vector(x[None, :] - sel_nodes)
         kern = brinkman_pressure_tensor(x[None, :], sel_nodes, alpha)
         return -np.einsum("qik,qk->qi", kern, sel_normals)
@@ -555,42 +591,46 @@ def _layer_rows(mesh, quadrature, params, points, which):
             x = points[p]
             target = _NearFar(mesh, quadrature, x)
             _point_guard(mesh, target)
-            blocks = target.integrate(lambda y, nu: flat_rows(x, y, nu))
-            if vector_valued:
-                out[p] = blocks.transpose(1, 0, 2).reshape(3, 3 * n)
-            else:
-                out[p] = blocks.reshape(3 * n)
+            for kind, out in zip(kinds, outs):
+                blocks = target.integrate(
+                    lambda y, nu: flat_rows(kind, x, y, nu))
+                if out.ndim == 3:
+                    blocks = blocks.transpose(1, 0, 2)
+                out[p] = blocks.reshape(out.shape[1:])
 
     _run_chunked(n_points, worker)
-    return out
+    return outs
+
+
+def _eval_layers(mesh, density, points, params, kinds, quadrature=None):
+    """The given layer potentials of one density at off-boundary points, from
+    one near/far split per point: "V" (V_α g) and "W" (W_α h) give (P, 3)
+    arrays, "Qs" (Q^s g) and "Qd" (Q^d_α h) give (P,) arrays."""
+    quadrature, values = _eval_setup(mesh, density, quadrature)
+    flat = values.reshape(-1)
+    return [np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
+            else rows @ flat
+            for rows in _layer_rows(mesh, quadrature, params, points, kinds)]
 
 
 def eval_single_layer(mesh, density, points, params, quadrature=None):
     """(V_α g)(x) at off-boundary points; returns a (P, 3) array."""
-    quadrature, values = _eval_setup(mesh, density, quadrature)
-    rows = _layer_rows(mesh, quadrature, params, points, "V")
-    return np.einsum("pam,m->pa", rows, values.reshape(-1))
+    return _eval_layers(mesh, density, points, params, ("V",), quadrature)[0]
 
 
 def eval_single_layer_pressure(mesh, density, points, params, quadrature=None):
     """(Q^s g)(x) at off-boundary points; returns a (P,) array."""
-    quadrature, values = _eval_setup(mesh, density, quadrature)
-    rows = _layer_rows(mesh, quadrature, params, points, "Qs")
-    return rows @ values.reshape(-1)
+    return _eval_layers(mesh, density, points, params, ("Qs",), quadrature)[0]
 
 
 def eval_double_layer(mesh, density, points, params, quadrature=None):
     """(W_α h)(x) at off-boundary points; returns a (P, 3) array."""
-    quadrature, values = _eval_setup(mesh, density, quadrature)
-    rows = _layer_rows(mesh, quadrature, params, points, "W")
-    return np.einsum("pam,m->pa", rows, values.reshape(-1))
+    return _eval_layers(mesh, density, points, params, ("W",), quadrature)[0]
 
 
 def eval_double_layer_pressure(mesh, density, points, params, quadrature=None):
     """(Q^d_α h)(x) at off-boundary points; returns a (P,) array."""
-    quadrature, values = _eval_setup(mesh, density, quadrature)
-    rows = _layer_rows(mesh, quadrature, params, points, "Qd")
-    return rows @ values.reshape(-1)
+    return _eval_layers(mesh, density, points, params, ("Qd",), quadrature)[0]
 
 
 def _eval_setup(mesh, density, quadrature):

@@ -19,6 +19,8 @@ systems are square LU solves.
 Pressures are defined up to a constant; each solve fixes the constant to
 give zero mean over a deterministic interior probe set (domain anchor plus
 six axis offsets), stores it on the handle, and evaluation subtracts it.
+The workspace builds the probe set, and the pressure rows there of each
+layer kind, once.
 """
 
 from __future__ import annotations
@@ -53,12 +55,11 @@ from .potentials import (
     assemble_double_layer,
     assemble_single_layer,
     eval_double_layer,
-    eval_double_layer_pressure,
     eval_single_layer,
-    eval_single_layer_pressure,
     newtonian_boundary_data,
     newtonian_pressure,
     newtonian_velocity,
+    _eval_layers,
     _layer_rows,
     _near_panels,
 )
@@ -176,10 +177,11 @@ class SolveReport:
 
 
 class SolverWorkspace:
-    """Lazily assembled operators for one (mesh, params, order) triple.
+    """Lazily assembled operators for one mesh, α and quadrature order.
 
     Solvers accept a shared workspace so iterative callers pay for assembly
-    and factorization once.
+    and factorization once.  No linear operator reads β, so a workspace
+    serves every β.
     """
 
     def __init__(self, mesh, params, quadrature_order=6):
@@ -194,9 +196,11 @@ class SolverWorkspace:
         self._mixed_lu = {}
         self._neumann_lu = None
         self._grid_rows = {}
+        self._probes = None
+        self._anchor_rows = {}
 
     def matches(self, mesh, params, quadrature_order):
-        return (mesh is self.mesh and params == self.params
+        return (mesh is self.mesh and params.alpha == self.params.alpha
                 and quadrature_order == self.quadrature_order)
 
     @property
@@ -251,12 +255,25 @@ class SolverWorkspace:
         grid so the id key stays valid for its lifetime."""
         cached = self._grid_rows.get(id(grid))
         if cached is None or cached[0] is not grid:
-            rows = _layer_rows(self.mesh, self.quadrature, self.params,
-                               grid.centers, "V")
+            rows, = _layer_rows(self.mesh, self.quadrature, self.params,
+                                grid.centers, ("V",))
             rows.setflags(write=False)
             cached = (grid, rows)
             self._grid_rows[id(grid)] = cached
         return cached[1]
+
+    def pressure_anchor(self, kind):
+        """The interior pressure probes and the "Qs" or "Qd" evaluation
+        rows there, shape (probes, 3N), built on first use."""
+        if self._probes is None:
+            self._probes = _pressure_probe_points(self.mesh)
+        rows = self._anchor_rows.get(kind)
+        if rows is None:
+            rows, = _layer_rows(self.mesh, self.quadrature, self.params,
+                                self._probes, (kind,))
+            rows.setflags(write=False)
+            self._anchor_rows[kind] = rows
+        return self._probes, rows
 
 
 def _workspace_for(mesh, params, quadrature_order, workspace):
@@ -285,18 +302,9 @@ def _pressure_probe_points(mesh):
     return kept
 
 
-def _layer_pressure(tag, mesh, density, points, params, quadrature):
-    if tag == DOUBLE_LAYER:
-        return eval_double_layer_pressure(mesh, density, points, params,
-                                          quadrature)
-    return eval_single_layer_pressure(mesh, density, points, params,
-                                      quadrature)
-
-
-def _pressure_constant(tag, mesh, density, params, quadrature,
-                       forcing=None, grid=None):
-    probes = _pressure_probe_points(mesh)
-    values = _layer_pressure(tag, mesh, density, probes, params, quadrature)
+def _pressure_constant(tag, ws, density, forcing=None, grid=None):
+    probes, rows = ws.pressure_anchor("Qd" if tag == DOUBLE_LAYER else "Qs")
+    values = rows @ density.reshape(-1)
     if forcing is not None:
         values = values + newtonian_pressure(grid, forcing, probes)
     return float(values.mean())
@@ -353,8 +361,7 @@ def solve_dirichlet(spec, workspace=None, _check_flux=True):
     residual_l2 = float(residual / rhs_norm) if rhs_norm > 0.0 else 0.0
 
     density = BoundaryField(mesh, phi.reshape(-1, 3))
-    constant = _pressure_constant(DOUBLE_LAYER, mesh, density.values,
-                                  spec.params, ws.quadrature)
+    constant = _pressure_constant(DOUBLE_LAYER, ws, density.values)
     handle = SolutionHandle(tag=DOUBLE_LAYER, density=density,
                             params=spec.params,
                             quadrature_order=spec.quadrature_order,
@@ -396,8 +403,7 @@ def solve_neumann(spec, workspace=None):
                    if rhs_norm > 0.0 else 0.0)
 
     density = BoundaryField(mesh, psi.reshape(-1, 3))
-    constant = _pressure_constant(SINGLE_LAYER, mesh, density.values,
-                                  spec.params, ws.quadrature)
+    constant = _pressure_constant(SINGLE_LAYER, ws, density.values)
     handle = SolutionHandle(tag=SINGLE_LAYER, density=density,
                             params=spec.params,
                             quadrature_order=spec.quadrature_order,
@@ -436,8 +442,7 @@ def solve_mixed(spec, workspace=None):
                    if rhs_norm > 0.0 else 0.0)
 
     density = BoundaryField(mesh, psi.reshape(-1, 3))
-    constant = _pressure_constant(SINGLE_LAYER, mesh, density.values,
-                                  spec.params, ws.quadrature)
+    constant = _pressure_constant(SINGLE_LAYER, ws, density.values)
     handle = SolutionHandle(tag=MIXED_SINGLE_LAYER, density=density,
                             params=spec.params,
                             quadrature_order=spec.quadrature_order,
@@ -480,8 +485,7 @@ def neumann_to_dirichlet(mesh, labeling, params, quadrature_order=6,
             "the Neumann-to-Dirichlet map needs alpha > 0")
     if labeling.n_dirichlet == 0:
         raise InvalidLabeling("the Dirichlet patch is empty")
-    if workspace is None:
-        workspace = SolverWorkspace(mesh, params, quadrature_order)
+    workspace = _workspace_for(mesh, params, quadrature_order, workspace)
     n = 3 * mesh.n_panels
     inverse = scipy.linalg.lu_solve(workspace.neumann_factorization(),
                                     np.eye(n))
@@ -523,10 +527,9 @@ def solve_poisson(spec, workspace=None):
     else:
         inner_handle, inner_report = solve_mixed(inner_spec, ws)
 
-    constant = _pressure_constant(inner_handle.tag, mesh,
-                                  inner_handle.density.values, spec.params,
-                                  ws.quadrature, forcing=spec.forcing,
-                                  grid=spec.grid)
+    constant = _pressure_constant(inner_handle.tag, ws,
+                                  inner_handle.density.values,
+                                  forcing=spec.forcing, grid=spec.grid)
     handle = SolutionHandle(tag=WITH_NEWTONIAN,
                             density=inner_handle.density,
                             params=spec.params,
@@ -552,17 +555,9 @@ def evaluate_solution(handle, points):
     mesh = handle.density.mesh
     quadrature = panel_quadrature(mesh, handle.quadrature_order)
     layer = handle.layer_tag if handle.tag == WITH_NEWTONIAN else handle.tag
-    dens = handle.density.values
-    if layer == DOUBLE_LAYER:
-        velocity = eval_double_layer(mesh, dens, points, handle.params,
-                                     quadrature)
-        pressure = eval_double_layer_pressure(mesh, dens, points,
-                                              handle.params, quadrature)
-    else:
-        velocity = eval_single_layer(mesh, dens, points, handle.params,
-                                     quadrature)
-        pressure = eval_single_layer_pressure(mesh, dens, points,
-                                              handle.params, quadrature)
+    kinds = ("W", "Qd") if layer == DOUBLE_LAYER else ("V", "Qs")
+    velocity, pressure = _eval_layers(mesh, handle.density.values, points,
+                                      handle.params, kinds, quadrature)
     if handle.tag == WITH_NEWTONIAN:
         velocity = velocity + newtonian_velocity(handle.grid, handle.forcing,
                                                  points, handle.params)

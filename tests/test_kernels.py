@@ -4,7 +4,7 @@ regularity of the difference kernels."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import bessel_a1, bessel_a2, fd_gradient, fd_laplacian, mp_profile
@@ -113,6 +113,8 @@ def test_singularity_errors():
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
        st.sampled_from([0.0, 0.5, 1.0, 4.0]))
+# a subnormal component: G must stay exactly symmetric there too
+@example([1.802764947844083, 0.0546875, 2.225073858507203e-309], 1.0)
 def test_velocity_symmetry_and_evenness(xs, alpha):
     x = np.asarray(xs)
     if np.linalg.norm(x) < 1.0e-3:

@@ -15,13 +15,16 @@ from bbem.geometry import (
     build_cube,
     build_icosphere,
     build_volume_grid,
+    duffy_rule_batch,
     duffy_singular_rule,
     panel_quadrature,
 )
 from bbem.kernels import (
     BrinkmanParams,
+    brinkman_pressure_tensor,
     brinkman_velocity_tensor,
     pressure_vector,
+    stress_difference_normal,
     traction_kernel,
 )
 from bbem import harness as H
@@ -269,7 +272,7 @@ def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
     kern = traction_kernel(x[None, None, :], quad.nodes[far],
                            nu_x[None, None, :], alpha)
     t = np.einsum("fq,fqib,fb->i", quad.weights[far], kern, dens[far])
-    batch = P._near_rule_batch(mesh, near)
+    batch = P._near_rule_batch(mesh, near, x)
     if batch is not None:
         bn, bw, _, slices = batch
         kn = traction_kernel(x[None, :], bn, nu_x[None, :], alpha)
@@ -290,6 +293,121 @@ def test_near_far_split_matches_per_panel_loop(fine):
         got = H._sl_traction(mesh, quad, g, x, mesh.normals[i], ALPHA)
         np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                    atol=1.0e-13 * np.abs(expected).max())
+
+
+# ------------------------------------------------- distance-graded near rules
+
+_REFERENCE_ORDER = 24
+
+# every layer kernel the near/far split integrates, as the library calls it
+_LAYER_KERNELS = {
+    "V": lambda x, y, nu: brinkman_velocity_tensor(x - y, ALPHA),
+    "W": lambda x, y, nu: traction_kernel(y, x, nu, ALPHA),
+    "K Stokes": lambda x, y, nu: traction_kernel(y, x, nu, 0.0),
+    "K difference": lambda x, y, nu: stress_difference_normal(y, x, nu,
+                                                              ALPHA),
+    "Qs": lambda x, y, nu: pressure_vector(x - y),
+    "Qd": lambda x, y, nu: np.einsum("qik,qk->qi",
+                                     brinkman_pressure_tensor(x, y, ALPHA),
+                                     nu),
+}
+
+
+def _band_orders(mesh, panels, dist):
+    """The Duffy order of each near panel, read off the library's table."""
+    ratio = dist / mesh.diameters[panels]
+    return np.array([next(order for limit, order in P._NEAR_ORDERS
+                          if r < limit) for r in ratio])
+
+
+def _reference_blocks(mesh, panels, closest, order, kernel):
+    """Per-panel integrals of kernel with a uniform Duffy order."""
+    nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[panels],
+                                              closest, order)
+    values = kernel(nodes, np.repeat(mesh.normals[panels], counts, axis=0))
+    values = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    return np.add.reduceat(values, np.cumsum(counts) - counts, axis=0)
+
+
+def _graded_errors(mesh, targets):
+    """Worst relative block error of the graded near rules against the
+    order-24 rule, per (kernel, Duffy order), over (point, skip) targets."""
+    quad = panel_quadrature(mesh, 6)
+    worst = {}
+    for x, skip in targets:
+        panels, closest, dist, _ = P._near_search(mesh, x, skip)
+        orders = _band_orders(mesh, panels, dist)
+        plan = P._NearFar(mesh, quad, x, skip)
+        for name, kernel in _LAYER_KERNELS.items():
+            def at_x(y, nu):
+                return kernel(x[None, :], y, nu)
+            got = plan.integrate(at_x)[panels]
+            ref = _reference_blocks(mesh, panels, closest, _REFERENCE_ORDER,
+                                    at_x)
+            full = _reference_blocks(mesh, panels, closest, P._DUFFY_ORDER,
+                                     at_x)
+            axes = tuple(range(1, ref.ndim))
+            error = (np.abs(got - ref).max(axis=axes)
+                     / np.abs(ref).max(axis=axes))
+            for order in np.unique(orders):
+                band = orders == order
+                key = (name, int(order))
+                worst[key] = max(worst.get(key, 0.0), error[band].max())
+                if order == P._DUFFY_ORDER:
+                    # the closest band keeps the full rule
+                    np.testing.assert_allclose(
+                        got[band], full[band], rtol=0.0,
+                        atol=1.0e-14 * np.abs(full).max())
+    return worst
+
+
+@pytest.fixture(scope="module")
+def graded_targets():
+    """Icosphere-2 centroids (each skipping its own panel) and points of the
+    10^3 lattice in the level-1 cube, thinned to a few dozen targets."""
+    sphere = build_icosphere(2)
+    cube = build_cube(1)
+    lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
+    return [(sphere, [(sphere.centroids[i], i)
+                      for i in range(0, sphere.n_panels, 32)]),
+            (cube, [(x, -1) for x in lattice[::53]])]
+
+
+def test_graded_near_rules_match_order_24(graded_targets):
+    # the graded bands lose at most 1e-6 against order 24 on every layer
+    # kernel; below half a diameter the order stays 12, whose own error
+    # against order 24 is that of the full rule and is not graded here
+    for mesh, targets in graded_targets:
+        worst = _graded_errors(mesh, targets)
+        graded = [order for _, order in P._NEAR_ORDERS
+                  if order < P._DUFFY_ORDER]
+        for name in _LAYER_KERNELS:
+            for order in graded:
+                assert worst[(name, order)] <= 1.0e-6, (name, order, worst)
+
+
+def test_graded_near_rules_match_polar_oracle(graded_targets):
+    # one block per band against the adaptive polar integral around the
+    # panel's closest point to the target
+    mesh, targets = graded_targets[1]
+    quad = panel_quadrature(mesh, 6)
+    checked = set()
+    for x, _ in targets:
+        panels, closest, dist, _ = P._near_search(mesh, x)
+        orders = _band_orders(mesh, panels, dist)
+        blocks = P._NearFar(mesh, quad, x).integrate(
+            lambda y, _: brinkman_velocity_tensor(x[None, :] - y, ALPHA))
+        for panel, point, order, d in zip(panels, closest, orders, dist):
+            # below a quarter diameter the order-12 rule itself is only
+            # good to about 1e-5 here; that band is not graded
+            if order in checked or d < 0.25 * mesh.diameters[panel]:
+                continue
+            checked.add(order)
+            expected = polar_triangle_integral(
+                lambda y: brinkman_velocity_tensor(x - y, ALPHA)[..., 0, 0],
+                mesh.panel_corners[panel], point)
+            assert blocks[panel, 0, 0] == pytest.approx(expected, rel=1.0e-6)
+    assert checked == {order for _, order in P._NEAR_ORDERS}
 
 
 def test_single_layer_trace_continuity(fine_ops, fine):

@@ -245,6 +245,19 @@ def test_fixed_point_certificate(setting):
     assert SL._grid_norm(grid, moved - fixed) <= 2.0 * tol
 
 
+def test_beta_zero_reuses_a_beta_one_workspace(setting):
+    # no linear operator reads beta: the beta = 1 workspace serves a
+    # beta = 0 solve with the bits of a fresh workspace
+    mesh, labeling, grid, workspace, _ = setting
+    forcing, trace, traction = scaled_data(mesh, grid, 1.0)
+    handles = [SL.picard_solve(mesh, labeling, grid, LINEAR, forcing, trace,
+                               traction, SL.PicardConfig(), workspace=ws)[0]
+               for ws in (workspace, S.SolverWorkspace(mesh, LINEAR))]
+    assert (handles[0].density.values.tobytes()
+            == handles[1].density.values.tobytes())
+    assert handles[0].pressure_constant == handles[1].pressure_constant
+
+
 def test_two_initial_guesses_agree(setting):
     mesh, labeling, grid, workspace, constants = setting
     tol = 1.0e-10

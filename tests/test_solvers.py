@@ -26,6 +26,7 @@ from bbem.kernels import (
     traction_kernel,
 )
 from bbem.potentials import BoundaryField, VolumeField
+from bbem import potentials as P
 from bbem import solvers as S
 
 PARAMS = BrinkmanParams(alpha=1.0)
@@ -379,6 +380,14 @@ def test_ntd_guards(cube_mixed):
         S.neumann_to_dirichlet(mesh, all_neumann, PARAMS)
 
 
+def test_ntd_rejects_foreign_workspace(cube_mixed):
+    mesh, labeling, _ = cube_mixed
+    other = S.SolverWorkspace(mesh, BrinkmanParams(alpha=2.0))
+    with pytest.raises(ValueError, match="workspace was built for a "
+                                         "different problem"):
+        S.neumann_to_dirichlet(mesh, labeling, PARAMS, workspace=other)
+
+
 # ---------------------------------------------------------------- forced solve
 
 def smooth_forcing(grid):
@@ -485,6 +494,61 @@ def test_pressure_constant_zero_probe_mean(sphere_fine):
     sol = S.evaluate_solution(handle, probes)
     assert abs(sol.pressure.mean()) < 1.0e-12 * max(
         1.0, np.abs(sol.pressure).max())
+
+
+def test_pressure_anchor_built_once_per_workspace(cube_mixed, monkeypatch):
+    # the probes and their pressure rows depend on the geometry only: two
+    # solves on one workspace search the probes once, and each constant
+    # keeps the bits of the probe mean of the evaluated pressure
+    mesh, labeling, _ = cube_mixed
+    ws = S.SolverWorkspace(mesh, PARAMS)
+    search = S._pressure_probe_points
+    probes = search(mesh)
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return search(m)
+
+    monkeypatch.setattr(S, "_pressure_probe_points", counted)
+    for pole in (CUBE_POLE, CUBE_POLE + 0.3):
+        spec = S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=mesh,
+                         labeling=labeling,
+                         dirichlet_data=exact_trace(mesh, pole),
+                         neumann_data=exact_traction(mesh, pole))
+        handle, _ = S.solve_mixed(spec, ws)
+        expected = P.eval_single_layer_pressure(
+            mesh, handle.density.values, probes, PARAMS, ws.quadrature)
+        assert handle.pressure_constant == float(expected.mean())
+    assert len(calls) == 1
+
+
+def _ball_points(count, radius):
+    """Seeded points inside a ball, enough for several evaluation chunks."""
+    rng = np.random.default_rng(11)
+    directions = rng.standard_normal((count, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return radius * rng.uniform(0.0, 1.0, (count, 1)) * directions
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_evaluate_solution_matches_layer_evaluators(sphere_coarse,
+                                                    monkeypatch, threads):
+    # velocity and pressure from one near/far split per point keep the
+    # bits of the separate evaluators, for both representations
+    mesh, ws = sphere_coarse
+    monkeypatch.setenv("BBEM_THREADS", threads)
+    points = _ball_points(3 * P._CHUNK_ROWS - 5, 0.6)
+    double, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
+    single, _ = S.solve_neumann(neumann_spec(mesh), ws)
+    for handle, velocity, pressure in (
+            (double, P.eval_double_layer, P.eval_double_layer_pressure),
+            (single, P.eval_single_layer, P.eval_single_layer_pressure)):
+        sol = S.evaluate_solution(handle, points)
+        args = (mesh, handle.density.values, points, PARAMS, ws.quadrature)
+        assert sol.velocity.tobytes() == velocity(*args).tobytes()
+        assert sol.pressure.tobytes() == (
+            pressure(*args) - handle.pressure_constant).tobytes()
 
 
 def test_solve_is_deterministic(sphere_coarse):
