@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import fftconvolve
 
 from .errors import InvalidSource
 from .geometry import (
@@ -49,17 +48,17 @@ from .potentials import (
     VolumeField,
     eval_double_layer,
     eval_single_layer,
-    newtonian_pressure,
     _NearFar,
     _closest_points_on_panels,
+    _newtonian_on_grid,
 )
 from .semilinear import (
     PicardConfig,
     estimate_constants,
     picard_solve,
     semilinear_residual,
-    _lattice_resolution,
-    _newtonian_grid_velocity,
+    _lattice_depth,
+    _lattice_residual,
     _smooth_field,
 )
 from .solvers import (
@@ -75,6 +74,7 @@ from .solvers import (
     solve_mixed,
     solve_neumann,
     solve_poisson,
+    _workspace_for,
 )
 
 # Battery seed ((2³¹ + 1)/3, an arbitrary fixed odd constant): every random
@@ -418,8 +418,7 @@ def manufactured_errors(kind, mesh, source, points, labeling=None,
     report, and the solve wall time.
     """
     params = source.params
-    ws = workspace if workspace is not None else SolverWorkspace(
-        mesh, params, quadrature_order)
+    ws = _workspace_for(mesh, params, quadrature_order, workspace)
     trace = source.trace(mesh)
     if kind == DIRICHLET:
         spec = BVPSpec(kind=DIRICHLET, params=params, mesh=mesh,
@@ -477,7 +476,7 @@ def ntd_consistency(mesh, labeling, source, workspace=None):
     the composed traction-to-trace operator against solve-then-restrict on
     the same discretization."""
     params = source.params
-    ws = workspace if workspace is not None else SolverWorkspace(mesh, params)
+    ws = _workspace_for(mesh, params, 6, workspace)
     traction = source.traction(mesh)
     ntd = neumann_to_dirichlet(mesh, labeling, params, workspace=ws)
     composed = ntd.apply(traction).values
@@ -493,29 +492,6 @@ def ntd_consistency(mesh, labeling, source, workspace=None):
 
 # --------------------------------------------------------- volume batteries
 
-def _lattice_pressure(grid, values):
-    """Newtonian pressure at the grid's own cell centers; FFT convolution on
-    a full cubic lattice, direct sums otherwise.  The self cell vanishes by
-    odd symmetry of the pressure kernel."""
-    m = _lattice_resolution(grid)
-    if m is None:
-        return newtonian_pressure(grid, values, grid.centers)
-    h = grid.spacing
-    offsets = h * np.arange(-(m - 1), m)
-    diff = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"),
-                    axis=-1)
-    center = (m - 1, m - 1, m - 1)
-    diff[center] = 1.0  # placeholder; the self cell is zeroed below
-    kernel = h ** 3 * pressure_vector(diff)
-    kernel[center] = 0.0
-    forcing = values.reshape(m, m, m, 3)
-    out = np.zeros((m, m, m))
-    for b in range(3):
-        full = fftconvolve(kernel[..., b], forcing[..., b], mode="full")
-        out += full[m - 1:2 * m - 1, m - 1:2 * m - 1, m - 1:2 * m - 1]
-    return -out.reshape(-1)
-
-
 def newtonian_residual(resolution, params, seed=SUITE_SEED):
     """Relative interior residual of the volume pair: (Δ − α)N f − ∇Q f
     reproduces a smooth forcing f up to quadrature and stencil error.
@@ -526,26 +502,16 @@ def newtonian_residual(resolution, params, seed=SUITE_SEED):
     where the rolled stencils never touch a wrapped-around neighbor.
     """
     m = int(resolution)
-    if m < 5:
-        raise ValueError("the residual stencil needs at least 5 cells per "
-                         "edge")
+    depth = _lattice_depth(m)
     grid = build_volume_grid({"type": "cube", "side": 1.0}, m)
     rng = np.random.default_rng(seed)
     values = _smooth_field(grid.centers, 1.0, rng)
-    h = grid.spacing
-    velocity = _newtonian_grid_velocity(grid, values, params).reshape(
-        m, m, m, 3)
-    pressure = _lattice_pressure(grid, values).reshape(m, m, m)
-    lap = sum((np.roll(velocity, -1, axis=ax) - 2.0 * velocity
-               + np.roll(velocity, 1, axis=ax)) for ax in range(3)) / h ** 2
-    grad = np.stack([(np.roll(pressure, -1, axis=ax)
-                      - np.roll(pressure, 1, axis=ax)) / (2.0 * h)
-                     for ax in range(3)], axis=-1)
+    velocity, pressure = _newtonian_on_grid(grid, values, params,
+                                            ("velocity", "pressure"))
     forcing = values.reshape(m, m, m, 3)
-    resid = lap - params.alpha * velocity - grad - forcing
-    layer = np.minimum(np.arange(m), np.arange(m)[::-1])
-    depth = np.minimum.reduce(np.meshgrid(layer, layer, layer,
-                                          indexing="ij"))
+    resid, _ = _lattice_residual(velocity.reshape(m, m, m, 3),
+                                 pressure.reshape(m, m, m), forcing,
+                                 grid.spacing, params.alpha, 0.0)
     probe = depth >= 2
     return float(np.linalg.norm(resid[probe])
                  / np.linalg.norm(forcing[probe]))

@@ -26,11 +26,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import NotConverged, SmallnessViolated, UnsupportedParameter
-from .kernels import brinkman_velocity_tensor
-from .potentials import BoundaryField, VolumeField, newtonian_velocity
+from .potentials import (
+    BoundaryField,
+    VolumeField,
+    _lattice_resolution,
+    _newtonian_on_grid,
+    _volume_values,
+)
 from .solvers import (
     MIXED,
     BVPSpec,
@@ -141,64 +145,14 @@ def _drag(values, beta):
     return beta * np.linalg.norm(values, axis=1)[:, None] * values
 
 
-def _lattice_resolution(grid):
-    """Cells per edge when the grid is a full cubic lattice, else None."""
-    m = round(grid.n_cells ** (1.0 / 3.0))
-    if m ** 3 != grid.n_cells:
-        return None
-    h = grid.spacing
-    if not np.allclose(grid.volumes, h ** 3, rtol=1.0e-10, atol=0.0):
-        return None
-    mins = grid.centers.min(axis=0)
-    axes = [mins[d] + h * np.arange(m) for d in range(3)]
-    expected = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if not np.allclose(expected.reshape(-1, 3), grid.centers,
-                       rtol=0.0, atol=1.0e-9 * h):
-        return None
-    return m
-
-
-def _newtonian_grid_velocity(grid, values, params):
-    """Newtonian velocity sampled at the grid's own cell centers.
-
-    On a full cubic lattice the midpoint sum is a discrete convolution and is
-    computed with FFTs; other grids fall back to the direct pairwise sum.
-    Both paths use the same cell kernel, including the equal-volume-ball
-    self term, so they agree to rounding.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_cells, 3):
-        raise ValueError("forcing shape does not match the volume grid")
-    m = _lattice_resolution(grid)
-    if m is None:
-        return newtonian_velocity(grid, values, grid.centers, params)
-    h = grid.spacing
-    offsets = h * np.arange(-(m - 1), m)
-    diff = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"),
-                    axis=-1)
-    center = (m - 1, m - 1, m - 1)
-    diff[center] = 1.0  # placeholder; the self cell gets the ball term
-    kernel = h ** 3 * brinkman_velocity_tensor(diff, params.alpha)
-    radius = (3.0 * h ** 3 / (4.0 * np.pi)) ** (1.0 / 3.0)
-    kernel[center] = (radius ** 2 / 3.0) * np.eye(3)
-    forcing = values.reshape(m, m, m, 3)
-    out = np.zeros((m, m, m, 3))
-    for a in range(3):
-        for b in range(3):
-            full = fftconvolve(kernel[..., a, b], forcing[..., b],
-                               mode="full")
-            out[..., a] += full[m - 1:2 * m - 1,
-                                m - 1:2 * m - 1,
-                                m - 1:2 * m - 1]
-    return -out.reshape(-1, 3)
-
-
 def _grid_velocity(workspace, grid, handle, forcing_values, params):
     """Velocity of a forced mixed solve at every grid cell center."""
     rows = workspace.grid_velocity_rows(grid)
     flat = handle.density.values.reshape(-1)
     layer = np.einsum("cam,m->ca", rows, flat)
-    return layer + _newtonian_grid_velocity(grid, forcing_values, params)
+    newtonian, = _newtonian_on_grid(grid, forcing_values, params,
+                                    ("velocity",))
+    return layer + newtonian
 
 
 # ------------------------------------------------------------ fixed-point run
@@ -415,6 +369,37 @@ def estimate_constants(mesh, labeling, grid, params, samples,
 
 # ------------------------------------------------------------------- residual
 
+def _lattice_depth(m):
+    """Layers between each cell of an m³ lattice and its hull, shape
+    (m, m, m).  The residual stencil evaluates cells at depth ≥ 1 and
+    tests those at depth ≥ 2, where it never reads a wrapped-around
+    neighbor."""
+    if m < 5:
+        raise ValueError("the residual stencil needs at least 5 cells per "
+                         "edge")
+    layer = np.minimum(np.arange(m), np.arange(m)[::-1])
+    return np.minimum.reduce(np.meshgrid(layer, layer, layer, indexing="ij"))
+
+
+def _lattice_residual(velocity, pressure, forcing, h, alpha, beta):
+    """Residual Δu − αu − β|u|u − ∇π − f on an (m, m, m) lattice of spacing
+    h, from 7-point Laplacians and centered pressure gradients, together
+    with the drag term β|u|u.  Only cells at depth ≥ 2 are meaningful."""
+    laplacian = np.zeros(velocity.shape)
+    gradient = np.zeros(velocity.shape)
+    for axis in range(3):
+        # rolled-in wraparound values land only on the outermost layer
+        u_plus = np.roll(velocity, -1, axis=axis)
+        u_minus = np.roll(velocity, 1, axis=axis)
+        laplacian += (u_plus + u_minus - 2.0 * velocity) / h ** 2
+        p_plus = np.roll(pressure, -1, axis=axis)
+        p_minus = np.roll(pressure, 1, axis=axis)
+        gradient[..., axis] = (p_plus - p_minus) / (2.0 * h)
+    drag = _drag(velocity.reshape(-1, 3), beta).reshape(velocity.shape)
+    residual = laplacian - alpha * velocity - drag - gradient - forcing
+    return residual, drag
+
+
 def semilinear_residual(handle, grid, params, forcing):
     """Relative finite-difference residual of Δu − αu − β|u|u − ∇π = f.
 
@@ -429,21 +414,10 @@ def semilinear_residual(handle, grid, params, forcing):
     if m is None:
         raise ValueError("the residual stencil needs a full cubic lattice "
                          "volume grid")
-    if m < 5:
-        raise ValueError("the interior stencil needs at least 5 cells per "
-                         "edge")
-    if isinstance(forcing, VolumeField):
-        if forcing.grid is not grid:
-            raise ValueError("forcing lives on a different volume grid")
-        f_values = forcing.values
-    else:
-        f_values = np.asarray(forcing, dtype=float)
-        if f_values.shape != (grid.n_cells, 3):
-            raise ValueError("forcing shape does not match the volume grid")
+    depth = _lattice_depth(m)
+    f_values = _volume_values(grid, forcing).reshape(m, m, m, 3)
 
     h = grid.spacing
-    layer = np.minimum(np.arange(m), np.arange(m)[::-1])
-    depth = np.minimum.reduce(np.meshgrid(layer, layer, layer, indexing="ij"))
     evaluated = depth >= 1
     probe = depth >= 2
 
@@ -453,28 +427,14 @@ def semilinear_residual(handle, grid, params, forcing):
     pressure = np.full((m, m, m), np.nan)
     velocity[evaluated] = fields.velocity
     pressure[evaluated] = fields.pressure
-
-    laplacian = np.zeros((m, m, m, 3))
-    gradient = np.zeros((m, m, m, 3))
-    for axis in range(3):
-        # rolled-in wraparound values land only on the outermost layer,
-        # which the probe mask excludes
-        u_plus = np.roll(velocity, -1, axis=axis)
-        u_minus = np.roll(velocity, 1, axis=axis)
-        laplacian += (u_plus + u_minus - 2.0 * velocity) / h ** 2
-        p_plus = np.roll(pressure, -1, axis=axis)
-        p_minus = np.roll(pressure, 1, axis=axis)
-        gradient[..., axis] = (p_plus - p_minus) / (2.0 * h)
-
-    drag = _drag(velocity.reshape(-1, 3), params.beta).reshape(m, m, m, 3)
-    residual = (laplacian - params.alpha * velocity - drag - gradient
-                - f_values.reshape(m, m, m, 3))
+    residual, drag = _lattice_residual(velocity, pressure, f_values, h,
+                                       params.alpha, params.beta)
 
     def cell_norm(block):
         return float(np.sqrt(h ** 3 * np.sum(block ** 2)))
 
     numerator = cell_norm(residual[probe])
-    denominator = (cell_norm(f_values.reshape(m, m, m, 3)[probe])
+    denominator = (cell_norm(f_values[probe])
                    + params.alpha * cell_norm(velocity[probe])
                    + cell_norm(drag[probe]))
     if denominator == 0.0:

@@ -324,6 +324,38 @@ def _flux_check(h0, mesh, flux_tol):
             f"above the compatibility tolerance {flux_tol:.1e}")
 
 
+def _lu_solve(lu, rhs, what):
+    """Solve with a cached LU factor of the named system; a failed or
+    non-finite solve raises IllConditioned."""
+    try:
+        x = scipy.linalg.lu_solve(lu, rhs)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise IllConditioned(f"{what} system factorization failed: {exc}")
+    if not np.all(np.isfinite(x)):
+        raise IllConditioned(f"{what} solve produced non-finite values")
+    return x
+
+
+def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
+            warnings=()):
+    """Handle and report of the density x solving a collocation system
+    A x = rhs, given applied = A x; t0 is the solve's start time."""
+    rhs_norm = np.linalg.norm(rhs)
+    residual_l2 = (float(np.linalg.norm(applied - rhs) / rhs_norm)
+                   if rhs_norm > 0.0 else 0.0)
+    density = BoundaryField(spec.mesh, x.reshape(-1, 3))
+    constant = _pressure_constant(tag, ws, density.values)
+    handle = SolutionHandle(tag=tag, density=density, params=spec.params,
+                            quadrature_order=spec.quadrature_order,
+                            pressure_constant=constant)
+    report = SolveReport(kind=spec.kind, alpha=spec.params.alpha,
+                         residual_l2=residual_l2, sigma_min=sigma[0],
+                         sigma_max=sigma[1], pressure_constant=constant,
+                         wall_time_s=time.perf_counter() - t0,
+                         warnings=tuple(warnings))
+    return handle, report
+
+
 def solve_dirichlet(spec, workspace=None, _check_flux=True):
     """Interior Dirichlet problem via the double-layer representation."""
     if spec.kind != DIRICHLET:
@@ -356,24 +388,9 @@ def solve_dirichlet(spec, workspace=None, _check_flux=True):
     rhs = data.reshape(-1)
     coeffs = (u_left.T @ rhs)[keep] / sigma[keep]
     phi = v_right[keep].T @ coeffs
-    residual = np.linalg.norm(system @ phi - rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    residual_l2 = float(residual / rhs_norm) if rhs_norm > 0.0 else 0.0
-
-    density = BoundaryField(mesh, phi.reshape(-1, 3))
-    constant = _pressure_constant(DOUBLE_LAYER, ws, density.values)
-    handle = SolutionHandle(tag=DOUBLE_LAYER, density=density,
-                            params=spec.params,
-                            quadrature_order=spec.quadrature_order,
-                            pressure_constant=constant)
-    report = SolveReport(kind=DIRICHLET, alpha=spec.params.alpha,
-                         residual_l2=residual_l2,
-                         sigma_min=float(sigma[-1]),
-                         sigma_max=float(sigma[0]),
-                         pressure_constant=constant,
-                         wall_time_s=time.perf_counter() - t0,
-                         warnings=tuple(run_warnings))
-    return handle, report
+    return _solved(spec, ws, DOUBLE_LAYER, phi, system @ phi, rhs, t0,
+                   sigma=(float(sigma[-1]), float(sigma[0])),
+                   warnings=run_warnings)
 
 
 def solve_neumann(spec, workspace=None):
@@ -386,33 +403,10 @@ def solve_neumann(spec, workspace=None):
             "rigid-motion defects")
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
-    mesh = spec.mesh
-    g0 = spec.neumann_data
-
-    lu = ws.neumann_factorization()
-    rhs = g0.values.reshape(-1)
-    try:
-        psi = scipy.linalg.lu_solve(lu, rhs)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise IllConditioned(f"Neumann system factorization failed: {exc}")
-    if not np.all(np.isfinite(psi)):
-        raise IllConditioned("Neumann solve produced non-finite values")
-    system_apply = 0.5 * psi + ws.adjoint.matrix @ psi
-    rhs_norm = np.linalg.norm(rhs)
-    residual_l2 = (float(np.linalg.norm(system_apply - rhs) / rhs_norm)
-                   if rhs_norm > 0.0 else 0.0)
-
-    density = BoundaryField(mesh, psi.reshape(-1, 3))
-    constant = _pressure_constant(SINGLE_LAYER, ws, density.values)
-    handle = SolutionHandle(tag=SINGLE_LAYER, density=density,
-                            params=spec.params,
-                            quadrature_order=spec.quadrature_order,
-                            pressure_constant=constant)
-    report = SolveReport(kind=NEUMANN, alpha=spec.params.alpha,
-                         residual_l2=residual_l2, sigma_min=None,
-                         sigma_max=None, pressure_constant=constant,
-                         wall_time_s=time.perf_counter() - t0)
-    return handle, report
+    rhs = spec.neumann_data.values.reshape(-1)
+    psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
+    return _solved(spec, ws, SINGLE_LAYER, psi,
+                   0.5 * psi + ws.adjoint.matrix @ psi, rhs, t0)
 
 
 def solve_mixed(spec, workspace=None):
@@ -423,35 +417,13 @@ def solve_mixed(spec, workspace=None):
         raise UnsupportedParameter("the mixed problem needs alpha > 0")
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
-    mesh = spec.mesh
     labeling = spec.labeling
-
     rhs = np.where(labeling.dirichlet_mask[:, None],
                    spec.dirichlet_data.values,
                    spec.neumann_data.values).reshape(-1)
-    lu = ws.mixed_factorization(labeling)
-    try:
-        psi = scipy.linalg.lu_solve(lu, rhs)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise IllConditioned(f"mixed system factorization failed: {exc}")
-    if not np.all(np.isfinite(psi)):
-        raise IllConditioned("mixed solve produced non-finite values")
-    system = ws.mixed_matrix(labeling)
-    rhs_norm = np.linalg.norm(rhs)
-    residual_l2 = (float(np.linalg.norm(system @ psi - rhs) / rhs_norm)
-                   if rhs_norm > 0.0 else 0.0)
-
-    density = BoundaryField(mesh, psi.reshape(-1, 3))
-    constant = _pressure_constant(SINGLE_LAYER, ws, density.values)
-    handle = SolutionHandle(tag=MIXED_SINGLE_LAYER, density=density,
-                            params=spec.params,
-                            quadrature_order=spec.quadrature_order,
-                            pressure_constant=constant)
-    report = SolveReport(kind=MIXED, alpha=spec.params.alpha,
-                         residual_l2=residual_l2, sigma_min=None,
-                         sigma_max=None, pressure_constant=constant,
-                         wall_time_s=time.perf_counter() - t0)
-    return handle, report
+    psi = _lu_solve(ws.mixed_factorization(labeling), rhs, "mixed")
+    return _solved(spec, ws, MIXED_SINGLE_LAYER, psi,
+                   ws.mixed_matrix(labeling) @ psi, rhs, t0)
 
 
 class NeumannToDirichletMap:

@@ -748,6 +748,21 @@ def test_newtonian_forcing_shape_validation():
                              np.zeros((1, 3)), PARAMS)
 
 
+def test_newtonian_rejects_forcing_from_another_grid():
+    # equal cell counts, so only the grid identity tells the two apart
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 4)
+    other = build_volume_grid({"type": "cube", "side": 2.0}, 4)
+    foreign = P.VolumeField(other, np.ones((other.n_cells, 3)))
+    origin = np.zeros((1, 3))
+    calls = (lambda: P.newtonian_velocity(grid, foreign, origin, PARAMS),
+             lambda: P.newtonian_pressure(grid, foreign, origin),
+             lambda: P.newtonian_boundary_data(grid, foreign, build_cube(1),
+                                               PARAMS))
+    for call in calls:
+        with pytest.raises(ValueError, match="different volume grid"):
+            call()
+
+
 # ------------------------------------------------------------ evaluation guards
 
 def test_eval_rejects_on_surface_point(fine):

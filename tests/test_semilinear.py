@@ -1,7 +1,7 @@
 """Fixed-point solver for the nonlinear drag term: single-iteration linear
 limits, contraction and ball diagnostics for small data, divergence and
 non-convergence reporting, empirical constant estimation, the FFT fast path
-of the on-grid Newtonian velocity, and the finite-difference residual."""
+of the on-grid Newtonian pair, and the finite-difference residual."""
 
 import json
 import math
@@ -20,7 +20,13 @@ from bbem.kernels import (
     brinkman_velocity_tensor,
     traction_kernel,
 )
-from bbem.potentials import BoundaryField, VolumeField, newtonian_velocity
+from bbem.potentials import (
+    BoundaryField,
+    VolumeField,
+    newtonian_pressure,
+    newtonian_velocity,
+)
+from bbem import potentials as P
 from bbem import solvers as S
 from bbem import semilinear as SL
 
@@ -405,10 +411,13 @@ def test_fft_convolution_matches_direct_sum():
     grid = build_volume_grid({"type": "cube", "side": 1.0}, 8)
     rng = np.random.default_rng(11)
     forcing = rng.normal(size=(grid.n_cells, 3))
-    fast = SL._newtonian_grid_velocity(grid, forcing, PARAMS)
-    direct = newtonian_velocity(grid, forcing, grid.centers, PARAMS)
-    gap = np.linalg.norm(fast - direct) / np.linalg.norm(direct)
-    assert gap <= 1.0e-12
+    fast = P._newtonian_on_grid(grid, forcing, PARAMS,
+                                ("velocity", "pressure"))
+    direct = (newtonian_velocity(grid, forcing, grid.centers, PARAMS),
+              newtonian_pressure(grid, forcing, grid.centers))
+    for lattice, pairwise in zip(fast, direct):
+        gap = np.linalg.norm(lattice - pairwise) / np.linalg.norm(pairwise)
+        assert gap <= 1.0e-12
 
 
 def test_filtered_grid_falls_back_to_direct_sum():
@@ -416,9 +425,12 @@ def test_filtered_grid_falls_back_to_direct_sum():
     assert SL._lattice_resolution(grid) is None
     rng = np.random.default_rng(12)
     forcing = rng.normal(size=(grid.n_cells, 3))
-    fast = SL._newtonian_grid_velocity(grid, forcing, PARAMS)
-    direct = newtonian_velocity(grid, forcing, grid.centers, PARAMS)
-    assert np.array_equal(fast, direct)
+    velocity, pressure = P._newtonian_on_grid(grid, forcing, PARAMS,
+                                              ("velocity", "pressure"))
+    assert np.array_equal(
+        velocity, newtonian_velocity(grid, forcing, grid.centers, PARAMS))
+    assert np.array_equal(
+        pressure, newtonian_pressure(grid, forcing, grid.centers))
 
 
 # ------------------------------------------------------------------ residual

@@ -10,6 +10,7 @@ import pytest
 
 from bbem.errors import (
     FluxIncompatible,
+    IllConditioned,
     InvalidLabeling,
     UnsupportedParameter,
 )
@@ -332,6 +333,46 @@ def test_mixed_reads_only_matching_patch(cube_mixed):
     ha, _ = S.solve_mixed(spec_a, ws)
     hb, _ = S.solve_mixed(spec_b, ws)
     assert np.array_equal(ha.density.values, hb.density.values)
+
+
+def _nan_factor(lu):
+    factor, pivots = lu
+    factor = factor.copy()
+    factor[0, 0] = np.nan
+    return factor, pivots
+
+
+def _truncated_factor(lu):
+    factor, pivots = lu
+    return factor[:-3, :-3], pivots[:-3]
+
+
+@pytest.mark.parametrize("spoiled, failure", [
+    (_nan_factor, "solve produced non-finite values"),
+    (_truncated_factor, "system factorization failed"),
+])
+def test_lu_solvers_raise_ill_conditioned(sphere_coarse, cube_mixed,
+                                          monkeypatch, spoiled, failure):
+    # a NaN in the factor propagates into the solution; a factor that does
+    # not fit the right-hand side makes lu_solve itself raise
+
+    sphere, sphere_ws = sphere_coarse
+    lu = sphere_ws.neumann_factorization()
+    monkeypatch.setattr(sphere_ws, "neumann_factorization",
+                        lambda: spoiled(lu))
+    with pytest.raises(IllConditioned, match=f"^Neumann {failure}"):
+        S.solve_neumann(neumann_spec(sphere), sphere_ws)
+
+    cube, labeling, cube_ws = cube_mixed
+    lu = cube_ws.mixed_factorization(labeling)
+    monkeypatch.setattr(cube_ws, "mixed_factorization",
+                        lambda labels: spoiled(lu))
+    spec = S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=cube,
+                     labeling=labeling,
+                     dirichlet_data=exact_trace(cube, CUBE_POLE),
+                     neumann_data=exact_traction(cube, CUBE_POLE))
+    with pytest.raises(IllConditioned, match=f"^mixed {failure}"):
+        S.solve_mixed(spec, cube_ws)
 
 
 # ------------------------------------------------------- neumann-to-dirichlet
