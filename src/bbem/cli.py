@@ -10,7 +10,6 @@ solve fails numerically, 2 for configuration and usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .harness import (
     convergence_study,
     run_config,
     verify_suite,
+    _load_config,
 )
 from .kernels import brinkman_velocity_tensor, pressure_vector
 
@@ -95,13 +95,7 @@ def _cmd_verify(args):
 
 
 def _cmd_converge(args):
-    with open(args.config, "r", encoding="utf-8") as handle:
-        try:
-            cfg = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: not valid JSON ({exc})")
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level: expected a JSON object")
+    cfg = _load_config(args.config)
     table = convergence_study(cfg)
     text = table.to_csv()
     sys.stdout.write(text)

@@ -70,10 +70,8 @@ from .solvers import (
     evaluate_solution,
     greens_identity_residual,
     neumann_to_dirichlet,
-    solve_dirichlet,
-    solve_mixed,
     solve_neumann,
-    solve_poisson,
+    _SOLVERS,
     _workspace_for,
 )
 
@@ -420,34 +418,21 @@ def manufactured_errors(kind, mesh, source, points, labeling=None,
     params = source.params
     ws = _workspace_for(mesh, params, quadrature_order, workspace)
     trace = source.trace(mesh)
+    if kind == MIXED and labeling is None:
+        raise ValueError("the mixed battery needs a patch labeling")
+    spec = BVPSpec(kind=kind, params=params, mesh=mesh, labeling=labeling,
+                   dirichlet_data=None if kind == NEUMANN else trace,
+                   neumann_data=(None if kind == DIRICHLET
+                                 else source.traction(mesh)),
+                   quadrature_order=quadrature_order,
+                   flux_tol=MANUFACTURED_FLUX_TOL)
+    handle, report = _SOLVERS[kind](spec, ws)
+    flat = handle.density.values.reshape(-1)
     if kind == DIRICHLET:
-        spec = BVPSpec(kind=DIRICHLET, params=params, mesh=mesh,
-                       dirichlet_data=trace,
-                       quadrature_order=quadrature_order,
-                       flux_tol=MANUFACTURED_FLUX_TOL)
-        handle, report = solve_dirichlet(spec, ws)
-        flat = handle.density.values.reshape(-1)
-        numeric = (-0.5 * flat + ws.double_layer.matrix @ flat).reshape(-1, 3)
-    elif kind == NEUMANN:
-        spec = BVPSpec(kind=NEUMANN, params=params, mesh=mesh,
-                       neumann_data=source.traction(mesh),
-                       quadrature_order=quadrature_order)
-        handle, report = solve_neumann(spec, ws)
-        flat = handle.density.values.reshape(-1)
-        numeric = (ws.single_layer.matrix @ flat).reshape(-1, 3)
-    elif kind == MIXED:
-        if labeling is None:
-            raise ValueError("the mixed battery needs a patch labeling")
-        spec = BVPSpec(kind=MIXED, params=params, mesh=mesh,
-                       labeling=labeling, dirichlet_data=trace,
-                       neumann_data=source.traction(mesh),
-                       quadrature_order=quadrature_order)
-        handle, report = solve_mixed(spec, ws)
-        flat = handle.density.values.reshape(-1)
-        numeric = (ws.single_layer.matrix @ flat).reshape(-1, 3)
+        numeric = -0.5 * flat + ws.double_layer.matrix @ flat
     else:
-        raise ValueError(f"unknown problem kind {kind!r}")
-
+        numeric = ws.single_layer.matrix @ flat
+    numeric = numeric.reshape(-1, 3)
     trace_err = (BoundaryField(mesh, numeric - trace.values).norm()
                  / trace.norm())
     solution = evaluate_solution(handle, points)
@@ -863,13 +848,24 @@ def _build_mesh(geometry, level):
         raise ConfigError(
             f"level {level} needs {expected} panels, over the "
             f"{PANEL_BUDGET}-panel budget for dense assembly")
-    if geometry_type == "icosphere":
-        radius = _cfg_number(geometry, "geometry", "radius", minimum=0.0,
-                             required=False, default=1.0)
-        return build_icosphere(level, radius=radius)
-    side = _cfg_number(geometry, "geometry", "side", minimum=0.0,
+    key = "radius" if geometry_type == "icosphere" else "side"
+    size = _cfg_number(geometry, "geometry", key, minimum=0.0,
                        required=False, default=1.0)
-    return build_cube(level, side=side)
+    if size <= 0.0:
+        raise ConfigError(f"'geometry.{key}': must be positive")
+    if geometry_type == "icosphere":
+        return build_icosphere(level, radius=size)
+    return build_cube(level, side=size)
+
+
+def _cfg_labeling(mesh, patches):
+    """label_patches with its rule errors raised as a ConfigError."""
+    try:
+        return label_patches(mesh, patches)
+    except KeyError as exc:
+        raise ConfigError(f"missing required key 'patches.{exc.args[0]}'")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'patches': {exc}")
 
 
 def convergence_study(config):
@@ -898,8 +894,7 @@ def convergence_study(config):
     alpha = _cfg_number(config, "", "alpha", minimum=0.0)
     point = _cfg_vec3(config, "", "source_point")
     column = _cfg_int(config, "", "column", minimum=1, maximum=3)
-    order = _cfg_int(config, "", "quadrature_order", required=False,
-                     default=6)
+    order = _cfg_order(config)
     params = BrinkmanParams(alpha=alpha)
     source = manufactured_solution(point, column, params)
     patches = _cfg_map(config, "", "patches", required=(kind == MIXED),
@@ -909,7 +904,7 @@ def convergence_study(config):
     previous = None
     for level in levels:
         mesh = _build_mesh(geometry, level)
-        labeling = (label_patches(mesh, patches) if kind == MIXED else None)
+        labeling = (_cfg_labeling(mesh, patches) if kind == MIXED else None)
         points = interior_probes(mesh)
         errors = manufactured_errors(kind, mesh, source, points,
                                      labeling=labeling,
@@ -995,6 +990,13 @@ def _cfg_vec3(mapping, path, key):
         raise ConfigError(f"'{_join_path(path, key)}': expected a list of "
                           f"three numbers")
     return [float(v) for v in value]
+
+
+def _cfg_order(cfg):
+    order = _cfg_int(cfg, "", "quadrature_order", required=False, default=6)
+    if order not in (1, 3, 6, 12):
+        raise ConfigError("'quadrature_order': expected one of 1, 3, 6, 12")
+    return order
 
 
 def _cfg_map(mapping, path, key, required=True, default=None):
@@ -1108,11 +1110,7 @@ class RunConfig:
             _cfg_int(data, "data", "column", minimum=1, maximum=3)
         elif source == "expression":
             _cfg_str(data, "data", "name", choices=EXPRESSION_NAMES)
-        order = _cfg_int(cfg, "", "quadrature_order", required=False,
-                         default=6)
-        if order not in (1, 3, 6, 12):
-            raise ConfigError("'quadrature_order': expected one of 1, 3, 6, "
-                              "12")
+        order = _cfg_order(cfg)
         volume = _cfg_map(cfg, "", "volume", required=False, default=None)
         if volume is not None:
             _cfg_int(volume, "volume", "resolution", minimum=2)
@@ -1123,7 +1121,7 @@ class RunConfig:
         picard_map = _cfg_map(cfg, "", "picard", required=False, default=None)
         picard = PicardConfig()
         if picard_map is not None:
-            picard = PicardConfig(
+            settings = dict(
                 tol=_cfg_number(picard_map, "picard", "tol", required=False,
                                 default=picard.tol),
                 max_iter=_cfg_int(picard_map, "picard", "max_iter",
@@ -1131,6 +1129,10 @@ class RunConfig:
                                   default=picard.max_iter),
                 damping=_cfg_number(picard_map, "picard", "damping",
                                     required=False, default=picard.damping))
+            try:
+                picard = PicardConfig(**settings)
+            except ValueError as exc:
+                raise ConfigError(f"'picard': {exc}")
         flux_tol = _cfg_number(cfg, "", "flux_tol", required=False,
                                default=None)
         if flux_tol is not None and flux_tol <= 0.0:
@@ -1189,7 +1191,7 @@ def run_config(path, out_dir=None):
                           "explicit output directory)")
     mesh = _build_mesh(rc.geometry, rc.level)
     params = BrinkmanParams(alpha=rc.alpha, beta=rc.beta)
-    labeling = (label_patches(mesh, rc.patches) if rc.kind == "mixed"
+    labeling = (_cfg_labeling(mesh, rc.patches) if rc.kind == "mixed"
                 else None)
     trace, traction, exact_velocity = _resolve_boundary_data(rc, mesh, params)
 
@@ -1222,14 +1224,7 @@ def run_config(path, out_dir=None):
                        neumann_data=traction, forcing=forcing, grid=grid,
                        quadrature_order=rc.quadrature_order,
                        flux_tol=flux_tol)
-        if forcing is not None:
-            handle, report = solve_poisson(spec)
-        elif rc.kind == "dirichlet":
-            handle, report = solve_dirichlet(spec)
-        elif rc.kind == "neumann":
-            handle, report = solve_neumann(spec)
-        else:
-            handle, report = solve_mixed(spec)
+        handle, report = _SOLVERS[spec.kind](spec)
 
     points = interior_probes(mesh)
     fields = evaluate_solution(handle, points)

@@ -7,8 +7,9 @@ Representations (interior domain, outward normal):
   Mixed       u = V Ψ where the block-row system takes its rows from the
               single-layer trace 𝒱 at Dirichlet panels and from (½I + K*)
               at Neumann panels, pressure Q^s Ψ
-  Forced      u = N f + (homogeneous solve with data shifted by the trace
-              and traction of the Newtonian pair)
+  Forced      every solver takes volume forcing f and its grid in the
+              spec: u = N f + (the kind's representation solved with data
+              shifted by the trace and traction of the Newtonian pair)
 
 The Dirichlet system is solved by truncated-SVD least squares (relative
 cutoff 1e-10) after projecting the datum onto the discrete zero-flux
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -336,18 +337,39 @@ def _lu_solve(lu, rhs, what):
     return x
 
 
+def _boundary_data(spec):
+    """The spec's Dirichlet and Neumann data (h0, g0), less the trace and
+    traction of the Newtonian pair when the spec carries volume forcing."""
+    h0, g0 = spec.dirichlet_data, spec.neumann_data
+    if spec.forcing is None:
+        return h0, g0
+    trace, traction = newtonian_boundary_data(spec.grid, spec.forcing,
+                                              spec.mesh, spec.params)
+    if h0 is not None:
+        h0 = BoundaryField(spec.mesh, h0.values - trace.values)
+    if g0 is not None:
+        g0 = BoundaryField(spec.mesh, g0.values - traction.values)
+    return h0, g0
+
+
 def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
             warnings=()):
     """Handle and report of the density x solving a collocation system
-    A x = rhs, given applied = A x; t0 is the solve's start time."""
+    A x = rhs, given applied = A x; t0 is the solve's start time.  A forced
+    spec gives a WITH_NEWTONIAN handle wrapping the layer tag."""
     rhs_norm = np.linalg.norm(rhs)
     residual_l2 = (float(np.linalg.norm(applied - rhs) / rhs_norm)
                    if rhs_norm > 0.0 else 0.0)
     density = BoundaryField(spec.mesh, x.reshape(-1, 3))
-    constant = _pressure_constant(tag, ws, density.values)
-    handle = SolutionHandle(tag=tag, density=density, params=spec.params,
+    constant = _pressure_constant(tag, ws, density.values, spec.forcing,
+                                  spec.grid)
+    forced = spec.forcing is not None
+    handle = SolutionHandle(tag=WITH_NEWTONIAN if forced else tag,
+                            density=density, params=spec.params,
                             quadrature_order=spec.quadrature_order,
-                            pressure_constant=constant)
+                            pressure_constant=constant,
+                            layer_tag=tag if forced else None,
+                            forcing=spec.forcing, grid=spec.grid)
     report = SolveReport(kind=spec.kind, alpha=spec.params.alpha,
                          residual_l2=residual_l2, sigma_min=sigma[0],
                          sigma_max=sigma[1], pressure_constant=constant,
@@ -356,16 +378,17 @@ def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
     return handle, report
 
 
-def solve_dirichlet(spec, workspace=None, _check_flux=True):
+def solve_dirichlet(spec, workspace=None):
     """Interior Dirichlet problem via the double-layer representation."""
     if spec.kind != DIRICHLET:
         raise ValueError("spec kind must be dirichlet")
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     mesh = spec.mesh
-    h0 = spec.dirichlet_data
-    if _check_flux:
-        _flux_check(h0, mesh, spec.flux_tol)
+    # the user datum carries the flux obstruction; the Newtonian trace is
+    # divergence-free, so the shifted datum is compatible up to quadrature
+    _flux_check(spec.dirichlet_data, mesh, spec.flux_tol)
+    h0, _ = _boundary_data(spec)
 
     nu = BoundaryField(mesh, mesh.normals)
     coef = h0.inner(nu) / nu.inner(nu)
@@ -403,7 +426,8 @@ def solve_neumann(spec, workspace=None):
             "rigid-motion defects")
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
-    rhs = spec.neumann_data.values.reshape(-1)
+    _, g0 = _boundary_data(spec)
+    rhs = g0.values.reshape(-1)
     psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
     return _solved(spec, ws, SINGLE_LAYER, psi,
                    0.5 * psi + ws.adjoint.matrix @ psi, rhs, t0)
@@ -418,12 +442,16 @@ def solve_mixed(spec, workspace=None):
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     labeling = spec.labeling
-    rhs = np.where(labeling.dirichlet_mask[:, None],
-                   spec.dirichlet_data.values,
-                   spec.neumann_data.values).reshape(-1)
+    h0, g0 = _boundary_data(spec)
+    rhs = np.where(labeling.dirichlet_mask[:, None], h0.values,
+                   g0.values).reshape(-1)
     psi = _lu_solve(ws.mixed_factorization(labeling), rhs, "mixed")
     return _solved(spec, ws, MIXED_SINGLE_LAYER, psi,
                    ws.mixed_matrix(labeling) @ psi, rhs, t0)
+
+
+_SOLVERS = {DIRICHLET: solve_dirichlet, NEUMANN: solve_neumann,
+            MIXED: solve_mixed}
 
 
 class NeumannToDirichletMap:
@@ -467,56 +495,12 @@ def neumann_to_dirichlet(mesh, labeling, params, quadrature_order=6,
 
 
 def solve_poisson(spec, workspace=None):
-    """Forced problem: Newtonian particular solution plus a homogeneous
-    solve with shifted boundary data."""
+    """Forced problem of any kind: the spec's solver adds the Newtonian
+    particular solution and solves with shifted boundary data.  Unlike the
+    kind's own solver, it refuses a spec without volume forcing."""
     if spec.forcing is None:
         raise ValueError("solve_poisson needs volume forcing and a grid")
-    t0 = time.perf_counter()
-    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
-    mesh = spec.mesh
-
-    if spec.kind == DIRICHLET:
-        # the user datum carries the flux obstruction; the Newtonian trace
-        # is divergence-free so the shift is compatible up to quadrature
-        _flux_check(spec.dirichlet_data, mesh, spec.flux_tol)
-
-    trace, traction = newtonian_boundary_data(spec.grid, spec.forcing, mesh,
-                                              spec.params)
-    shifted = {}
-    if spec.dirichlet_data is not None:
-        shifted["dirichlet_data"] = BoundaryField(
-            mesh, spec.dirichlet_data.values - trace.values)
-    if spec.neumann_data is not None:
-        shifted["neumann_data"] = BoundaryField(
-            mesh, spec.neumann_data.values - traction.values)
-    inner_spec = replace(spec, forcing=None, grid=None, **shifted)
-
-    if spec.kind == DIRICHLET:
-        inner_handle, inner_report = solve_dirichlet(inner_spec, ws,
-                                                     _check_flux=False)
-    elif spec.kind == NEUMANN:
-        inner_handle, inner_report = solve_neumann(inner_spec, ws)
-    else:
-        inner_handle, inner_report = solve_mixed(inner_spec, ws)
-
-    constant = _pressure_constant(inner_handle.tag, ws,
-                                  inner_handle.density.values,
-                                  forcing=spec.forcing, grid=spec.grid)
-    handle = SolutionHandle(tag=WITH_NEWTONIAN,
-                            density=inner_handle.density,
-                            params=spec.params,
-                            quadrature_order=spec.quadrature_order,
-                            pressure_constant=constant,
-                            layer_tag=inner_handle.tag,
-                            forcing=spec.forcing, grid=spec.grid)
-    report = SolveReport(kind=spec.kind, alpha=spec.params.alpha,
-                         residual_l2=inner_report.residual_l2,
-                         sigma_min=inner_report.sigma_min,
-                         sigma_max=inner_report.sigma_max,
-                         pressure_constant=constant,
-                         wall_time_s=time.perf_counter() - t0,
-                         warnings=inner_report.warnings)
-    return handle, report
+    return _SOLVERS[spec.kind](spec, workspace)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -401,6 +401,67 @@ def test_run_config_requires_an_output_directory(tmp_path):
         H.run_config(_write_config(tmp_path, RUN))
 
 
+CUBE_RUN = {
+    "kind": "mixed",
+    "geometry": {"type": "cube", "level": 1},
+    "patches": {"type": "cube_faces", "neumann_faces": ["+z"]},
+    "alpha": 1.0,
+    "data": {"source": "manufactured",
+             "source_point": list(H.CUBE_SOURCE_POINT), "column": 2},
+    "volume": {"resolution": 6, "forcing": [0.05, -0.02, 0.03]},
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_run_config_with_volume_forcing(tmp_path, beta):
+    dest = H.run_config(_write_config(tmp_path, {**CUBE_RUN, "beta": beta}),
+                        out_dir=str(tmp_path / "out"))
+    report = json.load(open(os.path.join(dest, "report.json")))
+    assert report["interior_l2"] is None
+    if beta == 0.0:
+        assert report["report"]["kind"] == "mixed"
+        assert report["contraction"] is None
+    else:
+        assert report["report"] is None
+        assert report["contraction"] is not None
+    lines = open(os.path.join(dest, "fields.csv")).read().splitlines()[1:]
+    values = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert values.size and np.all(np.isfinite(values))
+
+
+_BAD_SETTINGS = [
+    ({"quadrature_order": 5}, "'quadrature_order'"),
+    ({"patches": {"type": "cube_faces", "neumann_faces": ["+w"]}},
+     "'patches'"),
+    ({"patches": {"type": "cube_faces", "neumann_faces": 5}}, "'patches'"),
+    ({"patches": {"type": "plane"}}, "'patches.normal'"),
+]
+
+
+@pytest.mark.parametrize("entry, key", _BAD_SETTINGS + [
+    ({"geometry": {"type": "cube", "level": 1, "side": 0}}, "'geometry.side'"),
+    ({"picard": {"damping": 1.5}}, "'picard': damping"),
+])
+def test_run_config_bad_values_name_the_key(tmp_path, entry, key):
+    cfg = {**CUBE_RUN, **entry}
+    del cfg["volume"]
+    with pytest.raises(H.ConfigError, match=key):
+        H.run_config(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("entry, key", _BAD_SETTINGS + [
+    ({"geometry": {"type": "cube", "side": 0}}, "'geometry.side'"),
+    ({"kind": "dirichlet", "geometry": {"type": "icosphere", "radius": 0}},
+     "'geometry.radius'"),
+])
+def test_convergence_study_bad_values_name_the_key(entry, key):
+    cfg = {**STUDY, "kind": "mixed", "geometry": {"type": "cube"},
+           "levels": [1], "source_point": list(H.CUBE_SOURCE_POINT),
+           "patches": CUBE_RUN["patches"], **entry}
+    with pytest.raises(H.ConfigError, match=key):
+        H.convergence_study(cfg)
+
+
 # -------------------------------------------------------------------- CLI
 
 def test_cli_verify_kernels(capsys):
@@ -449,6 +510,13 @@ def test_cli_converge_prints_and_writes_csv(tmp_path, capsys):
     assert out.startswith("level,n_panels,")
     written = open(tmp_path / "study" / "convergence.csv").read()
     assert written.splitlines()[0] == out.splitlines()[0]
+
+
+def test_cli_converge_bad_value_is_config_error(tmp_path, capsys):
+    cfg = {**STUDY, "geometry": {"type": "icosphere", "radius": 0}}
+    assert cli.main(["converge", "--config",
+                     _write_config(tmp_path, cfg)]) == 2
+    assert "'geometry.radius'" in capsys.readouterr().err
 
 
 def test_cli_kernels_prints_tensor(capsys):

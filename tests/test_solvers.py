@@ -508,7 +508,9 @@ def test_poisson_forced_interior_residual(cube_mixed, cube_volume):
     assert np.linalg.norm(residual) / scale < 1.0e-1
 
 
-def test_poisson_dirichlet_flux_checks_user_datum(sphere_coarse):
+@pytest.mark.parametrize("solve", [S.solve_poisson, S.solve_dirichlet],
+                         ids=["poisson", "dirichlet"])
+def test_poisson_dirichlet_flux_checks_user_datum(sphere_coarse, solve):
     mesh, ws = sphere_coarse
     grid = build_volume_grid({"type": "sphere", "radius": 1.0}, 8)
     forcing = VolumeField(grid, np.ones((grid.n_cells, 3)))
@@ -516,7 +518,40 @@ def test_poisson_dirichlet_flux_checks_user_datum(sphere_coarse):
                      dirichlet_data=BoundaryField(mesh, mesh.normals.copy()),
                      forcing=forcing, grid=grid)
     with pytest.raises(FluxIncompatible, match="net flux"):
-        S.solve_poisson(spec, ws)
+        solve(spec, ws)
+
+
+@pytest.mark.parametrize("kind", [S.DIRICHLET, S.NEUMANN, S.MIXED],
+                         ids=["dirichlet", "neumann", "mixed"])
+def test_solvers_take_volume_forcing(cube_mixed, kind):
+    """Each solver reads the spec's forcing: with zero boundary data the
+    forced solve matches solve_poisson bit for bit and differs from the
+    (zero) unforced solve."""
+    mesh, labeling, ws = cube_mixed
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 6)
+    forcing = VolumeField(grid, np.tile([1.0, -0.5, 0.3], (grid.n_cells, 1)))
+    zero = BoundaryField(mesh, np.zeros((mesh.n_panels, 3)))
+    data = dict(kind=kind, params=PARAMS, mesh=mesh,
+                labeling=labeling if kind == S.MIXED else None,
+                dirichlet_data=None if kind == S.NEUMANN else zero,
+                neumann_data=None if kind == S.DIRICHLET else zero)
+    solve = {S.DIRICHLET: S.solve_dirichlet, S.NEUMANN: S.solve_neumann,
+             S.MIXED: S.solve_mixed}[kind]
+    forced = S.BVPSpec(forcing=forcing, grid=grid, **data)
+    handle, report = solve(forced, ws)
+    reference, _ = S.solve_poisson(forced, ws)
+    assert handle.tag == S.WITH_NEWTONIAN
+    assert handle.layer_tag == reference.layer_tag is not None
+    assert (handle.density.values.tobytes()
+            == reference.density.values.tobytes())
+    assert handle.pressure_constant == reference.pressure_constant
+    assert report.pressure_constant == handle.pressure_constant
+    plain, _ = solve(S.BVPSpec(**data), ws)
+    assert not np.any(plain.density.values)
+    assert np.any(handle.density.values)
+    points = 0.5 * INTERIOR
+    assert not np.array_equal(S.evaluate_solution(handle, points).velocity,
+                              S.evaluate_solution(plain, points).velocity)
 
 
 # ------------------------------------------------------------------ evaluation
