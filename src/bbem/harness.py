@@ -71,7 +71,8 @@ from .solvers import (
     greens_identity_residual,
     neumann_to_dirichlet,
     solve_neumann,
-    _SOLVERS,
+    _sigma_range,
+    _solve,
     _workspace_for,
 )
 
@@ -387,11 +388,12 @@ def operator_spectra(workspace):
     null = v_right[-1].reshape(-1, 3)
     cosine = abs(float(np.sum(null * mesh.normals)))
     cosine /= np.linalg.norm(null) * np.linalg.norm(mesh.normals)
-    plus = scipy.linalg.svdvals(0.5 * np.eye(n) + adjoint)
+    plus, _ = _sigma_range(0.5 * np.eye(n) + adjoint,
+                           workspace.neumann_factorization())
     return {"sigma_min_minus": float(sigma[-1]),
             "sigma2_minus": float(sigma[-2]),
             "nu_cosine": float(cosine),
-            "sigma_min_plus": float(plus[-1])}
+            "sigma_min_plus": plus}
 
 
 def sl_normal_defect(workspace):
@@ -426,7 +428,7 @@ def manufactured_errors(kind, mesh, source, points, labeling=None,
                                  else source.traction(mesh)),
                    quadrature_order=quadrature_order,
                    flux_tol=MANUFACTURED_FLUX_TOL)
-    handle, report = _SOLVERS[kind](spec, ws)
+    handle, report = _solve(spec, ws)
     flat = handle.density.values.reshape(-1)
     if kind == DIRICHLET:
         numeric = -0.5 * flat + ws.double_layer.matrix @ flat
@@ -1224,7 +1226,7 @@ def run_config(path, out_dir=None):
                        neumann_data=traction, forcing=forcing, grid=grid,
                        quadrature_order=rc.quadrature_order,
                        flux_tol=flux_tol)
-        handle, report = _SOLVERS[spec.kind](spec)
+        handle, report = _solve(spec)
 
     points = interior_probes(mesh)
     fields = evaluate_solution(handle, points)

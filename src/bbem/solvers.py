@@ -11,11 +11,11 @@ Representations (interior domain, outward normal):
               spec: u = N f + (the kind's representation solved with data
               shifted by the trace and traction of the Newtonian pair)
 
-The Dirichlet system is solved by truncated-SVD least squares (relative
-cutoff 1e-10) after projecting the datum onto the discrete zero-flux
-subspace: the operator's one-dimensional defect is spanned by the weighted
-normal, and a datum with net flux is rejected as incompatible.  All other
-systems are square LU solves.
+Every system is a square LU solve on a factor the workspace caches.  The
+Dirichlet operator has a one-dimensional defect whose cokernel is the
+normal: a datum with net flux is rejected as incompatible, the rest is
+projected onto the zero-flux subspace, and an operator with estimated
+σ_min/σ_max at most 1e-10 is rejected as numerically singular.
 
 Pressures are defined up to a constant; each solve fixes the constant to
 give zero mean over a deterministic interior probe set (domain anchor plus
@@ -73,7 +73,7 @@ DOUBLE_LAYER = "double_layer"
 MIXED_SINGLE_LAYER = "mixed_single_layer"
 WITH_NEWTONIAN = "with_newtonian"
 
-_SVD_CUTOFF = 1.0e-10
+_SINGULAR_CUTOFF = 1.0e-10
 
 
 # ------------------------------------------------------------------ data types
@@ -153,7 +153,10 @@ class FieldSolution:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics of one solve; serializes to a flat JSON document."""
+    """Diagnostics of one solve; serializes to a flat JSON document.
+
+    sigma_min and sigma_max estimate the extreme singular values of the
+    Dirichlet operator (see _sigma_range); None for Neumann and mixed."""
 
     kind: str
     alpha: float
@@ -181,8 +184,8 @@ class SolverWorkspace:
     """Lazily assembled operators for one mesh, α and quadrature order.
 
     Solvers accept a shared workspace so iterative callers pay for assembly
-    and factorization once.  No linear operator reads β, so a workspace
-    serves every β.
+    and factorization once: each kind's system (mixed: per labeling) is
+    LU-factored once.  No linear operator reads β, so it serves every β.
     """
 
     def __init__(self, mesh, params, quadrature_order=6):
@@ -196,6 +199,7 @@ class SolverWorkspace:
         self._mixed_sys = {}
         self._mixed_lu = {}
         self._neumann_lu = None
+        self._dirichlet_lu = None
         self._grid_rows = {}
         self._probes = None
         self._anchor_rows = {}
@@ -224,6 +228,15 @@ class SolverWorkspace:
             self._adjoint = adjoint_double_layer(self.double_layer,
                                                  self.mesh.areas)
         return self._adjoint
+
+    def dirichlet_factorization(self):
+        """LU factor of −½I + K and its (σ_min, σ_max) estimate."""
+        if self._dirichlet_lu is None:
+            system = (-0.5 * np.eye(3 * self.mesh.n_panels)
+                      + self.double_layer.matrix)
+            lu = scipy.linalg.lu_factor(system)
+            self._dirichlet_lu = (lu, _sigma_range(system, lu))
+        return self._dirichlet_lu
 
     def neumann_factorization(self):
         if self._neumann_lu is None:
@@ -337,6 +350,22 @@ def _lu_solve(lu, rhs, what):
     return x
 
 
+def _sigma_range(system, lu):
+    """Estimates (σ_min, σ_max) of a square A from its LU factor: ‖A v‖
+    after 30 seeded inverse steps on (AᵀA)⁻¹ and 30 power steps on AᵀA, an
+    upper and a lower bound; an exactly singular factor gives NaN σ_min."""
+    start = np.random.default_rng(0).standard_normal(len(system))
+    low = high = start / np.linalg.norm(start)
+    for _ in range(30):
+        low = scipy.linalg.lu_solve(lu, low, trans=1, check_finite=False)
+        low = scipy.linalg.lu_solve(lu, low, check_finite=False)
+        low /= np.linalg.norm(low)
+        high = system.T @ (system @ high)
+        high /= np.linalg.norm(high)
+    return (float(np.linalg.norm(system @ low)),
+            float(np.linalg.norm(system @ high)))
+
+
 def _boundary_data(spec):
     """The spec's Dirichlet and Neumann data (h0, g0), less the trace and
     traction of the Newtonian pair when the spec carries volume forcing."""
@@ -398,22 +427,16 @@ def solve_dirichlet(spec, workspace=None):
     if scale > 0.0 and abs(h0.inner(nu)) > 0.01 * spec.flux_tol * scale:
         run_warnings.append("projected out a nonzero flux component")
 
-    n = 3 * mesh.n_panels
-    system = -0.5 * np.eye(n) + ws.double_layer.matrix
-    u_left, sigma, v_right = np.linalg.svd(system)
-    cutoff = _SVD_CUTOFF * sigma[0]
-    defect = int(np.count_nonzero(sigma <= cutoff))
-    if defect > 1:
+    lu, sigma = ws.dirichlet_factorization()
+    if not sigma[0] > _SINGULAR_CUTOFF * sigma[1]:
         raise IllConditioned(
-            f"{defect} singular values below the relative cutoff "
-            f"{_SVD_CUTOFF:.0e}; expected at most the one-dimensional defect")
-    keep = sigma > cutoff
+            f"Dirichlet system is numerically singular: estimated σ_min/"
+            f"σ_max {sigma[0] / sigma[1]:.1e}, cutoff {_SINGULAR_CUTOFF:.0e}")
     rhs = data.reshape(-1)
-    coeffs = (u_left.T @ rhs)[keep] / sigma[keep]
-    phi = v_right[keep].T @ coeffs
-    return _solved(spec, ws, DOUBLE_LAYER, phi, system @ phi, rhs, t0,
-                   sigma=(float(sigma[-1]), float(sigma[0])),
-                   warnings=run_warnings)
+    phi = _lu_solve(lu, rhs, "Dirichlet")
+    return _solved(spec, ws, DOUBLE_LAYER, phi,
+                   -0.5 * phi + ws.double_layer.matrix @ phi, rhs, t0,
+                   sigma=sigma, warnings=run_warnings)
 
 
 def solve_neumann(spec, workspace=None):
@@ -450,8 +473,11 @@ def solve_mixed(spec, workspace=None):
                    ws.mixed_matrix(labeling) @ psi, rhs, t0)
 
 
-_SOLVERS = {DIRICHLET: solve_dirichlet, NEUMANN: solve_neumann,
-            MIXED: solve_mixed}
+def _solve(spec, workspace=None):
+    """Solve the spec with its kind's solver, looked up at call time."""
+    solver = {DIRICHLET: solve_dirichlet, NEUMANN: solve_neumann,
+              MIXED: solve_mixed}[spec.kind]
+    return solver(spec, workspace)
 
 
 class NeumannToDirichletMap:
@@ -487,8 +513,8 @@ def neumann_to_dirichlet(mesh, labeling, params, quadrature_order=6,
         raise InvalidLabeling("the Dirichlet patch is empty")
     workspace = _workspace_for(mesh, params, quadrature_order, workspace)
     n = 3 * mesh.n_panels
-    inverse = scipy.linalg.lu_solve(workspace.neumann_factorization(),
-                                    np.eye(n))
+    inverse = _lu_solve(workspace.neumann_factorization(), np.eye(n),
+                        "Neumann")
     composed = workspace.single_layer.matrix @ inverse
     composed[~np.repeat(labeling.dirichlet_mask, 3)] = 0.0
     return NeumannToDirichletMap(composed, mesh, labeling)
@@ -500,7 +526,7 @@ def solve_poisson(spec, workspace=None):
     kind's own solver, it refuses a spec without volume forcing."""
     if spec.forcing is None:
         raise ValueError("solve_poisson needs volume forcing and a grid")
-    return _SOLVERS[spec.kind](spec, workspace)
+    return _solve(spec, workspace)
 
 
 # ---------------------------------------------------------------- evaluation

@@ -14,6 +14,7 @@ from bbem.geometry import build_cube, build_icosphere, winding_number
 from bbem.kernels import BrinkmanParams, stokeslet
 from bbem.solvers import SolverWorkspace
 from bbem import cli
+from bbem import solvers as S
 from bbem import harness as H
 
 from _oracles import fd_gradient, fd_laplacian
@@ -313,6 +314,22 @@ def test_run_config_writes_deterministic_artifacts(tmp_path):
     doc_a["report"].pop("wall_time_s")
     doc_b["report"].pop("wall_time_s")
     assert doc_a == doc_b
+
+
+def test_run_config_looks_the_solver_up_at_call_time(tmp_path, monkeypatch):
+    # a rebinding of solvers.solve_dirichlet (as a tracer does) is seen by
+    # run_config
+    calls = []
+    solve = S.solve_dirichlet
+
+    def recording(spec, workspace=None):
+        calls.append(spec.kind)
+        return solve(spec, workspace)
+
+    monkeypatch.setattr(S, "solve_dirichlet", recording)
+    cfg = {**RUN, "kind": "dirichlet"}
+    H.run_config(_write_config(tmp_path, cfg), out_dir=str(tmp_path / "out"))
+    assert calls == [S.DIRICHLET]
 
 
 def test_run_config_manufactured_neumann_report(tmp_path):

@@ -1,12 +1,16 @@
 """Boundary-value-problem solvers against the exterior-pole manufactured
 solution: interior convergence of the Dirichlet, Neumann, and mixed solves,
-compatibility and parameter guards, the Neumann-to-Dirichlet composition
-identity, forced solves with the Newtonian shift, and report determinism."""
+compatibility and parameter guards, the Dirichlet density against truncated
+least squares and the singular-value estimates, the Neumann-to-Dirichlet
+composition identity, forced solves with the Newtonian shift, and report
+determinism."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bbem.errors import (
     FluxIncompatible,
@@ -241,6 +245,109 @@ def test_dirichlet_report_sigmas(sphere_coarse):
     assert report.alpha == PARAMS.alpha
 
 
+_ORACLE_MESHES = {"icosphere1": (build_icosphere(1), SPHERE_POLE, 1.0e-4),
+                  "cube1": (build_cube(1), CUBE_POLE, 1.0e-2)}
+
+
+@functools.cache
+def _oracle_workspace(name, alpha):
+    """One workspace per (mesh, α), shared by the oracle tests below."""
+    return S.SolverWorkspace(_ORACLE_MESHES[name][0],
+                             BrinkmanParams(alpha=alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
+def test_dirichlet_density_matches_truncated_least_squares(name, alpha):
+    # the truncated-SVD least-squares solve is the oracle: the operator's
+    # only defect is the normal cokernel, which the projection removes
+    mesh, pole, flux_tol = _ORACLE_MESHES[name]
+    ws = _oracle_workspace(name, alpha)
+    spec = S.BVPSpec(kind=S.DIRICHLET, params=ws.params, mesh=mesh,
+                     dirichlet_data=exact_trace(mesh, pole),
+                     flux_tol=flux_tol)
+    handle, _ = S.solve_dirichlet(spec, ws)
+    h0 = spec.dirichlet_data
+    nu = BoundaryField(mesh, mesh.normals)
+    projected = h0.values - h0.inner(nu) / nu.inner(nu) * nu.values
+    n = 3 * mesh.n_panels
+    expected = np.linalg.lstsq(-0.5 * np.eye(n) + ws.double_layer.matrix,
+                               projected.reshape(-1), rcond=1.0e-10)[0]
+    got = handle.density.values.reshape(-1)
+    assert np.linalg.norm(got - expected) <= 1.0e-12 * np.linalg.norm(
+        expected)
+
+
+def _zero_singular_values(system, count):
+    u, sigma, vt = np.linalg.svd(system)
+    sigma[-count:] = 0.0
+    return (u * sigma) @ vt
+
+
+def _zero_row(system, count):
+    system = system.copy()
+    system[:count] = 0.0
+    return system
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("spoil, count", [(_zero_singular_values, 1),
+                                          (_zero_singular_values, 2),
+                                          (_zero_row, 1)],
+                         ids=["one-zero", "two-zeros", "zero-row"])
+def test_dirichlet_singular_operator_raises(sphere_coarse, monkeypatch,
+                                            spoil, count):
+    # a defect beyond what the flux projection removes is not solved by
+    # truncation: the estimated σ_min falls below the relative cutoff, or
+    # is NaN when the LU meets an exact zero pivot
+    mesh, ws = sphere_coarse
+    n = 3 * mesh.n_panels
+    system = spoil(-0.5 * np.eye(n) + ws.double_layer.matrix, count)
+    fake = P.DenseOperator(system + 0.5 * np.eye(n), "K", alpha=PARAMS.alpha)
+    monkeypatch.setattr(S.SolverWorkspace, "double_layer",
+                        property(lambda self: fake))
+    with pytest.raises(IllConditioned, match="singular"):
+        S.solve_dirichlet(dirichlet_spec(mesh), S.SolverWorkspace(mesh,
+                                                                  PARAMS))
+
+
+def test_dirichlet_factors_once_per_workspace(sphere_coarse, monkeypatch):
+    mesh, _ = sphere_coarse
+    ws = S.SolverWorkspace(mesh, PARAMS)
+    factor = scipy.linalg.lu_factor
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    first, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
+    second, _ = S.solve_dirichlet(dirichlet_spec(mesh, pole=-SPHERE_POLE), ws)
+    assert len(calls) == 1
+    assert not np.array_equal(first.density.values, second.density.values)
+
+
+@pytest.mark.parametrize("sign, alpha", [(-1, 0.0), (-1, 1.0), (-1, 4.0),
+                                         (1, 1.0), (1, 4.0)])
+@pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
+def test_sigma_range_brackets_svdvals(name, sign, alpha):
+    # ‖A v‖ at a unit vector bounds σ_min from above and σ_max from below;
+    # both iterations come within the stated margins of the SVD values
+    ws = _oracle_workspace(name, alpha)
+    n = 3 * ws.mesh.n_panels
+    if sign < 0:
+        system = -0.5 * np.eye(n) + ws.double_layer.matrix
+        lu = ws.dirichlet_factorization()[0]
+    else:
+        system = 0.5 * np.eye(n) + ws.adjoint.matrix
+        lu = ws.neumann_factorization()
+    low, high = S._sigma_range(system, lu)
+    exact = scipy.linalg.svdvals(system)
+    assert exact[-1] * (1 - 1.0e-12) <= low <= exact[-1] * (1 + 1.0e-3)
+    assert 0.95 * exact[0] <= high <= exact[0] * (1 + 1.0e-12)
+
+
 # --------------------------------------------------------------- neumann solve
 
 def test_neumann_manufactured_convergence(sphere_coarse, sphere_fine):
@@ -357,6 +464,12 @@ def test_lu_solvers_raise_ill_conditioned(sphere_coarse, cube_mixed,
     # not fit the right-hand side makes lu_solve itself raise
 
     sphere, sphere_ws = sphere_coarse
+    lu, sigma = sphere_ws.dirichlet_factorization()
+    monkeypatch.setattr(sphere_ws, "dirichlet_factorization",
+                        lambda: (spoiled(lu), sigma))
+    with pytest.raises(IllConditioned, match=f"^Dirichlet {failure}"):
+        S.solve_dirichlet(dirichlet_spec(sphere), sphere_ws)
+
     lu = sphere_ws.neumann_factorization()
     monkeypatch.setattr(sphere_ws, "neumann_factorization",
                         lambda: spoiled(lu))
@@ -373,6 +486,12 @@ def test_lu_solvers_raise_ill_conditioned(sphere_coarse, cube_mixed,
                      neumann_data=exact_traction(cube, CUBE_POLE))
     with pytest.raises(IllConditioned, match=f"^mixed {failure}"):
         S.solve_mixed(spec, cube_ws)
+
+    lu = cube_ws.neumann_factorization()
+    monkeypatch.setattr(cube_ws, "neumann_factorization",
+                        lambda: spoiled(lu))
+    with pytest.raises(IllConditioned, match=f"^Neumann {failure}"):
+        S.neumann_to_dirichlet(cube, labeling, PARAMS, workspace=cube_ws)
 
 
 # ------------------------------------------------------- neumann-to-dirichlet
