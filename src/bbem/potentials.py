@@ -26,13 +26,14 @@ Densities are piecewise constant at panel centroids.  Assembly and evaluation
 run over fixed 64-row chunks whose per-row arithmetic does not depend on the
 thread count, so results are byte-identical for any BBEM_THREADS setting.
 
-One near/far split, _NearFar, integrates every layer kernel at one target
+One near/far plan, _NearFar, integrates every layer kernel at one target
 point: the Stokes and difference passes of K, and velocity and pressure in
 evaluation, share it.  Panels within two diameters of the target are near
 and take singular Duffy rules at their closest point; the far panels take
-the regular rule in one einsum.  Near blocks are summed by reshaping the
-rules, grouped by order and fan-triangle count, with no per-panel loop.
-Self panels keep their analytic or order-12 single-panel blocks.
+the regular rule.  The plan holds one rule per panel as a run of rows in
+one node list, so a kernel is evaluated in one call and each panel's run
+is summed by one np.add.reduceat.  Self panels keep their analytic or
+order-12 single-panel blocks.
 
 The Duffy order of a near panel is graded by its distance d to the target
 over its diameter h (_NEAR_ORDERS): 12 for d < h/2, 8 for d < h, 6 for
@@ -306,107 +307,64 @@ def _near_search(mesh, x, skip=-1):
     return candidates[keep], closest[keep], dist[keep], float(dist.min())
 
 
-def _near_panels(mesh, x, skip=-1):
-    """_near_search as (entries, min_distance), entries being
-    (panel, closest_point) pairs."""
-    panels, closest, _, min_dist = _near_search(mesh, x, skip)
-    return list(zip(panels.tolist(), closest)), min_dist
-
-
 def _near_rules(mesh, panels, closest, dist):
     """Singular rules of the near panels, graded by distance.
 
     Each panel takes the Duffy order of its band in _NEAR_ORDERS, with one
-    geometry.duffy_rule_batch call per order.  Returns the concatenated
-    (nodes (M, 3), weights (M,), normals (M, 3)) and the groups
-    (panels, start, stop, count): the rules of one order and fan-triangle
-    count, count nodes per panel, stored panel after panel in rows
-    start:stop.
+    geometry.duffy_rule_batch call per order.  Returns (nodes (M, 3),
+    weights (M,), normals (M, 3), panels (m,), counts (m,)) in band order:
+    the rule of panels[k] is the k-th run of counts[k] rows.
     """
     diameters = mesh.diameters[panels]
     band = np.zeros(len(panels), dtype=int)
     for limit, _ in _NEAR_ORDERS[:-1]:
         band += dist >= limit * diameters
-    parts, groups, start = [], [], 0
+    parts = []
     for b, (_, order) in enumerate(_NEAR_ORDERS):
-        members, points = panels[band == b], closest[band == b]
-        if not len(members):
-            continue
-        nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[members],
-                                                  points, order)
-        normals = np.repeat(mesh.normals[members], counts, axis=0)
-        fan = order ** 2
-        fans = counts // fan
-        take = np.argsort(np.repeat(fans, fans), kind="stable")
-        parts.append([a.reshape((-1, fan) + a.shape[1:])[take].reshape(a.shape)
-                      for a in (nodes, weights, normals)])
-        for count in np.unique(counts):
-            group = members[counts == count]
-            groups.append((group, start, start + count * len(group), count))
-            start += count * len(group)
-    nodes, weights, normals = (np.concatenate(a) for a in zip(*parts))
-    return nodes, weights, normals, groups
-
-
-def _near_rule_batch(mesh, near, x):
-    """Concatenated singular rules for the near entries of target x.
-
-    Returns (nodes (M, 3), weights (M,), normals (M, 3), slices) with slices
-    a list of (panel, start, stop), or None when there are no near panels.
-    """
-    if not near:
-        return None
-    panels, points = map(np.array, zip(*near))
-    dist = np.linalg.norm(x - points, axis=1)
-    nodes, weights, normals, groups = _near_rules(mesh, panels, points, dist)
-    slices = [(panel, start + k * count, start + (k + 1) * count)
-              for group, start, _, count in groups
-              for k, panel in enumerate(group.tolist())]
-    return nodes, weights, normals, slices
+        members = panels[band == b]
+        if len(members):
+            nodes, weights, counts = duffy_rule_batch(
+                mesh.panel_corners[members], closest[band == b], order)
+            normals = np.repeat(mesh.normals[members], counts, axis=0)
+            parts.append((nodes, weights, normals, members, counts))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 class _NearFar:
-    """Near/far split of the panels around one target point, with the near
-    panels' singular rules built once for every kernel integrated there.
+    """Quadrature plan for the panels around one target point: one rule per
+    panel, built once for every kernel integrated there.
 
-    The skipped panel (the target's own) is in neither set.  The near rules
-    are grouped by order and fan-triangle count (see _near_rules), so each
-    group sums in node order, bit for bit as per panel.
+    Far panels take their regular workspace rule and near panels their
+    graded singular rule (see _near_rules).  The rules are stored as one
+    node list in which panels[k] owns the run of rows starting at starts[k];
+    the skipped panel (the target's own) has no rule.
     """
 
     def __init__(self, mesh, quadrature, x, skip=-1):
-        self.mesh = mesh
-        self.quadrature = quadrature
-        near, closest, near_dist, self.min_dist = _near_search(mesh, x, skip)
-        self.far = np.ones(mesh.n_panels, dtype=bool)
-        self.far[near] = False
-        if skip >= 0:
-            self.far[skip] = False
-        self.near, self.near_dist = near, near_dist
-        self.groups = []
-        if len(near):
-            self.nodes, self.weights, self.normals, self.groups = _near_rules(
-                mesh, near, closest, near_dist)
+        self.n_panels = mesh.n_panels
+        self.near, closest, self.near_dist, self.min_dist = _near_search(
+            mesh, x, skip)
+        far = np.setdiff1d(np.arange(mesh.n_panels),
+                           np.append(self.near, skip))
+        q = quadrature.nodes.shape[1]
+        rules = [(quadrature.nodes[far].reshape(-1, 3),
+                  quadrature.weights[far].reshape(-1),
+                  np.repeat(mesh.normals[far], q, axis=0),
+                  far, np.full(len(far), q))]
+        if len(self.near):
+            rules.append(_near_rules(mesh, self.near, closest, self.near_dist))
+        self.nodes, self.weights, self.normals, self.panels, counts = (
+            np.concatenate(a) for a in zip(*rules))
+        self.starts = np.cumsum(counts) - counts
 
     def integrate(self, kernel):
         """Per-panel integrals of kernel(nodes (M, 3), normals (M, 3)), which
         returns (M, *shape) values; the result has shape (N, *shape) and is
         zero at the skipped panel."""
-        nodes, weights = self.quadrature.nodes, self.quadrature.weights
-        far = self.far
-        n_far, q = int(far.sum()), nodes.shape[1]
-        fk = kernel(nodes[far].reshape(-1, 3),
-                    np.repeat(self.mesh.normals[far], q, axis=0))
-        shape = fk.shape[1:]
-        blocks = np.zeros((self.mesh.n_panels,) + shape)
-        blocks[far] = np.einsum("jq,jq...->j...", weights[far],
-                                fk.reshape((n_far, q) + shape))
-        if self.groups:
-            bk = kernel(self.nodes, self.normals)
-            bk = self.weights.reshape((-1,) + (1,) * len(shape)) * bk
-            for panels, start, stop, count in self.groups:
-                blocks[panels] = bk[start:stop].reshape(
-                    (-1, count) + shape).sum(axis=1)
+        values = kernel(self.nodes, self.normals)
+        values = np.einsum("m,m...->m...", self.weights, values)
+        blocks = np.zeros((self.n_panels,) + values.shape[1:])
+        blocks[self.panels] = np.add.reduceat(values, self.starts, axis=0)
         return blocks
 
 

@@ -49,6 +49,11 @@ from .solvers import (
 ESTIMATION_SEED = 2_654_435_769
 
 
+def _is_count(value):
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ------------------------------------------------------------------ data types
 
 @dataclass(frozen=True)
@@ -66,9 +71,9 @@ class PicardConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
+        if not _is_count(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, "
-                             f"got {self.max_iter}")
+                             f"got {self.max_iter!r}")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
 
@@ -315,8 +320,8 @@ def estimate_constants(mesh, labeling, grid, params, samples,
     ordered pairs of sampled solution fields.  Sampling is prefix-stable in
     `samples`, so both estimates grow monotonically with the sample count.
     """
-    if samples < 8:
-        raise ValueError(f"need at least 8 samples, got {samples}")
+    if not _is_count(samples) or samples < 8:
+        raise ValueError(f"samples must be an integer >= 8, got {samples!r}")
     if params.alpha <= 0.0:
         raise UnsupportedParameter("constant estimation needs alpha > 0")
     ws = _workspace_for(mesh, params, quadrature_order, workspace)

@@ -62,7 +62,7 @@ from .potentials import (
     newtonian_velocity,
     _eval_layers,
     _layer_rows,
-    _near_panels,
+    _near_search,
 )
 
 MIXED = "mixed"
@@ -309,7 +309,7 @@ def _pressure_probe_points(mesh):
     probes = anchor + offsets
     inside = winding_number(mesh, probes) > 0.99
     margin = 0.25 * mesh.diameters.max()
-    clear = np.array([_near_panels(mesh, p)[1] > margin for p in probes])
+    clear = np.array([_near_search(mesh, p)[3] > margin for p in probes])
     kept = probes[inside & clear]
     if len(kept) == 0:
         raise ValueError("no interior pressure probes found for this mesh")

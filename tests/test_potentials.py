@@ -262,37 +262,64 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
     return (8.0 * f1 - 6.0 * f2 + f3) / 3.0
 
 
+def _per_panel_blocks(mesh, quad, x, kernel, skip=-1):
+    """Per-panel integrals of kernel(y, nu) around target x, one panel at a
+    time: the Gauss rule on far panels, duffy_singular_rule at the band order
+    on near panels, and a zero block at the skipped panel."""
+    panels, closest, dist, _ = P._near_search(mesh, x, skip)
+    near = dict(zip(panels.tolist(),
+                    zip(closest, _band_orders(mesh, panels, dist))))
+    blocks = []
+    for j in range(mesh.n_panels):
+        if j in near:
+            point, order = near[j]
+            nodes, weights = duffy_singular_rule(mesh.panel_corners[j], point,
+                                                 order)
+        else:
+            nodes, weights = quad.nodes[j], quad.weights[j]
+        normals = np.repeat(mesh.normals[j][None, :], len(weights), axis=0)
+        block = np.einsum("q,q...->...", weights, kernel(nodes, normals))
+        blocks.append(np.zeros_like(block) if j == skip else block)
+    return np.array(blocks)
+
+
 def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
-    """Traction of the single layer at an off-boundary point, with the same
-    near-panel upgrade policy as the library evaluators."""
-    near, _ = P._near_panels(mesh, x)
-    far = np.ones(mesh.n_panels, bool)
-    for j, _ in near:
-        far[j] = False
-    kern = traction_kernel(x[None, None, :], quad.nodes[far],
-                           nu_x[None, None, :], alpha)
-    t = np.einsum("fq,fqib,fb->i", quad.weights[far], kern, dens[far])
-    batch = P._near_rule_batch(mesh, near, x)
-    if batch is not None:
-        bn, bw, _, slices = batch
-        kn = traction_kernel(x[None, :], bn, nu_x[None, :], alpha)
-        for j, s0, s1 in slices:
-            t += np.einsum("q,qib,b->i", bw[s0:s1], kn[s0:s1], dens[j])
-    return t
+    """Traction of the single layer at an off-boundary point, summed panel
+    by panel with the same near-panel upgrade policy as the library."""
+    blocks = _per_panel_blocks(mesh, quad, x, lambda y, _: traction_kernel(
+        x[None, :], y, nu_x[None, :], alpha))
+    return np.einsum("jib,jb->i", blocks, dens)
 
 
 def test_near_far_split_matches_per_panel_loop(fine):
-    # the library's batched near/far split against the per-panel loop
-    # above, at points close enough to the boundary to have near panels
+    # the library's near/far plan against the per-panel loop above: the
+    # single-layer traction at points close enough to the boundary to have
+    # near panels, and V and K-Stokes rows at centroids skipping their own
+    # panel, as assembly integrates them
     mesh, quad = fine
     g = smooth_density(mesh)
     for i in (3, 97, 210):
-        x = mesh.centroids[i] - 0.3 * mesh.diameters[i] * mesh.normals[i]
-        assert len(P._near_panels(mesh, x)[0]) > 0
-        expected = _sl_traction(mesh, quad, g, x, mesh.normals[i], ALPHA)
-        got = H._sl_traction(mesh, quad, g, x, mesh.normals[i], ALPHA)
+        nu = mesh.normals[i]
+        x = mesh.centroids[i] - 0.3 * mesh.diameters[i] * nu
+        assert len(P._near_search(mesh, x)[0]) > 0
+        expected = _sl_traction(mesh, quad, g, x, nu, ALPHA)
+        got = H._sl_traction(mesh, quad, g, x, nu, ALPHA)
         np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                    atol=1.0e-13 * np.abs(expected).max())
+    for i in (3, 97, 210):
+        x = mesh.centroids[i]
+        plan = P._NearFar(mesh, quad, x, skip=i)
+        # exactly one rule for every panel but the skipped one
+        np.testing.assert_array_equal(np.sort(plan.panels),
+                                      np.delete(np.arange(mesh.n_panels), i))
+        for name in ("V", "K Stokes"):
+            def kernel(y, nu):
+                return _LAYER_KERNELS[name](x[None, :], y, nu)
+            got = plan.integrate(kernel)
+            assert np.all(got[i] == 0.0)
+            expected = _per_panel_blocks(mesh, quad, x, kernel, skip=i)
+            np.testing.assert_allclose(got, expected, rtol=1.0e-13,
+                                       atol=1.0e-13 * np.abs(expected).max())
 
 
 # ------------------------------------------------- distance-graded near rules

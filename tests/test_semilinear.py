@@ -88,6 +88,8 @@ def test_config_rejects_bad_fields():
         SL.PicardConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         SL.PicardConfig(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        SL.PicardConfig(max_iter=3.0)
     with pytest.raises(ValueError, match="damping"):
         SL.PicardConfig(damping=0.0)
     with pytest.raises(ValueError, match="damping"):
@@ -373,6 +375,9 @@ def test_estimation_requires_eight_samples(setting):
     mesh, labeling, grid, workspace, _ = setting
     with pytest.raises(ValueError, match="8"):
         SL.estimate_constants(mesh, labeling, grid, PARAMS, samples=7,
+                              workspace=workspace)
+    with pytest.raises(ValueError, match="samples"):
+        SL.estimate_constants(mesh, labeling, grid, PARAMS, samples=8.0,
                               workspace=workspace)
 
 
