@@ -257,10 +257,18 @@ def label_patches(mesh, rule):
       {"type": "all", "label": "DIRICHLET"}
          whole-boundary single label.
     """
+    if not isinstance(rule, dict):
+        raise ValueError(f"patch rule must be a mapping, got {type(rule).__name__}")
     kind = rule.get("type")
     if kind == "plane":
-        normal = np.asarray(rule["normal"], dtype=float)
-        offset = float(rule["offset"])
+        try:
+            normal = np.asarray(rule["normal"], dtype=float).reshape(3)
+            offset = float(rule["offset"])
+        except KeyError as exc:
+            raise ValueError(f"'{exc.args[0]}': required by a plane rule") from None
+        except (TypeError, ValueError):
+            raise ValueError("plane rule needs three numbers as normal and "
+                             "a number as offset") from None
         pos_label = rule.get("positive_side", NEUMANN)
         if pos_label not in (DIRICHLET, NEUMANN):
             raise ValueError(f"positive_side must be DIRICHLET or NEUMANN, got {pos_label}")
@@ -269,9 +277,11 @@ def label_patches(mesh, rule):
         labels = tuple(pos_label if s else neg_label for s in side)
     elif kind == "cube_faces":
         wanted = rule.get("neumann_faces", [])
+        if not isinstance(wanted, (list, tuple)):
+            raise ValueError(f"neumann_faces must be a list, got {wanted!r}")
         dirs = []
         for name in wanted:
-            if name not in _FACE_NORMALS:
+            if not isinstance(name, str) or name not in _FACE_NORMALS:
                 raise ValueError(f"unknown cube face {name!r}")
             dirs.append(_FACE_NORMALS[name])
         labels = []

@@ -315,8 +315,8 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
 def _sl_traction(mesh, quad, density, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point, with the same
     near-panel upgrade policy as the library evaluators."""
-    blocks = _NearFar(mesh, quad, x).integrate(
-        lambda y, _: traction_kernel(x[None, :], y, nu_x[None, :], alpha))
+    blocks = _NearFar(mesh, quad, x[None, :]).integrate(
+        0, lambda y, _: traction_kernel(x[None, :], y, nu_x[None, :], alpha))
     return np.einsum("jib,jb->i", blocks, density)
 
 
@@ -864,9 +864,10 @@ def _cfg_labeling(mesh, patches):
     """label_patches with its rule errors raised as a ConfigError."""
     try:
         return label_patches(mesh, patches)
-    except KeyError as exc:
-        raise ConfigError(f"missing required key 'patches.{exc.args[0]}'")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
+        field, sep, _ = str(exc).partition("': required")
+        if sep and field.startswith("'"):
+            raise ConfigError(f"missing required key 'patches.{field[1:]}'")
         raise ConfigError(f"'patches': {exc}")
 
 

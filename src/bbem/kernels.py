@@ -30,6 +30,10 @@ and the pressure tensor of the double layer is
     Lambda_{ik}(x, y) = (1/(4 pi)) [ -6 d_i d_k / r^5 + 2 delta_{ik} / r^3
                                      - alpha delta_{ik} / r ],   d = y - x.
 
+At alpha = 0 the double-layer kernel (stress at y contracted with nu(y),
+pole at x) is T0 = -3 (r^.nu) r^ r^T / (4 pi r^2), r^ = (y - x)/r, with no
+profiles; double_layer_parts returns it beside the alpha difference.
+
 Difference kernels G^alpha - G^0 and S^alpha - S^0 are provided as dedicated
 evaluators in subtracted analytic form: the naive float difference of the two
 kernels cancels catastrophically as r -> 0, while the subtracted profiles
@@ -163,25 +167,31 @@ def _b1(z):
     return _branched(z, _Z_SERIES, _B1_COEF, closed)
 
 
+def _difference_profiles(z):
+    """(e1, e2, b3) at z, equal to 3/8, 1/8 and -1/8 at z = 0; the three
+    closed forms share one exp(-z) and one expm1(-z)."""
+    small = z < _Z_SERIES
+    s = z[~small]
+    em, ex, s2 = np.exp(-s), np.expm1(-s), s ** 2
+    closed = ((-3.0 * ex / s2 - em * (s + 2.0 + 3.0 / s) + 0.5) / s2,
+              (15.0 * ex / s2 + em * (s + 6.0 + 15.0 / s) + 1.5) / s2,
+              (-em * (1.0 + 3.0 / s) - 3.0 * ex / s2 - 0.5) / s2)
+    profiles = [np.empty_like(z) for _ in closed]
+    for profile, coef, values in zip(profiles, (_E1_COEF, _E2_COEF, _B3_COEF), closed):
+        profile[small], profile[~small] = _polyval(z[small], coef), values
+    return profiles
+
+
 def _b3(z):
-    """(A2(z) - 1/2)/z^2; equals -1/8 at z = 0."""
-    def closed(s):
-        return (-np.exp(-s) * (1.0 + 3.0 / s) - 3.0 * np.expm1(-s) / s ** 2 - 0.5) / s ** 2
-    return _branched(z, _Z_SERIES, _B3_COEF, closed)
+    return _difference_profiles(z)[2]
 
 
 def _e1(z):
-    """(d1(z) + 1/2)/z^2; equals 3/8 at z = 0."""
-    def closed(s):
-        return (-3.0 * np.expm1(-s) / s ** 2 - np.exp(-s) * (s + 2.0 + 3.0 / s) + 0.5) / s ** 2
-    return _branched(z, _Z_SERIES, _E1_COEF, closed)
+    return _difference_profiles(z)[0]
 
 
 def _e2(z):
-    """(d2(z) + 3/2)/z^2; equals 1/8 at z = 0."""
-    def closed(s):
-        return (15.0 * np.expm1(-s) / s ** 2 + np.exp(-s) * (s + 6.0 + 15.0 / s) + 1.5) / s ** 2
-    return _branched(z, _Z_SERIES, _E2_COEF, closed)
+    return _difference_profiles(z)[1]
 
 
 def _check_alpha(alpha):
@@ -199,6 +209,16 @@ def _radial(x, require_nonzero=True):
     if require_nonzero and np.any(r == 0.0):
         raise ValueError("kernel evaluated at a coincident point (|x| = 0)")
     return x, r
+
+
+def _contraction_geometry(x, y, normal, require_nonzero=True):
+    """r = |x - y|, the broadcast normal n, xh = (x - y)/r (0 at r = 0) and
+    xh.n, shared by the normal-contracted stress kernels."""
+    d, r = _radial(np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
+                   require_nonzero)
+    n = np.broadcast_to(np.asarray(normal, dtype=float), d.shape)
+    xh = d / np.where(r == 0.0, 1.0, r)[..., None]
+    return r, n, xh, np.sum(xh * n, axis=-1)
 
 
 def _mirror_upper(m):
@@ -282,15 +302,11 @@ def traction_kernel(x, y, normal, alpha):
     single-layer (and, up to sign, Newtonian) potential.
     """
     alpha = _check_alpha(alpha)
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    d, r = _radial(d)
-    n = np.broadcast_to(np.asarray(normal, dtype=float), d.shape)
+    r, n, xh, xn = _contraction_geometry(x, y, normal)
     z = np.sqrt(alpha) * r
     d1 = _d1(z)
     d2 = _d2(z)
     f2 = a2(z)
-    xh = d / r[..., None]
-    xn = np.sum(xh * n, axis=-1)
     pref = 1.0 / (FOUR_PI * r ** 2)
     eye = np.eye(3)
     out = (eye * ((d1 + f2) * xn)[..., None, None]
@@ -342,10 +358,7 @@ def velocity_difference_gradient(x, alpha):
     """Analytic gradient d_l (G^alpha - G^0)_{jk}; bounded (O(alpha)) as r -> 0."""
     alpha = _check_alpha(alpha)
     x, r = _radial(x, require_nonzero=False)
-    z = np.sqrt(alpha) * r
-    e1 = _e1(z)
-    e2 = _e2(z)
-    b3 = _b3(z)
+    e1, e2, b3 = _difference_profiles(np.sqrt(alpha) * r)
     rsafe = np.where(r == 0.0, 1.0, r)
     xh = x / rsafe[..., None]
     eye = np.eye(3)
@@ -370,6 +383,23 @@ def stress_difference(x, y, alpha):
     return grad + np.swapaxes(grad, -3, -1)
 
 
+def _difference_normal(xh, xn, n, z, alpha, out, transpose=False):
+    """(alpha/4pi) [(e1 + b3) xn I + 2 b3 n xh^T + (b3 + e1) xh n^T + 2 e2 xn
+    xh xh^T] (or its transpose) into out (3, 3, ...), term by term."""
+    e1, e2, b3 = _difference_profiles(z)
+    xh, n = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (xh, n))
+    outers = ((2.0 * b3 * n, xh), (xh, (b3 + e1) * n), ((2.0 * (e2 * xn)) * xh, xh))
+    if transpose:
+        outers = [(v, u) for u, v in outers]
+    np.multiply(outers[0][0][:, None], outers[0][1][None, :], out=out)
+    for k in range(3):
+        out[k, k] += (e1 + b3) * xn
+    for u, v in outers[1:]:
+        out += u[:, None] * v[None, :]
+    out *= alpha / FOUR_PI
+    return out
+
+
 def stress_difference_normal(x, y, normal, alpha):
     """Contraction (S^alpha - S^0)_{ijl}(x, y) n_l, shape (..., 3, 3).
 
@@ -377,19 +407,24 @@ def stress_difference_normal(x, y, normal, alpha):
     assembly); 0 is returned at exact coincidence.
     """
     alpha = _check_alpha(alpha)
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    d, r = _radial(d, require_nonzero=False)
-    n = np.broadcast_to(np.asarray(normal, dtype=float), d.shape)
-    z = np.sqrt(alpha) * r
-    e1 = _e1(z)
-    e2 = _e2(z)
-    b3 = _b3(z)
-    rsafe = np.where(r == 0.0, 1.0, r)
-    xh = d / rsafe[..., None]
-    xn = np.sum(xh * n, axis=-1)
-    eye = np.eye(3)
-    out = (eye * ((e1 + b3) * xn)[..., None, None]
-           + 2.0 * b3[..., None, None] * n[..., :, None] * xh[..., None, :]
-           + (b3 + e1)[..., None, None] * n[..., None, :] * xh[..., :, None]
-           + 2.0 * (e2 * xn)[..., None, None] * xh[..., :, None] * xh[..., None, :])
-    return (alpha / FOUR_PI) * out
+    r, n, xh, xn = _contraction_geometry(x, y, normal, require_nonzero=False)
+    out = _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha,
+                             np.empty((3, 3) + r.shape))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+
+
+def double_layer_parts(y, x, normal, alpha):
+    """Double-layer kernel at nodes y (normals nu(y)) for the target x as
+    (..., 2, 3, 3), of length 1 on axis -3 at alpha = 0: [0] is the closed
+    form T0 of traction_kernel(y, x, normal, 0).swapaxes(-1, -2), [1] is
+    stress_difference_normal(y, x, normal, alpha).swapaxes(-1, -2)."""
+    alpha = _check_alpha(alpha)
+    r, n, xh, xn = _contraction_geometry(y, x, normal)
+    parts = np.empty((2 if alpha > 0.0 else 1, 3, 3) + r.shape)
+    xh_first = np.ascontiguousarray(np.moveaxis(xh, -1, 0))
+    np.multiply(((-3.0 * xn / (FOUR_PI * r ** 2)) * xh_first)[:, None],
+                xh_first[None, :], out=parts[0])
+    if alpha > 0.0:
+        _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha, parts[1],
+                           transpose=True)
+    return np.moveaxis(parts, (0, 1, 2), (-3, -2, -1))

@@ -23,25 +23,26 @@ outside at α = 0; V ν ≡ 0 with Q^s ν = −1 inside; the interior solution i
 represented as u = V(t) − W(γu), π = Q^s(t) − Q^d(γu).
 
 Densities are piecewise constant at panel centroids.  Assembly and evaluation
-run over fixed 64-row chunks whose per-row arithmetic does not depend on the
-thread count, so results are byte-identical for any BBEM_THREADS setting.
+run over fixed 8-row chunks whose per-row arithmetic does not depend on the
+chunk or the thread count, so results are byte-identical for any
+BBEM_THREADS setting.
 
-One near/far plan, _NearFar, integrates every layer kernel at one target
-point: the Stokes and difference passes of K, and velocity and pressure in
-evaluation, share it.  Panels within two diameters of the target are near
-and take singular Duffy rules at their closest point; the far panels take
-the regular rule.  The plan holds one rule per panel as a run of rows in
-one node list, so a kernel is evaluated in one call and each panel's run
-is summed by one np.add.reduceat.  Self panels keep their analytic or
-order-12 single-panel blocks.
+One near/far plan, _NearFar, is built per chunk and integrates every layer
+kernel at its targets.  Panels within two diameters of a target are near and
+take singular Duffy rules at their closest point, far panels the regular
+rule.  The near search covers all (target, panel) pairs of the chunk at
+once, and each Duffy band is built for the whole chunk in one call.  The
+rules are runs of one target-major node list, so a kernel is evaluated at a
+target in one call on its slice and summed per panel by one np.add.reduceat.
+Self panels keep their analytic or order-12 single-panel blocks.
 
 The Duffy order of a near panel is graded by its distance d to the target
 over its diameter h (_NEAR_ORDERS): 12 for d < h/2, 8 for d < h, 6 for
-d < 1.5h and 5 for d < 2h, one geometry.duffy_rule_batch call per order.
-Each graded band keeps every layer kernel's block within 1e-6 (relative)
-of the order-24 rule, on icosphere centroids and cube lattice points.  That
-criterion sits well below the error of the regular rule that takes over at
-2h, up to 3e-5 relative, so the near field stays the more accurate side.
+d < 1.5h and 5 for d < 2h.  Each graded band keeps every layer kernel's
+block within 1e-6 (relative) of the order-24 rule, on icosphere centroids
+and cube lattice points.  That criterion sits well below the error of the
+regular rule that takes over at 2h, up to 3e-5 relative, so the near field
+stays the more accurate side.
 
 The Newtonian pair at a grid's own cell centers (_newtonian_on_grid) is an
 FFT convolution on full cubic lattices and the direct sums otherwise.
@@ -69,13 +70,14 @@ from .geometry import (
 from .kernels import (
     brinkman_pressure_tensor,
     brinkman_velocity_tensor,
+    double_layer_parts,
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
     velocity_difference,
 )
 
-_CHUNK_ROWS = 64
+_CHUNK_ROWS = 8
 _DUFFY_ORDER = 12           # self panels
 # Duffy order of a near panel by its distance to the target over its
 # diameter: the first band whose limit the ratio is below.  Panels past the
@@ -222,7 +224,7 @@ def _thread_count():
 
 
 def _run_chunked(n_rows, worker):
-    """Run worker(start, stop) over fixed 64-row chunks, optionally threaded.
+    """Run worker(start, stop) over fixed 8-row chunks, optionally threaded.
 
     Chunk boundaries and per-row arithmetic are independent of the thread
     count, so outputs are byte-identical for any BBEM_THREADS.
@@ -247,15 +249,8 @@ def _closest_points_on_panels(corners, p):
     """
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     ab, ac = b - a, c - a
-    ap = p - a
-    d1 = np.einsum("mi,mi->m", ab, ap)
-    d2 = np.einsum("mi,mi->m", ac, ap)
-    bp = p - b
-    d3 = np.einsum("mi,mi->m", ab, bp)
-    d4 = np.einsum("mi,mi->m", ac, bp)
-    cp = p - c
-    d5 = np.einsum("mi,mi->m", ab, cp)
-    d6 = np.einsum("mi,mi->m", ac, cp)
+    d1, d2, d3, d4, d5, d6 = (np.einsum("mi,mi->m", edge, p - corner)
+                              for corner in (a, b, c) for edge in (ab, ac))
     va = d3 * d6 - d4 * d5
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
@@ -271,100 +266,94 @@ def _closest_points_on_panels(corners, p):
     # face interior (default), then edge regions, then vertex regions;
     # later assignments win, matching the branch order of the scalar test
     out = a + w_b[:, None] * ab + w_c[:, None] * ac
-    on_bc = (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)
-    out = np.where(on_bc[:, None], b + t_bc[:, None] * (c - b), out)
-    on_ac = (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0)
-    out = np.where(on_ac[:, None], a + t_ac[:, None] * ac, out)
-    on_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0)
-    out = np.where(on_ab[:, None], a + t_ab[:, None] * ab, out)
-    at_c = (d6 >= 0.0) & (d5 <= d6)
-    out = np.where(at_c[:, None], c, out)
-    at_b = (d3 >= 0.0) & (d4 <= d3)
-    out = np.where(at_b[:, None], b, out)
-    at_a = (d1 <= 0.0) & (d2 <= 0.0)
-    out = np.where(at_a[:, None], a, out)
+    regions = (  # edges bc, ac, ab, then vertices c, b, a
+        ((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
+         b + t_bc[:, None] * (c - b)),
+        ((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), a + t_ac[:, None] * ac),
+        ((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), a + t_ab[:, None] * ab),
+        ((d6 >= 0.0) & (d5 <= d6), c),
+        ((d3 >= 0.0) & (d4 <= d3), b),
+        ((d1 <= 0.0) & (d2 <= 0.0), a))
+    for inside, point in regions:
+        out = np.where(inside[:, None], point, out)
     return out
 
 
-def _near_search(mesh, x, skip=-1):
-    """Panels whose true distance to x is below the Duffy-upgrade threshold.
-
-    Returns (panels, closest points, distances, min_distance).  min_distance
-    is over the candidate panels only (inf when none), which is exact
-    whenever it matters: any non-candidate panel is farther than every
-    candidate cutoff.
-    """
-    centroid_dist = np.linalg.norm(mesh.centroids - x, axis=1)
+def _near_search(mesh, points, skip=None):
+    """(rows, panels, closest points, distances) of the (target, panel)
+    pairs closer than the Duffy-upgrade threshold, target-major with
+    ascending panels and without skip[t] (-1 for none), and each target's
+    distance to its candidate panels (inf when none), which is exact
+    whenever it matters: other panels are farther than every cutoff."""
+    centroid_dist = np.linalg.norm(mesh.centroids - points[:, None, :], axis=2)
     # centroid-to-farthest-corner is at most one diameter, so this is safe
-    candidates = np.nonzero(centroid_dist < (_NEAR_FACTOR + 1.0) * mesh.diameters)[0]
-    if skip >= 0:
-        candidates = candidates[candidates != skip]
-    if len(candidates) == 0:
-        return candidates, np.empty((0, 3)), np.empty(0), np.inf
-    closest = _closest_points_on_panels(mesh.panel_corners[candidates], x)
-    dist = np.linalg.norm(x - closest, axis=1)
-    keep = dist < _NEAR_FACTOR * mesh.diameters[candidates]
-    return candidates[keep], closest[keep], dist[keep], float(dist.min())
-
-
-def _near_rules(mesh, panels, closest, dist):
-    """Singular rules of the near panels, graded by distance.
-
-    Each panel takes the Duffy order of its band in _NEAR_ORDERS, with one
-    geometry.duffy_rule_batch call per order.  Returns (nodes (M, 3),
-    weights (M,), normals (M, 3), panels (m,), counts (m,)) in band order:
-    the rule of panels[k] is the k-th run of counts[k] rows.
-    """
-    diameters = mesh.diameters[panels]
-    band = np.zeros(len(panels), dtype=int)
-    for limit, _ in _NEAR_ORDERS[:-1]:
-        band += dist >= limit * diameters
-    parts = []
-    for b, (_, order) in enumerate(_NEAR_ORDERS):
-        members = panels[band == b]
-        if len(members):
-            nodes, weights, counts = duffy_rule_batch(
-                mesh.panel_corners[members], closest[band == b], order)
-            normals = np.repeat(mesh.normals[members], counts, axis=0)
-            parts.append((nodes, weights, normals, members, counts))
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    mask = centroid_dist < (_NEAR_FACTOR + 1.0) * mesh.diameters
+    if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
+        mask[np.arange(len(points)), skip] &= np.asarray(skip) < 0
+    rows, panels = np.nonzero(mask)
+    closest = _closest_points_on_panels(mesh.panel_corners[panels], points[rows])
+    dist = np.linalg.norm(points[rows] - closest, axis=1)
+    min_dist = np.full(len(points), np.inf)
+    np.minimum.at(min_dist, rows, dist)
+    keep = dist < _NEAR_FACTOR * mesh.diameters[panels]
+    return rows[keep], panels[keep], closest[keep], dist[keep], min_dist
 
 
 class _NearFar:
-    """Quadrature plan for the panels around one target point: one rule per
-    panel, built once for every kernel integrated there.
+    """Quadrature plan for a block of targets: one rule per (target, panel),
+    the regular rule on far panels and the graded Duffy rule on near ones
+    (one geometry.duffy_rule_batch call per band for the whole block).  Run
+    k of the target-major node list starts at starts[k] and belongs to
+    panels[k]; target t owns runs bounds[t]:bounds[t + 1], far panels first,
+    then the near panels band by band, and none for its panel skip[t]."""
 
-    Far panels take their regular workspace rule and near panels their
-    graded singular rule (see _near_rules).  The rules are stored as one
-    node list in which panels[k] owns the run of rows starting at starts[k];
-    the skipped panel (the target's own) has no rule.
-    """
-
-    def __init__(self, mesh, quadrature, x, skip=-1):
-        self.n_panels = mesh.n_panels
-        self.near, closest, self.near_dist, self.min_dist = _near_search(
-            mesh, x, skip)
-        far = np.setdiff1d(np.arange(mesh.n_panels),
-                           np.append(self.near, skip))
+    def __init__(self, mesh, quadrature, points, skip=None):
+        n_targets, n = len(points), mesh.n_panels
+        self.normals, self.n_panels = mesh.normals, n
+        rows, self.near, closest, self.near_dist, self.min_dist = (
+            _near_search(mesh, points, skip))
+        band = sum(self.near_dist >= limit * mesh.diameters[self.near]
+                   for limit, _ in _NEAR_ORDERS[:-1])
+        # rule of each (target, panel): 0 far, 1 + band near, -1 skipped
+        rule = np.zeros((n_targets, n), dtype=int)
+        rule[rows, self.near] = 1 + band
+        if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
+            rule[np.arange(n_targets), skip] -= np.asarray(skip) >= 0
+        # first row and length of each rule in the concatenated sources
         q = quadrature.nodes.shape[1]
-        rules = [(quadrature.nodes[far].reshape(-1, 3),
-                  quadrature.weights[far].reshape(-1),
-                  np.repeat(mesh.normals[far], q, axis=0),
-                  far, np.full(len(far), q))]
-        if len(self.near):
-            rules.append(_near_rules(mesh, self.near, closest, self.near_dist))
-        self.nodes, self.weights, self.normals, self.panels, counts = (
-            np.concatenate(a) for a in zip(*rules))
-        self.starts = np.cumsum(counts) - counts
+        nodes, weights = [quadrature.nodes.reshape(-1, 3)], [quadrature.weights.ravel()]
+        source = np.tile(q * np.arange(n), (n_targets, 1))
+        counts = np.full((n_targets, n), q)
+        for b, (_, order) in enumerate(_NEAR_ORDERS):
+            at = rows[band == b], self.near[band == b]
+            band_nodes, band_weights, counts[at] = duffy_rule_batch(
+                mesh.panel_corners[at[1]], closest[band == b], order)
+            source[at] = sum(map(len, weights)) + np.cumsum(counts[at]) - counts[at]
+            nodes.append(band_nodes)
+            weights.append(band_weights)
+        targets, panels = np.nonzero(rule >= 0)
+        by_run = np.lexsort((panels, rule[targets, panels], targets))
+        targets, self.panels = targets[by_run], panels[by_run]
+        self.counts = counts[targets, self.panels]
+        self.starts = np.cumsum(self.counts) - self.counts
+        take = np.repeat(source[targets, self.panels] - self.starts,
+                         self.counts) + np.arange(self.counts.sum())
+        nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+        self.nodes, self.weights = nodes[take], weights[take]
+        self.bounds = np.searchsorted(targets, np.arange(n_targets + 1))
 
-    def integrate(self, kernel):
-        """Per-panel integrals of kernel(nodes (M, 3), normals (M, 3)), which
-        returns (M, *shape) values; the result has shape (N, *shape) and is
-        zero at the skipped panel."""
-        values = kernel(self.nodes, self.normals)
-        values = np.einsum("m,m...->m...", self.weights, values)
+    def integrate(self, t, kernel):
+        """Per-panel integrals around target t of kernel(nodes (M, 3),
+        normals (M, 3)), which returns a new (M, *shape) array (weighted in
+        place); the result is (N, *shape) and zero at the skipped panel."""
+        runs = slice(self.bounds[t], self.bounds[t + 1])
+        panels, starts = self.panels[runs], self.starts[runs]
+        nodes = slice(starts[0], starts[-1] + self.counts[runs][-1])
+        values = kernel(self.nodes[nodes], np.repeat(
+            self.normals[panels], self.counts[runs], axis=0))
+        values *= self.weights[nodes].reshape((-1,) + (1,) * (values.ndim - 1))
         blocks = np.zeros((self.n_panels,) + values.shape[1:])
-        blocks[self.panels] = np.add.reduceat(values, self.starts, axis=0)
+        blocks[panels] = np.add.reduceat(values, starts - starts[0], axis=0)
         return blocks
 
 
@@ -443,10 +432,11 @@ def assemble_single_layer(mesh, quadrature, params):
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
-        for i in range(start, stop):
+        plan = _NearFar(mesh, quadrature, centroids[start:stop], np.arange(start, stop))
+        for t, i in enumerate(range(start, stop)):
             x = centroids[i]
-            row = _NearFar(mesh, quadrature, x, skip=i).integrate(
-                lambda y, _: brinkman_velocity_tensor(x[None, :] - y, alpha))
+            row = plan.integrate(t, lambda y, _: brinkman_velocity_tensor(
+                x[None, :] - y, alpha))
             row[i] = _self_single_layer_block(mesh, i, alpha)
             out[3 * i:3 * i + 3, :] = row.transpose(1, 0, 2).reshape(3, 3 * n)
 
@@ -462,7 +452,8 @@ def assemble_double_layer(mesh, quadrature, params):
     diagonal from the constant identity K⁰c = −½c, i.e. the row-block diagonal
     is −½I minus the sum of off-diagonal blocks.  The remainder K_α − K⁰ has a
     bounded kernel and is integrated directly, with clustered rules on near
-    and self panels.
+    and self panels.  Both parts come from one kernels.double_layer_parts
+    call per row.
     """
     _check_mesh_panels(mesh)
     _check_quadrature(mesh, quadrature)
@@ -472,20 +463,16 @@ def assemble_double_layer(mesh, quadrature, params):
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
-        for i in range(start, stop):
+        plan = _NearFar(mesh, quadrature, centroids[start:stop], np.arange(start, stop))
+        for t, i in enumerate(range(start, stop)):
             x = centroids[i]
-            target = _NearFar(mesh, quadrature, x, skip=i)
-            # Stokes part, off-diagonal
-            row = target.integrate(lambda y, nu: traction_kernel(
-                y, x[None, :], nu, 0.0).swapaxes(1, 2))
-            diag = -0.5 * np.eye(3) - row.sum(axis=0)
-            # bounded difference part K_alpha - K0
+            parts = plan.integrate(t, lambda y, nu: double_layer_parts(
+                y, x[None, :], nu, alpha))
+            row = parts.sum(axis=1)
+            diag = -0.5 * np.eye(3) - parts[:, 0].sum(axis=0)
             if alpha > 0.0:
-                row += target.integrate(lambda y, nu: stress_difference_normal(
-                    y, x[None, :], nu, alpha).swapaxes(1, 2))
                 dn, dw = duffy_singular_rule(mesh.panel_corners[i], x, _DUFFY_ORDER)
-                dd = stress_difference_normal(dn, x[None, :], normals[i][None, :],
-                                              alpha)
+                dd = stress_difference_normal(dn, x[None, :], normals[i][None, :], alpha)
                 diag = diag + np.einsum("q,qba->ab", dw, dd)
             row[i] = diag
             out[3 * i:3 * i + 3, :] = row.transpose(1, 0, 2).reshape(3, 3 * n)
@@ -511,11 +498,11 @@ def adjoint_double_layer(double_layer, weights):
 
 # ----------------------------------------------------------- off-boundary evaluation
 
-def _point_guard(mesh, target):
-    if target.min_dist < 1.0e-6 * mesh.scale:
+def _point_guard(mesh, plan):
+    if plan.min_dist.min() < 1.0e-6 * mesh.scale:
         raise ValueError("evaluation point lies on the boundary "
-                         f"(distance {target.min_dist:.3e})")
-    if np.any(target.near_dist < _WARN_FACTOR * mesh.diameters[target.near]):
+                         f"(distance {plan.min_dist.min():.3e})")
+    if np.any(plan.near_dist < _WARN_FACTOR * mesh.diameters[plan.near]):
         warnings.warn("evaluation point is within 0.05 panel diameters of "
                       "the boundary; accuracy degrades", RuntimeWarning,
                       stacklevel=3)
@@ -523,7 +510,7 @@ def _point_guard(mesh, target):
 
 def _layer_rows(mesh, quadrature, params, points, kinds):
     """Evaluation matrix rows of the given layer kernels at the points, all
-    integrated on one near/far split per point; returns one array per kind.
+    integrated on one near/far plan per chunk; returns one array per kind.
 
     kinds: "V" and "W" give (P, 3, 3N) tensors; "Qs" and "Qd" give (P, 3N).
     Near-singular panels are integrated with singularity-clustered rules.
@@ -531,8 +518,7 @@ def _layer_rows(mesh, quadrature, params, points, kinds):
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = mesh.n_panels
-    n_points = len(points)
+    n, n_points = mesh.n_panels, len(points)
     outs = [np.zeros((n_points, 3, 3 * n) if kind in ("V", "W")
                      else (n_points, 3 * n)) for kind in kinds]
 
@@ -549,13 +535,13 @@ def _layer_rows(mesh, quadrature, params, points, kinds):
         return -np.einsum("qik,qk->qi", kern, sel_normals)
 
     def worker(start, stop):
-        for p in range(start, stop):
+        plan = _NearFar(mesh, quadrature, points[start:stop])
+        _point_guard(mesh, plan)
+        for t, p in enumerate(range(start, stop)):
             x = points[p]
-            target = _NearFar(mesh, quadrature, x)
-            _point_guard(mesh, target)
             for kind, out in zip(kinds, outs):
-                blocks = target.integrate(
-                    lambda y, nu: flat_rows(kind, x, y, nu))
+                blocks = plan.integrate(
+                    t, lambda y, nu: flat_rows(kind, x, y, nu))
                 if out.ndim == 3:
                     blocks = blocks.transpose(1, 0, 2)
                 out[p] = blocks.reshape(out.shape[1:])
@@ -731,9 +717,15 @@ def newtonian_boundary_data(grid, forcing, mesh, params):
     one cell diameter of the target; the excluded ball contributes zero to
     leading order by odd symmetry.
     """
+    trace = newtonian_velocity(grid, forcing, mesh.centroids, params)
+    traction = _newtonian_traction(grid, forcing, mesh, params)
+    return (BoundaryField(mesh, trace), BoundaryField(mesh, traction))
+
+
+def _newtonian_traction(grid, forcing, mesh, params):
+    """The traction sum of newtonian_boundary_data, shape (n_panels, 3)."""
     values = _volume_values(grid, forcing)
     alpha = params.alpha
-    trace = newtonian_velocity(grid, forcing, mesh.centroids, params)
     traction = np.zeros((mesh.n_panels, 3))
     cutoff = np.sqrt(3.0) * grid.spacing
 
@@ -749,4 +741,4 @@ def newtonian_boundary_data(grid, forcing, mesh, params):
                                           kernel, values)
 
     _run_chunked(mesh.n_panels, worker)
-    return (BoundaryField(mesh, trace), BoundaryField(mesh, traction))
+    return traction

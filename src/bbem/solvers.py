@@ -57,12 +57,12 @@ from .potentials import (
     assemble_single_layer,
     eval_double_layer,
     eval_single_layer,
-    newtonian_boundary_data,
     newtonian_pressure,
     newtonian_velocity,
     _eval_layers,
     _layer_rows,
     _near_search,
+    _newtonian_traction,
 )
 
 MIXED = "mixed"
@@ -309,7 +309,7 @@ def _pressure_probe_points(mesh):
     probes = anchor + offsets
     inside = winding_number(mesh, probes) > 0.99
     margin = 0.25 * mesh.diameters.max()
-    clear = np.array([_near_search(mesh, p)[3] > margin for p in probes])
+    clear = _near_search(mesh, probes)[4] > margin
     kept = probes[inside & clear]
     if len(kept) == 0:
         raise ValueError("no interior pressure probes found for this mesh")
@@ -367,17 +367,19 @@ def _sigma_range(system, lu):
 
 
 def _boundary_data(spec):
-    """The spec's Dirichlet and Neumann data (h0, g0), less the trace and
-    traction of the Newtonian pair when the spec carries volume forcing."""
+    """The spec's Dirichlet and Neumann data (h0, g0), less the Newtonian
+    trace and traction, each computed only for a datum the spec sets."""
     h0, g0 = spec.dirichlet_data, spec.neumann_data
     if spec.forcing is None:
         return h0, g0
-    trace, traction = newtonian_boundary_data(spec.grid, spec.forcing,
-                                              spec.mesh, spec.params)
     if h0 is not None:
-        h0 = BoundaryField(spec.mesh, h0.values - trace.values)
+        trace = newtonian_velocity(spec.grid, spec.forcing,
+                                   spec.mesh.centroids, spec.params)
+        h0 = BoundaryField(spec.mesh, h0.values - trace)
     if g0 is not None:
-        g0 = BoundaryField(spec.mesh, g0.values - traction.values)
+        traction = _newtonian_traction(spec.grid, spec.forcing, spec.mesh,
+                                       spec.params)
+        g0 = BoundaryField(spec.mesh, g0.values - traction)
     return h0, g0
 
 

@@ -229,6 +229,23 @@ def test_label_rule_validation():
                              "positive_side": "ROBIN"})
     with pytest.raises(ValueError, match="label"):
         label_patches(mesh, {"type": "all", "label": "ROBIN"})
+    # malformed rules name the field instead of failing with a bare
+    # KeyError or TypeError
+    with pytest.raises(ValueError, match="'normal'"):
+        label_patches(mesh, {"type": "plane"})
+    with pytest.raises(ValueError, match="'offset'"):
+        label_patches(mesh, {"type": "plane", "normal": [0, 0, 1]})
+    with pytest.raises(ValueError, match="normal"):
+        label_patches(mesh, {"type": "plane", "normal": [0, 1], "offset": 0})
+    with pytest.raises(ValueError, match="offset"):
+        label_patches(mesh, {"type": "plane", "normal": [0, 0, 1],
+                             "offset": None})
+    with pytest.raises(ValueError, match="neumann_faces"):
+        label_patches(mesh, {"type": "cube_faces", "neumann_faces": 5})
+    with pytest.raises(ValueError, match="cube face"):
+        label_patches(mesh, {"type": "cube_faces", "neumann_faces": [["+z"]]})
+    with pytest.raises(ValueError, match="mapping"):
+        label_patches(mesh, ["plane"])
 
 
 def test_labels_are_strings():

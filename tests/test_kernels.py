@@ -334,6 +334,44 @@ def test_stress_difference_normal_matches_contraction():
                                rtol=1.0e-11, atol=1.0e-14)
 
 
+def _double_layer_pairs(seed, count):
+    """Seeded (node, target, unit normal) triples at distances 1e-3 to 3."""
+    g = rng(seed)
+    x = g.normal(size=(count, 3))
+    d = g.normal(size=(count, 3))
+    d *= (np.geomspace(1.0e-3, 3.0, count)
+          / np.linalg.norm(d, axis=1))[:, None]
+    n = g.normal(size=(count, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    return x + d, x, n
+
+
+def test_double_layer_parts_stokes_closed_form():
+    # the closed-form Stokes part against the profile-based traction kernel
+    y, x, n = _double_layer_pairs(31, 10_000)
+    parts = kernels.double_layer_parts(y, x, n, 0.0)
+    assert parts.shape == (10_000, 1, 3, 3)
+    expected = kernels.traction_kernel(y, x, n, 0.0).swapaxes(1, 2)
+    error = (np.abs(parts[:, 0] - expected).max(axis=(1, 2))
+             / np.abs(expected).max(axis=(1, 2)))
+    assert error.max() <= 2.0e-15
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+def test_double_layer_parts_difference_is_stress_difference_normal(alpha):
+    y, x, n = _double_layer_pairs(32, 2_000)
+    z = np.sqrt(alpha) * np.linalg.norm(y - x, axis=1)
+    # both branches of the difference profiles are exercised
+    assert np.any(z < kernels._Z_SERIES) and np.any(z >= kernels._Z_SERIES)
+    parts = kernels.double_layer_parts(y, x, n, alpha)
+    assert parts.shape == (2_000, 2, 3, 3)
+    np.testing.assert_array_equal(
+        parts[:, 1],
+        kernels.stress_difference_normal(y, x, n, alpha).swapaxes(1, 2))
+    np.testing.assert_array_equal(
+        parts[:, 0], kernels.double_layer_parts(y, x, n, 0.0)[:, 0])
+
+
 # ----------------------------------------------------------- decay and limit
 
 def test_stokes_limit_monotone():

@@ -23,6 +23,7 @@ from bbem.kernels import (
     BrinkmanParams,
     brinkman_pressure_tensor,
     brinkman_velocity_tensor,
+    double_layer_parts,
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
@@ -266,7 +267,7 @@ def _per_panel_blocks(mesh, quad, x, kernel, skip=-1):
     """Per-panel integrals of kernel(y, nu) around target x, one panel at a
     time: the Gauss rule on far panels, duffy_singular_rule at the band order
     on near panels, and a zero block at the skipped panel."""
-    panels, closest, dist, _ = P._near_search(mesh, x, skip)
+    _, panels, closest, dist, _ = P._near_search(mesh, x[None, :], [skip])
     near = dict(zip(panels.tolist(),
                     zip(closest, _band_orders(mesh, panels, dist))))
     blocks = []
@@ -301,25 +302,50 @@ def test_near_far_split_matches_per_panel_loop(fine):
     for i in (3, 97, 210):
         nu = mesh.normals[i]
         x = mesh.centroids[i] - 0.3 * mesh.diameters[i] * nu
-        assert len(P._near_search(mesh, x)[0]) > 0
+        assert len(P._near_search(mesh, x[None, :])[1]) > 0
         expected = _sl_traction(mesh, quad, g, x, nu, ALPHA)
         got = H._sl_traction(mesh, quad, g, x, nu, ALPHA)
         np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                    atol=1.0e-13 * np.abs(expected).max())
     for i in (3, 97, 210):
         x = mesh.centroids[i]
-        plan = P._NearFar(mesh, quad, x, skip=i)
+        plan = P._NearFar(mesh, quad, x[None, :], [i])
         # exactly one rule for every panel but the skipped one
         np.testing.assert_array_equal(np.sort(plan.panels),
                                       np.delete(np.arange(mesh.n_panels), i))
         for name in ("V", "K Stokes"):
             def kernel(y, nu):
                 return _LAYER_KERNELS[name](x[None, :], y, nu)
-            got = plan.integrate(kernel)
+            got = plan.integrate(0, kernel)
             assert np.all(got[i] == 0.0)
             expected = _per_panel_blocks(mesh, quad, x, kernel, skip=i)
             np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                        atol=1.0e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("case", ["sphere-centroids", "cube-lattice"])
+def test_plan_rows_do_not_depend_on_the_chunk(case):
+    # a target's integrals are bit for bit the same whether it is planned
+    # alone or inside a chunk of _CHUNK_ROWS targets
+    if case == "sphere-centroids":
+        mesh = build_icosphere(2)
+        skip = np.arange(40, 40 + P._CHUNK_ROWS)
+        points = mesh.centroids[skip]
+    else:
+        mesh = build_cube(1)
+        lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
+        points, skip = lattice[::97][:P._CHUNK_ROWS], None
+    quad = panel_quadrature(mesh, 6)
+    chunk = P._NearFar(mesh, quad, points, skip)
+    for t, x in enumerate(points):
+        alone = P._NearFar(mesh, quad, x[None, :],
+                           None if skip is None else skip[t:t + 1])
+        assert len(alone.near) > 0
+        for kernel in (
+                lambda y, _: brinkman_velocity_tensor(x[None, :] - y, ALPHA),
+                lambda y, nu: double_layer_parts(y, x[None, :], nu, ALPHA)):
+            np.testing.assert_array_equal(chunk.integrate(t, kernel),
+                                          alone.integrate(0, kernel))
 
 
 # ------------------------------------------------- distance-graded near rules
@@ -362,13 +388,13 @@ def _graded_errors(mesh, targets):
     quad = panel_quadrature(mesh, 6)
     worst = {}
     for x, skip in targets:
-        panels, closest, dist, _ = P._near_search(mesh, x, skip)
+        _, panels, closest, dist, _ = P._near_search(mesh, x[None, :], [skip])
         orders = _band_orders(mesh, panels, dist)
-        plan = P._NearFar(mesh, quad, x, skip)
+        plan = P._NearFar(mesh, quad, x[None, :], [skip])
         for name, kernel in _LAYER_KERNELS.items():
             def at_x(y, nu):
                 return kernel(x[None, :], y, nu)
-            got = plan.integrate(at_x)[panels]
+            got = plan.integrate(0, at_x)[panels]
             ref = _reference_blocks(mesh, panels, closest, _REFERENCE_ORDER,
                                     at_x)
             full = _reference_blocks(mesh, panels, closest, P._DUFFY_ORDER,
@@ -420,10 +446,10 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
     quad = panel_quadrature(mesh, 6)
     checked = set()
     for x, _ in targets:
-        panels, closest, dist, _ = P._near_search(mesh, x)
+        _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
         orders = _band_orders(mesh, panels, dist)
-        blocks = P._NearFar(mesh, quad, x).integrate(
-            lambda y, _: brinkman_velocity_tensor(x[None, :] - y, ALPHA))
+        blocks = P._NearFar(mesh, quad, x[None, :]).integrate(
+            0, lambda y, _: brinkman_velocity_tensor(x[None, :] - y, ALPHA))
         for panel, point, order, d in zip(panels, closest, orders, dist):
             # below a quarter diameter the order-12 rule itself is only
             # good to about 1e-5 here; that band is not graded

@@ -673,6 +673,48 @@ def test_solvers_take_volume_forcing(cube_mixed, kind):
                               S.evaluate_solution(plain, points).velocity)
 
 
+@pytest.mark.parametrize("kind", [S.DIRICHLET, S.NEUMANN],
+                         ids=["dirichlet", "neumann"])
+def test_forced_solves_compute_only_the_data_they_read(cube_mixed, monkeypatch,
+                                                       kind):
+    """A forced Dirichlet solve computes the Newtonian trace alone and a
+    forced Neumann solve the traction alone, each bit for bit as
+    newtonian_boundary_data gives it."""
+    mesh, _, ws = cube_mixed
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 6)
+    forcing = VolumeField(grid, np.tile([1.0, -0.5, 0.3], (grid.n_cells, 1)))
+    datum = BoundaryField(mesh, 0.01 * np.cos(mesh.centroids))
+    dirichlet = kind == S.DIRICHLET
+    spec = S.BVPSpec(kind=kind, params=PARAMS, mesh=mesh, forcing=forcing,
+                     grid=grid, flux_tol=1.0,
+                     dirichlet_data=datum if dirichlet else None,
+                     neumann_data=None if dirichlet else datum)
+    trace, traction = P.newtonian_boundary_data(grid, forcing, mesh, PARAMS)
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(S, "newtonian_velocity",
+                        counted("trace", S.newtonian_velocity))
+    monkeypatch.setattr(S, "_newtonian_traction",
+                        counted("traction", S._newtonian_traction))
+    h0, g0 = S._boundary_data(spec)
+    if dirichlet:
+        assert g0 is None
+        assert (h0.values.tobytes()
+                == (datum.values - trace.values).tobytes())
+    else:
+        assert h0 is None
+        assert (g0.values.tobytes()
+                == (datum.values - traction.values).tobytes())
+    S._solve(spec, ws)
+    assert calls == 2 * ["trace" if dirichlet else "traction"]
+
+
 # ------------------------------------------------------------------ evaluation
 
 def test_evaluate_rejects_boundary_point(sphere_coarse):
