@@ -59,15 +59,6 @@ _Z_SMALL = 1.0e-4
 _Z_SERIES = 0.5
 
 # Exact Taylor coefficients around z = 0 (index = power of z).
-_A1_COEF = (1 / 2, -2 / 3, 3 / 8, -2 / 15, 5 / 144, -1 / 140, 7 / 5760)
-_A2_COEF = (1 / 2, 0.0, -1 / 8, 1 / 15, -1 / 48, 1 / 210, -1 / 1152)
-# d1 = z a1' - a1 and d2 = z a2' - 3 a2 drive the gradient of G.
-_D1_COEF = (-1 / 2, 0.0, 3 / 8, -4 / 15, 5 / 48, -1 / 35, 7 / 1152, -1 / 945,
-            1 / 6400, -1 / 49896, 11 / 4838400, -1 / 4324320, 13 / 609638400,
-            -1 / 555984000, 1 / 7153090560, -1 / 99243144000)
-_D2_COEF = (-3 / 2, 0.0, 1 / 8, 0.0, -1 / 48, 1 / 105, -1 / 384, 1 / 1890,
-            -1 / 11520, 1 / 83160, -1 / 691200, 1 / 6486480, -1 / 67737600,
-            1 / 778377600, -1 / 9754214400, 1 / 132324192000)
 # b1 = (a1 - 1/2)/z, b3 = (a2 - 1/2)/z^2 drive G^alpha - G^0;
 # e1 = (d1 + 1/2)/z^2, e2 = (d2 + 3/2)/z^2 drive its gradient.
 _B1_COEF = (-2 / 3, 3 / 8, -2 / 15, 5 / 144, -1 / 140, 7 / 5760, -1 / 5670,
@@ -86,6 +77,12 @@ _E2_COEF = (1 / 8, 0.0, -1 / 48, 1 / 105, -1 / 384, 1 / 1890, -1 / 11520,
             1 / 83160, -1 / 691200, 1 / 6486480, -1 / 67737600, 1 / 778377600,
             -1 / 9754214400, 1 / 132324192000, -1 / 1931334451200,
             1 / 30169915776000)
+# a1 = 1/2 + z b1, a2 = 1/2 + z^2 b3 (four terms each); d1 = z a1' - a1 =
+# -1/2 + z^2 e1 and d2 = z a2' - 3 a2 = -3/2 + z^2 e2 drive the gradient of G.
+_A1_COEF = (1 / 2,) + _B1_COEF[:3]
+_A2_COEF = (1 / 2, 0.0) + _B3_COEF[:2]
+_D1_COEF = (-1 / 2, 0.0) + _E1_COEF[:14]
+_D2_COEF = (-3 / 2, 0.0) + _E2_COEF[:14]
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ def a1(z):
     z = _check_z(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    out = _branched(z, _Z_SMALL, _A1_COEF[:4],
+    out = _branched(z, _Z_SMALL, _A1_COEF,
                     lambda s: np.exp(-s) * (1.0 + 1.0 / s) + np.expm1(-s) / s ** 2)
     return out[0] if scalar else out
 
@@ -143,7 +140,7 @@ def a2(z):
     z = _check_z(z)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    out = _branched(z, _Z_SMALL, _A2_COEF[:4],
+    out = _branched(z, _Z_SMALL, _A2_COEF,
                     lambda s: -np.exp(-s) * (1.0 + 3.0 / s) - 3.0 * np.expm1(-s) / s ** 2)
     return out[0] if scalar else out
 

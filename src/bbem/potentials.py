@@ -44,8 +44,13 @@ and cube lattice points.  That criterion sits well below the error of the
 regular rule that takes over at 2h, up to 3e-5 relative, so the near field
 stays the more accurate side.
 
-The Newtonian pair at a grid's own cell centers (_newtonian_on_grid) is an
-FFT convolution on full cubic lattices and the direct sums otherwise.
+The Newtonian pair is summed by one chunked midpoint loop, _newtonian_sums,
+for the velocity, pressure and traction at any targets.  Its self-cell
+rules: a velocity target on a cell center takes the equal-volume-ball
+Stokes integral for that cell, the pressure drops the self cell, and the
+traction drops every cell within one cell diameter.  At a grid's own cell
+centers (_newtonian_on_grid) the pair is an FFT convolution on full cubic
+lattices and these sums otherwise.
 """
 
 from __future__ import annotations
@@ -618,52 +623,62 @@ def _lattice_resolution(grid):
     return m
 
 
-def newtonian_velocity(grid, forcing, points, params):
-    """(N_α f)(x) = −Σ_c V_c G^α(x − y_c) f_c by midpoint sums.
-
-    When x coincides with a cell center the cell's own term is replaced by the
-    equal-volume-ball Stokes integral −(R²/3) f(x), R = (3 V_cell / 4π)^{1/3};
-    the α-dependence of that cell is O(R³) and neglected.
-    """
+def _newtonian_sums(grid, forcing, points, params, kinds, normals=None):
+    """Midpoint sums −Σ_c V_c k(x − y_c) f_c at points, one array per kind:
+    "velocity" (n, 3), "pressure" (n,) and "traction" (n, 3, with the
+    normals at the points), each with its public wrapper's self-cell rule.
+    Each chunk forms the displacements, distances and self mask once."""
     values = _volume_values(grid, forcing)
-    alpha = params.alpha
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((len(points), 3))
+    outs = [np.zeros(len(points)) if kind == "pressure"
+            else np.zeros((len(points), 3)) for kind in kinds]
     radius = (3.0 * grid.volumes / (4.0 * np.pi)) ** (1.0 / 3.0)
+    cutoff = np.sqrt(3.0) * grid.spacing
 
     def worker(start, stop):
         diff = points[start:stop, None, :] - grid.centers[None, :, :]
         dist = np.linalg.norm(diff, axis=2)
         self_mask = dist < 1.0e-9 * grid.spacing
-        diff = np.where(self_mask[:, :, None], 1.0, diff)
-        kernel = brinkman_velocity_tensor(diff, alpha)
-        kernel[self_mask] = 0.0
-        out[start:stop] = -np.einsum("c,pcab,cb->pa", grid.volumes, kernel, values)
-        rows, cols = np.nonzero(self_mask)
-        out[start + rows] -= (radius[cols, None] ** 2 / 3.0) * values[cols]
+        safe = np.where(self_mask[:, :, None], 1.0, diff)
+        for kind, out in zip(kinds, outs):
+            if kind == "velocity":
+                kernel = brinkman_velocity_tensor(safe, params.alpha)
+                kernel[self_mask] = 0.0
+                out[start:stop] = -np.einsum("c,pcab,cb->pa", grid.volumes,
+                                             kernel, values)
+                row, c = np.nonzero(self_mask)
+                out[start + row] -= (radius[c, None] ** 2 / 3.0) * values[c]
+            elif kind == "pressure":
+                kernel = pressure_vector(safe)
+                kernel[self_mask] = 0.0
+                out[start:stop] = -np.einsum("c,pcb,cb->p", grid.volumes,
+                                             kernel, values)
+            else:
+                kernel = traction_kernel(points[start:stop, None, :],
+                                         grid.centers[None, :, :],
+                                         normals[start:stop, None, :],
+                                         params.alpha)
+                kernel = np.where((dist >= cutoff)[:, :, None, None],
+                                  kernel, 0.0)
+                out[start:stop] = -np.einsum("c,pcib,cb->pi", grid.volumes,
+                                             kernel, values)
 
     _run_chunked(len(points), worker)
-    return out
+    return outs
+
+
+def newtonian_velocity(grid, forcing, points, params):
+    """(N_α f)(x) = −Σ_c V_c G^α(x − y_c) f_c by midpoint sums; at a cell
+    center that cell's term is the equal-volume-ball Stokes integral
+    −(R²/3) f(x), R = (3 V_cell / 4π)^{1/3}, its O(R³) α-dependence
+    neglected."""
+    return _newtonian_sums(grid, forcing, points, params, ("velocity",))[0]
 
 
 def newtonian_pressure(grid, forcing, points):
     """(Q_Ω f)(x) = −Σ_c V_c Π(x − y_c)·f_c; the self cell vanishes by odd
     symmetry of Π and is skipped."""
-    values = _volume_values(grid, forcing)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(len(points))
-
-    def worker(start, stop):
-        diff = points[start:stop, None, :] - grid.centers[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        self_mask = dist < 1.0e-9 * grid.spacing
-        diff = np.where(self_mask[:, :, None], 1.0, diff)
-        kernel = pressure_vector(diff)
-        kernel[self_mask] = 0.0
-        out[start:stop] = -np.einsum("c,pcb,cb->p", grid.volumes, kernel, values)
-
-    _run_chunked(len(points), worker)
-    return out
+    return _newtonian_sums(grid, forcing, points, None, ("pressure",))[0]
 
 
 def _newtonian_on_grid(grid, forcing, params, kinds):
@@ -679,10 +694,7 @@ def _newtonian_on_grid(grid, forcing, params, kinds):
     values = _volume_values(grid, forcing)
     m = _lattice_resolution(grid)
     if m is None:
-        return [newtonian_velocity(grid, values, grid.centers, params)
-                if kind == "velocity"
-                else newtonian_pressure(grid, values, grid.centers)
-                for kind in kinds]
+        return _newtonian_sums(grid, values, grid.centers, params, kinds)
     h = grid.spacing
     offsets = h * np.arange(-(m - 1), m)
     diff = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"),
@@ -710,35 +722,10 @@ def _newtonian_on_grid(grid, forcing, params, kinds):
 
 
 def newtonian_boundary_data(grid, forcing, mesh, params):
-    """Trace and traction of the Newtonian pair at the panel centroids.
-
-    The trace sums the O(1/r) velocity kernel over all cells.  The traction
-    sums the O(1/r²) stress kernel, excluding cells whose center lies within
-    one cell diameter of the target; the excluded ball contributes zero to
-    leading order by odd symmetry.
-    """
-    trace = newtonian_velocity(grid, forcing, mesh.centroids, params)
-    traction = _newtonian_traction(grid, forcing, mesh, params)
+    """Trace and traction of the Newtonian pair at the panel centroids by
+    midpoint sums; the traction excludes the cells within one cell
+    diameter of each centroid, a ball that contributes zero to leading
+    order by odd symmetry."""
+    trace, traction = _newtonian_sums(grid, forcing, mesh.centroids, params,
+                                      ("velocity", "traction"), mesh.normals)
     return (BoundaryField(mesh, trace), BoundaryField(mesh, traction))
-
-
-def _newtonian_traction(grid, forcing, mesh, params):
-    """The traction sum of newtonian_boundary_data, shape (n_panels, 3)."""
-    values = _volume_values(grid, forcing)
-    alpha = params.alpha
-    traction = np.zeros((mesh.n_panels, 3))
-    cutoff = np.sqrt(3.0) * grid.spacing
-
-    def worker(start, stop):
-        diff_dist = np.linalg.norm(mesh.centroids[start:stop, None, :]
-                                   - grid.centers[None, :, :], axis=2)
-        keep = diff_dist >= cutoff
-        kernel = traction_kernel(mesh.centroids[start:stop, None, :],
-                                 grid.centers[None, :, :],
-                                 mesh.normals[start:stop, None, :], alpha)
-        kernel = np.where(keep[:, :, None, None], kernel, 0.0)
-        traction[start:stop] = -np.einsum("c,pcib,cb->pi", grid.volumes,
-                                          kernel, values)
-
-    _run_chunked(mesh.n_panels, worker)
-    return traction

@@ -150,13 +150,13 @@ def _drag(values, beta):
     return beta * np.linalg.norm(values, axis=1)[:, None] * values
 
 
-def _grid_velocity(workspace, grid, handle, forcing_values, params):
-    """Velocity of a forced mixed solve at every grid cell center."""
-    rows = workspace.grid_velocity_rows(grid)
+def _grid_velocity(workspace, handle):
+    """Velocity of a forced mixed solve at every cell center of its grid."""
+    rows = workspace.grid_velocity_rows(handle.grid)
     flat = handle.density.values.reshape(-1)
     layer = np.einsum("cam,m->ca", rows, flat)
-    newtonian, = _newtonian_on_grid(grid, forcing_values, params,
-                                    ("velocity",))
+    newtonian, = _newtonian_on_grid(handle.grid, handle.forcing,
+                                    handle.params, ("velocity",))
     return layer + newtonian
 
 
@@ -222,7 +222,7 @@ def picard_solve(mesh, labeling, grid, params, forcing, dirichlet_data,
                                                              streak))
         spec = replace(base, forcing=VolumeField(grid, forcing_values))
         handle, _ = solve_poisson(spec, ws)
-        raw = _grid_velocity(ws, grid, handle, forcing_values, params)
+        raw = _grid_velocity(ws, handle)
         if beta == 0.0:
             # the map does not depend on v, so its value is the fixed point;
             # damping is skipped because there is nothing to stabilize
@@ -352,7 +352,7 @@ def estimate_constants(mesh, labeling, grid, params, samples,
                        forcing=VolumeField(grid, f), grid=grid,
                        quadrature_order=quadrature_order)
         handle, _ = solve_poisson(spec, ws)
-        fields.append(_grid_velocity(ws, grid, handle, f, params))
+        fields.append(_grid_velocity(ws, handle))
 
     gram = np.array([[np.einsum("c,ca,ca->", grid.volumes, ui, uj)
                       for uj in fields] for ui in fields])
@@ -413,7 +413,8 @@ def semilinear_residual(handle, grid, params, forcing):
     pressure gradients at cells at least two layers inside, and returns the
     cell-weighted L² norm of the residual there, relative to
     ‖f‖ + α‖u‖ + β‖|u|u‖ on the same cells (zero over zero counts as zero).
-    Needs a full cubic lattice grid with at least 5 cells per edge.
+    Needs a full cubic lattice grid with at least 5 cells per edge, which a
+    forced handle must live on (its Newtonian pair is the lattice FFT).
     """
     m = _lattice_resolution(grid)
     if m is None:
@@ -421,17 +422,27 @@ def semilinear_residual(handle, grid, params, forcing):
                          "volume grid")
     depth = _lattice_depth(m)
     f_values = _volume_values(grid, forcing).reshape(m, m, m, 3)
+    forced = handle.forcing is not None
+    if forced and handle.grid is not grid:
+        raise ValueError("the forced handle lives on a different volume grid")
 
     h = grid.spacing
     evaluated = depth >= 1
     probe = depth >= 2
 
     centers = grid.centers.reshape(m, m, m, 3)
-    fields = evaluate_solution(handle, centers[evaluated])
+    layer = (replace(handle, tag=handle.layer_tag, layer_tag=None,
+                     forcing=None, grid=None) if forced else handle)
+    fields = evaluate_solution(layer, centers[evaluated])
     velocity = np.full((m, m, m, 3), np.nan)
     pressure = np.full((m, m, m), np.nan)
     velocity[evaluated] = fields.velocity
     pressure[evaluated] = fields.pressure
+    if forced:
+        newtonian = _newtonian_on_grid(grid, handle.forcing, handle.params,
+                                       ("velocity", "pressure"))
+        velocity += newtonian[0].reshape(m, m, m, 3)
+        pressure += newtonian[1].reshape(m, m, m)
     residual, drag = _lattice_residual(velocity, pressure, f_values, h,
                                        params.alpha, params.beta)
 

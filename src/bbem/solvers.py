@@ -9,7 +9,8 @@ Representations (interior domain, outward normal):
               at Neumann panels, pressure Q^s Ψ
   Forced      every solver takes volume forcing f and its grid in the
               spec: u = N f + (the kind's representation solved with data
-              shifted by the trace and traction of the Newtonian pair)
+              shifted by the Newtonian pair: its trace on the rows that
+              read the velocity, its traction on the rest)
 
 Every system is a square LU solve on a factor the workspace caches.  The
 Dirichlet operator has a one-dimensional defect whose cokernel is the
@@ -58,11 +59,10 @@ from .potentials import (
     eval_double_layer,
     eval_single_layer,
     newtonian_pressure,
-    newtonian_velocity,
     _eval_layers,
     _layer_rows,
     _near_search,
-    _newtonian_traction,
+    _newtonian_sums,
 )
 
 MIXED = "mixed"
@@ -366,21 +366,26 @@ def _sigma_range(system, lu):
             float(np.linalg.norm(system @ high)))
 
 
-def _boundary_data(spec):
-    """The spec's Dirichlet and Neumann data (h0, g0), less the Newtonian
-    trace and traction, each computed only for a datum the spec sets."""
-    h0, g0 = spec.dirichlet_data, spec.neumann_data
-    if spec.forcing is None:
-        return h0, g0
-    if h0 is not None:
-        trace = newtonian_velocity(spec.grid, spec.forcing,
-                                   spec.mesh.centroids, spec.params)
-        h0 = BoundaryField(spec.mesh, h0.values - trace)
-    if g0 is not None:
-        traction = _newtonian_traction(spec.grid, spec.forcing, spec.mesh,
-                                       spec.params)
-        g0 = BoundaryField(spec.mesh, g0.values - traction)
-    return h0, g0
+def _rhs(spec):
+    """The right-hand side, shape (n_panels, 3): the Dirichlet datum less the
+    Newtonian trace on rows that read the velocity trace (all for Dirichlet,
+    the Dirichlet patch for mixed), the Neumann datum less the Newtonian
+    traction on the rest; each sum runs on its own rows only."""
+    mesh = spec.mesh
+    reads_trace = (spec.labeling.dirichlet_mask if spec.kind == MIXED
+                   else np.full(mesh.n_panels, spec.kind == DIRICHLET))
+    rhs = np.empty((mesh.n_panels, 3))
+    for rows, datum, kind in ((reads_trace, spec.dirichlet_data, "velocity"),
+                              (~reads_trace, spec.neumann_data, "traction")):
+        if not rows.any():
+            continue
+        rhs[rows] = datum.values[rows]
+        if spec.forcing is not None:
+            newtonian, = _newtonian_sums(spec.grid, spec.forcing,
+                                         mesh.centroids[rows], spec.params,
+                                         (kind,), mesh.normals[rows])
+            rhs[rows] -= newtonian
+    return rhs
 
 
 def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
@@ -419,7 +424,7 @@ def solve_dirichlet(spec, workspace=None):
     # the user datum carries the flux obstruction; the Newtonian trace is
     # divergence-free, so the shifted datum is compatible up to quadrature
     _flux_check(spec.dirichlet_data, mesh, spec.flux_tol)
-    h0, _ = _boundary_data(spec)
+    h0 = BoundaryField(mesh, _rhs(spec))
 
     nu = BoundaryField(mesh, mesh.normals)
     coef = h0.inner(nu) / nu.inner(nu)
@@ -451,8 +456,7 @@ def solve_neumann(spec, workspace=None):
             "rigid-motion defects")
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
-    _, g0 = _boundary_data(spec)
-    rhs = g0.values.reshape(-1)
+    rhs = _rhs(spec).reshape(-1)
     psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
     return _solved(spec, ws, SINGLE_LAYER, psi,
                    0.5 * psi + ws.adjoint.matrix @ psi, rhs, t0)
@@ -467,9 +471,7 @@ def solve_mixed(spec, workspace=None):
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     labeling = spec.labeling
-    h0, g0 = _boundary_data(spec)
-    rhs = np.where(labeling.dirichlet_mask[:, None], h0.values,
-                   g0.values).reshape(-1)
+    rhs = _rhs(spec).reshape(-1)
     psi = _lu_solve(ws.mixed_factorization(labeling), rhs, "mixed")
     return _solved(spec, ws, MIXED_SINGLE_LAYER, psi,
                    ws.mixed_matrix(labeling) @ psi, rhs, t0)
@@ -543,10 +545,10 @@ def evaluate_solution(handle, points):
     velocity, pressure = _eval_layers(mesh, handle.density.values, points,
                                       handle.params, kinds, quadrature)
     if handle.tag == WITH_NEWTONIAN:
-        velocity = velocity + newtonian_velocity(handle.grid, handle.forcing,
-                                                 points, handle.params)
-        pressure = pressure + newtonian_pressure(handle.grid, handle.forcing,
-                                                 points)
+        newtonian = _newtonian_sums(handle.grid, handle.forcing, points,
+                                    handle.params, ("velocity", "pressure"))
+        velocity = velocity + newtonian[0]
+        pressure = pressure + newtonian[1]
     return FieldSolution(points=points, velocity=velocity,
                          pressure=pressure - handle.pressure_constant)
 

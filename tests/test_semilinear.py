@@ -69,12 +69,6 @@ def scaled_data(mesh, grid, factor):
             BoundaryField(mesh, factor * traction))
 
 
-def final_velocity(workspace, grid, handle):
-    """Grid velocity of the last iterate, reconstructed from its handle."""
-    return SL._grid_velocity(workspace, grid, handle, handle.forcing.values,
-                             handle.params)
-
-
 def small_factor(mesh, grid, constants):
     forcing, trace, traction = scaled_data(mesh, grid, 1.0)
     scale = forcing.norm() + trace.norm() + traction.norm()
@@ -241,7 +235,7 @@ def test_fixed_point_certificate(setting):
     handle, _ = SL.picard_solve(mesh, labeling, grid, PARAMS, forcing, trace,
                                 traction, SL.PicardConfig(tol=tol),
                                 constants=constants, workspace=workspace)
-    fixed = final_velocity(workspace, grid, handle)
+    fixed = SL._grid_velocity(workspace, handle)
     shifted = forcing.values + PARAMS.beta * np.linalg.norm(
         fixed, axis=1)[:, None] * fixed
     spec = S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=mesh,
@@ -249,7 +243,7 @@ def test_fixed_point_certificate(setting):
                      neumann_data=traction,
                      forcing=VolumeField(grid, shifted), grid=grid)
     extra, _ = S.solve_poisson(spec, workspace)
-    moved = SL._grid_velocity(workspace, grid, extra, shifted, PARAMS)
+    moved = SL._grid_velocity(workspace, extra)
     assert SL._grid_norm(grid, moved - fixed) <= 2.0 * tol
 
 
@@ -275,7 +269,7 @@ def test_two_initial_guesses_agree(setting):
     linear, _ = SL.picard_solve(mesh, labeling, grid, LINEAR, forcing, trace,
                                 traction, SL.PicardConfig(),
                                 workspace=linear_ws)
-    start = final_velocity(linear_ws, grid, linear)
+    start = SL._grid_velocity(linear_ws, linear)
     config = SL.PicardConfig(tol=tol, max_iter=40)
     from_zero, _ = SL.picard_solve(mesh, labeling, grid, PARAMS, forcing,
                                    trace, traction, config,
@@ -284,8 +278,8 @@ def test_two_initial_guesses_agree(setting):
                                      trace, traction, config,
                                      constants=constants, workspace=workspace,
                                      initial_velocity=start)
-    gap = SL._grid_norm(grid, final_velocity(workspace, grid, from_zero)
-                        - final_velocity(workspace, grid, from_linear))
+    gap = SL._grid_norm(grid, SL._grid_velocity(workspace, from_zero)
+                        - SL._grid_velocity(workspace, from_linear))
     assert gap <= 10.0 * tol
 
 
@@ -303,8 +297,8 @@ def test_damping_reaches_the_same_fixed_point(setting):
                                                      damping=0.5),
                                      constants=constants, workspace=workspace)
     assert report.converged
-    gap = SL._grid_norm(grid, final_velocity(workspace, grid, plain)
-                        - final_velocity(workspace, grid, damped))
+    gap = SL._grid_norm(grid, SL._grid_velocity(workspace, plain)
+                        - SL._grid_velocity(workspace, damped))
     assert gap <= 1.0e-8
 
 
@@ -454,6 +448,41 @@ def test_beta_zero_residual_is_the_linear_residual(setting):
     assert np.array_equal(handle.density.values, direct.density.values)
     residual = SL.semilinear_residual(handle, grid, LINEAR, forcing)
     assert residual <= 0.1
+
+
+def test_residual_takes_the_newtonian_pair_on_the_grid(setting):
+    """The residual of a forced handle matches the stencil applied to
+    evaluate_solution of the full handle at the evaluated cells, and a
+    forced handle refuses another lattice."""
+    mesh, labeling, grid, workspace, _ = setting
+    forcing, trace, traction = scaled_data(mesh, grid, 1.0)
+    spec = S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=mesh,
+                     labeling=labeling, dirichlet_data=trace,
+                     neumann_data=traction, forcing=forcing, grid=grid)
+    handle, _ = S.solve_poisson(spec, workspace)
+    m = SL._lattice_resolution(grid)
+    depth = SL._lattice_depth(m)
+    evaluated, probe = depth >= 1, depth >= 2
+    fields = S.evaluate_solution(handle,
+                                 grid.centers.reshape(m, m, m, 3)[evaluated])
+    velocity = np.full((m, m, m, 3), np.nan)
+    pressure = np.full((m, m, m), np.nan)
+    velocity[evaluated] = fields.velocity
+    pressure[evaluated] = fields.pressure
+    f_values = forcing.values.reshape(m, m, m, 3)
+    residual, drag = SL._lattice_residual(velocity, pressure, f_values,
+                                          grid.spacing, PARAMS.alpha,
+                                          PARAMS.beta)
+    reference = (np.linalg.norm(residual[probe])
+                 / (np.linalg.norm(f_values[probe])
+                    + PARAMS.alpha * np.linalg.norm(velocity[probe])
+                    + np.linalg.norm(drag[probe])))
+    value = SL.semilinear_residual(handle, grid, PARAMS, forcing)
+    assert abs(value - reference) <= 1.0e-12 * reference
+    other = build_volume_grid({"type": "cube", "side": 1.0}, 12)
+    with pytest.raises(ValueError, match="different volume grid"):
+        SL.semilinear_residual(handle, other, PARAMS,
+                               np.zeros((other.n_cells, 3)))
 
 
 def test_residual_needs_a_cubic_lattice(setting):

@@ -673,46 +673,45 @@ def test_solvers_take_volume_forcing(cube_mixed, kind):
                               S.evaluate_solution(plain, points).velocity)
 
 
-@pytest.mark.parametrize("kind", [S.DIRICHLET, S.NEUMANN],
-                         ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("kind", [S.DIRICHLET, S.NEUMANN, S.MIXED],
+                         ids=["dirichlet", "neumann", "mixed"])
 def test_forced_solves_compute_only_the_data_they_read(cube_mixed, monkeypatch,
                                                        kind):
-    """A forced Dirichlet solve computes the Newtonian trace alone and a
-    forced Neumann solve the traction alone, each bit for bit as
-    newtonian_boundary_data gives it."""
-    mesh, _, ws = cube_mixed
+    """A forced solve sums the Newtonian trace on exactly the rows that read
+    the velocity trace and the traction on the rest, and each right-hand
+    side row is bit for bit the datum less newtonian_boundary_data's row."""
+    mesh, labeling, ws = cube_mixed
     grid = build_volume_grid({"type": "cube", "side": 1.0}, 6)
     forcing = VolumeField(grid, np.tile([1.0, -0.5, 0.3], (grid.n_cells, 1)))
-    datum = BoundaryField(mesh, 0.01 * np.cos(mesh.centroids))
-    dirichlet = kind == S.DIRICHLET
+    h0 = BoundaryField(mesh, 0.01 * np.cos(mesh.centroids))
+    g0 = BoundaryField(mesh, 0.01 * np.sin(mesh.centroids))
+    reads_trace = {S.DIRICHLET: np.ones(mesh.n_panels, dtype=bool),
+                   S.NEUMANN: np.zeros(mesh.n_panels, dtype=bool),
+                   S.MIXED: labeling.dirichlet_mask}[kind]
     spec = S.BVPSpec(kind=kind, params=PARAMS, mesh=mesh, forcing=forcing,
                      grid=grid, flux_tol=1.0,
-                     dirichlet_data=datum if dirichlet else None,
-                     neumann_data=None if dirichlet else datum)
+                     labeling=labeling if kind == S.MIXED else None,
+                     dirichlet_data=None if kind == S.NEUMANN else h0,
+                     neumann_data=None if kind == S.DIRICHLET else g0)
     trace, traction = P.newtonian_boundary_data(grid, forcing, mesh, PARAMS)
-    calls = []
+    expected = np.where(reads_trace[:, None], h0.values - trace.values,
+                        g0.values - traction.values)
+    panels = {"velocity": [], "traction": []}
+    sums = S._newtonian_sums
 
-    def counted(name, function):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return function(*args, **kwargs)
-        return wrapper
+    def recorded(grid, forcing, points, params, kinds, normals=None):
+        for name in kinds:
+            panels[name] += [int(np.flatnonzero(
+                (mesh.centroids == p).all(axis=1))[0]) for p in points]
+        return sums(grid, forcing, points, params, kinds, normals)
 
-    monkeypatch.setattr(S, "newtonian_velocity",
-                        counted("trace", S.newtonian_velocity))
-    monkeypatch.setattr(S, "_newtonian_traction",
-                        counted("traction", S._newtonian_traction))
-    h0, g0 = S._boundary_data(spec)
-    if dirichlet:
-        assert g0 is None
-        assert (h0.values.tobytes()
-                == (datum.values - trace.values).tobytes())
-    else:
-        assert h0 is None
-        assert (g0.values.tobytes()
-                == (datum.values - traction.values).tobytes())
+    monkeypatch.setattr(S, "_newtonian_sums", recorded)
+    assert S._rhs(spec).tobytes() == expected.tobytes()
     S._solve(spec, ws)
-    assert calls == 2 * ["trace" if dirichlet else "traction"]
+    assert panels["velocity"] == 2 * list(np.flatnonzero(reads_trace))
+    assert panels["traction"] == 2 * list(np.flatnonzero(~reads_trace))
+    if kind == S.MIXED:
+        assert (len(panels["velocity"]), len(panels["traction"])) == (80, 16)
 
 
 # ------------------------------------------------------------------ evaluation
