@@ -23,6 +23,10 @@ class InvalidLabeling(BBEMError):
     required."""
 
 
+class NoInteriorProbes(BBEMError):
+    """None of the pressure-anchor probes lies inside the mesh, clear of it."""
+
+
 class InvalidSource(BBEMError):
     """Manufactured-solution source point inside or too close to the
     domain."""

@@ -40,7 +40,10 @@ kernels cancels catastrophically as r -> 0, while the subtracted profiles
 below are regular there (G^alpha - G^0 tends to -(sqrt(alpha)/(6 pi)) I).
 
 All functions broadcast over leading axes; displacement arguments have shape
-(..., 3) and alpha is a scalar.
+(..., 3) and alpha is a scalar.  Each evaluator call forms one exp(-z) and
+one expm1(-z) for all the profiles it needs and adds its terms in place into
+one preallocated output; G writes its six distinct products once and mirrors
+them, so it is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -104,91 +107,103 @@ class BrinkmanParams:
 
 
 def _polyval(z, coef):
-    return np.polynomial.polynomial.polyval(z, np.asarray(coef, dtype=float))
+    """Horner's rule in place: numpy's polyval recurrence, bit for bit."""
+    out = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        out *= z
+        out += c
+    return out
 
 
-def _check_z(z):
+# A radial profile is (cutoff, Taylor coefficients, closed form); the closed
+# form takes s and the shared e^{-s}, e^{-s} - 1 and s^2.  b1, b3, e1 and e2
+# divide the closed forms of a1, a2, d1 and d2, less their z = 0 values, by s^k.
+_A1 = (_Z_SMALL, np.array(_A1_COEF),
+       lambda s, em, ex, s2: em * (1.0 + 1.0 / s) + ex / s2)
+_A2 = (_Z_SMALL, np.array(_A2_COEF),
+       lambda s, em, ex, s2: -em * (1.0 + 3.0 / s) - 3.0 * ex / s2)
+_D1 = (_Z_SERIES, np.array(_D1_COEF),
+       lambda s, em, ex, s2: -3.0 * ex / s2 - em * (s + 2.0 + 3.0 / s))
+_D2 = (_Z_SERIES, np.array(_D2_COEF),
+       lambda s, em, ex, s2: 15.0 * ex / s2 + em * (s + 6.0 + 15.0 / s))
+_B1 = (_Z_SERIES, np.array(_B1_COEF),
+       lambda s, em, ex, s2: (_A1[2](s, em, ex, s2) - 0.5) / s)
+_B3 = (_Z_SERIES, np.array(_B3_COEF),
+       lambda s, em, ex, s2: (_A2[2](s, em, ex, s2) - 0.5) / s2)
+_E1 = (_Z_SERIES, np.array(_E1_COEF),
+       lambda s, em, ex, s2: (_D1[2](s, em, ex, s2) + 0.5) / s2)
+_E2 = (_Z_SERIES, np.array(_E2_COEF),
+       lambda s, em, ex, s2: (_D2[2](s, em, ex, s2) + 1.5) / s2)
+
+
+def _profile_pass(z, *profiles):
+    """The profiles at z (an array) in one pass: closed forms from one
+    exp(-s) and one expm1(-s) shared by all of them at s = max(z, smallest
+    cutoff), so no 1/0 is formed, then each one's Taylor series below its
+    cutoff."""
+    s = np.maximum(z, min(cutoff for cutoff, _, _ in profiles))
+    shared = (s, np.exp(-s), np.expm1(-s), s ** 2)
+    values = []
+    for cutoff, coef, form in profiles:
+        out = np.asarray(form(*shared))
+        series = z < cutoff
+        if series.any():
+            out[series] = _polyval(z[series], coef)
+        values.append(out)
+    return values
+
+
+def _kernel_profiles(alpha, r, *profiles):
+    """The profiles at z = sqrt(alpha) r; at alpha = 0 their Stokes values,
+    the constant Taylor terms, with no z formed."""
+    if alpha == 0.0:
+        return [coef[0] for _, coef, _ in profiles]
+    return _profile_pass(np.sqrt(alpha) * r, *profiles)
+
+
+def _public_profile(z, profile):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)) or np.any(z < 0.0):
         raise ValueError("profile argument z must be finite and >= 0")
-    return z
-
-
-def _branched(z, cutoff, series_coef, closed_form):
-    """Evaluate a radial profile: Taylor series below cutoff, closed form above."""
-    small = z < cutoff
-    out = np.empty_like(z)
-    if np.any(small):
-        out[small] = _polyval(z[small], series_coef)
-    if np.any(~small):
-        out[~small] = closed_form(z[~small])
-    return out
+    out = _profile_pass(np.atleast_1d(z), profile)[0]
+    return out[0] if z.ndim == 0 else out
 
 
 def a1(z):
     """Radial profile A1(z) = e^{-z}(1 + 1/z + 1/z^2) - 1/z^2; A1(0+) = 1/2."""
-    z = _check_z(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = _branched(z, _Z_SMALL, _A1_COEF,
-                    lambda s: np.exp(-s) * (1.0 + 1.0 / s) + np.expm1(-s) / s ** 2)
-    return out[0] if scalar else out
+    return _public_profile(z, _A1)
 
 
 def a2(z):
     """Radial profile A2(z) = 3/z^2 - e^{-z}(1 + 3/z + 3/z^2); A2(0+) = 1/2."""
-    z = _check_z(z)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = _branched(z, _Z_SMALL, _A2_COEF,
-                    lambda s: -np.exp(-s) * (1.0 + 3.0 / s) - 3.0 * np.expm1(-s) / s ** 2)
-    return out[0] if scalar else out
+    return _public_profile(z, _A2)
 
 
 def _d1(z):
     """z A1'(z) - A1(z); equals -1/2 at z = 0 (Stokes value)."""
-    return _branched(z, _Z_SERIES, _D1_COEF,
-                     lambda s: -3.0 * np.expm1(-s) / s ** 2 - np.exp(-s) * (s + 2.0 + 3.0 / s))
+    return _profile_pass(z, _D1)[0]
 
 
 def _d2(z):
     """z A2'(z) - 3 A2(z); equals -3/2 at z = 0 (Stokes value)."""
-    return _branched(z, _Z_SERIES, _D2_COEF,
-                     lambda s: 15.0 * np.expm1(-s) / s ** 2 + np.exp(-s) * (s + 6.0 + 15.0 / s))
+    return _profile_pass(z, _D2)[0]
 
 
 def _b1(z):
     """(A1(z) - 1/2)/z; equals -2/3 at z = 0."""
-    def closed(s):
-        return (np.exp(-s) * (1.0 + 1.0 / s) + np.expm1(-s) / s ** 2 - 0.5) / s
-    return _branched(z, _Z_SERIES, _B1_COEF, closed)
-
-
-def _difference_profiles(z):
-    """(e1, e2, b3) at z, equal to 3/8, 1/8 and -1/8 at z = 0; the three
-    closed forms share one exp(-z) and one expm1(-z)."""
-    small = z < _Z_SERIES
-    s = z[~small]
-    em, ex, s2 = np.exp(-s), np.expm1(-s), s ** 2
-    closed = ((-3.0 * ex / s2 - em * (s + 2.0 + 3.0 / s) + 0.5) / s2,
-              (15.0 * ex / s2 + em * (s + 6.0 + 15.0 / s) + 1.5) / s2,
-              (-em * (1.0 + 3.0 / s) - 3.0 * ex / s2 - 0.5) / s2)
-    profiles = [np.empty_like(z) for _ in closed]
-    for profile, coef, values in zip(profiles, (_E1_COEF, _E2_COEF, _B3_COEF), closed):
-        profile[small], profile[~small] = _polyval(z[small], coef), values
-    return profiles
+    return _profile_pass(z, _B1)[0]
 
 
 def _b3(z):
-    return _difference_profiles(z)[2]
+    return _profile_pass(z, _B3)[0]
 
 
 def _e1(z):
-    return _difference_profiles(z)[0]
+    return _profile_pass(z, _E1)[0]
 
 
 def _e2(z):
-    return _difference_profiles(z)[1]
+    return _profile_pass(z, _E2)[0]
 
 
 def _check_alpha(alpha):
@@ -202,46 +217,63 @@ def _radial(x, require_nonzero=True):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValueError("displacement arguments must have shape (..., 3)")
-    r = np.linalg.norm(x, axis=-1)
+    # np.linalg.norm's sum in its order, without its length-3 axis reduction
+    r = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
     if require_nonzero and np.any(r == 0.0):
         raise ValueError("kernel evaluated at a coincident point (|x| = 0)")
     return x, r
 
 
 def _contraction_geometry(x, y, normal, require_nonzero=True):
-    """r = |x - y|, the broadcast normal n, xh = (x - y)/r (0 at r = 0) and
-    xh.n, shared by the normal-contracted stress kernels."""
+    """r = |x - y| and, components first (shape (3, ...)), the broadcast
+    normal n and xh = (x - y)/r (0 at r = 0), with xh.n; shared by the
+    normal-contracted stress kernels."""
     d, r = _radial(np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
                    require_nonzero)
-    n = np.broadcast_to(np.asarray(normal, dtype=float), d.shape)
-    xh = d / np.where(r == 0.0, 1.0, r)[..., None]
-    return r, n, xh, np.sum(xh * n, axis=-1)
+    n, xh = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
+             (np.broadcast_to(np.asarray(normal, dtype=float), d.shape), d))
+    xh /= np.where(r == 0.0, 1.0, r)
+    return r, n, xh, xh[0] * n[0] + xh[1] * n[1] + xh[2] * n[2]
 
 
-def _mirror_upper(m):
-    """Copy the upper triangle of (..., 3, 3) matrices onto the lower one.
+def _contracted(outers, diag, scale, out, transpose=False):
+    """scale [u1 v1^T + diag I + u2 v2^T + ...] over the (u, v) pairs in
+    outers, or its transpose, into out (3, 3, ...), components first: the
+    terms of a normal-contracted stress kernel, added in place in this order
+    (which fixes the rounding)."""
+    if transpose:
+        outers = [(v, u) for u, v in outers]
+    np.multiply(outers[0][0][:, None], outers[0][1][None, :], out=out)
+    for k in range(3):
+        out[k, k] += diag
+    for u, v in outers[1:]:
+        out += u[:, None] * v[None, :]
+    out *= scale
+    return out
 
-    s·x̂_i·x̂_j rounds differently from s·x̂_j·x̂_i, so a symmetric tensor
-    built that way is symmetric only to rounding (and not even to a relative
-    1e-13 once a component is subnormal); mirroring makes it exact.
-    """
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        m[..., j, i] = m[..., i, j]
-    return m
+
+def _symmetric_outer(g, x, r, diag):
+    """g u u^T + diag I, u = x/r, as a new (..., 3, 3) array.  Each of the six
+    distinct products g u_i u_j is written once and copied to its mirror, so
+    the result is exactly symmetric (g u_j u_i would round differently)."""
+    u = [x[..., i] / r for i in range(3)]
+    out = np.empty(x.shape + (3,))
+    for i in range(3):
+        gu = g * u[i]
+        for j in range(i, 3):
+            np.multiply(gu, u[j], out=out[..., i, j])
+            out[..., j, i] = out[..., i, j]
+        out[..., i, i] += diag
+    return out
 
 
 def brinkman_velocity_tensor(x, alpha):
     """Fundamental velocity tensor G(x) of the Brinkman system, shape (..., 3, 3)."""
     alpha = _check_alpha(alpha)
     x, r = _radial(x)
-    z = np.sqrt(alpha) * r
-    f1 = a1(z) / (FOUR_PI * r)
-    f2 = a2(z) / (FOUR_PI * r)
-    xhat = x / r[..., None]
-    eye = np.eye(3)
-    return _mirror_upper(f1[..., None, None] * eye
-                         + f2[..., None, None] * xhat[..., :, None]
-                         * xhat[..., None, :])
+    p1, p2 = _kernel_profiles(alpha, r, _A1, _A2)
+    rf = FOUR_PI * r
+    return _symmetric_outer(p2 / rf, x, r, p1 / rf)
 
 
 def stokeslet(x):
@@ -259,10 +291,7 @@ def brinkman_velocity_gradient(x, alpha):
     """Analytic gradient dG_{jk}/dx_l, returned with shape (..., 3, 3, 3) = [j, k, l]."""
     alpha = _check_alpha(alpha)
     x, r = _radial(x)
-    z = np.sqrt(alpha) * r
-    d1 = _d1(z)
-    d2 = _d2(z)
-    f2 = a2(z)
+    d1, d2, f2 = _kernel_profiles(alpha, r, _D1, _D2, _A2)
     pref = 1.0 / (FOUR_PI * r ** 2)
     xh = x / r[..., None]
     eye = np.eye(3)
@@ -300,18 +329,14 @@ def traction_kernel(x, y, normal, alpha):
     """
     alpha = _check_alpha(alpha)
     r, n, xh, xn = _contraction_geometry(x, y, normal)
-    z = np.sqrt(alpha) * r
-    d1 = _d1(z)
-    d2 = _d2(z)
-    f2 = a2(z)
+    d1, d2, f2 = _kernel_profiles(alpha, r, _D1, _D2, _A2)
     pref = 1.0 / (FOUR_PI * r ** 2)
-    eye = np.eye(3)
-    out = (eye * ((d1 + f2) * xn)[..., None, None]
-           - n[..., :, None] * xh[..., None, :]                 # -Pi_j nu_i ...
-           + 2.0 * f2[..., None, None] * n[..., :, None] * xh[..., None, :]
-           + (f2 + d1)[..., None, None] * n[..., None, :] * xh[..., :, None]
-           + 2.0 * (d2 * xn)[..., None, None] * xh[..., :, None] * xh[..., None, :])
-    return pref[..., None, None] * out
+    # pref [-n xh^T + (d1 + f2) xn I + 2 f2 n xh^T + (f2 + d1) xh n^T
+    #       + 2 d2 xn xh xh^T]; -Pi_j nu_i is the first term
+    outers = ((-n, xh), (2.0 * f2 * n, xh), (xh, (f2 + d1) * n),
+              (2.0 * (d2 * xn) * xh, xh))
+    out = _contracted(outers, (d1 + f2) * xn, pref, np.empty((3, 3) + r.shape))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 def brinkman_pressure_tensor(x, y, alpha):
@@ -340,22 +365,17 @@ def velocity_difference(x, alpha):
     """
     alpha = _check_alpha(alpha)
     x, r = _radial(x, require_nonzero=False)
-    z = np.sqrt(alpha) * r
-    eye = np.eye(3)
-    iso = (np.sqrt(alpha) / FOUR_PI) * _b1(z)
-    rad = (alpha / FOUR_PI) * r * _b3(z)
+    b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
     rsafe = np.where(r == 0.0, 1.0, r)
-    xh = x / rsafe[..., None]
-    return _mirror_upper(iso[..., None, None] * eye
-                         + rad[..., None, None] * xh[..., :, None]
-                         * xh[..., None, :])
+    return _symmetric_outer((alpha / FOUR_PI) * r * b3, x, rsafe,
+                            (np.sqrt(alpha) / FOUR_PI) * b1)
 
 
 def velocity_difference_gradient(x, alpha):
     """Analytic gradient d_l (G^alpha - G^0)_{jk}; bounded (O(alpha)) as r -> 0."""
     alpha = _check_alpha(alpha)
     x, r = _radial(x, require_nonzero=False)
-    e1, e2, b3 = _difference_profiles(np.sqrt(alpha) * r)
+    e1, e2, b3 = _profile_pass(np.sqrt(alpha) * r, _E1, _E2, _B3)
     rsafe = np.where(r == 0.0, 1.0, r)
     xh = x / rsafe[..., None]
     eye = np.eye(3)
@@ -382,19 +402,11 @@ def stress_difference(x, y, alpha):
 
 def _difference_normal(xh, xn, n, z, alpha, out, transpose=False):
     """(alpha/4pi) [(e1 + b3) xn I + 2 b3 n xh^T + (b3 + e1) xh n^T + 2 e2 xn
-    xh xh^T] (or its transpose) into out (3, 3, ...), term by term."""
-    e1, e2, b3 = _difference_profiles(z)
-    xh, n = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in (xh, n))
-    outers = ((2.0 * b3 * n, xh), (xh, (b3 + e1) * n), ((2.0 * (e2 * xn)) * xh, xh))
-    if transpose:
-        outers = [(v, u) for u, v in outers]
-    np.multiply(outers[0][0][:, None], outers[0][1][None, :], out=out)
-    for k in range(3):
-        out[k, k] += (e1 + b3) * xn
-    for u, v in outers[1:]:
-        out += u[:, None] * v[None, :]
-    out *= alpha / FOUR_PI
-    return out
+    xh xh^T] (or its transpose) into out (3, 3, ...)."""
+    e1, e2, b3 = _profile_pass(z, _E1, _E2, _B3)
+    outers = ((2.0 * b3 * n, xh), (xh, (b3 + e1) * n),
+              (2.0 * (e2 * xn) * xh, xh))
+    return _contracted(outers, (e1 + b3) * xn, alpha / FOUR_PI, out, transpose)
 
 
 def stress_difference_normal(x, y, normal, alpha):
@@ -418,9 +430,8 @@ def double_layer_parts(y, x, normal, alpha):
     alpha = _check_alpha(alpha)
     r, n, xh, xn = _contraction_geometry(y, x, normal)
     parts = np.empty((2 if alpha > 0.0 else 1, 3, 3) + r.shape)
-    xh_first = np.ascontiguousarray(np.moveaxis(xh, -1, 0))
-    np.multiply(((-3.0 * xn / (FOUR_PI * r ** 2)) * xh_first)[:, None],
-                xh_first[None, :], out=parts[0])
+    np.multiply(((-3.0 * xn / (FOUR_PI * r ** 2)) * xh)[:, None],
+                xh[None, :], out=parts[0])
     if alpha > 0.0:
         _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha, parts[1],
                            transpose=True)

@@ -38,6 +38,7 @@ from .errors import (
     FluxIncompatible,
     IllConditioned,
     InvalidLabeling,
+    NoInteriorProbes,
     UnsupportedParameter,
 )
 from .geometry import (
@@ -312,7 +313,8 @@ def _pressure_probe_points(mesh):
     clear = _near_search(mesh, probes)[4] > margin
     kept = probes[inside & clear]
     if len(kept) == 0:
-        raise ValueError("no interior pressure probes found for this mesh")
+        raise NoInteriorProbes("none of the pressure probes around the vertex "
+                               "mean lies inside this mesh, clear of it")
     return kept
 
 

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from bbem.errors import InvalidSource
+from bbem.errors import BBEMError, InvalidSource, NoInteriorProbes
 from bbem.geometry import build_cube, build_icosphere, winding_number
 from bbem.kernels import BrinkmanParams, stokeslet
 from bbem.solvers import SolverWorkspace
@@ -517,6 +517,20 @@ def test_cli_solve_bad_config_names_the_key(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     assert "'alpha'" in capsys.readouterr().err
+
+
+def test_cli_solve_reports_missing_pressure_probes(tmp_path, capsys,
+                                                   monkeypatch):
+    # no probe counts as inside: the pressure anchor raises a named
+    # BBEMError, which the CLI reports as a numerical failure
+    monkeypatch.setattr(S, "winding_number",
+                        lambda mesh, points: np.zeros(len(points)))
+    code = cli.main(["solve", "--config", _write_config(tmp_path, RUN),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "pressure probes" in err
+    assert issubclass(NoInteriorProbes, BBEMError)
 
 
 def test_cli_converge_prints_and_writes_csv(tmp_path, capsys):

@@ -67,6 +67,16 @@ def test_profiles_match_high_precision(name, fn):
         assert v == pytest.approx(ref, rel=2.0e-10), f"{name}({z})"
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "D1", "D2", "B1", "B3", "E1", "E2"])
+def test_polyval_is_numpy_polyval_bit_for_bit(name):
+    # the in-place Horner loop keeps numpy's recurrence, so the series
+    # values of every profile are numpy's to the bit
+    coef = getattr(kernels, f"_{name}")[1]
+    z = np.concatenate([[0.0], np.geomspace(1.0e-12, 1.0, 300)])
+    np.testing.assert_array_equal(kernels._polyval(z, coef),
+                                  np.polynomial.polynomial.polyval(z, coef))
+
+
 # ----------------------------------------------------- velocity and pressure
 
 def test_velocity_tensor_frozen_values():
@@ -120,9 +130,71 @@ def test_velocity_symmetry_and_evenness(xs, alpha):
     if np.linalg.norm(x) < 1.0e-3:
         return
     g = kernels.brinkman_velocity_tensor(x, alpha)
-    np.testing.assert_allclose(g, g.T, rtol=1.0e-13)
+    np.testing.assert_array_equal(g, g.T)
     np.testing.assert_allclose(g, kernels.brinkman_velocity_tensor(-x, alpha),
                                rtol=1.0e-13)
+
+
+# z = sqrt(alpha) r on both sides of the 1e-4 and 0.5 profile cutoffs
+PINNED_Z = np.array([3.0e-5, 0.9e-4, 1.1e-4, 4.0e-4, 0.05, 0.3, 0.49, 0.51,
+                     0.8, 2.0, 5.0, 12.0])
+
+
+def hand_kernels(d, n, alpha):
+    """G(d) and the traction kernel T(y + d, y, n) assembled from the Bessel
+    profiles, with d1 = A2 - (1 + z) e^{-z} and d2 = (1 + z) e^{-z} - 5 A2;
+    at alpha = 0 from the Stokes constants A1 = A2 = 1/2, (1 + z) e^{-z} = 1."""
+    r = np.linalg.norm(d, axis=-1)
+    if alpha == 0.0:
+        p1 = p2 = np.full_like(r, 0.5)
+        decay = np.ones_like(r)
+    else:
+        z = np.sqrt(alpha) * r
+        p1, p2, decay = bessel_a1(z), bessel_a2(z), (1.0 + z) * np.exp(-z)
+    d1, d2 = p2 - decay, decay - 5.0 * p2
+    xh = d / r[..., None]
+    xn = np.sum(xh * n, axis=-1)
+    eye = np.eye(3)
+    outer = xh[..., :, None] * xh[..., None, :]
+    g = p1[..., None, None] * eye + p2[..., None, None] * outer
+    t = (((d1 + p2) * xn)[..., None, None] * eye
+         + (2.0 * p2 - 1.0)[..., None, None] * n[..., :, None] * xh[..., None, :]
+         + (p2 + d1)[..., None, None] * xh[..., :, None] * n[..., None, :]
+         + (2.0 * d2 * xn)[..., None, None] * outer)
+    return (g / (4 * np.pi * r)[..., None, None],
+            t / (4 * np.pi * r ** 2)[..., None, None])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0, 4.0])
+@pytest.mark.parametrize("lead", [(), (12,), (2, 3, 2)])
+def test_kernels_match_hand_assembled_bessel_tensors(alpha, lead):
+    # one point per call for a (3,) argument, all twelve at once otherwise;
+    # (a, b, c, 3) is the shape of the Newtonian lattice
+    g = rng(13)
+    d = g.normal(size=(12, 3))
+    r = PINNED_Z / np.sqrt(alpha) if alpha > 0.0 else PINNED_Z
+    d *= (r / np.linalg.norm(d, axis=1))[:, None]
+    y = g.normal(size=(12, 3))
+    d = (y + d) - y  # the displacement the traction kernel sees, exactly
+    n = g.normal(size=(12, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    if lead:
+        shape = lead + (3,)
+        got = (kernels.brinkman_velocity_tensor(d.reshape(shape), alpha),
+               kernels.traction_kernel((y + d).reshape(shape), y.reshape(shape),
+                                       n.reshape(shape), alpha))
+        got = [k.reshape(12, 3, 3) for k in got]
+    else:
+        got = [np.array([kernel(*args, alpha) for args in zip(*points)])
+               for kernel, points in (
+                   (kernels.brinkman_velocity_tensor, (d,)),
+                   (kernels.traction_kernel, (y + d, y, n)))]
+    # the Bessel forms of A1, A2 cancel like 1/z^2 at small z
+    tol = 1.0e-14 + (4.0e-15 / PINNED_Z ** 2 if alpha > 0.0 else 0.0)
+    for value, expected in zip(got, hand_kernels(d, n, alpha)):
+        error = (np.abs(value - expected).max(axis=(1, 2))
+                 / np.abs(expected).max(axis=(1, 2)))
+        assert np.all(error <= tol)
 
 
 @settings(max_examples=50, deadline=None)
