@@ -80,6 +80,7 @@ from .kernels import (
     stress_difference_normal,
     traction_kernel,
     velocity_difference,
+    _radial,
 )
 
 _CHUNK_ROWS = 8
@@ -290,14 +291,15 @@ def _near_search(mesh, points, skip=None):
     ascending panels and without skip[t] (-1 for none), and each target's
     distance to its candidate panels (inf when none), which is exact
     whenever it matters: other panels are farther than every cutoff."""
-    centroid_dist = np.linalg.norm(mesh.centroids - points[:, None, :], axis=2)
+    centroid_dist = _radial(mesh.centroids - points[:, None, :],
+                            require_nonzero=False)[1]
     # centroid-to-farthest-corner is at most one diameter, so this is safe
     mask = centroid_dist < (_NEAR_FACTOR + 1.0) * mesh.diameters
     if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
         mask[np.arange(len(points)), skip] &= np.asarray(skip) < 0
     rows, panels = np.nonzero(mask)
     closest = _closest_points_on_panels(mesh.panel_corners[panels], points[rows])
-    dist = np.linalg.norm(points[rows] - closest, axis=1)
+    dist = _radial(points[rows] - closest, require_nonzero=False)[1]
     min_dist = np.full(len(points), np.inf)
     np.minimum.at(min_dist, rows, dist)
     keep = dist < _NEAR_FACTOR * mesh.diameters[panels]
@@ -637,7 +639,7 @@ def _newtonian_sums(grid, forcing, points, params, kinds, normals=None):
 
     def worker(start, stop):
         diff = points[start:stop, None, :] - grid.centers[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
+        dist = _radial(diff, require_nonzero=False)[1]
         self_mask = dist < 1.0e-9 * grid.spacing
         safe = np.where(self_mask[:, :, None], 1.0, diff)
         for kind, out in zip(kinds, outs):

@@ -21,15 +21,16 @@ projected onto the zero-flux subspace, and an operator with estimated
 Pressures are defined up to a constant; each solve fixes the constant to
 give zero mean over a deterministic interior probe set (domain anchor plus
 six axis offsets), stores it on the handle, and evaluation subtracts it.
-The workspace builds the probe set, and the pressure rows there of each
-layer kind, once.
+The workspace builds the probe set once, and each point set's evaluation
+rows (probe pressures, grid velocities, evaluate_solution's fields) once,
+in one row store that every handle it solves carries.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -60,7 +61,6 @@ from .potentials import (
     eval_double_layer,
     eval_single_layer,
     newtonian_pressure,
-    _eval_layers,
     _layer_rows,
     _near_search,
     _newtonian_sums,
@@ -141,6 +141,8 @@ class SolutionHandle:
     layer_tag: str | None = None
     forcing: VolumeField | None = None
     grid: VolumeGrid | None = None
+    row_store: _RowStore | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,27 @@ class SolveReport:
         }, sort_keys=True)
 
 
+class _RowStore:
+    """Read-only layer-evaluation rows of one mesh, quadrature and α: each
+    kinds tuple keeps the rows of its most recent point set, keyed on the
+    points' shape and bytes, since callers may edit a point array in place."""
+
+    def __init__(self, mesh, quadrature, params):
+        self.mesh, self.quadrature, self.params = mesh, quadrature, params
+        self._entries = {}
+
+    def rows(self, points, kinds):
+        key = (points.shape, points.tobytes())
+        entry = self._entries.get(kinds)
+        if entry is None or entry[0] != key:
+            rows = _layer_rows(self.mesh, self.quadrature, self.params,
+                               points, kinds)
+            for array in rows:
+                array.setflags(write=False)
+            entry = self._entries[kinds] = (key, rows)
+        return entry[1]
+
+
 class SolverWorkspace:
     """Lazily assembled operators for one mesh, α and quadrature order.
 
@@ -201,9 +224,8 @@ class SolverWorkspace:
         self._mixed_lu = {}
         self._neumann_lu = None
         self._dirichlet_lu = None
-        self._grid_rows = {}
         self._probes = None
-        self._anchor_rows = {}
+        self.row_store = _RowStore(mesh, self.quadrature, params)
 
     def matches(self, mesh, params, quadrature_order):
         return (mesh is self.mesh and params.alpha == self.params.alpha
@@ -266,29 +288,15 @@ class SolverWorkspace:
 
     def grid_velocity_rows(self, grid):
         """Single-layer velocity evaluation rows at the grid cell centers,
-        shape (n_cells, 3, 3N).  The cache entry keeps a reference to the
-        grid so the id key stays valid for its lifetime."""
-        cached = self._grid_rows.get(id(grid))
-        if cached is None or cached[0] is not grid:
-            rows, = _layer_rows(self.mesh, self.quadrature, self.params,
-                                grid.centers, ("V",))
-            rows.setflags(write=False)
-            cached = (grid, rows)
-            self._grid_rows[id(grid)] = cached
-        return cached[1]
+        shape (n_cells, 3, 3N), from the row store."""
+        return self.row_store.rows(grid.centers, ("V",))[0]
 
     def pressure_anchor(self, kind):
-        """The interior pressure probes and the "Qs" or "Qd" evaluation
-        rows there, shape (probes, 3N), built on first use."""
+        """The interior pressure probes, searched once, and the "Qs" or "Qd"
+        rows there, shape (probes, 3N), from the row store."""
         if self._probes is None:
             self._probes = _pressure_probe_points(self.mesh)
-        rows = self._anchor_rows.get(kind)
-        if rows is None:
-            rows, = _layer_rows(self.mesh, self.quadrature, self.params,
-                                self._probes, (kind,))
-            rows.setflags(write=False)
-            self._anchor_rows[kind] = rows
-        return self._probes, rows
+        return self._probes, self.row_store.rows(self._probes, (kind,))[0]
 
 
 def _workspace_for(mesh, params, quadrature_order, workspace):
@@ -407,7 +415,8 @@ def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
                             quadrature_order=spec.quadrature_order,
                             pressure_constant=constant,
                             layer_tag=tag if forced else None,
-                            forcing=spec.forcing, grid=spec.grid)
+                            forcing=spec.forcing, grid=spec.grid,
+                            row_store=ws.row_store)
     report = SolveReport(kind=spec.kind, alpha=spec.params.alpha,
                          residual_l2=residual_l2, sigma_min=sigma[0],
                          sigma_max=sigma[1], pressure_constant=constant,
@@ -538,14 +547,27 @@ def solve_poisson(spec, workspace=None):
 # ---------------------------------------------------------------- evaluation
 
 def evaluate_solution(handle, points):
-    """Velocity and pressure of a solved representation at interior points."""
+    """Velocity and pressure of a solved representation at interior points.
+
+    The layer rows come from the handle's row store (a hand-built handle
+    gets a fresh one), so a repeated point set is integrated once."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"evaluation points must have shape (P, 3), got "
+                         f"{points.shape}")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValueError(f"evaluation point {bad[0]} is not finite: "
+                         f"{points[bad[0]]}")
     mesh = handle.density.mesh
-    quadrature = panel_quadrature(mesh, handle.quadrature_order)
+    store = handle.row_store or _RowStore(
+        mesh, panel_quadrature(mesh, handle.quadrature_order), handle.params)
     layer = handle.layer_tag if handle.tag == WITH_NEWTONIAN else handle.tag
     kinds = ("W", "Qd") if layer == DOUBLE_LAYER else ("V", "Qs")
-    velocity, pressure = _eval_layers(mesh, handle.density.values, points,
-                                      handle.params, kinds, quadrature)
+    flat = handle.density.values.reshape(-1)
+    velocity, pressure = (np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
+                          else rows @ flat
+                          for rows in store.rows(points, kinds))
     if handle.tag == WITH_NEWTONIAN:
         newtonian = _newtonian_sums(handle.grid, handle.forcing, points,
                                     handle.params, ("velocity", "pressure"))

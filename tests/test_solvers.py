@@ -6,7 +6,9 @@ composition identity, forced solves with the Newtonian shift, and report
 determinism."""
 
 import functools
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -723,6 +725,22 @@ def test_evaluate_rejects_boundary_point(sphere_coarse):
         S.evaluate_solution(handle, mesh.centroids[0])
 
 
+def test_evaluate_rejects_points_of_wrong_shape(sphere_coarse):
+    mesh, ws = sphere_coarse
+    handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
+    with pytest.raises(ValueError, match=r"shape \(P, 3\), got \(4, 2\)"):
+        S.evaluate_solution(handle, np.zeros((4, 2)))
+
+
+def test_evaluate_rejects_non_finite_points(sphere_coarse):
+    mesh, ws = sphere_coarse
+    handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
+    points = INTERIOR.copy()
+    points[2, 1] = np.nan
+    with pytest.raises(ValueError, match="point 2 is not finite"):
+        S.evaluate_solution(handle, points)
+
+
 def test_pressure_constant_zero_probe_mean(sphere_fine):
     mesh, ws = sphere_fine
     handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
@@ -734,19 +752,22 @@ def test_pressure_constant_zero_probe_mean(sphere_fine):
 
 def test_pressure_anchor_built_once_per_workspace(cube_mixed, monkeypatch):
     # the probes and their pressure rows depend on the geometry only: two
-    # solves on one workspace search the probes once, and each constant
-    # keeps the bits of the probe mean of the evaluated pressure
+    # solves on one workspace search the probes and build their rows once,
+    # and each constant keeps the bits of the probe mean of the evaluated
+    # pressure
     mesh, labeling, _ = cube_mixed
     ws = S.SolverWorkspace(mesh, PARAMS)
     search = S._pressure_probe_points
     probes = search(mesh)
     calls = []
+    built = []
 
     def counted(m):
         calls.append(m)
         return search(m)
 
     monkeypatch.setattr(S, "_pressure_probe_points", counted)
+    monkeypatch.setattr(S, "_layer_rows", _recording_layer_rows(built))
     for pole in (CUBE_POLE, CUBE_POLE + 0.3):
         spec = S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=mesh,
                          labeling=labeling,
@@ -757,6 +778,63 @@ def test_pressure_anchor_built_once_per_workspace(cube_mixed, monkeypatch):
             mesh, handle.density.values, probes, PARAMS, ws.quadrature)
         assert handle.pressure_constant == float(expected.mean())
     assert len(calls) == 1
+    assert built == [("Qs",)]
+
+
+def _recording_layer_rows(built):
+    """solvers._layer_rows that appends the kinds of each build to built."""
+    layer_rows = S._layer_rows
+
+    def recorded(mesh, quadrature, params, points, kinds):
+        built.append(kinds)
+        return layer_rows(mesh, quadrature, params, points, kinds)
+
+    return recorded
+
+
+def test_evaluation_rows_built_once_per_point_set(cube_mixed, monkeypatch):
+    # a repeated point set is integrated once; a point array edited in
+    # place and alternating point sets give the fields at the points passed,
+    # each kinds tuple keeps one point set, and the rows outlive the
+    # workspace on the handles it solved
+    mesh, labeling, _ = cube_mixed
+    ws = S.SolverWorkspace(mesh, PARAMS)
+    handle, _ = S.solve_mixed(S.BVPSpec(
+        kind=S.MIXED, params=PARAMS, mesh=mesh, labeling=labeling,
+        dirichlet_data=exact_trace(mesh, CUBE_POLE),
+        neumann_data=exact_traction(mesh, CUBE_POLE)), ws)
+    built = []
+    monkeypatch.setattr(S, "_layer_rows", _recording_layer_rows(built))
+    probes, other = 0.5 * INTERIOR, 0.4 * INTERIOR[::-1]
+
+    def check(points):
+        sol = S.evaluate_solution(handle, points)
+        args = (mesh, handle.density.values, points, PARAMS, ws.quadrature)
+        velocity = P.eval_single_layer(*args)
+        pressure = P.eval_single_layer_pressure(*args) - handle.pressure_constant
+        assert sol.velocity.tobytes() == velocity.tobytes()
+        assert sol.pressure.tobytes() == pressure.tobytes()
+        return sol
+
+    for points in (probes, probes, probes):
+        check(points)
+    assert built == [("V", "Qs")]
+    for points in (other, probes, other):
+        check(points)
+    assert built == [("V", "Qs")] * 4
+    probes[1] += 0.05
+    first = check(probes)
+    check(probes)
+    assert built == [("V", "Qs")] * 5
+    assert sorted(ws.row_store._entries) == [("Qs",), ("V", "Qs")]
+
+    alive = weakref.ref(ws)
+    del ws
+    gc.collect()
+    assert alive() is None
+    again = S.evaluate_solution(handle, probes)
+    assert again.velocity.tobytes() == first.velocity.tobytes()
+    assert built == [("V", "Qs")] * 5
 
 
 def _ball_points(count, radius):
@@ -771,8 +849,11 @@ def _ball_points(count, radius):
 def test_evaluate_solution_matches_layer_evaluators(sphere_coarse,
                                                     monkeypatch, threads):
     # velocity and pressure from one near/far split per point keep the
-    # bits of the separate evaluators, for both representations
-    mesh, ws = sphere_coarse
+    # bits of the separate evaluators, for both representations, and a
+    # second evaluation through the workspace's rows keeps them again; a
+    # fresh workspace builds the rows at this thread count
+    mesh, _ = sphere_coarse
+    ws = S.SolverWorkspace(mesh, PARAMS)
     monkeypatch.setenv("BBEM_THREADS", threads)
     points = _ball_points(3 * P._CHUNK_ROWS - 5, 0.6)
     double, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
@@ -780,11 +861,12 @@ def test_evaluate_solution_matches_layer_evaluators(sphere_coarse,
     for handle, velocity, pressure in (
             (double, P.eval_double_layer, P.eval_double_layer_pressure),
             (single, P.eval_single_layer, P.eval_single_layer_pressure)):
-        sol = S.evaluate_solution(handle, points)
         args = (mesh, handle.density.values, points, PARAMS, ws.quadrature)
-        assert sol.velocity.tobytes() == velocity(*args).tobytes()
-        assert sol.pressure.tobytes() == (
-            pressure(*args) - handle.pressure_constant).tobytes()
+        for _ in range(2):
+            sol = S.evaluate_solution(handle, points)
+            assert sol.velocity.tobytes() == velocity(*args).tobytes()
+            assert sol.pressure.tobytes() == (
+                pressure(*args) - handle.pressure_constant).tobytes()
 
 
 def test_solve_is_deterministic(sphere_coarse):
