@@ -390,7 +390,8 @@ def duffy_rule_batch(corners, points, order):
     each fan triangle (P, A, B) carries the tensor-Gauss rule mapped by
     x = P + u (A - P) + u v (B - A), whose Jacobian 2·area·u cancels the 1/r
     singularity at P.  Returns nodes (M, 3), weights (M,) and per-panel node
-    counts (m,); panel k's rule is the k-th run of counts[k] rows.
+    counts (m,); panel k's rule is the k-th run of counts[k] rows.  nodes.T
+    is C-ordered, (3, fans, order²) nodes built along the template.
     """
     corners = np.asarray(corners, dtype=float)
     p = np.asarray(points, dtype=float)
@@ -398,6 +399,12 @@ def duffy_rule_batch(corners, points, order):
         raise ValueError("panel corners must have shape (m, 3, 3)")
     if p.shape != (len(corners), 3):
         raise ValueError("singular points must have shape (m, 3)")
+    for name, a in (("panel corners", corners), ("singular points", p)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or order < 1):
+        raise ValueError(f"order must be a whole number >= 1, got {order!r}")
 
     # the singular point must lie on the panel (plane + barycentric test)
     e1 = corners[:, 1] - corners[:, 0]
@@ -426,12 +433,11 @@ def duffy_rule_batch(corners, points, order):
     sub_area = 0.5 * np.sqrt(_dot3(arm, arm))           # (m, 3)
     keep = ~(sub_area <= 1.0e-14 * two_area[:, None])
     fan_panel = np.nonzero(keep)[0]
-    nodes = (p[fan_panel, None, :]
-             + u_flat[None, :, None] * to_a[keep][:, None, :]
-             + uv_flat[None, :, None] * along[keep][:, None, :])
+    nodes = (p.T[:, fan_panel, None] + u_flat * to_a[keep].T[:, :, None]
+             + uv_flat * along[keep].T[:, :, None])
     weights = wu_flat[None, :] * (2.0 * sub_area[keep])[:, None]
     counts = keep.sum(axis=1) * len(wu_flat)
-    return nodes.reshape(-1, 3), weights.reshape(-1), counts
+    return nodes.reshape(3, -1).T, weights.reshape(-1), counts
 
 
 def duffy_singular_rule(panel_corners, singular_point, order):

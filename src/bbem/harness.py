@@ -42,6 +42,7 @@ from .kernels import (
     brinkman_velocity_tensor,
     pressure_vector,
     traction_kernel,
+    _traction_cf,
 )
 from .potentials import (
     BoundaryField,
@@ -316,8 +317,8 @@ def _sl_traction(mesh, quad, density, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point, with the same
     near-panel upgrade policy as the library evaluators."""
     blocks = _NearFar(mesh, quad, x[None, :]).integrate(
-        0, lambda y, _: traction_kernel(x[None, :], y, nu_x[None, :], alpha))
-    return np.einsum("jib,jb->i", blocks, density)
+        lambda t, y, _: _traction_cf(t - y, nu_x[:, None, None], alpha))
+    return np.einsum("jib,jb->i", blocks[0], density)
 
 
 def jump_battery(mesh, params, seed=SUITE_SEED, n_points=6,

@@ -44,6 +44,11 @@ All functions broadcast over leading axes; displacement arguments have shape
 one expm1(-z) for all the profiles it needs and adds its terms in place into
 one preallocated output; G writes its six distinct products once and mirrors
 them, so it is symmetric by construction.
+
+Layout: kernels are computed components first, each pass along the point
+axes.  The *_cf evaluators take d (3, ...) and normals (3, ...); the
+near/far plan calls them, and each public kernel is one of them with the
+component axes moved last into a new C-ordered array.
 """
 
 from __future__ import annotations
@@ -213,27 +218,33 @@ def _check_alpha(alpha):
     return alpha
 
 
-def _radial(x, require_nonzero=True):
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
-        raise ValueError("displacement arguments must have shape (..., 3)")
-    # np.linalg.norm's sum in its order, without its length-3 axis reduction
-    r = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
+def _radial(d, require_nonzero=True):
+    """|d| for d (3, ...), summed in np.linalg.norm's order."""
+    r = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
     if require_nonzero and np.any(r == 0.0):
         raise ValueError("kernel evaluated at a coincident point (|x| = 0)")
-    return x, r
+    return r
 
 
-def _contraction_geometry(x, y, normal, require_nonzero=True):
-    """r = |x - y| and, components first (shape (3, ...)), the broadcast
-    normal n and xh = (x - y)/r (0 at r = 0), with xh.n; shared by the
-    normal-contracted stress kernels."""
-    d, r = _radial(np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
-                   require_nonzero)
-    n, xh = (np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in
-             (np.broadcast_to(np.asarray(normal, dtype=float), d.shape), d))
-    xh /= np.where(r == 0.0, 1.0, r)
-    return r, n, xh, xh[0] * n[0] + xh[1] * n[1] + xh[2] * n[2]
+def _components_first(*arrays):
+    """(..., 3) arrays, broadcast and checked, as views (3, ...)."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    if arrays[0].shape[-1] != 3:
+        raise ValueError("displacement arguments must have shape (..., 3)")
+    return [np.moveaxis(a, -1, 0) for a in arrays]
+
+
+def _components_last(out, axes=2):
+    """out with its first axes moved last, as a new C-ordered array."""
+    return np.ascontiguousarray(np.moveaxis(out, range(axes), range(-axes, 0)))
+
+
+def _contraction_geometry(d, n, require_nonzero=True):
+    """r = |d|, xh = d/r (0 at r = 0) and xh.n for d = x - y and normal n,
+    components first; shared by the normal-contracted stress kernels."""
+    r = _radial(d, require_nonzero)
+    xh = d / np.where(r == 0.0, 1.0, r)
+    return r, xh, xh[0] * n[0] + xh[1] * n[1] + xh[2] * n[2]
 
 
 def _contracted(outers, diag, scale, out, transpose=False):
@@ -252,28 +263,81 @@ def _contracted(outers, diag, scale, out, transpose=False):
     return out
 
 
-def _symmetric_outer(g, x, r, diag):
-    """g u u^T + diag I, u = x/r, as a new (..., 3, 3) array.  Each of the six
+def _symmetric_outer(g, d, r, diag):
+    """g u u^T + diag I, u = d/r, as a new (3, 3, ...) array.  Each of the six
     distinct products g u_i u_j is written once and copied to its mirror, so
     the result is exactly symmetric (g u_j u_i would round differently)."""
-    u = [x[..., i] / r for i in range(3)]
-    out = np.empty(x.shape + (3,))
+    u = [d[i] / r for i in range(3)]
+    out = np.empty((3, 3) + r.shape)
     for i in range(3):
         gu = g * u[i]
         for j in range(i, 3):
-            np.multiply(gu, u[j], out=out[..., i, j])
-            out[..., j, i] = out[..., i, j]
-        out[..., i, i] += diag
+            np.multiply(gu, u[j], out=out[i, j, ...])
+            out[j, i] = out[i, j]
+        out[i, i] += diag
     return out
+
+
+def _velocity_cf(d, alpha):
+    """G(d) for d = x - y."""
+    alpha = _check_alpha(alpha)
+    r = _radial(d)
+    p1, p2 = _kernel_profiles(alpha, r, _A1, _A2)
+    rf = FOUR_PI * r
+    return _symmetric_outer(p2 / rf, d, r, p1 / rf)
+
+
+def _pressure_cf(d):
+    """Pi(d) for d = x - y."""
+    return d / (FOUR_PI * _radial(d) ** 3)
+
+
+def _traction_cf(d, n, alpha):
+    """T_{ij} = S_{ijl} n_l for d = x - y."""
+    alpha = _check_alpha(alpha)
+    r, xh, xn = _contraction_geometry(d, n)
+    d1, d2, f2 = _kernel_profiles(alpha, r, _D1, _D2, _A2)
+    pref = 1.0 / (FOUR_PI * r ** 2)
+    # pref [-n xh^T + (d1 + f2) xn I + 2 f2 n xh^T + (f2 + d1) xh n^T
+    #       + 2 d2 xn xh xh^T]; -Pi_j nu_i is the first term
+    outers = ((-n, xh), (2.0 * f2 * n, xh), (xh, (f2 + d1) * n),
+              (2.0 * (d2 * xn) * xh, xh))
+    return _contracted(outers, (d1 + f2) * xn, pref, np.empty((3, 3) + r.shape))
+
+
+def _pressure_tensor_cf(d, alpha):
+    """Lambda(x, y) for d = y - x."""
+    alpha = _check_alpha(alpha)
+    r = _radial(d)
+    eye = np.eye(3).reshape((3, 3) + (1,) * r.ndim)
+    return (1.0 / FOUR_PI) * (-6.0 * (d[:, None] * d[None, :]) / r ** 5
+                              + (2.0 / r ** 3 - alpha / r) * eye)
+
+
+def _double_layer_pressure_cf(d, n, alpha):
+    """-Lambda(x, y) n for d = y - x, summed as ((k=0 + k=2) + k=1) + 0.0:
+    the order and signed zero of np.einsum's vector loop, so it equals
+    -np.einsum("...ik,...k->...i", Lambda, n) to the bit."""
+    lam = _pressure_tensor_cf(d, alpha)
+    return -(((lam[:, 0] * n[0] + lam[:, 2] * n[2]) + lam[:, 1] * n[1]) + 0.0)
+
+
+def _double_layer_parts_cf(d, n, alpha):
+    """double_layer_parts for d = y - x as (2 or 1, 3, 3, ...)."""
+    alpha = _check_alpha(alpha)
+    r, xh, xn = _contraction_geometry(d, n)
+    parts = np.empty((2 if alpha > 0.0 else 1, 3, 3) + r.shape)
+    np.multiply(((-3.0 * xn / (FOUR_PI * r ** 2)) * xh)[:, None],
+                xh[None, :], out=parts[0])
+    if alpha > 0.0:
+        _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha, parts[1],
+                           transpose=True)
+    return parts
 
 
 def brinkman_velocity_tensor(x, alpha):
     """Fundamental velocity tensor G(x) of the Brinkman system, shape (..., 3, 3)."""
-    alpha = _check_alpha(alpha)
-    x, r = _radial(x)
-    p1, p2 = _kernel_profiles(alpha, r, _A1, _A2)
-    rf = FOUR_PI * r
-    return _symmetric_outer(p2 / rf, x, r, p1 / rf)
+    return _components_last(_velocity_cf(*_components_first(x), alpha))
 
 
 def stokeslet(x):
@@ -283,24 +347,29 @@ def stokeslet(x):
 
 def pressure_vector(x):
     """Fundamental pressure vector Pi(x) = x/(4 pi |x|^3); independent of alpha."""
-    x, r = _radial(x)
-    return x / (FOUR_PI * r[..., None] ** 3)
+    return _components_last(_pressure_cf(*_components_first(x)), 1)
 
 
 def brinkman_velocity_gradient(x, alpha):
     """Analytic gradient dG_{jk}/dx_l, returned with shape (..., 3, 3, 3) = [j, k, l]."""
     alpha = _check_alpha(alpha)
-    x, r = _radial(x)
+    (d,) = _components_first(x)
+    r = _radial(d)
     d1, d2, f2 = _kernel_profiles(alpha, r, _D1, _D2, _A2)
     pref = 1.0 / (FOUR_PI * r ** 2)
-    xh = x / r[..., None]
+    return pref[..., None, None, None] * _gradient_terms(
+        np.moveaxis(d / r, 0, -1), d1, f2, d2)
+
+
+def _gradient_terms(xh, iso, mix, rad):
+    """iso d_jk xh_l + mix (d_jl xh_k + d_kl xh_j) + rad xh_j xh_k xh_l."""
     eye = np.eye(3)
-    term_iso = eye[..., :, :, None] * xh[..., None, None, :] * d1[..., None, None, None]
+    term_iso = eye[..., :, :, None] * xh[..., None, None, :] * iso[..., None, None, None]
     term_mix = (eye[..., :, None, :] * xh[..., None, :, None]
-                + eye[..., None, :, :] * xh[..., :, None, None]) * f2[..., None, None, None]
+                + eye[..., None, :, :] * xh[..., :, None, None]) * mix[..., None, None, None]
     term_rad = (xh[..., :, None, None] * xh[..., None, :, None]
-                * xh[..., None, None, :] * d2[..., None, None, None])
-    return pref[..., None, None, None] * (term_iso + term_mix + term_rad)
+                * xh[..., None, None, :] * rad[..., None, None, None])
+    return term_iso + term_mix + term_rad
 
 
 def brinkman_stress_tensor(x, y, alpha):
@@ -327,33 +396,19 @@ def traction_kernel(x, y, normal, alpha):
     density contracted on the second index j it is the traction kernel of the
     single-layer (and, up to sign, Newtonian) potential.
     """
-    alpha = _check_alpha(alpha)
-    r, n, xh, xn = _contraction_geometry(x, y, normal)
-    d1, d2, f2 = _kernel_profiles(alpha, r, _D1, _D2, _A2)
-    pref = 1.0 / (FOUR_PI * r ** 2)
-    # pref [-n xh^T + (d1 + f2) xn I + 2 f2 n xh^T + (f2 + d1) xh n^T
-    #       + 2 d2 xn xh xh^T]; -Pi_j nu_i is the first term
-    outers = ((-n, xh), (2.0 * f2 * n, xh), (xh, (f2 + d1) * n),
-              (2.0 * (d2 * xn) * xh, xh))
-    out = _contracted(outers, (d1 + f2) * xn, pref, np.empty((3, 3) + r.shape))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+    return _components_last(_traction_cf(
+        *_components_first(np.subtract(x, y), normal), alpha))
 
 
 def brinkman_pressure_tensor(x, y, alpha):
     """Pressure tensor Lambda_{ik}(x, y) of the double-layer pair, shape (..., 3, 3)."""
-    alpha = _check_alpha(alpha)
-    d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    d, r = _radial(d)
-    eye = np.eye(3)
-    dd = d[..., :, None] * d[..., None, :]
-    return (1.0 / FOUR_PI) * (-6.0 * dd / r[..., None, None] ** 5
-                              + (2.0 / r ** 3 - alpha / r)[..., None, None] * eye)
+    return _components_last(_pressure_tensor_cf(
+        *_components_first(np.subtract(y, x)), alpha))
 
 
 def harmonic_kernel(x):
     """Fundamental solution of the Laplacian in 3D: -1/(4 pi |x|)."""
-    _, r = _radial(x)
-    return -1.0 / (FOUR_PI * r)
+    return -1.0 / (FOUR_PI * _radial(*_components_first(x)))
 
 
 def velocity_difference(x, alpha):
@@ -364,28 +419,22 @@ def velocity_difference(x, alpha):
     which is cancellation-free for all r including r = 0.
     """
     alpha = _check_alpha(alpha)
-    x, r = _radial(x, require_nonzero=False)
+    (d,) = _components_first(x)
+    r = _radial(d, require_nonzero=False)
     b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
     rsafe = np.where(r == 0.0, 1.0, r)
-    return _symmetric_outer((alpha / FOUR_PI) * r * b3, x, rsafe,
-                            (np.sqrt(alpha) / FOUR_PI) * b1)
+    return _components_last(_symmetric_outer(
+        (alpha / FOUR_PI) * r * b3, d, rsafe, (np.sqrt(alpha) / FOUR_PI) * b1))
 
 
 def velocity_difference_gradient(x, alpha):
     """Analytic gradient d_l (G^alpha - G^0)_{jk}; bounded (O(alpha)) as r -> 0."""
     alpha = _check_alpha(alpha)
-    x, r = _radial(x, require_nonzero=False)
+    (d,) = _components_first(x)
+    r = _radial(d, require_nonzero=False)
     e1, e2, b3 = _profile_pass(np.sqrt(alpha) * r, _E1, _E2, _B3)
-    rsafe = np.where(r == 0.0, 1.0, r)
-    xh = x / rsafe[..., None]
-    eye = np.eye(3)
-    pref = alpha / FOUR_PI
-    term_iso = eye[..., :, :, None] * xh[..., None, None, :] * e1[..., None, None, None]
-    term_mix = (eye[..., :, None, :] * xh[..., None, :, None]
-                + eye[..., None, :, :] * xh[..., :, None, None]) * b3[..., None, None, None]
-    term_rad = (xh[..., :, None, None] * xh[..., None, :, None]
-                * xh[..., None, None, :] * e2[..., None, None, None])
-    return pref * (term_iso + term_mix + term_rad)
+    xh = np.moveaxis(d / np.where(r == 0.0, 1.0, r), 0, -1)
+    return (alpha / FOUR_PI) * _gradient_terms(xh, e1, b3, e2)
 
 
 def stress_difference(x, y, alpha):
@@ -416,10 +465,10 @@ def stress_difference_normal(x, y, normal, alpha):
     assembly); 0 is returned at exact coincidence.
     """
     alpha = _check_alpha(alpha)
-    r, n, xh, xn = _contraction_geometry(x, y, normal, require_nonzero=False)
-    out = _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha,
-                             np.empty((3, 3) + r.shape))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+    d, n = _components_first(np.subtract(x, y), normal)
+    r, xh, xn = _contraction_geometry(d, n, require_nonzero=False)
+    return _components_last(_difference_normal(
+        xh, xn, n, np.sqrt(alpha) * r, alpha, np.empty((3, 3) + r.shape)))
 
 
 def double_layer_parts(y, x, normal, alpha):
@@ -427,12 +476,5 @@ def double_layer_parts(y, x, normal, alpha):
     (..., 2, 3, 3), of length 1 on axis -3 at alpha = 0: [0] is the closed
     form T0 of traction_kernel(y, x, normal, 0).swapaxes(-1, -2), [1] is
     stress_difference_normal(y, x, normal, alpha).swapaxes(-1, -2)."""
-    alpha = _check_alpha(alpha)
-    r, n, xh, xn = _contraction_geometry(y, x, normal)
-    parts = np.empty((2 if alpha > 0.0 else 1, 3, 3) + r.shape)
-    np.multiply(((-3.0 * xn / (FOUR_PI * r ** 2)) * xh)[:, None],
-                xh[None, :], out=parts[0])
-    if alpha > 0.0:
-        _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha, parts[1],
-                           transpose=True)
-    return np.moveaxis(parts, (0, 1, 2), (-3, -2, -1))
+    return _components_last(_double_layer_parts_cf(
+        *_components_first(np.subtract(y, x), normal), alpha), 3)

@@ -31,10 +31,10 @@ One near/far plan, _NearFar, is built per chunk and integrates every layer
 kernel at its targets.  Panels within two diameters of a target are near and
 take singular Duffy rules at their closest point, far panels the regular
 rule.  The near search covers all (target, panel) pairs of the chunk at
-once, and each Duffy band is built for the whole chunk in one call.  The
-rules are runs of one target-major node list, so a kernel is evaluated at a
-target in one call on its slice and summed per panel by one np.add.reduceat.
-Self panels keep their analytic or order-12 single-panel blocks.
+once, and each Duffy band is built for the whole chunk in one call.  A
+kernel is evaluated once per band, components first and each node with its
+own target, and each rule is summed by np.add.reduceat in its built order.
+Self panels keep their analytic or order-12 blocks, one Duffy batch a chunk.
 
 The Duffy order of a near panel is graded by its distance d to the target
 over its diameter h (_NEAR_ORDERS): 12 for d < h/2, 8 for d < h, 6 for
@@ -69,18 +69,20 @@ from .geometry import (
     SurfaceMesh,
     VolumeGrid,
     duffy_rule_batch,
-    duffy_singular_rule,
     panel_quadrature,
 )
 from .kernels import (
-    brinkman_pressure_tensor,
     brinkman_velocity_tensor,
-    double_layer_parts,
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
     velocity_difference,
+    _double_layer_parts_cf,
+    _double_layer_pressure_cf,
+    _pressure_cf,
     _radial,
+    _traction_cf,
+    _velocity_cf,
 )
 
 _CHUNK_ROWS = 8
@@ -291,15 +293,15 @@ def _near_search(mesh, points, skip=None):
     ascending panels and without skip[t] (-1 for none), and each target's
     distance to its candidate panels (inf when none), which is exact
     whenever it matters: other panels are farther than every cutoff."""
-    centroid_dist = _radial(mesh.centroids - points[:, None, :],
-                            require_nonzero=False)[1]
+    centroid_dist = _radial(mesh.centroids.T[:, None] - points.T[:, :, None],
+                            require_nonzero=False)
     # centroid-to-farthest-corner is at most one diameter, so this is safe
     mask = centroid_dist < (_NEAR_FACTOR + 1.0) * mesh.diameters
     if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
         mask[np.arange(len(points)), skip] &= np.asarray(skip) < 0
     rows, panels = np.nonzero(mask)
     closest = _closest_points_on_panels(mesh.panel_corners[panels], points[rows])
-    dist = _radial(points[rows] - closest, require_nonzero=False)[1]
+    dist = _radial((points[rows] - closest).T, require_nonzero=False)
     min_dist = np.full(len(points), np.inf)
     np.minimum.at(min_dist, rows, dist)
     keep = dist < _NEAR_FACTOR * mesh.diameters[panels]
@@ -307,60 +309,54 @@ def _near_search(mesh, points, skip=None):
 
 
 class _NearFar:
-    """Quadrature plan for a block of targets: one rule per (target, panel),
-    the regular rule on far panels and the graded Duffy rule on near ones
-    (one geometry.duffy_rule_batch call per band for the whole block).  Run
-    k of the target-major node list starts at starts[k] and belongs to
-    panels[k]; target t owns runs bounds[t]:bounds[t + 1], far panels first,
-    then the near panels band by band, and none for its panel skip[t]."""
+    """Quadrature plan for a block of targets: one rule per (target, panel)
+    but skip[t], the regular rule on far panels and the graded Duffy rule on
+    near ones, kept as built in one group per band (far, then one
+    duffy_rule_batch call per Duffy band): (targets, panels, pair, nodes,
+    weights, starts), nodes (3, rows, q); row r belongs to pair[r], and pair
+    k's rule is the run of rows from node starts[k]."""
 
     def __init__(self, mesh, quadrature, points, skip=None):
-        n_targets, n = len(points), mesh.n_panels
-        self.normals, self.n_panels = mesh.normals, n
+        self.shape = (len(points), mesh.n_panels)
         rows, self.near, closest, self.near_dist, self.min_dist = (
             _near_search(mesh, points, skip))
         band = sum(self.near_dist >= limit * mesh.diameters[self.near]
                    for limit, _ in _NEAR_ORDERS[:-1])
-        # rule of each (target, panel): 0 far, 1 + band near, -1 skipped
-        rule = np.zeros((n_targets, n), dtype=int)
-        rule[rows, self.near] = 1 + band
+        far = np.ones(self.shape, dtype=bool)
+        far[rows, self.near] = False
         if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
-            rule[np.arange(n_targets), skip] -= np.asarray(skip) >= 0
-        # first row and length of each rule in the concatenated sources
+            far[np.arange(len(points)), skip] &= np.asarray(skip) < 0
+        targets, panels = np.nonzero(far)
         q = quadrature.nodes.shape[1]
-        nodes, weights = [quadrature.nodes.reshape(-1, 3)], [quadrature.weights.ravel()]
-        source = np.tile(q * np.arange(n), (n_targets, 1))
-        counts = np.full((n_targets, n), q)
+        rules = [(targets, panels, np.arange(len(panels)),
+                  quadrature.nodes.transpose(2, 0, 1)[:, panels],
+                  quadrature.weights[panels], q * np.arange(len(panels)))]
         for b, (_, order) in enumerate(_NEAR_ORDERS):
-            at = rows[band == b], self.near[band == b]
-            band_nodes, band_weights, counts[at] = duffy_rule_batch(
-                mesh.panel_corners[at[1]], closest[band == b], order)
-            source[at] = sum(map(len, weights)) + np.cumsum(counts[at]) - counts[at]
-            nodes.append(band_nodes)
-            weights.append(band_weights)
-        targets, panels = np.nonzero(rule >= 0)
-        by_run = np.lexsort((panels, rule[targets, panels], targets))
-        targets, self.panels = targets[by_run], panels[by_run]
-        self.counts = counts[targets, self.panels]
-        self.starts = np.cumsum(self.counts) - self.counts
-        take = np.repeat(source[targets, self.panels] - self.starts,
-                         self.counts) + np.arange(self.counts.sum())
-        nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-        self.nodes, self.weights = nodes[take], weights[take]
-        self.bounds = np.searchsorted(targets, np.arange(n_targets + 1))
+            at = band == b
+            nodes, weights, counts = duffy_rule_batch(
+                mesh.panel_corners[self.near[at]], closest[at], order)
+            rules.append((rows[at], self.near[at],
+                          np.repeat(np.arange(at.sum()), counts // order ** 2),
+                          nodes.T.reshape(3, -1, order ** 2),
+                          weights.reshape(-1, order ** 2),
+                          np.cumsum(counts) - counts))
+        self.groups = [rule for rule in rules if len(rule[2])]
+        self.points, self.normals = points.T, mesh.normals.T
 
-    def integrate(self, t, kernel):
-        """Per-panel integrals around target t of kernel(nodes (M, 3),
-        normals (M, 3)), which returns a new (M, *shape) array (weighted in
-        place); the result is (N, *shape) and zero at the skipped panel."""
-        runs = slice(self.bounds[t], self.bounds[t + 1])
-        panels, starts = self.panels[runs], self.starts[runs]
-        nodes = slice(starts[0], starts[-1] + self.counts[runs][-1])
-        values = kernel(self.nodes[nodes], np.repeat(
-            self.normals[panels], self.counts[runs], axis=0))
-        values *= self.weights[nodes].reshape((-1,) + (1,) * (values.ndim - 1))
-        blocks = np.zeros((self.n_panels,) + values.shape[1:])
-        blocks[panels] = np.add.reduceat(values, starts - starts[0], axis=0)
+    def integrate(self, kernel):
+        """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
+        normals (3, R, 1)), a new (*shape, R, q) array (weighted in place):
+        (targets, panels, *shape), zero at skipped panels."""
+        blocks = None
+        for targets, panels, pair, nodes, weights, starts in self.groups:
+            values = kernel(self.points[:, targets[pair], None], nodes,
+                            self.normals[:, panels[pair], None])
+            values *= weights
+            sums = np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
+                                   starts, axis=-1)
+            if blocks is None:
+                blocks = np.zeros(self.shape + sums.shape[:-1])
+            blocks[targets, panels] = np.moveaxis(sums, -1, 0)
         return blocks
 
 
@@ -410,16 +406,15 @@ def _stokes_self_block(corners, centroid):
     return (total_inv_r * np.eye(3) + mat) / (8.0 * np.pi)
 
 
-def _self_single_layer_block(mesh, i, alpha):
-    """Self-panel ∫ G^α: analytic Stokes part plus the bounded difference."""
-    corners = mesh.panel_corners[i]
-    centroid = mesh.centroids[i]
-    block = _stokes_self_block(corners, centroid)
-    if alpha > 0.0:
-        dn, dw = duffy_singular_rule(corners, centroid, _DUFFY_ORDER)
-        diff = velocity_difference(centroid[None, :] - dn, alpha)
-        block = block + np.einsum("q,qab->ab", dw, diff)
-    return block
+def _self_integrals(mesh, rows, kernel, subscripts):
+    """np.einsum(subscripts, weights, kernel(nodes, panel)) on each panel of
+    rows over its order-12 Duffy rule at its centroid, one batch for all."""
+    nodes, weights, counts = duffy_rule_batch(
+        mesh.panel_corners[rows], mesh.centroids[rows], _DUFFY_ORDER)
+    values = kernel(nodes, np.repeat(rows, counts))
+    return [np.einsum(subscripts, weights[end - count:end],
+                      values[end - count:end])
+            for end, count in zip(np.cumsum(counts), counts)]
 
 
 # ------------------------------------------------------------- operator assembly
@@ -439,13 +434,17 @@ def assemble_single_layer(mesh, quadrature, params):
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
-        plan = _NearFar(mesh, quadrature, centroids[start:stop], np.arange(start, stop))
-        for t, i in enumerate(range(start, stop)):
-            x = centroids[i]
-            row = plan.integrate(t, lambda y, _: brinkman_velocity_tensor(
-                x[None, :] - y, alpha))
-            row[i] = _self_single_layer_block(mesh, i, alpha)
-            out[3 * i:3 * i + 3, :] = row.transpose(1, 0, 2).reshape(3, 3 * n)
+        rows = np.arange(start, stop)
+        plan = _NearFar(mesh, quadrature, centroids[start:stop], rows)
+        blocks = plan.integrate(lambda x, y, _: _velocity_cf(x - y, alpha))
+        # self blocks: analytic Stokes part plus the bounded difference
+        blocks[rows - start, rows] = [
+            _stokes_self_block(mesh.panel_corners[i], centroids[i]) for i in rows]
+        if alpha > 0.0:
+            blocks[rows - start, rows] += _self_integrals(
+                mesh, rows, lambda y, i: velocity_difference(centroids[i] - y, alpha),
+                "q,qab->ab")
+        out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
 
     _run_chunked(n, worker)
     return DenseOperator(out, "V", alpha=alpha)
@@ -459,8 +458,8 @@ def assemble_double_layer(mesh, quadrature, params):
     diagonal from the constant identity K⁰c = −½c, i.e. the row-block diagonal
     is −½I minus the sum of off-diagonal blocks.  The remainder K_α − K⁰ has a
     bounded kernel and is integrated directly, with clustered rules on near
-    and self panels.  Both parts come from one kernels.double_layer_parts
-    call per row.
+    and self panels.  Both parts come from one components-first
+    double_layer_parts evaluation per rule group of a chunk.
     """
     _check_mesh_panels(mesh)
     _check_quadrature(mesh, quadrature)
@@ -470,19 +469,19 @@ def assemble_double_layer(mesh, quadrature, params):
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
-        plan = _NearFar(mesh, quadrature, centroids[start:stop], np.arange(start, stop))
-        for t, i in enumerate(range(start, stop)):
-            x = centroids[i]
-            parts = plan.integrate(t, lambda y, nu: double_layer_parts(
-                y, x[None, :], nu, alpha))
-            row = parts.sum(axis=1)
-            diag = -0.5 * np.eye(3) - parts[:, 0].sum(axis=0)
-            if alpha > 0.0:
-                dn, dw = duffy_singular_rule(mesh.panel_corners[i], x, _DUFFY_ORDER)
-                dd = stress_difference_normal(dn, x[None, :], normals[i][None, :], alpha)
-                diag = diag + np.einsum("q,qba->ab", dw, dd)
-            row[i] = diag
-            out[3 * i:3 * i + 3, :] = row.transpose(1, 0, 2).reshape(3, 3 * n)
+        rows = np.arange(start, stop)
+        plan = _NearFar(mesh, quadrature, centroids[start:stop], rows)
+        parts = plan.integrate(
+            lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha))
+        blocks = parts.sum(axis=2)
+        diag = np.array([-0.5 * np.eye(3) - row[:, 0].sum(axis=0)
+                         for row in parts])
+        if alpha > 0.0:
+            diag += _self_integrals(mesh, rows, lambda y, i: (
+                stress_difference_normal(y, centroids[i], normals[i], alpha)),
+                "q,qba->ab")
+        blocks[rows - start, rows] = diag
+        out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
 
     _run_chunked(n, worker)
     return DenseOperator(out, "K", alpha=alpha)
@@ -529,29 +528,21 @@ def _layer_rows(mesh, quadrature, params, points, kinds):
     outs = [np.zeros((n_points, 3, 3 * n) if kind in ("V", "W")
                      else (n_points, 3 * n)) for kind in kinds]
 
-    def flat_rows(kind, x, sel_nodes, sel_normals):
-        # pointwise kernel values at flattened nodes: (M, 3, 3) or (M, 3)
-        if kind == "V":
-            return brinkman_velocity_tensor(x[None, :] - sel_nodes, alpha)
-        if kind == "W":
-            kern = traction_kernel(sel_nodes, x[None, :], sel_normals, alpha)
-            return kern.transpose(0, 2, 1)
-        if kind == "Qs":
-            return pressure_vector(x[None, :] - sel_nodes)
-        kern = brinkman_pressure_tensor(x[None, :], sel_nodes, alpha)
-        return -np.einsum("qik,qk->qi", kern, sel_normals)
+    kernels = {
+        "V": lambda x, y, nu: _velocity_cf(x - y, alpha),
+        "W": lambda x, y, nu: _traction_cf(y - x, nu, alpha).swapaxes(0, 1),
+        "Qs": lambda x, y, nu: _pressure_cf(x - y),
+        "Qd": lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha),
+    }
 
     def worker(start, stop):
         plan = _NearFar(mesh, quadrature, points[start:stop])
         _point_guard(mesh, plan)
-        for t, p in enumerate(range(start, stop)):
-            x = points[p]
-            for kind, out in zip(kinds, outs):
-                blocks = plan.integrate(
-                    t, lambda y, nu: flat_rows(kind, x, y, nu))
-                if out.ndim == 3:
-                    blocks = blocks.transpose(1, 0, 2)
-                out[p] = blocks.reshape(out.shape[1:])
+        for kind, out in zip(kinds, outs):
+            blocks = plan.integrate(kernels[kind])
+            if out.ndim == 3:
+                blocks = blocks.transpose(0, 2, 1, 3)
+            out[start:stop] = blocks.reshape(stop - start, *out.shape[1:])
 
     _run_chunked(n_points, worker)
     return outs
@@ -639,7 +630,7 @@ def _newtonian_sums(grid, forcing, points, params, kinds, normals=None):
 
     def worker(start, stop):
         diff = points[start:stop, None, :] - grid.centers[None, :, :]
-        dist = _radial(diff, require_nonzero=False)[1]
+        dist = _radial(np.moveaxis(diff, -1, 0), require_nonzero=False)
         self_mask = dist < 1.0e-9 * grid.spacing
         safe = np.where(self_mask[:, :, None], 1.0, diff)
         for kind, out in zip(kinds, outs):

@@ -409,6 +409,20 @@ def test_duffy_batch_rejects_any_off_panel_point():
     outside[7] = corners[7, 0] + 2.0 * (corners[7, 1] - corners[7, 0])
     with pytest.raises(ValueError, match="outside"):
         duffy_rule_batch(corners, outside, order=4)
+    not_finite = points.copy()
+    not_finite[3, 1] = np.nan
+    with pytest.raises(ValueError, match="singular points must be finite"):
+        duffy_rule_batch(corners, not_finite, order=4)
+    bad_corners = corners.copy()
+    bad_corners[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="panel corners must be finite"):
+        duffy_rule_batch(bad_corners, points, order=4)
+    for order in (2.5, 4.0, "4", True, 0, -3):
+        with pytest.raises(ValueError, match="order must be a whole number"):
+            duffy_rule_batch(corners, points, order=order)
+    for got, expected in zip(duffy_rule_batch(corners, points, np.int64(4)),
+                             duffy_rule_batch(corners, points, 4)):
+        np.testing.assert_array_equal(got, expected)
 
 
 # ---------------------------------------------------------------- volume grid

@@ -444,6 +444,44 @@ def test_double_layer_parts_difference_is_stress_difference_normal(alpha):
         parts[:, 0], kernels.double_layer_parts(y, x, n, 0.0)[:, 0])
 
 
+def _same_bytes(got, expected):
+    assert got.shape == expected.shape
+    assert (np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(expected).tobytes())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_public_kernels_are_their_components_first_evaluators(alpha):
+    # the near/far plan integrates the components-first evaluators; each
+    # public kernel is one of them in (..., 3, 3) order, to the bit (signed
+    # zeros included: some displacements and normals have zero components)
+    g = rng(34)
+    x = g.normal(size=(600, 3))
+    d = g.normal(size=(600, 3)) * np.geomspace(1.0e-3, 3.0, 600)[:, None]
+    d[::5, 1] = 0.0
+    n = g.normal(size=(600, 3))
+    n[::7, :2] = 0.0
+    y = x + d
+    to_last = (lambda a: np.moveaxis(a, 0, -1),
+               lambda a: np.moveaxis(a, (0, 1), (-2, -1)))
+    _same_bytes(kernels.brinkman_velocity_tensor(x - y, alpha),
+                to_last[1](kernels._velocity_cf((x - y).T, alpha)))
+    _same_bytes(kernels.pressure_vector(x - y),
+                to_last[0](kernels._pressure_cf((x - y).T)))
+    _same_bytes(kernels.traction_kernel(x, y, n, alpha),
+                to_last[1](kernels._traction_cf((x - y).T, n.T, alpha)))
+    _same_bytes(kernels.double_layer_parts(y, x, n, alpha),
+                np.moveaxis(kernels._double_layer_parts_cf((y - x).T, n.T,
+                                                           alpha),
+                            (0, 1, 2), (-3, -2, -1)))
+    pressure = kernels.brinkman_pressure_tensor(x, y, alpha)
+    _same_bytes(pressure,
+                to_last[1](kernels._pressure_tensor_cf((y - x).T, alpha)))
+    _same_bytes(-np.einsum("qik,qk->qi", pressure, n),
+                to_last[0](kernels._double_layer_pressure_cf((y - x).T, n.T,
+                                                             alpha)))
+
+
 # ----------------------------------------------------------- decay and limit
 
 def test_stokes_limit_monotone():

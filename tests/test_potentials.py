@@ -23,10 +23,11 @@ from bbem.kernels import (
     BrinkmanParams,
     brinkman_pressure_tensor,
     brinkman_velocity_tensor,
-    double_layer_parts,
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
+    _double_layer_parts_cf,
+    _velocity_cf,
 )
 from bbem import harness as H
 from bbem import potentials as P
@@ -145,12 +146,15 @@ def test_stokes_self_block_rotation_invariant():
                                atol=1.0e-15)
 
 
-def test_self_block_alpha_correction_matches_high_order_rule(coarse):
-    # analytic Stokes part + regular difference vs one singularity-absorbing
-    # rule applied to the full kernel at high order
+def test_self_block_alpha_correction_matches_high_order_rule(coarse,
+                                                            coarse_ops):
+    # analytic Stokes part + regular difference (the assembled self block)
+    # vs one singularity-absorbing rule applied to the full kernel at high
+    # order
     mesh, _ = coarse
+    v = coarse_ops[0].matrix
     for i in (0, 37):
-        block = P._self_single_layer_block(mesh, i, ALPHA)
+        block = v[3 * i:3 * i + 3, 3 * i:3 * i + 3]
         nodes, wts = duffy_singular_rule(mesh.panel_corners[i],
                                          mesh.centroids[i], 24)
         kern = brinkman_velocity_tensor(mesh.centroids[i][None, :] - nodes,
@@ -284,6 +288,17 @@ def _per_panel_blocks(mesh, quad, x, kernel, skip=-1):
     return np.array(blocks)
 
 
+def _per_node(kernel):
+    """The plan's components-first kernel from kernel(x, y, nu) on (M, 3)
+    arrays, one row per node with its own target and normal."""
+    def plan_kernel(x, y, nu):
+        values = kernel(*(np.broadcast_to(a, y.shape).reshape(3, -1).T
+                          for a in (x, y, nu)))
+        return np.moveaxis(values, 0, -1).reshape(values.shape[1:]
+                                                  + y.shape[1:])
+    return plan_kernel
+
+
 def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point, summed panel
     by panel with the same near-panel upgrade policy as the library."""
@@ -311,12 +326,13 @@ def test_near_far_split_matches_per_panel_loop(fine):
         x = mesh.centroids[i]
         plan = P._NearFar(mesh, quad, x[None, :], [i])
         # exactly one rule for every panel but the skipped one
-        np.testing.assert_array_equal(np.sort(plan.panels),
+        panels = np.concatenate([group[1] for group in plan.groups])
+        np.testing.assert_array_equal(np.sort(panels),
                                       np.delete(np.arange(mesh.n_panels), i))
         for name in ("V", "K Stokes"):
             def kernel(y, nu):
                 return _LAYER_KERNELS[name](x[None, :], y, nu)
-            got = plan.integrate(0, kernel)
+            got = plan.integrate(_per_node(_LAYER_KERNELS[name]))[0]
             assert np.all(got[i] == 0.0)
             expected = _per_panel_blocks(mesh, quad, x, kernel, skip=i)
             np.testing.assert_allclose(got, expected, rtol=1.0e-13,
@@ -337,15 +353,16 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
         points, skip = lattice[::97][:P._CHUNK_ROWS], None
     quad = panel_quadrature(mesh, 6)
     chunk = P._NearFar(mesh, quad, points, skip)
+    kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
+               lambda x, y, nu: _double_layer_parts_cf(y - x, nu, ALPHA))
+    rows = [chunk.integrate(kernel) for kernel in kernels]
     for t, x in enumerate(points):
         alone = P._NearFar(mesh, quad, x[None, :],
                            None if skip is None else skip[t:t + 1])
         assert len(alone.near) > 0
-        for kernel in (
-                lambda y, _: brinkman_velocity_tensor(x[None, :] - y, ALPHA),
-                lambda y, nu: double_layer_parts(y, x[None, :], nu, ALPHA)):
-            np.testing.assert_array_equal(chunk.integrate(t, kernel),
-                                          alone.integrate(0, kernel))
+        for kernel, chunk_rows in zip(kernels, rows):
+            np.testing.assert_array_equal(chunk_rows[t],
+                                          alone.integrate(kernel)[0])
 
 
 # ------------------------------------------------- distance-graded near rules
@@ -394,7 +411,7 @@ def _graded_errors(mesh, targets):
         for name, kernel in _LAYER_KERNELS.items():
             def at_x(y, nu):
                 return kernel(x[None, :], y, nu)
-            got = plan.integrate(0, at_x)[panels]
+            got = plan.integrate(_per_node(kernel))[0][panels]
             ref = _reference_blocks(mesh, panels, closest, _REFERENCE_ORDER,
                                     at_x)
             full = _reference_blocks(mesh, panels, closest, P._DUFFY_ORDER,
@@ -449,7 +466,7 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
         _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
         orders = _band_orders(mesh, panels, dist)
         blocks = P._NearFar(mesh, quad, x[None, :]).integrate(
-            0, lambda y, _: brinkman_velocity_tensor(x[None, :] - y, ALPHA))
+            lambda xs, y, _: _velocity_cf(xs - y, ALPHA))[0]
         for panel, point, order, d in zip(panels, closest, orders, dist):
             # below a quarter diameter the order-12 rule itself is only
             # good to about 1e-5 here; that band is not graded
