@@ -34,6 +34,8 @@ class SurfaceMesh:
             raise ValueError("triangles must have shape (nf, 3)")
         if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
             raise ValueError("triangle indices out of range")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertices must be finite")
 
         corners = vertices[triangles]                       # (nf, 3, 3)
         cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
@@ -505,8 +507,16 @@ def build_volume_grid(domain, resolution):
     if m < 2:
         raise ValueError("resolution must be >= 2")
     kind = domain.get("type")
+
+    def length(key):
+        value = float(domain.get(key, np.nan))
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{kind} domain needs a finite positive {key!r}, "
+                             f"got {domain.get(key)}")
+        return value
+
     if kind == "cube":
-        side = float(domain["side"])
+        side = length("side")
         center = np.asarray(domain.get("center", (0.0, 0.0, 0.0)), dtype=float)
         h = side / m
         lo = center - side / 2.0
@@ -514,7 +524,7 @@ def build_volume_grid(domain, resolution):
         xs, ys, zs = np.meshgrid(lo[0] + idx, lo[1] + idx, lo[2] + idx, indexing="ij")
         centers = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
     elif kind == "sphere":
-        radius = float(domain["radius"])
+        radius = length("radius")
         center = np.asarray(domain.get("center", (0.0, 0.0, 0.0)), dtype=float)
         h = 2.0 * radius / m
         idx = -radius + (np.arange(m) + 0.5) * h

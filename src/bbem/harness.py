@@ -74,6 +74,7 @@ from .solvers import (
     solve_neumann,
     _sigma_range,
     _solve,
+    _traction_system,
     _workspace_for,
 )
 
@@ -380,21 +381,19 @@ def operator_spectra(workspace):
     The minus operator carries the one-dimensional defect whose direction
     should align with the outward normal; the plus operator is what the
     interior Neumann solve inverts and its smallest singular value is the
-    invertibility floor.
+    invertibility floor.  _sigma_range reads both from LU factors: a block
+    of 8 on the minus one, since σ₂ is a triple value on the icosphere.
     """
-    mesh = workspace.mesh
-    n = 3 * mesh.n_panels
-    adjoint = workspace.adjoint.matrix
-    _, sigma, v_right = np.linalg.svd(-0.5 * np.eye(n) + adjoint)
-    null = v_right[-1].reshape(-1, 3)
-    cosine = abs(float(np.sum(null * mesh.normals)))
-    cosine /= np.linalg.norm(null) * np.linalg.norm(mesh.normals)
-    plus, _ = _sigma_range(0.5 * np.eye(n) + adjoint,
-                           workspace.neumann_factorization())
-    return {"sigma_min_minus": float(sigma[-1]),
-            "sigma2_minus": float(sigma[-2]),
-            "nu_cosine": float(cosine),
-            "sigma_min_plus": plus}
+    minus = _traction_system(workspace, -0.5)
+    sigma, vectors, _ = _sigma_range(minus, scipy.linalg.lu_factor(minus),
+                                     block=8)
+    del minus
+    normals = workspace.mesh.normals.reshape(-1)
+    cosine = abs(vectors[:, 0] @ normals) / np.linalg.norm(normals)
+    plus, _, _ = _sigma_range(_traction_system(workspace, 0.5),
+                              workspace.neumann_factorization())
+    return {"sigma_min_minus": float(sigma[0]), "sigma2_minus": float(sigma[1]),
+            "nu_cosine": float(cosine), "sigma_min_plus": float(plus[0])}
 
 
 def sl_normal_defect(workspace):

@@ -184,33 +184,6 @@ def a2(z):
     return _public_profile(z, _A2)
 
 
-def _d1(z):
-    """z A1'(z) - A1(z); equals -1/2 at z = 0 (Stokes value)."""
-    return _profile_pass(z, _D1)[0]
-
-
-def _d2(z):
-    """z A2'(z) - 3 A2(z); equals -3/2 at z = 0 (Stokes value)."""
-    return _profile_pass(z, _D2)[0]
-
-
-def _b1(z):
-    """(A1(z) - 1/2)/z; equals -2/3 at z = 0."""
-    return _profile_pass(z, _B1)[0]
-
-
-def _b3(z):
-    return _profile_pass(z, _B3)[0]
-
-
-def _e1(z):
-    return _profile_pass(z, _E1)[0]
-
-
-def _e2(z):
-    return _profile_pass(z, _E2)[0]
-
-
 def _check_alpha(alpha):
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha >= 0.0):

@@ -32,14 +32,15 @@ from .potentials import (
     BoundaryField,
     VolumeField,
     _lattice_resolution,
+    _layer_rows,
     _newtonian_on_grid,
     _volume_values,
 )
 from .solvers import (
     MIXED,
     BVPSpec,
-    evaluate_solution,
     solve_poisson,
+    _handle_rows,
     _workspace_for,
 )
 
@@ -430,14 +431,17 @@ def semilinear_residual(handle, grid, params, forcing):
     evaluated = depth >= 1
     probe = depth >= 2
 
-    centers = grid.centers.reshape(m, m, m, 3)
-    layer = (replace(handle, tag=handle.layer_tag, layer_tag=None,
-                     forcing=None, grid=None) if forced else handle)
-    fields = evaluate_solution(layer, centers[evaluated])
+    # the store's velocity rows at every cell; pressure rows built for these
+    store, (velocity_kind, pressure_kind) = _handle_rows(handle)
+    cells = evaluated.reshape(-1)
+    flat = handle.density.values.reshape(-1)
+    velocity_rows = store.rows(grid.centers, (velocity_kind,))[0][cells]
+    pressure_rows, = _layer_rows(store.mesh, store.quadrature, store.params,
+                                 grid.centers[cells], (pressure_kind,))
     velocity = np.full((m, m, m, 3), np.nan)
     pressure = np.full((m, m, m), np.nan)
-    velocity[evaluated] = fields.velocity
-    pressure[evaluated] = fields.pressure
+    velocity[evaluated] = np.einsum("pam,m->pa", velocity_rows, flat)
+    pressure[evaluated] = pressure_rows @ flat - handle.pressure_constant
     if forced:
         newtonian = _newtonian_on_grid(grid, handle.forcing, handle.params,
                                        ("velocity", "pressure"))

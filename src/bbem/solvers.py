@@ -55,7 +55,6 @@ from .kernels import BrinkmanParams
 from .potentials import (
     BoundaryField,
     VolumeField,
-    adjoint_double_layer,
     assemble_double_layer,
     assemble_single_layer,
     eval_double_layer,
@@ -158,8 +157,9 @@ class FieldSolution:
 class SolveReport:
     """Diagnostics of one solve; serializes to a flat JSON document.
 
-    sigma_min and sigma_max estimate the extreme singular values of the
-    Dirichlet operator (see _sigma_range); None for Neumann and mixed."""
+    sigma_min and sigma_max bound the Dirichlet operator's extreme singular
+    values from above and below (_sigma_range with a block of 1); None for
+    Neumann and mixed."""
 
     kind: str
     alpha: float
@@ -219,7 +219,6 @@ class SolverWorkspace:
         self.quadrature = panel_quadrature(mesh, quadrature_order)
         self._single = None
         self._double = None
-        self._adjoint = None
         self._mixed_sys = {}
         self._mixed_lu = {}
         self._neumann_lu = None
@@ -245,34 +244,26 @@ class SolverWorkspace:
                                                  self.params)
         return self._double
 
-    @property
-    def adjoint(self):
-        if self._adjoint is None:
-            self._adjoint = adjoint_double_layer(self.double_layer,
-                                                 self.mesh.areas)
-        return self._adjoint
-
     def dirichlet_factorization(self):
         """LU factor of −½I + K and its (σ_min, σ_max) estimate."""
         if self._dirichlet_lu is None:
             system = (-0.5 * np.eye(3 * self.mesh.n_panels)
                       + self.double_layer.matrix)
             lu = scipy.linalg.lu_factor(system)
-            self._dirichlet_lu = (lu, _sigma_range(system, lu))
+            low, _, high = _sigma_range(system, lu)
+            self._dirichlet_lu = (lu, (float(low[0]), high))
         return self._dirichlet_lu
 
     def neumann_factorization(self):
         if self._neumann_lu is None:
-            n = 3 * self.mesh.n_panels
-            system = 0.5 * np.eye(n) + self.adjoint.matrix
-            self._neumann_lu = scipy.linalg.lu_factor(system)
+            self._neumann_lu = scipy.linalg.lu_factor(
+                _traction_system(self, 0.5))
         return self._neumann_lu
 
     def mixed_matrix(self, labeling):
         cached = self._mixed_sys.get(labeling)
         if cached is None:
-            n = 3 * self.mesh.n_panels
-            cached = 0.5 * np.eye(n) + self.adjoint.matrix
+            cached = _traction_system(self, 0.5)
             rows = np.repeat(labeling.dirichlet_mask, 3)
             cached[rows] = self.single_layer.matrix[rows]
             cached.setflags(write=False)
@@ -360,20 +351,37 @@ def _lu_solve(lu, rhs, what):
     return x
 
 
-def _sigma_range(system, lu):
-    """Estimates (σ_min, σ_max) of a square A from its LU factor: ‖A v‖
-    after 30 seeded inverse steps on (AᵀA)⁻¹ and 30 power steps on AᵀA, an
-    upper and a lower bound; an exactly singular factor gives NaN σ_min."""
-    start = np.random.default_rng(0).standard_normal(len(system))
-    low = high = start / np.linalg.norm(start)
+def _traction_system(ws, diagonal):
+    """±½I + K* (diagonal ±0.5) with K* = W⁻¹KᵀW the area-weighted adjoint
+    (see adjoint_double_layer), written from K into one fresh buffer."""
+    w = np.repeat(ws.mesh.areas, 3)
+    system = np.divide(w[None, :], w[:, None])
+    system *= ws.double_layer.matrix.T
+    system.flat[::len(w) + 1] += diagonal
+    return system
+
+
+def _sigma_range(system, lu, block=1):
+    """The block smallest σ of a square A (ascending), their right vectors as
+    columns, and σ_max, from A's LU: 30 seeded steps of block inverse
+    iteration on (AᵀA)⁻¹ (lu_solve with trans=1, then plain, then a QR;
+    Golub & Van Loan, ch. 8), Rayleigh–Ritz by a thin SVD of A X (each σ an
+    upper bound, NaN for an exactly singular factor), and ‖A v‖ after 30
+    power steps on AᵀA (a lower bound on σ_max)."""
+    low = np.random.default_rng(0).standard_normal((len(system), block))
+    high = low[:, 0]
     for _ in range(30):
         low = scipy.linalg.lu_solve(lu, low, trans=1, check_finite=False)
         low = scipy.linalg.lu_solve(lu, low, check_finite=False)
-        low /= np.linalg.norm(low)
+        low = np.linalg.qr(low)[0]
         high = system.T @ (system @ high)
         high /= np.linalg.norm(high)
-    return (float(np.linalg.norm(system @ low)),
-            float(np.linalg.norm(system @ high)))
+    sigma_max = float(np.linalg.norm(system @ high))
+    applied = system @ low
+    if not np.all(np.isfinite(applied)):
+        return np.full(block, np.nan), low, sigma_max
+    _, sigma, vt = np.linalg.svd(applied, full_matrices=False)
+    return sigma[::-1], low @ vt[::-1].T, sigma_max
 
 
 def _rhs(spec):
@@ -469,8 +477,9 @@ def solve_neumann(spec, workspace=None):
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     rhs = _rhs(spec).reshape(-1)
     psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
-    return _solved(spec, ws, SINGLE_LAYER, psi,
-                   0.5 * psi + ws.adjoint.matrix @ psi, rhs, t0)
+    w = np.repeat(spec.mesh.areas, 3)                # K*ψ = Kᵀ(Wψ)/W
+    applied = 0.5 * psi + ws.double_layer.matrix.T @ (w * psi) / w
+    return _solved(spec, ws, SINGLE_LAYER, psi, applied, rhs, t0)
 
 
 def solve_mixed(spec, workspace=None):
@@ -546,6 +555,16 @@ def solve_poisson(spec, workspace=None):
 
 # ---------------------------------------------------------------- evaluation
 
+def _handle_rows(handle):
+    """The handle's row store (a hand-built handle gets a fresh one) and the
+    (velocity, pressure) row kinds of its layer."""
+    mesh = handle.density.mesh
+    store = handle.row_store or _RowStore(
+        mesh, panel_quadrature(mesh, handle.quadrature_order), handle.params)
+    layer = handle.layer_tag if handle.tag == WITH_NEWTONIAN else handle.tag
+    return store, ("W", "Qd") if layer == DOUBLE_LAYER else ("V", "Qs")
+
+
 def evaluate_solution(handle, points):
     """Velocity and pressure of a solved representation at interior points.
 
@@ -559,15 +578,10 @@ def evaluate_solution(handle, points):
     if len(bad):
         raise ValueError(f"evaluation point {bad[0]} is not finite: "
                          f"{points[bad[0]]}")
-    mesh = handle.density.mesh
-    store = handle.row_store or _RowStore(
-        mesh, panel_quadrature(mesh, handle.quadrature_order), handle.params)
-    layer = handle.layer_tag if handle.tag == WITH_NEWTONIAN else handle.tag
-    kinds = ("W", "Qd") if layer == DOUBLE_LAYER else ("V", "Qs")
+    store, kinds = _handle_rows(handle)
     flat = handle.density.values.reshape(-1)
     velocity, pressure = (np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
-                          else rows @ flat
-                          for rows in store.rows(points, kinds))
+                          else rows @ flat for rows in store.rows(points, kinds))
     if handle.tag == WITH_NEWTONIAN:
         newtonian = _newtonian_sums(handle.grid, handle.forcing, points,
                                     handle.params, ("velocity", "pressure"))

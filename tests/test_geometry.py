@@ -138,6 +138,10 @@ def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="degenerate"):
         SurfaceMesh(verts, np.array([[0, 1, 2]]))
+    for bad in (np.nan, np.inf):
+        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, bad, 0.0]])
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            SurfaceMesh(verts, np.array([[0, 1, 2]]))
 
 
 def test_mesh_arrays_are_read_only():
@@ -188,6 +192,9 @@ def test_off_import_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("4 4 0\n")
     with pytest.raises(ValueError, match="OFF"):
+        load_off(path)
+    path.write_text(TETRA_OFF.replace("0 1 0\n", "0 nan 0\n"))
+    with pytest.raises(ValueError, match="vertices must be finite"):
         load_off(path)
 
 
@@ -460,6 +467,13 @@ def test_grid_validation():
         build_volume_grid({"type": "cube", "side": 1.0}, resolution=1)
     with pytest.raises(ValueError, match="domain type"):
         build_volume_grid({"type": "torus"}, resolution=4)
+    for kind, key in (("cube", "side"), ("sphere", "radius")):
+        with pytest.raises(ValueError,
+                           match=f"finite positive '{key}', got None"):
+            build_volume_grid({"type": kind}, resolution=4)
+        for bad in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"finite positive '{key}'"):
+                build_volume_grid({"type": kind, key: bad}, resolution=4)
 
 
 # ------------------------------------------------------------- winding number

@@ -53,15 +53,15 @@ def test_a1_a2_domain_errors():
             kernels.a2(bad)
 
 
-@pytest.mark.parametrize("name,fn", [
-    ("a1", kernels.a1), ("a2", kernels.a2),
-    ("d1", kernels._d1), ("d2", kernels._d2),
-    ("b1", kernels._b1), ("b3", kernels._b3),
-    ("e1", kernels._e1), ("e2", kernels._e2),
-])
-def test_profiles_match_high_precision(name, fn):
+# ids "<name>-<name>" for the public a1 and a2, "<name>-_<name>" for the
+# private profiles
+@pytest.mark.parametrize("name", ["a1", "a2", "d1", "d2", "b1", "b3", "e1",
+                                  "e2"],
+                         ids=lambda name: f"{name}-{name}" if name[0] == "a"
+                         else f"{name}-_{name}")
+def test_profiles_match_high_precision(name):
     zs = np.geomspace(1.0e-8, 30.0, 40)
-    vals = fn(np.asarray(zs))
+    vals = kernels._profile_pass(zs, getattr(kernels, f"_{name.upper()}"))[0]
     for z, v in zip(zs, vals):
         ref = mp_profile(name, z)
         assert v == pytest.approx(ref, rel=2.0e-10), f"{name}({z})"

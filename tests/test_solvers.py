@@ -342,12 +342,29 @@ def test_sigma_range_brackets_svdvals(name, sign, alpha):
         system = -0.5 * np.eye(n) + ws.double_layer.matrix
         lu = ws.dirichlet_factorization()[0]
     else:
-        system = 0.5 * np.eye(n) + ws.adjoint.matrix
+        system = S._traction_system(ws, 0.5)
         lu = ws.neumann_factorization()
-    low, high = S._sigma_range(system, lu)
+    low, _, high = S._sigma_range(system, lu)
+    low = low[0]
     exact = scipy.linalg.svdvals(system)
     assert exact[-1] * (1 - 1.0e-12) <= low <= exact[-1] * (1 + 1.0e-3)
     assert 0.95 * exact[0] <= high <= exact[0] * (1 + 1.0e-12)
+
+
+@pytest.mark.parametrize("mesh", [build_icosphere(1), build_icosphere(2),
+                                  build_cube(1)],
+                         ids=["icosphere1", "icosphere2", "cube1"])
+def test_sigma_range_block_matches_svd_of_minus_traction(mesh):
+    # a block of 8 resolves σ₂ of −½I + K*, a triple value on the
+    # icosphere, and the first Ritz vector is the SVD's null vector
+    ws = S.SolverWorkspace(mesh, BrinkmanParams(alpha=4.0))
+    system = S._traction_system(ws, -0.5)
+    sigma, vectors, _ = S._sigma_range(system, scipy.linalg.lu_factor(system),
+                                       block=8)
+    _, exact, vt = scipy.linalg.svd(system)
+    assert sigma.shape == (8,) and vectors.shape == (len(system), 8)
+    np.testing.assert_allclose(sigma[:2], exact[:-3:-1], rtol=1.0e-8)
+    assert abs(vectors[:, 0] @ vt[-1]) >= 1.0 - 1.0e-10
 
 
 # --------------------------------------------------------------- neumann solve
