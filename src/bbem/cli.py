@@ -23,6 +23,7 @@ from .harness import (
     convergence_study,
     run_config,
     verify_suite,
+    _cfg_str,
     _load_config,
 )
 from .kernels import brinkman_velocity_tensor, pressure_vector
@@ -96,17 +97,13 @@ def _cmd_verify(args):
 
 def _cmd_converge(args):
     cfg = _load_config(args.config)
+    output = _cfg_str(cfg, "", "output", default=None)
     table = convergence_study(cfg)
-    text = table.to_csv()
-    sys.stdout.write(text)
-    output = cfg.get("output")
+    sys.stdout.write(table.to_csv())
     if output is not None:
-        if not isinstance(output, str):
-            raise ConfigError("'output': expected a string")
         os.makedirs(output, exist_ok=True)
         path = os.path.join(output, "convergence.csv")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        table.write_csv(path)
         print(f"wrote {path}")
     return 0
 
@@ -116,6 +113,8 @@ def _cmd_kernels(args):
     if not np.linalg.norm(point) > 0.0:
         raise ConfigError("evaluation point must be nonzero; the "
                           "fundamental pair is singular at the origin")
+    if not np.isfinite(args.alpha):
+        raise ConfigError("'alpha': must be finite")
     if args.alpha < 0.0:
         raise ConfigError("'alpha': must be >= 0")
     tensor = brinkman_velocity_tensor(point, args.alpha)
@@ -140,13 +139,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidSource, InvalidLabeling, InvalidThreadCount) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, InvalidSource, InvalidLabeling, InvalidThreadCount,
+            OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BBEMError as exc:

@@ -193,19 +193,36 @@ def build_cube(level, side=1.0):
 
 def load_off(path):
     """Import a closed triangulation from the OFF subset:
-    "OFF" / "nv nf 0" / nv coordinate lines / nf lines "3 i j k" (0-based)."""
+    "OFF" / "nv nf 0" / nv coordinate lines / nf lines "3 i j k" (0-based).
+    A missing or malformed line raises a ValueError naming what was expected."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "OFF":
+        lines = [(number, line.split()) for number, line in enumerate(fh, 1)
+                 if line.strip() and not line.startswith("#")]
+    if not lines or lines[0][1] != ["OFF"]:
         raise ValueError("not an OFF file: missing OFF header line")
-    nv, nf, _ = (int(t) for t in lines[1].split())
-    verts = np.array([[float(t) for t in lines[2 + i].split()] for i in range(nv)])
+
+    def row(index, convert, count, what, exact=True):
+        # the first count values of content line index; exact forbids more
+        if index >= len(lines):
+            raise ValueError(f"OFF file ends after line {lines[-1][0]}; expected {what}")
+        number, tokens = lines[index]
+        try:
+            values = [convert(t) for t in tokens[:count]]
+        except ValueError:
+            values = []
+        if len(values) < count or (exact and len(tokens) > count):
+            raise ValueError(f"OFF line {number}: expected {what}, got {' '.join(tokens)!r}")
+        return values
+
+    nv, nf, _ = row(1, int, 3, "the counts 'nv nf 0'")
+    verts = np.array([row(2 + i, float, 3, f"vertex {i} of {nv} as three numbers")
+                      for i in range(nv)])
     tris = []
     for i in range(nf):
-        tokens = lines[2 + nv + i].split()
-        if int(tokens[0]) != 3:
-            raise ValueError(f"face {i} has {tokens[0]} vertices; only triangles are supported")
-        tris.append([int(t) for t in tokens[1:4]])
+        size, *corners = row(2 + nv + i, int, 4, f"face {i} of {nf} as '3 i j k'", exact=False)
+        if size != 3:
+            raise ValueError(f"face {i} has {size} vertices; only triangles are supported")
+        tris.append(corners)
     mesh = SurfaceMesh(verts, np.asarray(tris, dtype=np.int64), orient_outward=False)
     check_closed(mesh)
     return mesh
@@ -218,19 +235,18 @@ class PatchLabeling:
     """Panel labels partitioning the boundary into Dirichlet and Neumann patches."""
 
     panel_label: tuple
+    # read-only masks built once; equality and hashing stay on panel_label
+    neumann_mask: np.ndarray = field(init=False, compare=False, repr=False)
+    dirichlet_mask: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bad = set(self.panel_label) - {DIRICHLET, NEUMANN}
         if bad:
             raise ValueError(f"unknown labels {bad}")
-
-    @property
-    def neumann_mask(self):
-        return np.array([lab == NEUMANN for lab in self.panel_label])
-
-    @property
-    def dirichlet_mask(self):
-        return ~self.neumann_mask
+        neumann = np.array([lab == NEUMANN for lab in self.panel_label], dtype=bool)
+        for name, mask in (("neumann_mask", neumann), ("dirichlet_mask", ~neumann)):
+            mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
 
     @property
     def n_neumann(self):

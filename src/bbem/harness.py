@@ -17,10 +17,12 @@ non-deterministic report field and is excluded from report fingerprints.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -838,23 +840,7 @@ _KIND_BY_NAME = {"dirichlet": DIRICHLET, "neumann": NEUMANN, "mixed": MIXED}
 _BASE_PANELS = {"icosphere": 80, "cube": 48}
 
 
-def _panel_count(geometry_type, level):
-    return _BASE_PANELS[geometry_type] * 4 ** (level - 1)
-
-
-def _build_mesh(geometry, level):
-    geometry_type = _cfg_str(geometry, "geometry", "type",
-                             choices=tuple(_BASE_PANELS))
-    expected = _panel_count(geometry_type, level)
-    if expected > PANEL_BUDGET:
-        raise ConfigError(
-            f"level {level} needs {expected} panels, over the "
-            f"{PANEL_BUDGET}-panel budget for dense assembly")
-    key = "radius" if geometry_type == "icosphere" else "side"
-    size = _cfg_number(geometry, "geometry", key, minimum=0.0,
-                       required=False, default=1.0)
-    if size <= 0.0:
-        raise ConfigError(f"'geometry.{key}': must be positive")
+def _build_mesh(geometry_type, size, level):
     if geometry_type == "icosphere":
         return build_icosphere(level, radius=size)
     return build_cube(level, side=size)
@@ -878,13 +864,13 @@ def convergence_study(config):
     geometry ({"type": "icosphere" | "cube", ...}), levels (strictly
     increasing integers), alpha, source_point, column, and optionally
     quadrature_order and, for mixed runs, patches (a label_patches rule).
-    Levels needing more than PANEL_BUDGET panels are refused.  A
-    single-level study yields one row with an empty ratio.
+    Levels needing more than PANEL_BUDGET panels are refused before any
+    solve.  A single-level study yields one row with an empty ratio.
     """
     if not isinstance(config, dict):
         raise ConfigError("top level: expected a JSON object")
-    kind_name = _cfg_str(config, "", "kind", choices=tuple(_KIND_BY_NAME))
-    kind = _KIND_BY_NAME[kind_name]
+    kind = _KIND_BY_NAME[_cfg_str(config, "", "kind",
+                                  choices=tuple(_KIND_BY_NAME))]
     geometry = _cfg_map(config, "", "geometry")
     levels = _cfg_get(config, "", "levels")
     if (not isinstance(levels, (list, tuple)) or not levels
@@ -894,19 +880,20 @@ def convergence_study(config):
                           ">= 1")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("'levels': must increase strictly")
+    geometry_type, size = _cfg_geometry(geometry, levels)
     alpha = _cfg_number(config, "", "alpha", minimum=0.0)
     point = _cfg_vec3(config, "", "source_point")
     column = _cfg_int(config, "", "column", minimum=1, maximum=3)
     order = _cfg_order(config)
     params = BrinkmanParams(alpha=alpha)
     source = manufactured_solution(point, column, params)
-    patches = _cfg_map(config, "", "patches", required=(kind == MIXED),
-                       default=None)
+    patches = _cfg_map(config, "", "patches",
+                       default=_REQUIRED if kind == MIXED else None)
 
     rows = []
     previous = None
     for level in levels:
-        mesh = _build_mesh(geometry, level)
+        mesh = _build_mesh(geometry_type, size, level)
         labeling = (_cfg_labeling(mesh, patches) if kind == MIXED else None)
         points = interior_probes(mesh)
         errors = manufactured_errors(kind, mesh, source, points,
@@ -929,86 +916,103 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key path."""
 
 
-def _join_path(path, key):
-    return f"{path}.{key}" if path else str(key)
+_REQUIRED = object()
 
 
-def _cfg_get(mapping, path, key, required=True, default=None):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"'{path or key}': expected an object")
+def _cfg_get(mapping, path, key, default=_REQUIRED, check=None, **options):
+    """mapping[key], passed through check(value, name, **options) where name
+    is the key's dotted path; a missing key returns default, and is an error
+    when no default is given."""
+    name = f"{path}.{key}" if path else key
     if key not in mapping:
-        if required:
-            raise ConfigError(
-                f"missing required key '{_join_path(path, key)}'")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key '{name}'")
         return default
-    return mapping[key]
+    value = mapping[key]
+    return value if check is None else check(value, name, **options)
 
 
-def _cfg_str(mapping, path, key, choices=None, required=True, default=None):
-    value = _cfg_get(mapping, path, key, required, default)
-    if value is default and not required and key not in mapping:
-        return default
+def _cfg_reader(check):
+    """The reader (mapping, path, key, default=..., **options) of one value
+    type, from its check(value, name, **options)."""
+    return functools.partial(_cfg_get, check=check)
+
+
+@_cfg_reader
+def _cfg_str(value, name, choices=None):
     if not isinstance(value, str):
-        raise ConfigError(f"'{_join_path(path, key)}': expected a string")
+        raise ConfigError(f"'{name}': expected a string")
     if choices is not None and value not in choices:
-        raise ConfigError(f"'{_join_path(path, key)}': expected one of "
-                          f"{', '.join(choices)}, got {value!r}")
+        raise ConfigError(f"'{name}': expected one of {', '.join(choices)}, "
+                          f"got {value!r}")
     return value
 
 
-def _cfg_number(mapping, path, key, minimum=None, required=True,
-                default=None):
-    value = _cfg_get(mapping, path, key, required, default)
-    if value is default and not required and key not in mapping:
-        return default
+@_cfg_reader
+def _cfg_number(value, name, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{_join_path(path, key)}': expected a number")
+        raise ConfigError(f"'{name}': expected a number")
+    # NaN, Infinity and integers past the float range fail this comparison
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{name}': must be finite")
     value = float(value)
-    if not np.isfinite(value):
-        raise ConfigError(f"'{_join_path(path, key)}': must be finite")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"'{_join_path(path, key)}': must be >= {minimum}")
+        raise ConfigError(f"'{name}': must be >= {minimum}")
     return value
 
 
-def _cfg_int(mapping, path, key, minimum=None, maximum=None, required=True,
-             default=None):
-    value = _cfg_get(mapping, path, key, required, default)
-    if value is default and not required and key not in mapping:
-        return default
+@_cfg_reader
+def _cfg_int(value, name, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{_join_path(path, key)}': expected an integer")
+        raise ConfigError(f"'{name}': expected an integer")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"'{_join_path(path, key)}': must be >= {minimum}")
+        raise ConfigError(f"'{name}': must be >= {minimum}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"'{_join_path(path, key)}': must be <= {maximum}")
+        raise ConfigError(f"'{name}': must be <= {maximum}")
     return value
 
 
-def _cfg_vec3(mapping, path, key):
-    value = _cfg_get(mapping, path, key)
+@_cfg_reader
+def _cfg_vec3(value, name):
     if (not isinstance(value, (list, tuple)) or len(value) != 3
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in value)):
-        raise ConfigError(f"'{_join_path(path, key)}': expected a list of "
-                          f"three numbers")
+        raise ConfigError(f"'{name}': expected a list of three numbers")
+    if not all(abs(v) <= sys.float_info.max for v in value):
+        raise ConfigError(f"'{name}': must be finite")
     return [float(v) for v in value]
 
 
+@_cfg_reader
+def _cfg_map(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}': expected an object")
+    return value
+
+
 def _cfg_order(cfg):
-    order = _cfg_int(cfg, "", "quadrature_order", required=False, default=6)
+    order = _cfg_int(cfg, "", "quadrature_order", default=6)
     if order not in (1, 3, 6, 12):
         raise ConfigError("'quadrature_order': expected one of 1, 3, 6, 12")
     return order
 
 
-def _cfg_map(mapping, path, key, required=True, default=None):
-    value = _cfg_get(mapping, path, key, required, default)
-    if value is default and not required and key not in mapping:
-        return default
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{_join_path(path, key)}': expected an object")
-    return value
+def _cfg_geometry(geometry, levels):
+    """Type and size (radius or side, default 1) of a geometry section; a
+    level needing more than PANEL_BUDGET panels is refused."""
+    geometry_type = _cfg_str(geometry, "geometry", "type",
+                             choices=tuple(_BASE_PANELS))
+    for level in levels:
+        expected = _BASE_PANELS[geometry_type] * 4 ** (level - 1)
+        if expected > PANEL_BUDGET:
+            raise ConfigError(
+                f"level {level} needs {expected} panels, over the "
+                f"{PANEL_BUDGET}-panel budget for dense assembly")
+    key = "radius" if geometry_type == "icosphere" else "side"
+    size = _cfg_number(geometry, "geometry", key, minimum=0.0, default=1.0)
+    if size <= 0.0:
+        raise ConfigError(f"'geometry.{key}': must be positive")
+    return geometry_type, size
 
 
 # Catalog of exact homogeneous pairs u = ∇φ, π = −αφ for harmonic φ: the
@@ -1046,26 +1050,22 @@ _EXPRESSION_CATALOG = {
 EXPRESSION_NAMES = tuple(sorted(_EXPRESSION_CATALOG))
 
 
-def _expression_boundary_data(name, mesh, params):
-    fields = _EXPRESSION_CATALOG[name]
-    velocity, pressure, strain = fields(mesh.centroids, params.alpha)
-    traction = (-pressure[:, None] * mesh.normals
-                + 2.0 * np.einsum("pij,pj->pi", strain, mesh.normals))
-    return BoundaryField(mesh, velocity), BoundaryField(mesh, traction)
-
-
-def _file_boundary_data(data, key, mesh):
-    path = _cfg_str(data, "data", key)
+def _file_boundary_data(path, key, mesh):
     if not os.path.isfile(path):
         raise ConfigError(f"'data.{key}': file {path!r} does not exist")
     try:
         values = np.load(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"'data.{key}': could not load {path!r} ({exc})")
+    if not isinstance(values, np.ndarray):
+        values.close()
+        raise ConfigError(f"'data.{key}': {path!r} is not a .npy file")
     if values.shape != (mesh.n_panels, 3):
         raise ConfigError(
             f"'data.{key}': array shape {values.shape} does not match the "
             f"{mesh.n_panels}-panel mesh")
+    if values.dtype.kind not in "iuf" or not np.all(np.isfinite(values)):
+        raise ConfigError(f"'data.{key}': {path!r} must hold finite numbers")
     return BoundaryField(mesh, np.asarray(values, dtype=float))
 
 
@@ -1078,20 +1078,25 @@ class RunConfig:
     panel values for the data the problem kind needs).  A volume section
     adds constant forcing on a cube lattice; β > 0 switches the mixed solve
     to the fixed-point iteration.
+
+    geometry is (type, level, size); data is (source, detail) with detail
+    (point, column), an expression name or {"dirichlet" | "neumann": path};
+    volume is (resolution, forcing) or None.  mapping is the parsed JSON,
+    whose sections report.json echoes.
     """
 
     kind: str
-    geometry: dict
-    level: int
+    geometry: tuple
     patches: dict | None
     alpha: float
     beta: float
-    data: dict
+    data: tuple
     quadrature_order: int
-    volume: dict | None
+    volume: tuple | None
     picard: PicardConfig
-    flux_tol: float | None
+    flux_tol: float
     output: str | None
+    mapping: dict
 
     @classmethod
     def from_mapping(cls, cfg):
@@ -1100,51 +1105,54 @@ class RunConfig:
         kind = _cfg_str(cfg, "", "kind", choices=tuple(_KIND_BY_NAME))
         geometry = _cfg_map(cfg, "", "geometry")
         level = _cfg_int(geometry, "geometry", "level", minimum=1)
-        patches = _cfg_map(cfg, "", "patches", required=(kind == "mixed"),
-                           default=None)
+        geometry_type, size = _cfg_geometry(geometry, [level])
+        patches = _cfg_map(cfg, "", "patches",
+                           default=_REQUIRED if kind == "mixed" else None)
         alpha = _cfg_number(cfg, "", "alpha", minimum=0.0)
-        beta = _cfg_number(cfg, "", "beta", minimum=0.0, required=False,
-                           default=0.0)
+        beta = _cfg_number(cfg, "", "beta", minimum=0.0, default=0.0)
         data = _cfg_map(cfg, "", "data")
         source = _cfg_str(data, "data", "source",
                           choices=("manufactured", "file", "expression"))
         if source == "manufactured":
-            _cfg_vec3(data, "data", "source_point")
-            _cfg_int(data, "data", "column", minimum=1, maximum=3)
+            detail = (_cfg_vec3(data, "data", "source_point"),
+                      _cfg_int(data, "data", "column", minimum=1, maximum=3))
         elif source == "expression":
-            _cfg_str(data, "data", "name", choices=EXPRESSION_NAMES)
+            detail = _cfg_str(data, "data", "name", choices=EXPRESSION_NAMES)
+        else:
+            detail = {key: _cfg_str(data, "data", key)
+                      for key in ("dirichlet", "neumann")
+                      if kind in (key, "mixed")}
         order = _cfg_order(cfg)
-        volume = _cfg_map(cfg, "", "volume", required=False, default=None)
+        volume = _cfg_map(cfg, "", "volume", default=None)
         if volume is not None:
-            _cfg_int(volume, "volume", "resolution", minimum=2)
-            _cfg_vec3(volume, "volume", "forcing")
+            volume = (_cfg_int(volume, "volume", "resolution", minimum=2),
+                      _cfg_vec3(volume, "volume", "forcing"))
         if beta > 0.0 and (kind != "mixed" or volume is None):
             raise ConfigError("'beta': a positive drag coefficient needs "
                               "kind 'mixed' and a volume section")
-        picard_map = _cfg_map(cfg, "", "picard", required=False, default=None)
-        picard = PicardConfig()
-        if picard_map is not None:
-            settings = dict(
-                tol=_cfg_number(picard_map, "picard", "tol", required=False,
-                                default=picard.tol),
-                max_iter=_cfg_int(picard_map, "picard", "max_iter",
-                                  minimum=1, required=False,
-                                  default=picard.max_iter),
-                damping=_cfg_number(picard_map, "picard", "damping",
-                                    required=False, default=picard.damping))
-            try:
-                picard = PicardConfig(**settings)
-            except ValueError as exc:
-                raise ConfigError(f"'picard': {exc}")
-        flux_tol = _cfg_number(cfg, "", "flux_tol", required=False,
-                               default=None)
-        if flux_tol is not None and flux_tol <= 0.0:
+        picard_map = _cfg_map(cfg, "", "picard", default={})
+        # read outside the try below: a ConfigError is a ValueError too
+        settings = dict(
+            tol=_cfg_number(picard_map, "picard", "tol",
+                            default=PicardConfig.tol),
+            max_iter=_cfg_int(picard_map, "picard", "max_iter", minimum=1,
+                              default=PicardConfig.max_iter),
+            damping=_cfg_number(picard_map, "picard", "damping",
+                                default=PicardConfig.damping))
+        try:
+            picard = PicardConfig(**settings)
+        except ValueError as exc:
+            raise ConfigError(f"'picard': {exc}")
+        flux_tol = _cfg_number(cfg, "", "flux_tol", default=(
+            BVPSpec.flux_tol if source == "file" else MANUFACTURED_FLUX_TOL))
+        if flux_tol <= 0.0:
             raise ConfigError("'flux_tol': must be positive")
-        output = _cfg_str(cfg, "", "output", required=False, default=None)
-        return cls(kind=kind, geometry=geometry, level=level,
-                   patches=patches, alpha=alpha, beta=beta, data=data,
-                   quadrature_order=order, volume=volume, picard=picard,
-                   flux_tol=flux_tol, output=output)
+        return cls(kind=kind, geometry=(geometry_type, level, size),
+                   patches=patches, alpha=alpha, beta=beta,
+                   data=(source, detail), quadrature_order=order,
+                   volume=volume, picard=picard, flux_tol=flux_tol,
+                   output=_cfg_str(cfg, "", "output", default=None),
+                   mapping=cfg)
 
 
 def _load_config(path):
@@ -1159,24 +1167,22 @@ def _load_config(path):
 
 
 def _resolve_boundary_data(rc, mesh, params):
-    """Trace and traction fields plus an exact-velocity callable (None when
-    the data come from files)."""
-    source_kind = rc.data["source"]
-    needs_trace = rc.kind in ("dirichlet", "mixed")
-    needs_traction = rc.kind in ("neumann", "mixed")
-    if source_kind == "manufactured":
-        solution = manufactured_solution(rc.data["source_point"],
-                                         rc.data["column"], params, mesh)
+    """Trace and traction fields (None for data the kind does not read) plus
+    an exact-velocity callable (None when the data come from files)."""
+    source, detail = rc.data
+    if source == "manufactured":
+        solution = manufactured_solution(*detail, params, mesh)
         return solution.trace(mesh), solution.traction(mesh), solution.velocity
-    if source_kind == "expression":
-        trace, traction = _expression_boundary_data(rc.data["name"], mesh,
-                                                    params)
-        fields = _EXPRESSION_CATALOG[rc.data["name"]]
-        return trace, traction, lambda pts: fields(pts, params.alpha)[0]
-    trace = (_file_boundary_data(rc.data, "dirichlet", mesh)
-             if needs_trace else None)
-    traction = (_file_boundary_data(rc.data, "neumann", mesh)
-                if needs_traction else None)
+    if source == "expression":
+        fields = _EXPRESSION_CATALOG[detail]
+        velocity, pressure, strain = fields(mesh.centroids, params.alpha)
+        traction = (-pressure[:, None] * mesh.normals
+                    + 2.0 * np.einsum("pij,pj->pi", strain, mesh.normals))
+        return (BoundaryField(mesh, velocity), BoundaryField(mesh, traction),
+                lambda pts: fields(pts, params.alpha)[0])
+    trace, traction = (_file_boundary_data(detail[key], key, mesh)
+                       if key in detail else None
+                       for key in ("dirichlet", "neumann"))
     return trace, traction, None
 
 
@@ -1192,41 +1198,32 @@ def run_config(path, out_dir=None):
     if destination is None:
         raise ConfigError("missing required key 'output' (or pass an "
                           "explicit output directory)")
-    mesh = _build_mesh(rc.geometry, rc.level)
+    geometry_type, level, size = rc.geometry
+    mesh = _build_mesh(geometry_type, size, level)
     params = BrinkmanParams(alpha=rc.alpha, beta=rc.beta)
     labeling = (_cfg_labeling(mesh, rc.patches) if rc.kind == "mixed"
                 else None)
     trace, traction, exact_velocity = _resolve_boundary_data(rc, mesh, params)
 
-    flux_tol = rc.flux_tol
-    if flux_tol is None:
-        flux_tol = (MANUFACTURED_FLUX_TOL
-                    if rc.data["source"] in ("manufactured", "expression")
-                    else BVPSpec.flux_tol)
-    grid = None
-    forcing = None
+    grid = forcing = None
     if rc.volume is not None:
-        side = _cfg_number(rc.geometry, "geometry", "side", minimum=0.0,
-                           required=False, default=1.0)
-        domain = ({"type": "cube", "side": side}
-                  if rc.geometry["type"] == "cube"
+        resolution, tile = rc.volume
+        domain = ({"type": "cube", "side": size} if geometry_type == "cube"
                   else {"type": "mesh", "mesh": mesh})
-        grid = build_volume_grid(domain, rc.volume["resolution"])
-        tile = np.asarray(rc.volume["forcing"], dtype=float)
+        grid = build_volume_grid(domain, resolution)
         forcing = VolumeField(grid, np.tile(tile, (grid.n_cells, 1)))
 
-    contraction = None
+    report = contraction = None
     if rc.beta > 0.0:
         handle, contraction = picard_solve(
             mesh, labeling, grid, params, forcing, trace, traction,
             rc.picard, quadrature_order=rc.quadrature_order)
-        report = None
     else:
         spec = BVPSpec(kind=_KIND_BY_NAME[rc.kind], params=params, mesh=mesh,
                        labeling=labeling, dirichlet_data=trace,
                        neumann_data=traction, forcing=forcing, grid=grid,
                        quadrature_order=rc.quadrature_order,
-                       flux_tol=flux_tol)
+                       flux_tol=rc.flux_tol)
         handle, report = _solve(spec)
 
     points = interior_probes(mesh)
@@ -1239,9 +1236,11 @@ def run_config(path, out_dir=None):
 
     document = {
         "config": {
-            "kind": rc.kind, "geometry": rc.geometry, "patches": rc.patches,
-            "alpha": rc.alpha, "beta": rc.beta, "data": rc.data,
-            "quadrature_order": rc.quadrature_order, "volume": rc.volume,
+            "kind": rc.kind, "geometry": rc.mapping["geometry"],
+            "patches": rc.patches, "alpha": rc.alpha, "beta": rc.beta,
+            "data": rc.mapping["data"],
+            "quadrature_order": rc.quadrature_order,
+            "volume": rc.mapping.get("volume"),
         },
         "report": None if report is None else json.loads(report.to_json()),
         "contraction": (None if contraction is None
@@ -1253,15 +1252,13 @@ def run_config(path, out_dir=None):
               encoding="utf-8") as handle_out:
         handle_out.write(json.dumps(document, indent=2, sort_keys=True))
         handle_out.write("\n")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("x", "y", "z", "velocity_x", "velocity_y", "velocity_z",
-                     "pressure"))
-    for point, velocity, pressure in zip(points, fields.velocity,
-                                         fields.pressure):
-        writer.writerow([repr(float(v)) for v in (*point, *velocity,
-                                                  pressure)])
     with open(os.path.join(destination, "fields.csv"), "w",
               encoding="utf-8", newline="") as handle_out:
-        handle_out.write(buffer.getvalue())
+        writer = csv.writer(handle_out, lineterminator="\n")
+        writer.writerow(("x", "y", "z", "velocity_x", "velocity_y",
+                         "velocity_z", "pressure"))
+        for point, velocity, pressure in zip(points, fields.velocity,
+                                             fields.pressure):
+            writer.writerow([repr(float(v)) for v in (*point, *velocity,
+                                                      pressure)])
     return destination

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -171,16 +171,7 @@ class SolveReport:
     warnings: tuple = ()
 
     def to_json(self):
-        return json.dumps({
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "residual_l2": self.residual_l2,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "pressure_constant": self.pressure_constant,
-            "wall_time_s": self.wall_time_s,
-            "warnings": list(self.warnings),
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 class _RowStore:

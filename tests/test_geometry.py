@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bbem.geometry import (
     DIRICHLET,
     NEUMANN,
+    PatchLabeling,
     SurfaceMesh,
     build_cube,
     build_icosphere,
@@ -188,6 +189,20 @@ def test_off_import_rejects_non_triangle(tmp_path):
         load_off(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("OFF\n4 4 0\n0 0 0\n1 0 0\n", "ends after line 4; expected vertex 2 of 4"),
+    (TETRA_OFF.replace("3 1 2 3\n", ""), "ends after line 9; expected face 3 of 4"),
+    (TETRA_OFF.replace("4 4 0", "4 4"), "line 2: expected the counts"),
+    (TETRA_OFF.replace("0 0 1\n", "0 0\n"), "line 6: expected vertex 3 of 4"),
+    (TETRA_OFF.replace("0 0 1\n", "0 0 z\n"), "line 6: expected vertex 3 of 4"),
+], ids=["few-vertices", "few-faces", "two-counts", "short-vertex", "bad-vertex"])
+def test_off_import_names_malformed_lines(tmp_path, text, match):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        load_off(path)
+
+
 def test_off_import_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("4 4 0\n")
@@ -216,6 +231,20 @@ def test_cube_faces_rule_selects_top():
     labeling = label_patches(mesh, {"type": "cube_faces", "neumann_faces": ["+z"]})
     assert labeling.n_neumann == mesh.n_panels // 6
     assert np.all(mesh.normals[labeling.neumann_mask, 2] > 0.9)
+
+
+def test_labeling_masks_are_read_only_and_match_labels():
+    mesh = build_cube(1)
+    labeling = label_patches(mesh, {"type": "cube_faces", "neumann_faces": ["+z"]})
+    expected = np.array([lab == NEUMANN for lab in labeling.panel_label])
+    np.testing.assert_array_equal(labeling.neumann_mask, expected)
+    np.testing.assert_array_equal(labeling.dirichlet_mask, ~expected)
+    for mask in (labeling.neumann_mask, labeling.dirichlet_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = not mask[0]
+    # equality and hashing see the labels only
+    twin = PatchLabeling(labeling.panel_label)
+    assert twin == labeling and hash(twin) == hash(labeling)
 
 
 def test_whole_boundary_rule():

@@ -21,6 +21,9 @@ from _oracles import fd_gradient, fd_laplacian
 
 PARAMS = BrinkmanParams(alpha=1.0)
 SPHERE_POLE = [0.0, 0.0, 3.0]
+# json.dumps writes these as NaN and Infinity, which json.load accepts
+NAN = float("nan")
+INF = float("inf")
 
 
 # ------------------------------------------------------ manufactured fields
@@ -261,9 +264,14 @@ def test_convergence_table_requires_increasing_panels():
         H.ConvergenceTable(rows=(row, row))
 
 
-def test_convergence_study_refuses_oversized_meshes():
+def test_convergence_study_refuses_oversized_meshes(monkeypatch):
+    # the budget is checked for every level before the first solve
+    calls = []
+    monkeypatch.setattr(H, "manufactured_errors",
+                        lambda *args, **kwargs: calls.append(args))
     with pytest.raises(H.ConfigError, match="budget"):
         H.convergence_study({**STUDY, "levels": [1, 4]})
+    assert calls == []
 
 
 def test_convergence_study_names_missing_keys():
@@ -393,6 +401,20 @@ def test_run_config_rejects_wrong_file_shape(tmp_path):
         H.run_config(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("name, values, match", [
+    ("trace.npy", np.full((80, 3), np.nan), "finite"),
+    ("trace.npy", np.full((80, 3), "1.0"), "finite"),
+    ("trace.npz", np.zeros((80, 3)), "not a .npy file"),
+], ids=["nan", "strings", "npz"])
+def test_run_config_rejects_bad_file_values(tmp_path, name, values, match):
+    path = tmp_path / name
+    (np.savez if name.endswith(".npz") else np.save)(path, values)
+    cfg = {**RUN, "kind": "dirichlet",
+           "data": {"source": "file", "dirichlet": str(path)}}
+    with pytest.raises(H.ConfigError, match=f"'data.dirichlet': .*{match}"):
+        H.run_config(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
+
+
 def test_run_config_rejects_drag_without_volume(tmp_path):
     cfg = {**RUN, "beta": 1.0}
     with pytest.raises(H.ConfigError, match="beta"):
@@ -458,10 +480,15 @@ _BAD_SETTINGS = [
 @pytest.mark.parametrize("entry, key", _BAD_SETTINGS + [
     ({"geometry": {"type": "cube", "level": 1, "side": 0}}, "'geometry.side'"),
     ({"picard": {"damping": 1.5}}, "'picard': damping"),
+    ({"data": {"source": "manufactured", "source_point": [NAN, 0.0, 3.0],
+               "column": 2}}, "'data.source_point': must be finite"),
+    ({"volume": {"resolution": 6, "forcing": [0.0, INF, 0.0]}},
+     "'volume.forcing': must be finite"),
+    ({"alpha": 10 ** 400}, "'alpha': must be finite"),
 ])
 def test_run_config_bad_values_name_the_key(tmp_path, entry, key):
-    cfg = {**CUBE_RUN, **entry}
-    del cfg["volume"]
+    cfg = {k: v for k, v in CUBE_RUN.items() if k != "volume"}
+    cfg.update(entry)
     with pytest.raises(H.ConfigError, match=key):
         H.run_config(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
 
@@ -470,6 +497,9 @@ def test_run_config_bad_values_name_the_key(tmp_path, entry, key):
     ({"geometry": {"type": "cube", "side": 0}}, "'geometry.side'"),
     ({"kind": "dirichlet", "geometry": {"type": "icosphere", "radius": 0}},
      "'geometry.radius'"),
+    ({"source_point": [NAN, 0.0, 3.0]}, "'source_point': must be finite"),
+    ({"source_point": [0.0, -INF, 3.0]}, "'source_point': must be finite"),
+    ({"source_point": [0, 0, 10 ** 400]}, "'source_point': must be finite"),
 ])
 def test_convergence_study_bad_values_name_the_key(entry, key):
     cfg = {**STUDY, "kind": "mixed", "geometry": {"type": "cube"},
@@ -550,6 +580,20 @@ def test_cli_converge_bad_value_is_config_error(tmp_path, capsys):
     assert "'geometry.radius'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {**RUN, "data": {"source": "manufactured",
+                               "source_point": [NAN, 0.0, 3.0], "column": 2}}),
+    ("converge", {**STUDY, "source_point": [NAN, 0.0, 3.0]}),
+])
+def test_cli_nonfinite_value_is_config_error(tmp_path, capsys, command, cfg):
+    argv = [command, "--config", _write_config(tmp_path, cfg)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "source_point': must be finite" in err
+
+
 def test_cli_kernels_prints_tensor(capsys):
     assert cli.main(["kernels", "--eval", "1.0,0.5,-0.25",
                      "--alpha", "2.0"]) == 0
@@ -562,6 +606,12 @@ def test_cli_kernels_prints_tensor(capsys):
 def test_cli_kernels_rejects_origin(capsys):
     assert cli.main(["kernels", "--eval", "0,0,0", "--alpha", "1.0"]) == 2
     assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_cli_kernels_rejects_nonfinite_alpha(capsys, alpha):
+    assert cli.main(["kernels", "--eval", "1,0,0", "--alpha", alpha]) == 2
+    assert "'alpha': must be finite" in capsys.readouterr().err
 
 
 def test_cli_kernels_rejects_malformed_point():
