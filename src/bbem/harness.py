@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -89,7 +90,8 @@ SUITE_NAMES = ("kernels", "jumps", "nullspaces", "green", "solvers",
                "mixed", "semilinear")
 
 # Largest mesh the dense studies accept: a 3N × 3N double matrix at this
-# budget is already 1.8 GB, past desk scale.
+# budget is already 1.8 GB, past desk scale.  A lattice of C cells needs
+# C·N <= PANEL_BUDGET², so its (C, 3, 3N) grid rows fit in that matrix.
 PANEL_BUDGET = 5000
 
 MANUFACTURED_FLUX_TOL = 1.0e-4
@@ -135,9 +137,7 @@ def _fd_gradient(f, x, h):
     appended to the output."""
     x = np.asarray(x, dtype=float)
     parts = []
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = h
+    for e in h * np.eye(3):
         parts.append((-f(x + 2 * e) + 8.0 * f(x + e)
                       - 8.0 * f(x - e) + f(x - 2 * e)) / (12.0 * h))
     return np.stack(parts, axis=-1)
@@ -147,9 +147,7 @@ def _fd_laplacian(f, x, h):
     """4th-order centered finite-difference Laplacian over the 3 axes."""
     x = np.asarray(x, dtype=float)
     total = 0.0
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = h
+    for e in h * np.eye(3):
         total = total + (-f(x + 2 * e) + 16.0 * f(x + e) - 30.0 * f(x)
                          + 16.0 * f(x - e) - f(x - 2 * e)) / (12.0 * h ** 2)
     return total
@@ -386,14 +384,11 @@ def operator_spectra(workspace):
     invertibility floor.  _sigma_range reads both from LU factors: a block
     of 8 on the minus one, since σ₂ is a triple value on the icosphere.
     """
-    minus = _traction_system(workspace, -0.5)
-    sigma, vectors, _ = _sigma_range(minus, scipy.linalg.lu_factor(minus),
-                                     block=8)
-    del minus
+    sigma, vectors = _sigma_range(scipy.linalg.lu_factor(
+        _traction_system(workspace, -0.5), overwrite_a=True), block=8)
     normals = workspace.mesh.normals.reshape(-1)
     cosine = abs(vectors[:, 0] @ normals) / np.linalg.norm(normals)
-    plus, _, _ = _sigma_range(_traction_system(workspace, 0.5),
-                              workspace.neumann_factorization())
+    plus, _ = _sigma_range(workspace.neumann_factorization())
     return {"sigma_min_minus": float(sigma[0]), "sigma2_minus": float(sigma[1]),
             "nu_cosine": float(cosine), "sigma_min_plus": float(plus[0])}
 
@@ -556,12 +551,8 @@ def semilinear_battery(level=1, resolution=12, params=None, tol=1.0e-8,
 
 # ------------------------------------------------------- checks and reports
 
-_COMPARISONS = {
-    "<=": lambda value, bound: value <= bound,
-    "<": lambda value, bound: value < bound,
-    ">=": lambda value, bound: value >= bound,
-    ">": lambda value, bound: value > bound,
-}
+_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+                ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -999,15 +990,17 @@ def _cfg_order(cfg):
 
 def _cfg_geometry(geometry, levels):
     """Type and size (radius or side, default 1) of a geometry section; a
-    level needing more than PANEL_BUDGET panels is refused."""
+    level past the largest within PANEL_BUDGET panels is refused."""
     geometry_type = _cfg_str(geometry, "geometry", "type",
                              choices=tuple(_BASE_PANELS))
+    base, top = _BASE_PANELS[geometry_type], 1
+    while base * 4 ** top <= PANEL_BUDGET:
+        top += 1
     for level in levels:
-        expected = _BASE_PANELS[geometry_type] * 4 ** (level - 1)
-        if expected > PANEL_BUDGET:
+        if level > top:
             raise ConfigError(
-                f"level {level} needs {expected} panels, over the "
-                f"{PANEL_BUDGET}-panel budget for dense assembly")
+                f"level {level} is over the {PANEL_BUDGET}-panel budget "
+                f"for dense assembly (at most level {top})")
     key = "radius" if geometry_type == "icosphere" else "side"
     size = _cfg_number(geometry, "geometry", key, minimum=0.0, default=1.0)
     if size <= 0.0:
@@ -1125,8 +1118,12 @@ class RunConfig:
         order = _cfg_order(cfg)
         volume = _cfg_map(cfg, "", "volume", default=None)
         if volume is not None:
-            volume = (_cfg_int(volume, "volume", "resolution", minimum=2),
-                      _cfg_vec3(volume, "volume", "forcing"))
+            resolution = _cfg_int(volume, "volume", "resolution", minimum=2)
+            if (resolution ** 3 * _BASE_PANELS[geometry_type]
+                    * 4 ** (level - 1) > PANEL_BUDGET ** 2):
+                raise ConfigError("'volume.resolution': cells times panels "
+                                  f"are over the {PANEL_BUDGET}² budget")
+            volume = (resolution, _cfg_vec3(volume, "volume", "forcing"))
         if beta > 0.0 and (kind != "mixed" or volume is None):
             raise ConfigError("'beta': a positive drag coefficient needs "
                               "kind 'mixed' and a volume section")
@@ -1159,7 +1156,7 @@ def _load_config(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             cfg = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a number past the digit limit
             raise ConfigError(f"{path}: not valid JSON ({exc})")
     if not isinstance(cfg, dict):
         raise ConfigError("top level: expected a JSON object")

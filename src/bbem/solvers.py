@@ -12,10 +12,11 @@ Representations (interior domain, outward normal):
               shifted by the Newtonian pair: its trace on the rows that
               read the velocity, its traction on the rest)
 
-Every system is a square LU solve on a factor the workspace caches.  The
-Dirichlet operator has a one-dimensional defect whose cokernel is the
-normal: a datum with net flux is rejected as incompatible, the rest is
-projected onto the zero-flux subspace, and an operator with estimated
+Every system is an LU solve on a factor the workspace caches, written
+over the system's own buffer except for the mixed one, which the residual
+reads.  The Dirichlet operator has a one-dimensional defect whose cokernel
+is the normal: a datum with net flux is rejected as incompatible, the rest
+is projected onto the zero-flux subspace, and an operator with estimated
 σ_min/σ_max at most 1e-10 is rejected as numerically singular.
 
 Pressures are defined up to a constant; each solve fixes the constant to
@@ -158,8 +159,8 @@ class SolveReport:
     """Diagnostics of one solve; serializes to a flat JSON document.
 
     sigma_min and sigma_max bound the Dirichlet operator's extreme singular
-    values from above and below (_sigma_range with a block of 1); None for
-    Neumann and mixed."""
+    values from above (_sigma_range on its LU factor) and from below (power
+    steps through K); None for Neumann and mixed."""
 
     kind: str
     alpha: float
@@ -236,19 +237,27 @@ class SolverWorkspace:
         return self._double
 
     def dirichlet_factorization(self):
-        """LU factor of −½I + K and its (σ_min, σ_max) estimate."""
+        """LU factor of −½I + K and its (σ_min, σ_max) estimate, σ_max by
+        30 seeded power steps on AᵀA applied through K (a lower bound)."""
         if self._dirichlet_lu is None:
-            system = (-0.5 * np.eye(3 * self.mesh.n_panels)
-                      + self.double_layer.matrix)
-            lu = scipy.linalg.lu_factor(system)
-            low, _, high = _sigma_range(system, lu)
-            self._dirichlet_lu = (lu, (float(low[0]), high))
+            matrix = self.double_layer.matrix
+            system = np.array(matrix, order="F")
+            system.flat[::len(system) + 1] -= 0.5
+            lu = scipy.linalg.lu_factor(system, overwrite_a=True)
+            high = np.random.default_rng(0).standard_normal(len(matrix))
+            for _ in range(30):
+                applied = -0.5 * high + matrix @ high
+                high = -0.5 * applied + matrix.T @ applied
+                high /= np.linalg.norm(high)
+            sigma_max = float(np.linalg.norm(-0.5 * high + matrix @ high))
+            self._dirichlet_lu = (lu, (float(_sigma_range(lu)[0][0]),
+                                       sigma_max))
         return self._dirichlet_lu
 
     def neumann_factorization(self):
         if self._neumann_lu is None:
             self._neumann_lu = scipy.linalg.lu_factor(
-                _traction_system(self, 0.5))
+                _traction_system(self, 0.5), overwrite_a=True)
         return self._neumann_lu
 
     def mixed_matrix(self, labeling):
@@ -330,11 +339,11 @@ def _flux_check(h0, mesh, flux_tol):
             f"above the compatibility tolerance {flux_tol:.1e}")
 
 
-def _lu_solve(lu, rhs, what):
-    """Solve with a cached LU factor of the named system; a failed or
-    non-finite solve raises IllConditioned."""
+def _lu_solve(lu, rhs, what, trans=0):
+    """Solve with a cached LU factor of the named system (its transpose for
+    trans=1); a failed or non-finite solve raises IllConditioned."""
     try:
-        x = scipy.linalg.lu_solve(lu, rhs)
+        x = scipy.linalg.lu_solve(lu, rhs, trans=trans)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise IllConditioned(f"{what} system factorization failed: {exc}")
     if not np.all(np.isfinite(x)):
@@ -344,35 +353,31 @@ def _lu_solve(lu, rhs, what):
 
 def _traction_system(ws, diagonal):
     """±½I + K* (diagonal ±0.5) with K* = W⁻¹KᵀW the area-weighted adjoint
-    (see adjoint_double_layer), written from K into one fresh buffer."""
+    (see adjoint_double_layer), written from K into one Fortran-ordered
+    buffer."""
     w = np.repeat(ws.mesh.areas, 3)
-    system = np.divide(w[None, :], w[:, None])
-    system *= ws.double_layer.matrix.T
-    system.flat[::len(w) + 1] += diagonal
-    return system
+    transposed = np.divide(w[:, None], w[None, :])
+    transposed *= ws.double_layer.matrix
+    transposed.flat[::len(w) + 1] += diagonal
+    return transposed.T
 
 
-def _sigma_range(system, lu, block=1):
-    """The block smallest σ of a square A (ascending), their right vectors as
-    columns, and σ_max, from A's LU: 30 seeded steps of block inverse
-    iteration on (AᵀA)⁻¹ (lu_solve with trans=1, then plain, then a QR;
-    Golub & Van Loan, ch. 8), Rayleigh–Ritz by a thin SVD of A X (each σ an
-    upper bound, NaN for an exactly singular factor), and ‖A v‖ after 30
-    power steps on AᵀA (a lower bound on σ_max)."""
-    low = np.random.default_rng(0).standard_normal((len(system), block))
-    high = low[:, 0]
+def _sigma_range(lu, block=1):
+    """The block smallest σ of a square A (ascending) and their right vectors
+    as columns, from A's LU alone: 30 seeded steps of block inverse iteration
+    on (AᵀA)⁻¹ (lu_solve with trans=1, then plain, then a QR; Golub & Van
+    Loan, ch. 8), then Rayleigh–Ritz by a thin SVD of A⁻ᵀX, whose values are
+    1/σ (each σ an upper bound, NaN for an exactly singular factor)."""
+    x = np.random.default_rng(0).standard_normal((len(lu[0]), block))
     for _ in range(30):
-        low = scipy.linalg.lu_solve(lu, low, trans=1, check_finite=False)
-        low = scipy.linalg.lu_solve(lu, low, check_finite=False)
-        low = np.linalg.qr(low)[0]
-        high = system.T @ (system @ high)
-        high /= np.linalg.norm(high)
-    sigma_max = float(np.linalg.norm(system @ high))
-    applied = system @ low
+        x = scipy.linalg.lu_solve(lu, x, trans=1, check_finite=False)
+        x = scipy.linalg.lu_solve(lu, x, check_finite=False)
+        x = np.linalg.qr(x)[0]
+    applied = scipy.linalg.lu_solve(lu, x, trans=1, check_finite=False)
     if not np.all(np.isfinite(applied)):
-        return np.full(block, np.nan), low, sigma_max
-    _, sigma, vt = np.linalg.svd(applied, full_matrices=False)
-    return sigma[::-1], low @ vt[::-1].T, sigma_max
+        return np.full(block, np.nan), x
+    _, inverse, vt = np.linalg.svd(applied, full_matrices=False)
+    return 1.0 / inverse, x @ vt.T
 
 
 def _rhs(spec):
@@ -527,10 +532,8 @@ def neumann_to_dirichlet(mesh, labeling, params, quadrature_order=6,
     if labeling.n_dirichlet == 0:
         raise InvalidLabeling("the Dirichlet patch is empty")
     workspace = _workspace_for(mesh, params, quadrature_order, workspace)
-    n = 3 * mesh.n_panels
-    inverse = _lu_solve(workspace.neumann_factorization(), np.eye(n),
-                        "Neumann")
-    composed = workspace.single_layer.matrix @ inverse
+    composed = _lu_solve(workspace.neumann_factorization(),  # (A⁻ᵀVᵀ)ᵀ
+                         workspace.single_layer.matrix.T, "Neumann", 1).T
     composed[~np.repeat(labeling.dirichlet_mask, 3)] = 0.0
     return NeumannToDirichletMap(composed, mesh, labeling)
 

@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from bbem.geometry import VolumeGrid
@@ -192,6 +193,8 @@ def test_criterion_10_newtonian_volume_pair():
     assert gap <= 1e-12
 
 
+# the 16³ grid's proximity RuntimeWarning is known and stays a warning
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_criterion_11_semilinear_contraction():
     """Fixed-point solve with alpha = beta = 1 and data at half the
     estimated radius: convergence to 1e-8 within 20 iterations, measured

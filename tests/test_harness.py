@@ -5,6 +5,7 @@ interface."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,51 @@ def test_operator_spectra_and_normal_defect():
     assert spectra["sigma2_minus"] > 10.0 * spectra["sigma_min_minus"]
     assert spectra["sigma_min_plus"] > 0.1
     assert H.sl_normal_defect(ws) < 1e-6
+
+
+def test_operator_spectra_writes_minus_system_once(monkeypatch):
+    # with a warm Neumann factor the plus floor is read from it: only
+    # −½I + K* is written
+    ws = SolverWorkspace(build_icosphere(1), BrinkmanParams(alpha=4.0))
+    ws.neumann_factorization()
+    write = S._traction_system
+    diagonals = []
+
+    def counted(workspace, diagonal):
+        diagonals.append(diagonal)
+        return write(workspace, diagonal)
+
+    monkeypatch.setattr(S, "_traction_system", counted)
+    monkeypatch.setattr(H, "_traction_system", counted)
+    H.operator_spectra(ws)
+    assert diagonals == [-0.5]
+
+
+@pytest.fixture(scope="module")
+def sphere2_double_layer():
+    return SolverWorkspace(build_icosphere(2), PARAMS).double_layer
+
+
+@pytest.mark.parametrize("call", [
+    SolverWorkspace.dirichlet_factorization,
+    SolverWorkspace.neumann_factorization,
+    H.operator_spectra,
+])
+def test_factor_and_spectra_peaks_stay_near_one_matrix(sphere2_double_layer,
+                                                       monkeypatch, call):
+    # above a start where K is assembled, each system is one n×n buffer
+    # that its LU overwrites, and the minus factor of the spectra is gone
+    # before the Neumann factor is written
+    ws = SolverWorkspace(build_icosphere(2), PARAMS)
+    monkeypatch.setattr(ws, "_double", sphere2_double_layer)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / sphere2_double_layer.matrix.nbytes <= 1.5
 
 
 def test_manufactured_errors_requires_labeling_for_mixed():
@@ -493,6 +539,20 @@ def test_run_config_bad_values_name_the_key(tmp_path, entry, key):
         H.run_config(_write_config(tmp_path, cfg), out_dir=str(tmp_path))
 
 
+@pytest.mark.parametrize("resolution, refused", [(80, False), (81, True),
+                                                 (100000, True)])
+def test_run_config_volume_budget(resolution, refused):
+    # resolution³ cells times the 48 panels of cube(1) may not pass
+    # PANEL_BUDGET²; refused while parsing, before any grid is built
+    cfg = {**CUBE_RUN, "volume": {**CUBE_RUN["volume"],
+                                  "resolution": resolution}}
+    if refused:
+        with pytest.raises(H.ConfigError, match="'volume.resolution'.*budget"):
+            H.RunConfig.from_mapping(cfg)
+    else:
+        assert H.RunConfig.from_mapping(cfg).volume[0] == resolution
+
+
 @pytest.mark.parametrize("entry, key", _BAD_SETTINGS + [
     ({"geometry": {"type": "cube", "side": 0}}, "'geometry.side'"),
     ({"kind": "dirichlet", "geometry": {"type": "icosphere", "radius": 0}},
@@ -592,6 +652,30 @@ def test_cli_nonfinite_value_is_config_error(tmp_path, capsys, command, cfg):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "source_point': must be finite" in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {**RUN, "geometry": {"type": "icosphere", "level": 10000}}),
+    ("converge", {**STUDY, "levels": [1, 10000]}),
+])
+def test_cli_huge_level_is_budget_error(tmp_path, capsys, command, cfg):
+    # the level is compared with the largest the budget admits, so no
+    # panel count past Python's integer digit limit is formed or printed
+    argv = [command, "--config", _write_config(tmp_path, cfg)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "budget" in err
+
+
+def test_cli_number_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(RUN).replace('"alpha": 1.0',
+                                            '"alpha": 1' + "0" * 5000))
+    assert cli.main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_kernels_prints_tensor(capsys):

@@ -319,9 +319,9 @@ def test_dirichlet_factors_once_per_workspace(sphere_coarse, monkeypatch):
     factor = scipy.linalg.lu_factor
     calls = []
 
-    def counted(matrix):
+    def counted(matrix, **options):
         calls.append(matrix.shape)
-        return factor(matrix)
+        return factor(matrix, **options)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
     first, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
@@ -334,21 +334,21 @@ def test_dirichlet_factors_once_per_workspace(sphere_coarse, monkeypatch):
                                          (1, 1.0), (1, 4.0)])
 @pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
 def test_sigma_range_brackets_svdvals(name, sign, alpha):
-    # ‖A v‖ at a unit vector bounds σ_min from above and σ_max from below;
-    # both iterations come within the stated margins of the SVD values
+    # the Ritz values of the factor bound σ_min from above, and ‖A v‖ after
+    # the Dirichlet power steps through K bounds σ_max from below; both
+    # come within the stated margins of the SVD values
     ws = _oracle_workspace(name, alpha)
     n = 3 * ws.mesh.n_panels
     if sign < 0:
         system = -0.5 * np.eye(n) + ws.double_layer.matrix
-        lu = ws.dirichlet_factorization()[0]
+        low, high = ws.dirichlet_factorization()[1]
     else:
         system = S._traction_system(ws, 0.5)
-        lu = ws.neumann_factorization()
-    low, _, high = S._sigma_range(system, lu)
-    low = low[0]
+        low = S._sigma_range(ws.neumann_factorization())[0][0]
     exact = scipy.linalg.svdvals(system)
     assert exact[-1] * (1 - 1.0e-12) <= low <= exact[-1] * (1 + 1.0e-3)
-    assert 0.95 * exact[0] <= high <= exact[0] * (1 + 1.0e-12)
+    if sign < 0:
+        assert 0.95 * exact[0] <= high <= exact[0] * (1 + 1.0e-12)
 
 
 @pytest.mark.parametrize("mesh", [build_icosphere(1), build_icosphere(2),
@@ -359,12 +359,40 @@ def test_sigma_range_block_matches_svd_of_minus_traction(mesh):
     # icosphere, and the first Ritz vector is the SVD's null vector
     ws = S.SolverWorkspace(mesh, BrinkmanParams(alpha=4.0))
     system = S._traction_system(ws, -0.5)
-    sigma, vectors, _ = S._sigma_range(system, scipy.linalg.lu_factor(system),
-                                       block=8)
+    sigma, vectors = S._sigma_range(scipy.linalg.lu_factor(system), block=8)
     _, exact, vt = scipy.linalg.svd(system)
     assert sigma.shape == (8,) and vectors.shape == (len(system), 8)
     np.testing.assert_allclose(sigma[:2], exact[:-3:-1], rtol=1.0e-8)
     assert abs(vectors[:, 0] @ vt[-1]) >= 1.0 - 1.0e-10
+
+
+def test_each_factor_overwrites_the_system_written_for_it(sphere_coarse,
+                                                          cube_mixed,
+                                                          monkeypatch):
+    # the Dirichlet and Neumann systems live only as their LU factors; the
+    # mixed system stays beside a separate factor, since its residual
+    # reads it
+    factor = scipy.linalg.lu_factor
+    written = []
+
+    def recorded(matrix, **options):
+        lu = factor(matrix, **options)
+        written.append((matrix, lu[0]))
+        return lu
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recorded)
+    mesh, ws = sphere_coarse
+    fresh = S.SolverWorkspace(mesh, PARAMS)
+    monkeypatch.setattr(fresh, "_double", ws.double_layer)
+    fresh.dirichlet_factorization()
+    fresh.neumann_factorization()
+    assert [np.shares_memory(*pair) for pair in written] == [True, True]
+    cube, labeling, cube_ws = cube_mixed
+    fresh = S.SolverWorkspace(cube, PARAMS)
+    monkeypatch.setattr(fresh, "_single", cube_ws.single_layer)
+    monkeypatch.setattr(fresh, "_double", cube_ws.double_layer)
+    lu = fresh.mixed_factorization(labeling)[0]
+    assert not np.shares_memory(lu, fresh.mixed_matrix(labeling))
 
 
 # --------------------------------------------------------------- neumann solve
