@@ -34,7 +34,8 @@ rule.  The near search covers all (target, panel) pairs of the chunk at
 once, and each Duffy band is built for the whole chunk in one call.  A
 kernel is evaluated once per band, components first and each node with its
 own target, and each rule is summed by np.add.reduceat in its built order.
-Self panels keep their analytic or order-12 blocks, one Duffy batch a chunk.
+An assembly row's own panel is band 0's distance-0 pair: V adds the closed
+Stokes form less its value on that rule, K takes the −½I row-sum diagonal.
 
 The Duffy order of a near panel is graded by its distance d to the target
 over its diameter h (_NEAR_ORDERS): 12 for d < h/2, 8 for d < h, 6 for
@@ -74,9 +75,7 @@ from .geometry import (
 from .kernels import (
     brinkman_velocity_tensor,
     pressure_vector,
-    stress_difference_normal,
     traction_kernel,
-    velocity_difference,
     _double_layer_parts_cf,
     _double_layer_pressure_cf,
     _pressure_cf,
@@ -86,7 +85,6 @@ from .kernels import (
 )
 
 _CHUNK_ROWS = 8
-_DUFFY_ORDER = 12           # self panels
 # Duffy order of a near panel by its distance to the target over its
 # diameter: the first band whose limit the ratio is below.  Panels past the
 # last limit take the regular rule.
@@ -287,18 +285,16 @@ def _closest_points_on_panels(corners, p):
     return out
 
 
-def _near_search(mesh, points, skip=None):
+def _near_search(mesh, points):
     """(rows, panels, closest points, distances) of the (target, panel)
     pairs closer than the Duffy-upgrade threshold, target-major with
-    ascending panels and without skip[t] (-1 for none), and each target's
-    distance to its candidate panels (inf when none), which is exact
-    whenever it matters: other panels are farther than every cutoff."""
+    ascending panels, and each target's distance to its candidate panels
+    (inf when none), which is exact whenever it matters: other panels are
+    farther than every cutoff."""
     centroid_dist = _radial(mesh.centroids.T[:, None] - points.T[:, :, None],
                             require_nonzero=False)
     # centroid-to-farthest-corner is at most one diameter, so this is safe
     mask = centroid_dist < (_NEAR_FACTOR + 1.0) * mesh.diameters
-    if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
-        mask[np.arange(len(points)), skip] &= np.asarray(skip) < 0
     rows, panels = np.nonzero(mask)
     closest = _closest_points_on_panels(mesh.panel_corners[panels], points[rows])
     dist = _radial((points[rows] - closest).T, require_nonzero=False)
@@ -309,23 +305,21 @@ def _near_search(mesh, points, skip=None):
 
 
 class _NearFar:
-    """Quadrature plan for a block of targets: one rule per (target, panel)
-    but skip[t], the regular rule on far panels and the graded Duffy rule on
-    near ones, kept as built in one group per band (far, then one
-    duffy_rule_batch call per Duffy band): (targets, panels, pair, nodes,
+    """Quadrature plan for a block of targets: one rule per (target, panel),
+    the regular rule on far panels and the graded Duffy rule on near ones (a
+    target's own panel in band 0), kept as built in one group per band (far,
+    then one duffy_rule_batch call per Duffy band): (targets, panels, pair, nodes,
     weights, starts), nodes (3, rows, q); row r belongs to pair[r], and pair
     k's rule is the run of rows from node starts[k]."""
 
-    def __init__(self, mesh, quadrature, points, skip=None):
+    def __init__(self, mesh, quadrature, points):
         self.shape = (len(points), mesh.n_panels)
         rows, self.near, closest, self.near_dist, self.min_dist = (
-            _near_search(mesh, points, skip))
+            _near_search(mesh, points))
         band = sum(self.near_dist >= limit * mesh.diameters[self.near]
                    for limit, _ in _NEAR_ORDERS[:-1])
         far = np.ones(self.shape, dtype=bool)
         far[rows, self.near] = False
-        if skip is not None:  # skip[t] = -1 indexes the last panel and keeps it
-            far[np.arange(len(points)), skip] &= np.asarray(skip) < 0
         targets, panels = np.nonzero(far)
         q = quadrature.nodes.shape[1]
         rules = [(targets, panels, np.arange(len(panels)),
@@ -346,7 +340,7 @@ class _NearFar:
     def integrate(self, kernel):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
         normals (3, R, 1)), a new (*shape, R, q) array (weighted in place):
-        (targets, panels, *shape), zero at skipped panels."""
+        (targets, panels, *shape)."""
         blocks = None
         for targets, panels, pair, nodes, weights, starts in self.groups:
             values = kernel(self.points[:, targets[pair], None], nodes,
@@ -406,15 +400,15 @@ def _stokes_self_block(corners, centroid):
     return (total_inv_r * np.eye(3) + mat) / (8.0 * np.pi)
 
 
-def _self_integrals(mesh, rows, kernel, subscripts):
-    """np.einsum(subscripts, weights, kernel(nodes, panel)) on each panel of
-    rows over its order-12 Duffy rule at its centroid, one batch for all."""
-    nodes, weights, counts = duffy_rule_batch(
-        mesh.panel_corners[rows], mesh.centroids[rows], _DUFFY_ORDER)
-    values = kernel(nodes, np.repeat(rows, counts))
-    return [np.einsum(subscripts, weights[end - count:end],
-                      values[end - count:end])
-            for end, count in zip(np.cumsum(counts), counts)]
+def _stokes_self_correction(mesh, rows):
+    """_stokes_self_block less the Stokes kernel's integral on the band-0
+    Duffy rule at the centroid, (len(rows), 3, 3) for the panels of rows."""
+    corners, centroids = mesh.panel_corners[rows], mesh.centroids[rows]
+    nodes, weights, counts = duffy_rule_batch(corners, centroids, _NEAR_ORDERS[0][1])
+    values = _velocity_cf(np.repeat(centroids, counts, axis=0).T - nodes.T, 0.0)
+    duffy = np.add.reduceat(values * weights, np.cumsum(counts) - counts, axis=-1)
+    return (np.array(list(map(_stokes_self_block, corners, centroids)))
+            - duffy.transpose(2, 0, 1))
 
 
 # ------------------------------------------------------------- operator assembly
@@ -424,7 +418,8 @@ def assemble_single_layer(mesh, quadrature, params):
 
     Row block i, column block j approximates ∫_{panel j} G^α(x_i − y) dσ(y):
     regular quadrature for distant panels, a singularity-clustered rule for
-    panels within two diameters, and the analytic-plus-correction self block.
+    panels within two diameters, and on the own panel the closed-form Stokes
+    part (_stokes_self_correction) with G^α − G⁰ from that rule.
     """
     _check_mesh_panels(mesh)
     _check_quadrature(mesh, quadrature)
@@ -435,15 +430,9 @@ def assemble_single_layer(mesh, quadrature, params):
 
     def worker(start, stop):
         rows = np.arange(start, stop)
-        plan = _NearFar(mesh, quadrature, centroids[start:stop], rows)
+        plan = _NearFar(mesh, quadrature, centroids[start:stop])
         blocks = plan.integrate(lambda x, y, _: _velocity_cf(x - y, alpha))
-        # self blocks: analytic Stokes part plus the bounded difference
-        blocks[rows - start, rows] = [
-            _stokes_self_block(mesh.panel_corners[i], centroids[i]) for i in rows]
-        if alpha > 0.0:
-            blocks[rows - start, rows] += _self_integrals(
-                mesh, rows, lambda y, i: velocity_difference(centroids[i] - y, alpha),
-                "q,qab->ab")
+        blocks[rows - start, rows] += _stokes_self_correction(mesh, rows)
         out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
 
     _run_chunked(n, worker)
@@ -458,29 +447,25 @@ def assemble_double_layer(mesh, quadrature, params):
     diagonal from the constant identity K⁰c = −½c, i.e. the row-block diagonal
     is −½I minus the sum of off-diagonal blocks.  The remainder K_α − K⁰ has a
     bounded kernel and is integrated directly, with clustered rules on near
-    and self panels.  Both parts come from one components-first
+    panels, the own panel included.  Both parts come from one components-first
     double_layer_parts evaluation per rule group of a chunk.
     """
     _check_mesh_panels(mesh)
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
     n = mesh.n_panels
-    centroids, normals = mesh.centroids, mesh.normals
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
-        rows = np.arange(start, stop)
-        plan = _NearFar(mesh, quadrature, centroids[start:stop], rows)
+        own = (np.arange(stop - start), np.arange(start, stop))
+        plan = _NearFar(mesh, quadrature, mesh.centroids[start:stop])
         parts = plan.integrate(
             lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha))
+        # T⁰ vanishes on a flat panel at an in-plane target; the plan reads
+        # only rounding there
+        parts[own + (0,)] = 0.0
         blocks = parts.sum(axis=2)
-        diag = np.array([-0.5 * np.eye(3) - row[:, 0].sum(axis=0)
-                         for row in parts])
-        if alpha > 0.0:
-            diag += _self_integrals(mesh, rows, lambda y, i: (
-                stress_difference_normal(y, centroids[i], normals[i], alpha)),
-                "q,qba->ab")
-        blocks[rows - start, rows] = diag
+        blocks[own] -= 0.5 * np.eye(3) + parts[:, :, 0].sum(axis=1)
         out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
 
     _run_chunked(n, worker)
@@ -524,6 +509,13 @@ def _layer_rows(mesh, quadrature, params, points, kinds):
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"evaluation points must have shape (P, 3), got "
+                         f"{points.shape}")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValueError(f"evaluation point {bad[0]} is not finite: "
+                         f"{points[bad[0]]}")
     n, n_points = mesh.n_panels, len(points)
     outs = [np.zeros((n_points, 3, 3 * n) if kind in ("V", "W")
                      else (n_points, 3 * n)) for kind in kinds]
@@ -670,7 +662,7 @@ def newtonian_velocity(grid, forcing, points, params):
 
 def newtonian_pressure(grid, forcing, points):
     """(Q_Ω f)(x) = −Σ_c V_c Π(x − y_c)·f_c; the self cell vanishes by odd
-    symmetry of Π and is skipped."""
+    symmetry of Π and is dropped."""
     return _newtonian_sums(grid, forcing, points, None, ("pressure",))[0]
 
 

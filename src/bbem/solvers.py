@@ -58,8 +58,6 @@ from .potentials import (
     VolumeField,
     assemble_double_layer,
     assemble_single_layer,
-    eval_double_layer,
-    eval_single_layer,
     newtonian_pressure,
     _layer_rows,
     _near_search,
@@ -243,7 +241,8 @@ class SolverWorkspace:
             matrix = self.double_layer.matrix
             system = np.array(matrix, order="F")
             system.flat[::len(system) + 1] -= 0.5
-            lu = scipy.linalg.lu_factor(system, overwrite_a=True)
+            lu = scipy.linalg.lu_factor(system, overwrite_a=True,
+                                        check_finite=False)
             high = np.random.default_rng(0).standard_normal(len(matrix))
             for _ in range(30):
                 applied = -0.5 * high + matrix @ high
@@ -257,7 +256,8 @@ class SolverWorkspace:
     def neumann_factorization(self):
         if self._neumann_lu is None:
             self._neumann_lu = scipy.linalg.lu_factor(
-                _traction_system(self, 0.5), overwrite_a=True)
+                _traction_system(self, 0.5), overwrite_a=True,
+                check_finite=False)
         return self._neumann_lu
 
     def mixed_matrix(self, labeling):
@@ -273,7 +273,8 @@ class SolverWorkspace:
     def mixed_factorization(self, labeling):
         cached = self._mixed_lu.get(labeling)
         if cached is None:
-            cached = scipy.linalg.lu_factor(self.mixed_matrix(labeling))
+            cached = scipy.linalg.lu_factor(self.mixed_matrix(labeling),
+                                            check_finite=False)
             self._mixed_lu[labeling] = cached
         return cached
 
@@ -565,13 +566,6 @@ def evaluate_solution(handle, points):
     The layer rows come from the handle's row store (a hand-built handle
     gets a fresh one), so a repeated point set is integrated once."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"evaluation points must have shape (P, 3), got "
-                         f"{points.shape}")
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad):
-        raise ValueError(f"evaluation point {bad[0]} is not finite: "
-                         f"{points[bad[0]]}")
     store, kinds = _handle_rows(handle)
     flat = handle.density.values.reshape(-1)
     velocity, pressure = (np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
@@ -592,14 +586,13 @@ def greens_identity_residual(u_trace, traction, params, points,
     When exact_velocity is omitted the caller receives V(traction) − W(trace)
     and subtracts their own reference field.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     mesh = u_trace.mesh
     if traction.mesh is not mesh:
         raise ValueError("trace and traction live on different meshes")
     quadrature = panel_quadrature(mesh, quadrature_order)
-    rep = (eval_single_layer(mesh, traction.values, points, params, quadrature)
-           - eval_double_layer(mesh, u_trace.values, points, params,
-                               quadrature))
+    single, double = _layer_rows(mesh, quadrature, params, points, ("V", "W"))
+    rep = (np.einsum("pam,m->pa", single, traction.flat)
+           - np.einsum("pam,m->pa", double, u_trace.flat))
     if exact_velocity is None:
         return rep
     return rep - np.asarray(exact_velocity, dtype=float)

@@ -26,6 +26,7 @@ from bbem.kernels import (
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
+    velocity_difference,
     _double_layer_parts_cf,
     _velocity_cf,
 )
@@ -163,6 +164,63 @@ def test_self_block_alpha_correction_matches_high_order_rule(coarse,
         np.testing.assert_allclose(block, direct, rtol=2.0e-5, atol=1.0e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("build", [lambda: build_icosphere(1),
+                                   lambda: build_cube(1)],
+                         ids=["icosphere1", "cube1"])
+def test_own_blocks_match_self_panel_construction(build, alpha):
+    # the own panel rides in band 0 of the plan; its blocks equal the
+    # separate construction: for K, -I/2 minus the off-diagonal Stokes
+    # blocks plus the order-12 centroid rule's integral of the difference
+    # kernel; for V, the closed-form Stokes block plus that rule's integral
+    # of G^alpha - G^0
+    mesh = build()
+    quad = panel_quadrature(mesh, 6)
+    params = BrinkmanParams(alpha=alpha)
+    n = mesh.n_panels
+    blocks = {}
+    for kind, assemble in (("V", P.assemble_single_layer),
+                           ("K", P.assemble_double_layer),
+                           ("K0", P.assemble_double_layer)):
+        matrix = assemble(mesh, quad, PARAMS0 if kind == "K0" else params)
+        blocks[kind] = matrix.matrix.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
+    stokes = blocks["K0"].copy()
+    stokes[np.arange(n), np.arange(n)] = 0.0
+    for i in range(n):
+        c, nu = mesh.centroids[i], mesh.normals[i]
+        nodes, weights = duffy_singular_rule(mesh.panel_corners[i], c,
+                                             P._NEAR_ORDERS[0][1])
+        k_own = (-0.5 * np.eye(3) - stokes[i].sum(axis=0)
+                 + np.einsum("q,qba->ab", weights, stress_difference_normal(
+                     nodes, c, nu, alpha)))
+        v_own = (P._stokes_self_block(mesh.panel_corners[i], c)
+                 + np.einsum("q,qab->ab", weights,
+                             velocity_difference(c - nodes, alpha)))
+        for got, expected, kind in ((blocks["K"][i, i], k_own, "K"),
+                                    (blocks["V"][i, i], v_own, "V")):
+            np.testing.assert_allclose(
+                got, expected, rtol=0.0,
+                atol=1.0e-12 * np.abs(blocks[kind][i]).max())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_double_layer_builds_one_rule_batch_per_band(coarse, monkeypatch,
+                                                     alpha):
+    # the own panel takes no Duffy batch of its own: one call per band and
+    # chunk at every alpha
+    mesh, quad = coarse
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return duffy_rule_batch(*args)
+
+    monkeypatch.setattr(P, "duffy_rule_batch", counted)
+    P.assemble_double_layer(mesh, quad, BrinkmanParams(alpha=alpha))
+    chunks = -(-mesh.n_panels // P._CHUNK_ROWS)
+    assert len(calls) == len(P._NEAR_ORDERS) * chunks
+
+
 # --------------------------------------------------------- operator identities
 
 def test_single_layer_kills_normal_field(coarse_ops, fine_ops, coarse, fine):
@@ -267,11 +325,11 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
     return (8.0 * f1 - 6.0 * f2 + f3) / 3.0
 
 
-def _per_panel_blocks(mesh, quad, x, kernel, skip=-1):
+def _per_panel_blocks(mesh, quad, x, kernel):
     """Per-panel integrals of kernel(y, nu) around target x, one panel at a
-    time: the Gauss rule on far panels, duffy_singular_rule at the band order
-    on near panels, and a zero block at the skipped panel."""
-    _, panels, closest, dist, _ = P._near_search(mesh, x[None, :], [skip])
+    time: the Gauss rule on far panels and duffy_singular_rule at the band
+    order on near panels."""
+    _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
     near = dict(zip(panels.tolist(),
                     zip(closest, _band_orders(mesh, panels, dist))))
     blocks = []
@@ -284,7 +342,7 @@ def _per_panel_blocks(mesh, quad, x, kernel, skip=-1):
             nodes, weights = quad.nodes[j], quad.weights[j]
         normals = np.repeat(mesh.normals[j][None, :], len(weights), axis=0)
         block = np.einsum("q,q...->...", weights, kernel(nodes, normals))
-        blocks.append(np.zeros_like(block) if j == skip else block)
+        blocks.append(block)
     return np.array(blocks)
 
 
@@ -310,8 +368,8 @@ def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
 def test_near_far_split_matches_per_panel_loop(fine):
     # the library's near/far plan against the per-panel loop above: the
     # single-layer traction at points close enough to the boundary to have
-    # near panels, and V and K-Stokes rows at centroids skipping their own
-    # panel, as assembly integrates them
+    # near panels, and V and K-Stokes rows at centroids, their own panel
+    # included, as assembly integrates them
     mesh, quad = fine
     g = smooth_density(mesh)
     for i in (3, 97, 210):
@@ -324,17 +382,16 @@ def test_near_far_split_matches_per_panel_loop(fine):
                                    atol=1.0e-13 * np.abs(expected).max())
     for i in (3, 97, 210):
         x = mesh.centroids[i]
-        plan = P._NearFar(mesh, quad, x[None, :], [i])
-        # exactly one rule for every panel but the skipped one
+        plan = P._NearFar(mesh, quad, x[None, :])
+        # exactly one rule for every panel, the own panel included
         panels = np.concatenate([group[1] for group in plan.groups])
         np.testing.assert_array_equal(np.sort(panels),
-                                      np.delete(np.arange(mesh.n_panels), i))
+                                      np.arange(mesh.n_panels))
         for name in ("V", "K Stokes"):
             def kernel(y, nu):
                 return _LAYER_KERNELS[name](x[None, :], y, nu)
             got = plan.integrate(_per_node(_LAYER_KERNELS[name]))[0]
-            assert np.all(got[i] == 0.0)
-            expected = _per_panel_blocks(mesh, quad, x, kernel, skip=i)
+            expected = _per_panel_blocks(mesh, quad, x, kernel)
             np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                        atol=1.0e-13 * np.abs(expected).max())
 
@@ -345,20 +402,18 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
     # alone or inside a chunk of _CHUNK_ROWS targets
     if case == "sphere-centroids":
         mesh = build_icosphere(2)
-        skip = np.arange(40, 40 + P._CHUNK_ROWS)
-        points = mesh.centroids[skip]
+        points = mesh.centroids[40:40 + P._CHUNK_ROWS]
     else:
         mesh = build_cube(1)
         lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
-        points, skip = lattice[::97][:P._CHUNK_ROWS], None
+        points = lattice[::97][:P._CHUNK_ROWS]
     quad = panel_quadrature(mesh, 6)
-    chunk = P._NearFar(mesh, quad, points, skip)
+    chunk = P._NearFar(mesh, quad, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
                lambda x, y, nu: _double_layer_parts_cf(y - x, nu, ALPHA))
     rows = [chunk.integrate(kernel) for kernel in kernels]
     for t, x in enumerate(points):
-        alone = P._NearFar(mesh, quad, x[None, :],
-                           None if skip is None else skip[t:t + 1])
+        alone = P._NearFar(mesh, quad, x[None, :])
         assert len(alone.near) > 0
         for kernel, chunk_rows in zip(kernels, rows):
             np.testing.assert_array_equal(chunk_rows[t],
@@ -401,21 +456,21 @@ def _reference_blocks(mesh, panels, closest, order, kernel):
 
 def _graded_errors(mesh, targets):
     """Worst relative block error of the graded near rules against the
-    order-24 rule, per (kernel, Duffy order), over (point, skip) targets."""
+    order-24 rule, per (kernel, Duffy order), over the target points."""
     quad = panel_quadrature(mesh, 6)
     worst = {}
-    for x, skip in targets:
-        _, panels, closest, dist, _ = P._near_search(mesh, x[None, :], [skip])
+    for x in targets:
+        _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
         orders = _band_orders(mesh, panels, dist)
-        plan = P._NearFar(mesh, quad, x[None, :], [skip])
+        plan = P._NearFar(mesh, quad, x[None, :])
         for name, kernel in _LAYER_KERNELS.items():
             def at_x(y, nu):
                 return kernel(x[None, :], y, nu)
             got = plan.integrate(_per_node(kernel))[0][panels]
             ref = _reference_blocks(mesh, panels, closest, _REFERENCE_ORDER,
                                     at_x)
-            full = _reference_blocks(mesh, panels, closest, P._DUFFY_ORDER,
-                                     at_x)
+            full = _reference_blocks(mesh, panels, closest,
+                                     P._NEAR_ORDERS[0][1], at_x)
             axes = tuple(range(1, ref.ndim))
             error = (np.abs(got - ref).max(axis=axes)
                      / np.abs(ref).max(axis=axes))
@@ -423,7 +478,7 @@ def _graded_errors(mesh, targets):
                 band = orders == order
                 key = (name, int(order))
                 worst[key] = max(worst.get(key, 0.0), error[band].max())
-                if order == P._DUFFY_ORDER:
+                if order == P._NEAR_ORDERS[0][1]:
                     # the closest band keeps the full rule
                     np.testing.assert_allclose(
                         got[band], full[band], rtol=0.0,
@@ -433,14 +488,12 @@ def _graded_errors(mesh, targets):
 
 @pytest.fixture(scope="module")
 def graded_targets():
-    """Icosphere-2 centroids (each skipping its own panel) and points of the
-    10^3 lattice in the level-1 cube, thinned to a few dozen targets."""
+    """Icosphere-2 centroids (each on its own panel) and points of the 10^3
+    lattice in the level-1 cube, thinned to a few dozen targets."""
     sphere = build_icosphere(2)
     cube = build_cube(1)
     lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
-    return [(sphere, [(sphere.centroids[i], i)
-                      for i in range(0, sphere.n_panels, 32)]),
-            (cube, [(x, -1) for x in lattice[::53]])]
+    return [(sphere, sphere.centroids[::32]), (cube, lattice[::53])]
 
 
 def test_graded_near_rules_match_order_24(graded_targets):
@@ -450,7 +503,7 @@ def test_graded_near_rules_match_order_24(graded_targets):
     for mesh, targets in graded_targets:
         worst = _graded_errors(mesh, targets)
         graded = [order for _, order in P._NEAR_ORDERS
-                  if order < P._DUFFY_ORDER]
+                  if order < P._NEAR_ORDERS[0][1]]
         for name in _LAYER_KERNELS:
             for order in graded:
                 assert worst[(name, order)] <= 1.0e-6, (name, order, worst)
@@ -462,7 +515,7 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
     mesh, targets = graded_targets[1]
     quad = panel_quadrature(mesh, 6)
     checked = set()
-    for x, _ in targets:
+    for x in targets:
         _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
         orders = _band_orders(mesh, panels, dist)
         blocks = P._NearFar(mesh, quad, x[None, :]).integrate(

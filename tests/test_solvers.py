@@ -541,6 +541,39 @@ def test_lu_solvers_raise_ill_conditioned(sphere_coarse, cube_mixed,
         S.neumann_to_dirichlet(cube, labeling, PARAMS, workspace=cube_ws)
 
 
+def _poisoned_workspace(mesh, row, column):
+    """A fresh workspace whose K holds a NaN at (row, column)."""
+    ws = S.SolverWorkspace(mesh, PARAMS)
+    matrix = ws.double_layer.matrix.copy()
+    matrix[row, column] = np.nan
+    ws._double = P.DenseOperator(matrix, "K", alpha=PARAMS.alpha)
+    return ws
+
+
+def test_non_finite_double_layer_raises_ill_conditioned(sphere_coarse,
+                                                        cube_mixed):
+    # the factorizations take K as it is; the NaN reaches the σ estimate
+    # (Dirichlet) or the solve's finiteness check and fails as
+    # IllConditioned naming the system
+    sphere, _ = sphere_coarse
+    with pytest.raises(IllConditioned, match="^Dirichlet system"):
+        S.solve_dirichlet(dirichlet_spec(sphere),
+                          _poisoned_workspace(sphere, 4, 7))
+    with pytest.raises(IllConditioned, match="^Neumann "):
+        S.solve_neumann(neumann_spec(sphere),
+                        _poisoned_workspace(sphere, 4, 7))
+    # K*'s rows are K's columns, and the mixed system keeps K* only on the
+    # Neumann patch, so the NaN goes into a Neumann panel's column
+    cube, labeling, _ = cube_mixed
+    panel = np.flatnonzero(labeling.neumann_mask)[0]
+    spec = S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=cube,
+                     labeling=labeling,
+                     dirichlet_data=exact_trace(cube, CUBE_POLE),
+                     neumann_data=exact_traction(cube, CUBE_POLE))
+    with pytest.raises(IllConditioned, match="^mixed "):
+        S.solve_mixed(spec, _poisoned_workspace(cube, 4, 3 * panel + 1))
+
+
 # ------------------------------------------------------- neumann-to-dirichlet
 
 def test_ntd_composition_matches_solve_then_restrict(cube_mixed):
@@ -770,20 +803,37 @@ def test_evaluate_rejects_boundary_point(sphere_coarse):
         S.evaluate_solution(handle, mesh.centroids[0])
 
 
-def test_evaluate_rejects_points_of_wrong_shape(sphere_coarse):
+# every public evaluation path, called with a solved handle's density
+_EVALUATORS = {
+    "evaluate_solution": lambda handle, points: S.evaluate_solution(
+        handle, points),
+    "eval_single_layer": lambda handle, points: P.eval_single_layer(
+        handle.density.mesh, handle.density, points, PARAMS),
+    "eval_double_layer_pressure": lambda handle, points: (
+        P.eval_double_layer_pressure(handle.density.mesh, handle.density,
+                                     points, PARAMS)),
+    "greens_identity_residual": lambda handle, points: (
+        S.greens_identity_residual(handle.density, handle.density, PARAMS,
+                                   points)),
+}
+
+
+@pytest.mark.parametrize("evaluate", _EVALUATORS.values(), ids=_EVALUATORS)
+def test_evaluate_rejects_points_of_wrong_shape(sphere_coarse, evaluate):
     mesh, ws = sphere_coarse
     handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
     with pytest.raises(ValueError, match=r"shape \(P, 3\), got \(4, 2\)"):
-        S.evaluate_solution(handle, np.zeros((4, 2)))
+        evaluate(handle, np.zeros((4, 2)))
 
 
-def test_evaluate_rejects_non_finite_points(sphere_coarse):
+@pytest.mark.parametrize("evaluate", _EVALUATORS.values(), ids=_EVALUATORS)
+def test_evaluate_rejects_non_finite_points(sphere_coarse, evaluate):
     mesh, ws = sphere_coarse
     handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
     points = INTERIOR.copy()
     points[2, 1] = np.nan
     with pytest.raises(ValueError, match="point 2 is not finite"):
-        S.evaluate_solution(handle, points)
+        evaluate(handle, points)
 
 
 def test_pressure_constant_zero_probe_mean(sphere_fine):
