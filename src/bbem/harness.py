@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidSource
+from .errors import IllConditioned, InvalidSource
 from .geometry import (
     build_cube,
     build_icosphere,
@@ -315,8 +315,8 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
 
 
 def _sl_traction(mesh, quad, density, x, nu_x, alpha):
-    """Traction of the single layer at an off-boundary point, with the same
-    near-panel upgrade policy as the library evaluators."""
+    """Traction of the single layer at an off-boundary point: the full
+    kernel, near panels on the graded Duffy bands (_NearFar.integrate)."""
     blocks = _NearFar(mesh, quad, x[None, :]).integrate(
         lambda t, y, _: _traction_cf(t - y, nu_x[:, None, None], alpha))
     return np.einsum("jib,jb->i", blocks[0], density)
@@ -382,13 +382,19 @@ def operator_spectra(workspace):
     should align with the outward normal; the plus operator is what the
     interior Neumann solve inverts and its smallest singular value is the
     invertibility floor.  _sigma_range reads both from LU factors: a block
-    of 8 on the minus one, since σ₂ is a triple value on the icosphere.
+    of 8 on the minus one, since σ₂ is a triple value on the icosphere.  A
+    non-finite σ (from a non-finite K) raises IllConditioned.
     """
     sigma, vectors = _sigma_range(scipy.linalg.lu_factor(
-        _traction_system(workspace, -0.5), overwrite_a=True), block=8)
+        _traction_system(workspace, -0.5), overwrite_a=True,
+        check_finite=False), block=8)
     normals = workspace.mesh.normals.reshape(-1)
     cosine = abs(vectors[:, 0] @ normals) / np.linalg.norm(normals)
     plus, _ = _sigma_range(workspace.neumann_factorization())
+    for name, values in (("−½I + K*", sigma), ("½I + K*", plus)):
+        if not np.all(np.isfinite(values)):
+            raise IllConditioned(f"the {name} system has a non-finite "
+                                 "smallest singular value")
     return {"sigma_min_minus": float(sigma[0]), "sigma2_minus": float(sigma[1]),
             "nu_cosine": float(cosine), "sigma_min_plus": float(plus[0])}
 

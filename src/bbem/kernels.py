@@ -308,6 +308,22 @@ def _double_layer_parts_cf(d, n, alpha):
     return parts
 
 
+def _double_layer_difference_cf(d, n, alpha):
+    """The (S^alpha - S^0) part of _double_layer_parts_cf alone, (3, 3, ...)."""
+    r, xh, xn = _contraction_geometry(d, n)
+    return _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha,
+                              np.empty((3, 3) + r.shape), transpose=True)
+
+
+def _velocity_difference_cf(d, alpha):
+    """G^alpha(d) - G^0(d) for d = x - y, in subtracted form."""
+    r = _radial(d, require_nonzero=False)
+    b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
+    return _symmetric_outer((alpha / FOUR_PI) * r * b3, d,
+                            np.where(r == 0.0, 1.0, r),
+                            (np.sqrt(alpha) / FOUR_PI) * b1)
+
+
 def brinkman_velocity_tensor(x, alpha):
     """Fundamental velocity tensor G(x) of the Brinkman system, shape (..., 3, 3)."""
     return _components_last(_velocity_cf(*_components_first(x), alpha))
@@ -391,13 +407,8 @@ def velocity_difference(x, alpha):
         sqrt(alpha)/(4 pi) [ delta b1(z) ] + alpha r /(4 pi) b3(z) xhat xhat,
     which is cancellation-free for all r including r = 0.
     """
-    alpha = _check_alpha(alpha)
-    (d,) = _components_first(x)
-    r = _radial(d, require_nonzero=False)
-    b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
-    rsafe = np.where(r == 0.0, 1.0, r)
-    return _components_last(_symmetric_outer(
-        (alpha / FOUR_PI) * r * b3, d, rsafe, (np.sqrt(alpha) / FOUR_PI) * b1))
+    return _components_last(_velocity_difference_cf(*_components_first(x),
+                                                    _check_alpha(alpha)))
 
 
 def velocity_difference_gradient(x, alpha):

@@ -23,27 +23,21 @@ outside at α = 0; V ν ≡ 0 with Q^s ν = −1 inside; the interior solution i
 represented as u = V(t) − W(γu), π = Q^s(t) − Q^d(γu).
 
 Densities are piecewise constant at panel centroids.  Assembly and evaluation
-run over fixed 8-row chunks whose per-row arithmetic does not depend on the
-chunk or the thread count, so results are byte-identical for any
-BBEM_THREADS setting.
+run over chunks of _CHUNK_PAIRS (target, column) pairs, at least 8 rows,
+whose per-row arithmetic does not depend on the chunk or the thread count,
+so results are byte-identical for any BBEM_THREADS setting.
 
-One near/far plan, _NearFar, is built per chunk and integrates every layer
-kernel at its targets.  Panels within two diameters of a target are near and
-take singular Duffy rules at their closest point, far panels the regular
-rule.  The near search covers all (target, panel) pairs of the chunk at
-once, and each Duffy band is built for the whole chunk in one call.  A
-kernel is evaluated once per band, components first and each node with its
-own target, and each rule is summed by np.add.reduceat in its built order.
-An assembly row's own panel is band 0's distance-0 pair: V adds the closed
-Stokes form less its value on that rule, K takes the −½I row-sum diagonal.
-
-The Duffy order of a near panel is graded by its distance d to the target
-over its diameter h (_NEAR_ORDERS): 12 for d < h/2, 8 for d < h, 6 for
-d < 1.5h and 5 for d < 2h.  Each graded band keeps every layer kernel's
-block within 1e-6 (relative) of the order-24 rule, on icosphere centroids
-and cube lattice points.  That criterion sits well below the error of the
-regular rule that takes over at 2h, up to 3e-5 relative, so the near field
-stays the more accurate side.
+One near/far plan, _NearFar, is built per chunk.  Panels within two
+diameters of a target (its own panel included) are near, the rest take the
+regular rule, one kernel call per chunk.  On a near pair every layer kernel
+takes its Stokes part in closed form (_stokes_parts: ∫G⁰ for V, ∫T⁰ for K
+and W, all of Q^s and Q^d), so quadrature carries only the bounded
+α-differences, and nothing at α = 0: G^α − G⁰ on Duffy order 6 below half
+a diameter and the 12-point symmetric rule beyond; (S^α − S⁰)ν on Duffy
+orders graded by distance over diameter (_NEAR_ORDERS: 12, 8, 6, 5 below
+0.5, 1, 1.5, 2), built per band in pieces of at most _PIECE_NODES nodes.
+Near blocks are within 4e-5 (V), 2e-5 (W) and 1e-9 (K, off the diagonal)
+of converged ones, Q^s and Q^d exact; the regular rule errs up to 3e-5.
 
 The Newtonian pair is summed by one chunked midpoint loop, _newtonian_sums,
 for the velocity, pressure and traction at any targets.  Its self-cell
@@ -56,6 +50,7 @@ lattices and these sums otherwise.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import warnings
@@ -67,24 +62,29 @@ from scipy.signal import fftconvolve
 
 from .errors import InvalidThreadCount
 from .geometry import (
+    QuadratureSet,
     SurfaceMesh,
     VolumeGrid,
     duffy_rule_batch,
     panel_quadrature,
 )
 from .kernels import (
+    FOUR_PI,
     brinkman_velocity_tensor,
     pressure_vector,
     traction_kernel,
+    _double_layer_difference_cf,
     _double_layer_parts_cf,
     _double_layer_pressure_cf,
     _pressure_cf,
     _radial,
     _traction_cf,
     _velocity_cf,
+    _velocity_difference_cf,
 )
 
-_CHUNK_ROWS = 8
+_CHUNK_PAIRS = 2560         # (target, panel or cell) pairs per chunk
+_PIECE_NODES = 32768        # nodes per near-rule piece: bounds chunk memory
 # Duffy order of a near panel by its distance to the target over its
 # diameter: the first band whose limit the ratio is below.  Panels past the
 # last limit take the regular rule.
@@ -229,13 +229,20 @@ def _thread_count():
     return threads
 
 
-def _run_chunked(n_rows, worker):
-    """Run worker(start, stop) over fixed 8-row chunks, optionally threaded.
+def _chunk_rows(width):
+    """Rows per chunk of width-column rows: _CHUNK_PAIRS pairs, at least 8."""
+    return max(8, _CHUNK_PAIRS // width)
+
+
+def _run_chunked(n_rows, width, worker):
+    """Run worker(start, stop) over chunks of _chunk_rows(width) rows,
+    optionally threaded.
 
     Chunk boundaries and per-row arithmetic are independent of the thread
     count, so outputs are byte-identical for any BBEM_THREADS.
     """
-    chunks = [(s, min(s + _CHUNK_ROWS, n_rows)) for s in range(0, n_rows, _CHUNK_ROWS)]
+    size = _chunk_rows(width)
+    chunks = [(s, min(s + size, n_rows)) for s in range(0, n_rows, size)]
     threads = _thread_count()
     if threads == 1 or len(chunks) == 1:
         for start, stop in chunks:
@@ -304,54 +311,96 @@ def _near_search(mesh, points):
     return rows[keep], panels[keep], closest[keep], dist[keep], min_dist
 
 
+def _regular_group(targets, panels, quadrature):
+    """A plan group of (targets, panels) pairs on quadrature's panel rules."""
+    q = quadrature.nodes.shape[1]
+    return (targets, panels, np.arange(len(panels)),
+            quadrature.nodes.transpose(2, 0, 1)[:, panels],
+            quadrature.weights[panels], q * np.arange(len(panels)))
+
+
 class _NearFar:
-    """Quadrature plan for a block of targets: one rule per (target, panel),
-    the regular rule on far panels and the graded Duffy rule on near ones (a
-    target's own panel in band 0), kept as built in one group per band (far,
-    then one duffy_rule_batch call per Duffy band): (targets, panels, pair, nodes,
-    weights, starts), nodes (3, rows, q); row r belongs to pair[r], and pair
-    k's rule is the run of rows from node starts[k]."""
+    """Quadrature plan for a block of targets.  Far panels take the regular
+    rule, near ones (a target's own panel included) the caller's closed
+    forms, to which add_near adds a kernel on rules: (limit, Duffy order or
+    QuadratureSet) bands by distance over diameter like _NEAR_ORDERS.  A
+    group is (targets, panels, pair, nodes (3, rows, q), weights (rows, q),
+    starts): row r belongs to pair[r], pair k's rule is the run of rows from
+    node starts[k]."""
 
     def __init__(self, mesh, quadrature, points):
-        self.shape = (len(points), mesh.n_panels)
-        rows, self.near, closest, self.near_dist, self.min_dist = (
+        self.mesh, self.shape = mesh, (len(points), mesh.n_panels)
+        self.rows, self.near, self.closest, self.near_dist, self.min_dist = (
             _near_search(mesh, points))
-        band = sum(self.near_dist >= limit * mesh.diameters[self.near]
-                   for limit, _ in _NEAR_ORDERS[:-1])
         far = np.ones(self.shape, dtype=bool)
-        far[rows, self.near] = False
-        targets, panels = np.nonzero(far)
-        q = quadrature.nodes.shape[1]
-        rules = [(targets, panels, np.arange(len(panels)),
-                  quadrature.nodes.transpose(2, 0, 1)[:, panels],
-                  quadrature.weights[panels], q * np.arange(len(panels)))]
-        for b, (_, order) in enumerate(_NEAR_ORDERS):
-            at = band == b
-            nodes, weights, counts = duffy_rule_batch(
-                mesh.panel_corners[self.near[at]], closest[at], order)
-            rules.append((rows[at], self.near[at],
-                          np.repeat(np.arange(at.sum()), counts // order ** 2),
-                          nodes.T.reshape(3, -1, order ** 2),
-                          weights.reshape(-1, order ** 2),
-                          np.cumsum(counts) - counts))
-        self.groups = [rule for rule in rules if len(rule[2])]
+        far[self.rows, self.near] = False
+        self.far = _regular_group(*np.nonzero(far), quadrature)
         self.points, self.normals = points.T, mesh.normals.T
 
-    def integrate(self, kernel):
+    def _near_groups(self, rules):
+        """(near pair indices, group) per band of rules, built one at a time
+        in pieces of at most _PIECE_NODES nodes (or one pair)."""
+        band = sum(self.near_dist >= limit * self.mesh.diameters[self.near]
+                   for limit, _ in rules[:-1])
+        for b, (_, rule) in enumerate(rules):
+            at = np.flatnonzero(band == b)
+            size = (rule.nodes.shape[1] if isinstance(rule, QuadratureSet)
+                    else 3 * rule ** 2)
+            pieces = -(-len(at) * size // _PIECE_NODES)
+            for at in np.array_split(at, pieces) if pieces else ():
+                targets, panels = self.rows[at], self.near[at]
+                if isinstance(rule, QuadratureSet):
+                    yield at, _regular_group(targets, panels, rule)
+                    continue
+                nodes, weights, counts = duffy_rule_batch(
+                    self.mesh.panel_corners[panels], self.closest[at], rule)
+                yield at, (targets, panels,
+                           np.repeat(np.arange(len(at)), counts // rule ** 2),
+                           nodes.T.reshape(3, -1, rule ** 2),
+                           weights.reshape(-1, rule ** 2),
+                           np.cumsum(counts) - counts)
+
+    def _sums(self, kernel, group):
+        """Per-pair integrals of kernel over a group, (*shape, pairs)."""
+        targets, panels, pair, nodes, weights, starts = group
+        values = kernel(self.points[:, targets[pair], None], nodes,
+                        self.normals[:, panels[pair], None])
+        values *= weights
+        return np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
+                               starts, axis=-1)
+
+    def integrate(self, kernel, near=None):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
         normals (3, R, 1)), a new (*shape, R, q) array (weighted in place):
-        (targets, panels, *shape)."""
+        (targets, panels, *shape).  Near pairs take near (*shape, pairs),
+        their integrals from the caller, or else kernel on _NEAR_ORDERS."""
         blocks = None
-        for targets, panels, pair, nodes, weights, starts in self.groups:
-            values = kernel(self.points[:, targets[pair], None], nodes,
-                            self.normals[:, panels[pair], None])
-            values *= weights
-            sums = np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
-                                   starts, axis=-1)
+        groups = [self.far]
+        if near is None:
+            groups = itertools.chain(groups, (group for _, group in
+                                              self._near_groups(_NEAR_ORDERS)))
+        else:
+            blocks = np.zeros(self.shape + near.shape[:-1])
+            blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
+        for group in groups:
+            if not len(group[2]):
+                continue
+            sums = self._sums(kernel, group)
             if blocks is None:
                 blocks = np.zeros(self.shape + sums.shape[:-1])
-            blocks[targets, panels] = np.moveaxis(sums, -1, 0)
+            blocks[group[0], group[1]] = np.moveaxis(sums, -1, 0)
         return blocks
+
+    def add_near(self, kernel, rules, out):
+        """Add the near pairs' integrals of kernel on rules to out (*shape, pairs)."""
+        for at, group in self._near_groups(rules):
+            out[..., at] += self._sums(kernel, group)
+
+    def stokes(self, alpha):
+        """The near pairs' closed-form Stokes parts (_stokes_parts)."""
+        corners = self.mesh.panel_corners[self.near].transpose(1, 2, 0)
+        return _stokes_parts(self.points[:, self.rows], corners,
+                             self.normals[:, self.near], alpha)
 
 
 def _check_mesh_panels(mesh):
@@ -364,111 +413,112 @@ def _check_quadrature(mesh, quadrature):
         raise ValueError("quadrature was built for a different mesh")
 
 
-# ------------------------------------------------- analytic self-panel integral
+# ------------------------------------------------ closed-form Stokes parts
 
-def _stokes_self_block(corners, centroid):
-    """∫_panel G⁰(centroid − y) dσ(y) for the flat triangle, in closed form.
+def _stokes_parts(x, corners, n, alpha):
+    """∫G⁰, ∫T⁰ (3, 3, m), Q^s and Q^d with its α ν/(4π r) term (3, m) over
+    flat triangles for m (target, panel) pairs, components first: targets x
+    (3, m), corners (3, 3, m) as (corner, component, pair), counterclockwise
+    about the unit normals n (3, m).  Sums of edge terms and the solid angle
+    (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in the
+    edge frame (t, m = t × n) of the target's plane projection x − h n.  A
+    target within 1e-10 edge lengths of the plane is in it (h = 0), where
+    ∫T⁰ is exactly 0."""
+    h, edge = _dot(x - corners[0], n), corners[1] - corners[0]
+    h = np.where(np.abs(h) <= 1.0e-10 * np.sqrt(_dot(edge, edge)), 0.0, h)
+    xp, ah = x - h * n, np.abs(h)
+    i1 = beta = j = j5 = s = l3 = l5 = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(3):
+            a, b = corners[k], corners[(k + 1) % 3]
+            length = np.sqrt(_dot(b - a, b - a))
+            t = (b - a) / length
+            m = np.stack([t[1] * n[2] - t[2] * n[1], t[2] * n[0] - t[0] * n[2],
+                          t[0] * n[1] - t[1] * n[0]])
+            p, sa = _dot(a - xp, m), _dot(a - xp, t)
+            sb = sa + length
+            r02 = p * p + h * h
+            ra, rb = np.sqrt(sa * sa + r02), np.sqrt(sb * sb + r02)
+            f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
+                         np.log((rb + sb) / (ra + sa)))
+            g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
+            angle = (np.arctan2(p * sb, r02 + ah * rb)
+                     - np.arctan2(p * sa, r02 + ah * ra))
+            i1, beta = i1 + p * f - ah * angle, beta + angle
+            j, j5, s = j + m * f, j5 + m * g, s + p * g
+            l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
+            l5 = l5 + (-p * g * m - (1.0 / ra - 1.0 / rb) * t)[:, None] * m
+    hi3, nn, eye = np.sign(h) * beta, n[:, None] * n, np.eye(3)[:, :, None]
+    g0 = ((2.0 * eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
+          + h * (j[:, None] * n + n[:, None] * j) + h * hi3 * nn)
+    t0 = ((eye - nn) * hi3 + 0.5 * h * (l5 + l5.swapaxes(0, 1))
+          + h * h * (j5[:, None] * n + n[:, None] * j5) + (hi3 + h * s) * nn)
+    return (g0 / (2.0 * FOUR_PI), t0 / FOUR_PI, (j + hi3 * n) / FOUR_PI,
+            (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / FOUR_PI)
 
-    In polar coordinates around the centroid the Stokes kernel integrates per
-    edge wedge: with p the distance to the edge line, t the edge direction and
-    a < b the signed offsets of the corners along t from the foot,
-      ∫ dσ/r                    = p·ln((√(p²+b²)+b)/(√(p²+a²)+a))
-      ∫ x̂x̂ᵀ dσ/r  (in the (u,t) frame, u the unit foot direction)
-                                 = [[m₁₁, m₁₂], [m₁₂, I₁ − m₁₁]]
-      m₁₁ = p(b/√(p²+b²) − a/√(p²+a²)),  m₁₂ = p²(1/√(p²+a²) − 1/√(p²+b²)).
-    """
-    total_inv_r = 0.0
-    mat = np.zeros((3, 3))
-    for e0, e1 in ((0, 1), (1, 2), (2, 0)):
-        va, vb = corners[e0], corners[e1]
-        t = vb - va
-        t = t / np.linalg.norm(t)
-        foot = va + ((centroid - va) @ t) * t
-        u = foot - centroid
-        p = np.linalg.norm(u)
-        u = u / p
-        a = (va - foot) @ t
-        b = (vb - foot) @ t
-        ha = np.hypot(p, a)
-        hb = np.hypot(p, b)
-        inv_r = p * np.log((hb + b) / (ha + a))
-        m11 = p * (b / hb - a / ha)
-        m12 = p * p * (1.0 / ha - 1.0 / hb)
-        total_inv_r += inv_r
-        mat += (m11 * np.outer(u, u) + m12 * (np.outer(u, t) + np.outer(t, u))
-                + (inv_r - m11) * np.outer(t, t))
-    return (total_inv_r * np.eye(3) + mat) / (8.0 * np.pi)
 
-
-def _stokes_self_correction(mesh, rows):
-    """_stokes_self_block less the Stokes kernel's integral on the band-0
-    Duffy rule at the centroid, (len(rows), 3, 3) for the panels of rows."""
-    corners, centroids = mesh.panel_corners[rows], mesh.centroids[rows]
-    nodes, weights, counts = duffy_rule_batch(corners, centroids, _NEAR_ORDERS[0][1])
-    values = _velocity_cf(np.repeat(centroids, counts, axis=0).T - nodes.T, 0.0)
-    duffy = np.add.reduceat(values * weights, np.cumsum(counts) - counts, axis=-1)
-    return (np.array(list(map(_stokes_self_block, corners, centroids)))
-            - duffy.transpose(2, 0, 1))
+def _dot(u, v):
+    """u·v over the leading component axis."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 # ------------------------------------------------------------- operator assembly
 
+def _differences(mesh, alpha):
+    """kind: (kernel, rules) of the bounded α-differences that near pairs add
+    to the closed forms: G^α − G⁰ on Duffy order 6 below half a diameter and
+    the 12-point rule beyond, (S^α − S⁰)ν on the graded _NEAR_ORDERS."""
+    return {"V": (lambda x, y, _: _velocity_difference_cf(x - y, alpha),
+                  ((0.5, 6), (_NEAR_FACTOR, panel_quadrature(mesh, 12)))),
+            "W": (lambda x, y, nu: _double_layer_difference_cf(y - x, nu, alpha),
+                  _NEAR_ORDERS)}
+
+
 def assemble_single_layer(mesh, quadrature, params):
-    """Dense matrix of the single-layer boundary trace 𝒱_α.
+    """Dense matrix of the single-layer boundary trace 𝒱_α: the "V" layer
+    rows at the panel centroids, each panel's own included.
 
     Row block i, column block j approximates ∫_{panel j} G^α(x_i − y) dσ(y):
-    regular quadrature for distant panels, a singularity-clustered rule for
-    panels within two diameters, and on the own panel the closed-form Stokes
-    part (_stokes_self_correction) with G^α − G⁰ from that rule.
+    regular quadrature for distant panels; within two diameters the
+    closed-form Stokes part ∫G⁰ plus G^α − G⁰ on its near rules.
     """
     _check_mesh_panels(mesh)
-    _check_quadrature(mesh, quadrature)
-    alpha = params.alpha
-    n = mesh.n_panels
-    centroids = mesh.centroids
-    out = np.zeros((3 * n, 3 * n))
-
-    def worker(start, stop):
-        rows = np.arange(start, stop)
-        plan = _NearFar(mesh, quadrature, centroids[start:stop])
-        blocks = plan.integrate(lambda x, y, _: _velocity_cf(x - y, alpha))
-        blocks[rows - start, rows] += _stokes_self_correction(mesh, rows)
-        out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
-
-    _run_chunked(n, worker)
-    return DenseOperator(out, "V", alpha=alpha)
+    rows, = _layer_rows(mesh, quadrature, params, mesh.centroids, ("V",),
+                        on_boundary=True)
+    return DenseOperator(rows.reshape(3 * mesh.n_panels, -1), "V",
+                         alpha=params.alpha)
 
 
 def assemble_double_layer(mesh, quadrature, params):
     """Dense matrix of the double-layer boundary operator K_α.
 
-    The Stokes part carries the full singularity: its off-diagonal blocks come
-    from quadrature (singularity-clustered within two diameters) and its
-    diagonal from the constant identity K⁰c = −½c, i.e. the row-block diagonal
-    is −½I minus the sum of off-diagonal blocks.  The remainder K_α − K⁰ has a
-    bounded kernel and is integrated directly, with clustered rules on near
-    panels, the own panel included.  Both parts come from one components-first
-    double_layer_parts evaluation per rule group of a chunk.
+    The Stokes part carries the full singularity: its off-diagonal blocks are
+    the far rule's or the closed form ∫T⁰, and its diagonal comes from the
+    constant identity K⁰c = −½c: −½I minus the row's other blocks (a panel's
+    own ∫T⁰ is 0).  The bounded K_α − K⁰ comes from the same far-rule
+    double_layer_parts call, and on near panels from the graded bands.
     """
     _check_mesh_panels(mesh)
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
     n = mesh.n_panels
+    difference = _differences(mesh, alpha)["W"] if alpha > 0.0 else None
     out = np.zeros((3 * n, 3 * n))
 
     def worker(start, stop):
         own = (np.arange(stop - start), np.arange(start, stop))
         plan = _NearFar(mesh, quadrature, mesh.centroids[start:stop])
+        near = np.zeros((2 if difference else 1, 3, 3, len(plan.near)))
+        near[0] = plan.stokes(alpha)[1]
+        if difference:
+            plan.add_near(*difference, near[1])
         parts = plan.integrate(
-            lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha))
-        # T⁰ vanishes on a flat panel at an in-plane target; the plan reads
-        # only rounding there
-        parts[own + (0,)] = 0.0
+            lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha), near)
         blocks = parts.sum(axis=2)
         blocks[own] -= 0.5 * np.eye(3) + parts[:, :, 0].sum(axis=1)
         out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
 
-    _run_chunked(n, worker)
+    _run_chunked(n, n, worker)
     return DenseOperator(out, "K", alpha=alpha)
 
 
@@ -499,12 +549,14 @@ def _point_guard(mesh, plan):
                       stacklevel=3)
 
 
-def _layer_rows(mesh, quadrature, params, points, kinds):
+def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
     """Evaluation matrix rows of the given layer kernels at the points, all
     integrated on one near/far plan per chunk; returns one array per kind.
 
     kinds: "V" and "W" give (P, 3, 3N) tensors; "Qs" and "Qd" give (P, 3N).
-    Near-singular panels are integrated with singularity-clustered rules.
+    Near panels take the closed-form Stokes parts, V and W plus their
+    bounded α-differences (_differences).  Points off the boundary are
+    guarded (_point_guard) unless on_boundary (assembly at centroids).
     """
     _check_quadrature(mesh, quadrature)
     alpha = params.alpha
@@ -519,24 +571,28 @@ def _layer_rows(mesh, quadrature, params, points, kinds):
     n, n_points = mesh.n_panels, len(points)
     outs = [np.zeros((n_points, 3, 3 * n) if kind in ("V", "W")
                      else (n_points, 3 * n)) for kind in kinds]
-
     kernels = {
         "V": lambda x, y, nu: _velocity_cf(x - y, alpha),
         "W": lambda x, y, nu: _traction_cf(y - x, nu, alpha).swapaxes(0, 1),
         "Qs": lambda x, y, nu: _pressure_cf(x - y),
         "Qd": lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha),
     }
+    differences = _differences(mesh, alpha) if alpha > 0.0 else {}
 
     def worker(start, stop):
         plan = _NearFar(mesh, quadrature, points[start:stop])
-        _point_guard(mesh, plan)
+        if not on_boundary:
+            _point_guard(mesh, plan)
+        near = dict(zip(("V", "W", "Qs", "Qd"), plan.stokes(alpha)))
         for kind, out in zip(kinds, outs):
-            blocks = plan.integrate(kernels[kind])
+            if kind in differences:
+                plan.add_near(*differences[kind], near[kind])
+            blocks = plan.integrate(kernels[kind], near[kind])
             if out.ndim == 3:
                 blocks = blocks.transpose(0, 2, 1, 3)
             out[start:stop] = blocks.reshape(stop - start, *out.shape[1:])
 
-    _run_chunked(n_points, worker)
+    _run_chunked(n_points, n, worker)
     return outs
 
 
@@ -648,7 +704,7 @@ def _newtonian_sums(grid, forcing, points, params, kinds, normals=None):
                 out[start:stop] = -np.einsum("c,pcib,cb->pi", grid.volumes,
                                              kernel, values)
 
-    _run_chunked(len(points), worker)
+    _run_chunked(len(points), grid.n_cells, worker)
     return outs
 
 

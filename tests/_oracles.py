@@ -152,3 +152,37 @@ def polar_triangle_integral(func, vertices, origin, epsabs=1.0e-12):
                       epsabs=epsabs, limit=200)
         total += sign * val
     return total
+
+
+def stokes_self_block(corners, centroid):
+    """∫_panel G⁰(centroid − y) dσ(y) for the flat triangle, in closed form.
+
+    In polar coordinates around the centroid the Stokes kernel integrates per
+    edge wedge: with p the distance to the edge line, t the edge direction and
+    a < b the signed offsets of the corners along t from the foot,
+      ∫ dσ/r                    = p·ln((√(p²+b²)+b)/(√(p²+a²)+a))
+      ∫ x̂x̂ᵀ dσ/r  (in the (u,t) frame, u the unit foot direction)
+                                 = [[m₁₁, m₁₂], [m₁₂, I₁ − m₁₁]]
+      m₁₁ = p(b/√(p²+b²) − a/√(p²+a²)),  m₁₂ = p²(1/√(p²+a²) − 1/√(p²+b²)).
+    """
+    total_inv_r = 0.0
+    mat = np.zeros((3, 3))
+    for e0, e1 in ((0, 1), (1, 2), (2, 0)):
+        va, vb = corners[e0], corners[e1]
+        t = vb - va
+        t = t / np.linalg.norm(t)
+        foot = va + ((centroid - va) @ t) * t
+        u = foot - centroid
+        p = np.linalg.norm(u)
+        u = u / p
+        a = (va - foot) @ t
+        b = (vb - foot) @ t
+        ha = np.hypot(p, a)
+        hb = np.hypot(p, b)
+        inv_r = p * np.log((hb + b) / (ha + a))
+        m11 = p * (b / hb - a / ha)
+        m12 = p * p * (1.0 / ha - 1.0 / hb)
+        total_inv_r += inv_r
+        mat += (m11 * np.outer(u, u) + m12 * (np.outer(u, t) + np.outer(t, u))
+                + (inv_r - m11) * np.outer(t, t))
+    return (total_inv_r * np.eye(3) + mat) / (8.0 * np.pi)

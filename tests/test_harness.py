@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbem.errors import BBEMError, InvalidSource, NoInteriorProbes
+from bbem.errors import BBEMError, IllConditioned, InvalidSource, NoInteriorProbes
 from bbem.geometry import build_cube, build_icosphere, winding_number
 from bbem.kernels import BrinkmanParams, stokeslet
+from bbem.potentials import DenseOperator
 from bbem.solvers import SolverWorkspace
 from bbem import cli
 from bbem import solvers as S
@@ -164,6 +165,15 @@ def test_operator_spectra_writes_minus_system_once(monkeypatch):
     monkeypatch.setattr(H, "_traction_system", counted)
     H.operator_spectra(ws)
     assert diagonals == [-0.5]
+
+
+def test_operator_spectra_names_a_non_finite_operator(monkeypatch):
+    ws = SolverWorkspace(build_icosphere(1), BrinkmanParams(alpha=1.0))
+    matrix = ws.double_layer.matrix.copy()
+    matrix[4, 7] = np.nan
+    monkeypatch.setattr(ws, "_double", DenseOperator(matrix, "K", alpha=1.0))
+    with pytest.raises(IllConditioned, match="K"):
+        H.operator_spectra(ws)
 
 
 @pytest.fixture(scope="module")

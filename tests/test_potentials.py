@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import polar_triangle_integral
+from _oracles import polar_triangle_integral, stokes_self_block
 from bbem.geometry import (
     SurfaceMesh,
     VolumeGrid,
@@ -117,7 +117,7 @@ def test_dense_operator_validation():
 def test_stokes_self_block_matches_adaptive_oracle():
     corners = np.array([[0.0, 0.0, 0.0], [1.1, 0.2, 0.0], [0.3, 0.9, 0.0]])
     centroid = corners.mean(axis=0)
-    block = P._stokes_self_block(corners, centroid)
+    block = stokes_self_block(corners, centroid)
     for a in range(3):
         for b in range(3):
             def component(y, a=a, b=b):
@@ -141,8 +141,8 @@ def test_stokes_self_block_rotation_invariant():
     rot = np.eye(3) + np.sin(theta) * kmat + (1 - np.cos(theta)) * (kmat @ kmat)
     shift = np.array([0.3, -1.0, 2.0])
     moved = corners @ rot.T + shift
-    block = P._stokes_self_block(corners, corners.mean(axis=0))
-    moved_block = P._stokes_self_block(moved, moved.mean(axis=0))
+    block = stokes_self_block(corners, corners.mean(axis=0))
+    moved_block = stokes_self_block(moved, moved.mean(axis=0))
     np.testing.assert_allclose(moved_block, rot @ block @ rot.T, rtol=1.0e-12,
                                atol=1.0e-15)
 
@@ -169,11 +169,11 @@ def test_self_block_alpha_correction_matches_high_order_rule(coarse,
                                    lambda: build_cube(1)],
                          ids=["icosphere1", "cube1"])
 def test_own_blocks_match_self_panel_construction(build, alpha):
-    # the own panel rides in band 0 of the plan; its blocks equal the
+    # the own panel is a near pair of the plan; its blocks equal the
     # separate construction: for K, -I/2 minus the off-diagonal Stokes
     # blocks plus the order-12 centroid rule's integral of the difference
-    # kernel; for V, the closed-form Stokes block plus that rule's integral
-    # of G^alpha - G^0
+    # kernel; for V, the closed-form Stokes block plus the order-6 rule's
+    # integral of G^alpha - G^0
     mesh = build()
     quad = panel_quadrature(mesh, 6)
     params = BrinkmanParams(alpha=alpha)
@@ -193,7 +193,8 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
         k_own = (-0.5 * np.eye(3) - stokes[i].sum(axis=0)
                  + np.einsum("q,qba->ab", weights, stress_difference_normal(
                      nodes, c, nu, alpha)))
-        v_own = (P._stokes_self_block(mesh.panel_corners[i], c)
+        nodes, weights = duffy_singular_rule(mesh.panel_corners[i], c, 6)
+        v_own = (stokes_self_block(mesh.panel_corners[i], c)
                  + np.einsum("q,qab->ab", weights,
                              velocity_difference(c - nodes, alpha)))
         for got, expected, kind in ((blocks["K"][i, i], k_own, "K"),
@@ -204,21 +205,29 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
-def test_double_layer_builds_one_rule_batch_per_band(coarse, monkeypatch,
+def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
                                                      alpha):
-    # the own panel takes no Duffy batch of its own: one call per band and
-    # chunk at every alpha
+    # the Stokes parts are closed forms, so at alpha = 0 K assembly and the
+    # V, Qs and Qd rows build no Duffy rule; at alpha > 0 the V rows build
+    # only order 6, and K the graded bands
     mesh, quad = coarse
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return duffy_rule_batch(*args)
+    def counted(corners, points, order):
+        # each piece of a band stays within the node budget
+        assert len(corners) * 3 * order ** 2 <= max(P._PIECE_NODES,
+                                                    3 * order ** 2)
+        calls.append(order)
+        return duffy_rule_batch(corners, points, order)
 
     monkeypatch.setattr(P, "duffy_rule_batch", counted)
-    P.assemble_double_layer(mesh, quad, BrinkmanParams(alpha=alpha))
-    chunks = -(-mesh.n_panels // P._CHUNK_ROWS)
-    assert len(calls) == len(P._NEAR_ORDERS) * chunks
+    params = BrinkmanParams(alpha=alpha)
+    P.assemble_double_layer(mesh, quad, params)
+    assert set(calls) == ({order for _, order in P._NEAR_ORDERS} if alpha
+                          else set())
+    calls.clear()
+    P._layer_rows(mesh, quad, params, 0.9 * mesh.centroids, ("V", "Qs", "Qd"))
+    assert set(calls) == ({6} if alpha else set())
 
 
 # --------------------------------------------------------- operator identities
@@ -384,7 +393,7 @@ def test_near_far_split_matches_per_panel_loop(fine):
         x = mesh.centroids[i]
         plan = P._NearFar(mesh, quad, x[None, :])
         # exactly one rule for every panel, the own panel included
-        panels = np.concatenate([group[1] for group in plan.groups])
+        panels = np.concatenate([plan.far[1], plan.near])
         np.testing.assert_array_equal(np.sort(panels),
                                       np.arange(mesh.n_panels))
         for name in ("V", "K Stokes"):
@@ -399,25 +408,38 @@ def test_near_far_split_matches_per_panel_loop(fine):
 @pytest.mark.parametrize("case", ["sphere-centroids", "cube-lattice"])
 def test_plan_rows_do_not_depend_on_the_chunk(case):
     # a target's integrals are bit for bit the same whether it is planned
-    # alone or inside a chunk of _CHUNK_ROWS targets
+    # alone or inside a chunk of _chunk_rows targets
     if case == "sphere-centroids":
         mesh = build_icosphere(2)
-        points = mesh.centroids[40:40 + P._CHUNK_ROWS]
+        points = mesh.centroids[40:40 + P._chunk_rows(mesh.n_panels)]
     else:
         mesh = build_cube(1)
         lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
-        points = lattice[::97][:P._CHUNK_ROWS]
+        points = lattice[::19][:P._chunk_rows(mesh.n_panels)]
     quad = panel_quadrature(mesh, 6)
+    differences = P._differences(mesh, ALPHA)
+
+    def near_parts(plan):
+        # the closed forms plus the bounded differences, as V and W take them
+        parts = plan.stokes(ALPHA)
+        plan.add_near(*differences["V"], parts[0])
+        plan.add_near(*differences["W"], parts[1])
+        return parts
+
     chunk = P._NearFar(mesh, quad, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
                lambda x, y, nu: _double_layer_parts_cf(y - x, nu, ALPHA))
     rows = [chunk.integrate(kernel) for kernel in kernels]
+    chunk_near = near_parts(chunk)
     for t, x in enumerate(points):
         alone = P._NearFar(mesh, quad, x[None, :])
         assert len(alone.near) > 0
         for kernel, chunk_rows in zip(kernels, rows):
             np.testing.assert_array_equal(chunk_rows[t],
                                           alone.integrate(kernel)[0])
+        for chunk_part, part in zip(chunk_near, near_parts(alone)):
+            np.testing.assert_array_equal(chunk_part[..., chunk.rows == t],
+                                          part)
 
 
 # ------------------------------------------------- distance-graded near rules
@@ -748,7 +770,7 @@ def test_layer_evaluation_thread_count_invariance(coarse, monkeypatch,
                                                   evaluate):
     mesh, quad = coarse
     g = smooth_density(mesh)
-    pts = _interior_points(3 * P._CHUNK_ROWS - 5)
+    pts = _interior_points(3 * P._chunk_rows(mesh.n_panels) - 5)
     results = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("BBEM_THREADS", threads)

@@ -950,7 +950,7 @@ def test_evaluate_solution_matches_layer_evaluators(sphere_coarse,
     mesh, _ = sphere_coarse
     ws = S.SolverWorkspace(mesh, PARAMS)
     monkeypatch.setenv("BBEM_THREADS", threads)
-    points = _ball_points(3 * P._CHUNK_ROWS - 5, 0.6)
+    points = _ball_points(3 * P._chunk_rows(mesh.n_panels) - 5, 0.6)
     double, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
     single, _ = S.solve_neumann(neumann_spec(mesh), ws)
     for handle, velocity, pressure in (
