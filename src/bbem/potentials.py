@@ -39,13 +39,13 @@ orders graded by distance over diameter (_NEAR_ORDERS: 12, 8, 6, 5 below
 Near blocks are within 4e-5 (V), 2e-5 (W) and 1e-9 (K, off the diagonal)
 of converged ones, Q^s and Q^d exact; the regular rule errs up to 3e-5.
 
-The Newtonian pair is summed by one chunked midpoint loop, _newtonian_sums,
-for the velocity, pressure and traction at any targets.  Its self-cell
-rules: a velocity target on a cell center takes the equal-volume-ball
-Stokes integral for that cell, the pressure drops the self cell, and the
-traction drops every cell within one cell diameter.  At a grid's own cell
-centers (_newtonian_on_grid) the pair is an FFT convolution on full cubic
-lattices and these sums otherwise.
+The Newtonian pair is linear in the forcing: _newtonian_rows builds its
+midpoint rows at any targets, which _newtonian_sums applies chunk by chunk.
+A velocity target on a cell center takes the equal-volume-ball Stokes
+integral for that cell, the pressure drops the self cell, and the traction
+every cell within one cell diameter.  At a full cubic lattice's own centers
+(_newtonian_on_grid) the pair is a convolution by scipy.fft on 2m − 1
+cells per axis, one transform per component shared by all products.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import InvalidThreadCount
 from .geometry import (
@@ -70,9 +70,6 @@ from .geometry import (
 )
 from .kernels import (
     FOUR_PI,
-    brinkman_velocity_tensor,
-    pressure_vector,
-    traction_kernel,
     _double_layer_difference_cf,
     _double_layer_parts_cf,
     _double_layer_pressure_cf,
@@ -244,7 +241,7 @@ def _run_chunked(n_rows, width, worker):
     size = _chunk_rows(width)
     chunks = [(s, min(s + size, n_rows)) for s in range(0, n_rows, size)]
     threads = _thread_count()
-    if threads == 1 or len(chunks) == 1:
+    if threads == 1 or len(chunks) <= 1:
         for start, stop in chunks:
             worker(start, stop)
     else:
@@ -396,11 +393,11 @@ class _NearFar:
         for at, group in self._near_groups(rules):
             out[..., at] += self._sums(kernel, group)
 
-    def stokes(self, alpha):
-        """The near pairs' closed-form Stokes parts (_stokes_parts)."""
+    def stokes(self, alpha, kinds):
+        """The near pairs' closed forms of kinds (_stokes_parts)."""
         corners = self.mesh.panel_corners[self.near].transpose(1, 2, 0)
         return _stokes_parts(self.points[:, self.rows], corners,
-                             self.normals[:, self.near], alpha)
+                             self.normals[:, self.near], alpha, kinds)
 
 
 def _check_mesh_panels(mesh):
@@ -415,18 +412,20 @@ def _check_quadrature(mesh, quadrature):
 
 # ------------------------------------------------ closed-form Stokes parts
 
-def _stokes_parts(x, corners, n, alpha):
-    """∫G⁰, ∫T⁰ (3, 3, m), Q^s and Q^d with its α ν/(4π r) term (3, m) over
-    flat triangles for m (target, panel) pairs, components first: targets x
-    (3, m), corners (3, 3, m) as (corner, component, pair), counterclockwise
-    about the unit normals n (3, m).  Sums of edge terms and the solid angle
-    (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in the
-    edge frame (t, m = t × n) of the target's plane projection x − h n.  A
-    target within 1e-10 edge lengths of the plane is in it (h = 0), where
-    ∫T⁰ is exactly 0."""
+def _stokes_parts(x, corners, n, alpha, kinds):
+    """{kind: part}: "V" ∫G⁰, "W" ∫T⁰ (3, 3, m), "Qs" Q^s, "Qd" Q^d with its
+    α ν/(4π r) term (3, m) over flat triangles for m (target, panel) pairs,
+    components first: targets x (3, m), corners (3, 3, m) as (corner,
+    component, pair), counterclockwise about the unit normals n (3, m).
+    Sums of edge terms (the log term F for V, Qs, Qd; G for W, Qd) and the
+    solid angle (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78,
+    2009) in the edge frame (t, m = t × n) of the target's plane projection
+    x − h n.  A target within 1e-10 edge lengths of the plane is in it
+    (h = 0), where ∫T⁰ is exactly 0."""
     h, edge = _dot(x - corners[0], n), corners[1] - corners[0]
     h = np.where(np.abs(h) <= 1.0e-10 * np.sqrt(_dot(edge, edge)), 0.0, h)
     xp, ah = x - h * n, np.abs(h)
+    with_f, with_g = {"V", "Qs", "Qd"} & set(kinds), {"W", "Qd"} & set(kinds)
     i1 = beta = j = j5 = s = l3 = l5 = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
@@ -439,22 +438,31 @@ def _stokes_parts(x, corners, n, alpha):
             sb = sa + length
             r02 = p * p + h * h
             ra, rb = np.sqrt(sa * sa + r02), np.sqrt(sb * sb + r02)
-            f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
-                         np.log((rb + sb) / (ra + sa)))
-            g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
             angle = (np.arctan2(p * sb, r02 + ah * rb)
                      - np.arctan2(p * sa, r02 + ah * ra))
-            i1, beta = i1 + p * f - ah * angle, beta + angle
-            j, j5, s = j + m * f, j5 + m * g, s + p * g
-            l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
-            l5 = l5 + (-p * g * m - (1.0 / ra - 1.0 / rb) * t)[:, None] * m
+            beta = beta + angle
+            if with_f:
+                f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
+                             np.log((rb + sb) / (ra + sa)))
+                i1, j = i1 + p * f - ah * angle, j + m * f
+            if "V" in kinds:
+                l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
+            if with_g:
+                g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
+                j5, s = j5 + m * g, s + p * g
+            if "W" in kinds:
+                l5 = l5 + (-p * g * m - (1.0 / ra - 1.0 / rb) * t)[:, None] * m
     hi3, nn, eye = np.sign(h) * beta, n[:, None] * n, np.eye(3)[:, :, None]
-    g0 = ((2.0 * eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
-          + h * (j[:, None] * n + n[:, None] * j) + h * hi3 * nn)
-    t0 = ((eye - nn) * hi3 + 0.5 * h * (l5 + l5.swapaxes(0, 1))
-          + h * h * (j5[:, None] * n + n[:, None] * j5) + (hi3 + h * s) * nn)
-    return (g0 / (2.0 * FOUR_PI), t0 / FOUR_PI, (j + hi3 * n) / FOUR_PI,
-            (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / FOUR_PI)
+    parts = {
+        "V": lambda: ((2.0 * eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
+                      + h * (j[:, None] * n + n[:, None] * j)
+                      + h * hi3 * nn) / (2.0 * FOUR_PI),
+        "W": lambda: ((eye - nn) * hi3 + 0.5 * h * (l5 + l5.swapaxes(0, 1))
+                      + h * h * (j5[:, None] * n + n[:, None] * j5)
+                      + (hi3 + h * s) * nn) / FOUR_PI,
+        "Qs": lambda: (j + hi3 * n) / FOUR_PI,
+        "Qd": lambda: (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / FOUR_PI}
+    return {kind: parts[kind]() for kind in kinds}
 
 
 def _dot(u, v):
@@ -509,7 +517,7 @@ def assemble_double_layer(mesh, quadrature, params):
         own = (np.arange(stop - start), np.arange(start, stop))
         plan = _NearFar(mesh, quadrature, mesh.centroids[start:stop])
         near = np.zeros((2 if difference else 1, 3, 3, len(plan.near)))
-        near[0] = plan.stokes(alpha)[1]
+        near[0] = plan.stokes(alpha, ("W",))["W"]
         if difference:
             plan.add_near(*difference, near[1])
         parts = plan.integrate(
@@ -583,7 +591,7 @@ def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
         plan = _NearFar(mesh, quadrature, points[start:stop])
         if not on_boundary:
             _point_guard(mesh, plan)
-        near = dict(zip(("V", "W", "Qs", "Qd"), plan.stokes(alpha)))
+        near = plan.stokes(alpha, kinds)
         for kind, out in zip(kinds, outs):
             if kind in differences:
                 plan.add_near(*differences[kind], near[kind])
@@ -664,45 +672,59 @@ def _lattice_resolution(grid):
     return m
 
 
+def _newtonian_block(grid, points, params, kind, normals, start, stop):
+    """Rows of −Σ_c V_c k(x − y_c) f_c at points[start:stop], shape (P, 3,
+    3C) ("pressure": (P, 1, 3C)), with the kind's self-cell rule folded in."""
+    diff = points[start:stop].T[:, :, None] - grid.centers.T[:, None, :]
+    dist = _radial(diff, require_nonzero=False)
+    if kind == "traction":
+        kernel = _traction_cf(diff, normals[start:stop].T[:, :, None],
+                              params.alpha)
+        kernel = np.where(dist >= np.sqrt(3.0) * grid.spacing, kernel, 0.0)
+    else:
+        own = dist < 1.0e-9 * grid.spacing
+        safe = np.where(own, 1.0, diff)
+        kernel = (_velocity_cf(safe, params.alpha) if kind == "velocity"
+                  else _pressure_cf(safe)[None])
+        kernel[..., own] = 0.0
+    kernel *= -grid.volumes
+    if kind == "velocity":
+        volumes = grid.volumes[np.nonzero(own)[1]]
+        radius = (3.0 * volumes / (4.0 * np.pi)) ** (1.0 / 3.0)
+        kernel[..., own] = -(radius ** 2 / 3.0) * np.eye(3)[..., None]
+    return kernel.transpose(2, 0, 3, 1).reshape(stop - start, len(kernel), -1)
+
+
+def _newtonian_rows(grid, points, params, kind, normals=None):
+    """Rows of the map from the flat forcing to the Newtonian "velocity" or
+    "traction" (P, 3, 3C) or "pressure" (P, 3C) at the points, each the
+    bits of the row _newtonian_sums contracts there."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((len(points), 1 if kind == "pressure" else 3,
+                    3 * grid.n_cells))
+
+    def worker(start, stop):
+        out[start:stop] = _newtonian_block(grid, points, params, kind,
+                                           normals, start, stop)
+
+    _run_chunked(len(points), grid.n_cells, worker)
+    return out[:, 0] if kind == "pressure" else out
+
+
 def _newtonian_sums(grid, forcing, points, params, kinds, normals=None):
     """Midpoint sums −Σ_c V_c k(x − y_c) f_c at points, one array per kind:
     "velocity" (n, 3), "pressure" (n,) and "traction" (n, 3, with the
-    normals at the points), each with its public wrapper's self-cell rule.
-    Each chunk forms the displacements, distances and self mask once."""
-    values = _volume_values(grid, forcing)
+    normals at the points), each chunk's _newtonian_rows applied."""
+    flat = _volume_values(grid, forcing).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     outs = [np.zeros(len(points)) if kind == "pressure"
             else np.zeros((len(points), 3)) for kind in kinds]
-    radius = (3.0 * grid.volumes / (4.0 * np.pi)) ** (1.0 / 3.0)
-    cutoff = np.sqrt(3.0) * grid.spacing
 
     def worker(start, stop):
-        diff = points[start:stop, None, :] - grid.centers[None, :, :]
-        dist = _radial(np.moveaxis(diff, -1, 0), require_nonzero=False)
-        self_mask = dist < 1.0e-9 * grid.spacing
-        safe = np.where(self_mask[:, :, None], 1.0, diff)
         for kind, out in zip(kinds, outs):
-            if kind == "velocity":
-                kernel = brinkman_velocity_tensor(safe, params.alpha)
-                kernel[self_mask] = 0.0
-                out[start:stop] = -np.einsum("c,pcab,cb->pa", grid.volumes,
-                                             kernel, values)
-                row, c = np.nonzero(self_mask)
-                out[start + row] -= (radius[c, None] ** 2 / 3.0) * values[c]
-            elif kind == "pressure":
-                kernel = pressure_vector(safe)
-                kernel[self_mask] = 0.0
-                out[start:stop] = -np.einsum("c,pcb,cb->p", grid.volumes,
-                                             kernel, values)
-            else:
-                kernel = traction_kernel(points[start:stop, None, :],
-                                         grid.centers[None, :, :],
-                                         normals[start:stop, None, :],
-                                         params.alpha)
-                kernel = np.where((dist >= cutoff)[:, :, None, None],
-                                  kernel, 0.0)
-                out[start:stop] = -np.einsum("c,pcib,cb->pi", grid.volumes,
-                                             kernel, values)
+            sums = np.einsum("pam,m->pa", _newtonian_block(
+                grid, points, params, kind, normals, start, stop), flat)
+            out[start:stop] = sums[:, 0] if kind == "pressure" else sums
 
     _run_chunked(len(points), grid.n_cells, worker)
     return outs
@@ -725,40 +747,29 @@ def newtonian_pressure(grid, forcing, points):
 def _newtonian_on_grid(grid, forcing, params, kinds):
     """The Newtonian pair at the grid's own cell centers; returns one array
     per kind: "velocity" gives (n_cells, 3), "pressure" gives (n_cells,).
-
-    On a full cubic lattice the midpoint sums are discrete convolutions and
-    are computed with FFTs over one offset lattice.  The velocity kernel
-    takes the equal-volume-ball self block and the pressure kernel a zero
-    self cell, as the direct sums do, so both paths agree to rounding.
-    Other grids take the direct sums.
-    """
+    On a full cubic lattice the sums are discrete convolutions whose kernel
+    is the row at the center of the 2m − 1 lattice of offsets, self cell
+    included, so both agree to rounding; other grids take the sums."""
     values = _volume_values(grid, forcing)
     m = _lattice_resolution(grid)
     if m is None:
         return _newtonian_sums(grid, values, grid.centers, params, kinds)
-    h = grid.spacing
-    offsets = h * np.arange(-(m - 1), m)
-    diff = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"),
-                    axis=-1)
-    center = (m - 1, m - 1, m - 1)
-    diff[center] = 1.0  # placeholder; each kernel sets its self cell
-    window = (slice(m - 1, 2 * m - 1),) * 3
-    cells = values.reshape(m, m, m, 3)
+    h, n = grid.spacing, 2 * m - 1
+    offsets = np.stack(np.meshgrid(*[h * np.arange(1 - m, m)] * 3,
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = VolumeGrid(-offsets, np.full(n ** 3, h ** 3), h, {})
+    # zero padding to 2m − 1 per axis keeps the window free of wraparound
+    shape = (next_fast_len(n, real=True),) * 3
+    window = (..., *(slice(m - 1, n),) * 3)
+    f_hat = rfftn(values.T.reshape(3, m, m, m), shape, axes=(1, 2, 3))
     outs = []
     for kind in kinds:
-        if kind == "velocity":
-            kernel = h ** 3 * brinkman_velocity_tensor(diff, params.alpha)
-            radius = (3.0 * h ** 3 / (4.0 * np.pi)) ** (1.0 / 3.0)
-            kernel[center] = (radius ** 2 / 3.0) * np.eye(3)
-        else:
-            kernel = h ** 3 * pressure_vector(diff)[..., None, :]
-            kernel[center] = 0.0
-        out = np.zeros((m, m, m, kernel.shape[-2]))
-        for a, b in np.ndindex(*kernel.shape[-2:]):
-            full = fftconvolve(kernel[..., a, b], cells[..., b], mode="full")
-            out[..., a] += full[window]
-        outs.append(-out.reshape(-1, 3) if kind == "velocity"
-                    else -out.reshape(-1))
+        kernel = _newtonian_block(lattice, np.zeros((1, 3)), params, kind,
+                                  None, 0, 1).reshape(-1, n, n, n, 3)
+        k_hat = rfftn(np.moveaxis(kernel, -1, 1), shape, axes=(2, 3, 4))
+        out = irfftn(np.einsum("ab...,b...->a...", k_hat, f_hat), shape,
+                     axes=(1, 2, 3))[window].reshape(len(kernel), -1).T
+        outs.append(out if kind == "velocity" else out[:, 0])
     return outs
 
 

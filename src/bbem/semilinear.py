@@ -14,9 +14,9 @@ pairs, and with C₂ = c₁′β the derived radii ζ = 3/(16 C₂ C²) (data ba
 All norms are discrete L² surrogates (area weights on the boundary, cell
 weights in the volume).  The estimates are reported, never certified.
 
-Each iteration's volume evaluation reuses cached single-layer rows at the
-grid centers; on full cubic lattices the Newtonian term is a discrete
-convolution computed with FFTs.
+Every step and sample applies maps the workspace builds once per grid (the
+Newtonian boundary rows, the single-layer rows at the cells); on a full cubic
+lattice the Newtonian term at the cells is a scipy.fft convolution.
 """
 
 from __future__ import annotations

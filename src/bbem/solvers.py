@@ -10,7 +10,8 @@ Representations (interior domain, outward normal):
   Forced      every solver takes volume forcing f and its grid in the
               spec: u = N f + (the kind's representation solved with data
               shifted by the Newtonian pair: its trace on the rows that
-              read the velocity, its traction on the rest)
+              read the velocity, its traction on the rest, from rows the
+              workspace builds once per grid)
 
 Every system is an LU solve on a factor the workspace caches, written
 over the system's own buffer except for the mixed one, which the residual
@@ -58,9 +59,9 @@ from .potentials import (
     VolumeField,
     assemble_double_layer,
     assemble_single_layer,
-    newtonian_pressure,
     _layer_rows,
     _near_search,
+    _newtonian_rows,
     _newtonian_sums,
 )
 
@@ -214,6 +215,7 @@ class SolverWorkspace:
         self._neumann_lu = None
         self._dirichlet_lu = None
         self._probes = None
+        self._newtonian = None
         self.row_store = _RowStore(mesh, self.quadrature, params)
 
     def matches(self, mesh, params, quadrature_order):
@@ -283,12 +285,28 @@ class SolverWorkspace:
         shape (n_cells, 3, 3N), from the row store."""
         return self.row_store.rows(grid.centers, ("V",))[0]
 
-    def pressure_anchor(self, kind):
-        """The interior pressure probes, searched once, and the "Qs" or "Qd"
-        rows there, shape (probes, 3N), from the row store."""
+    @property
+    def probes(self):
+        """The interior pressure probes, searched once; their "Qs" and "Qd"
+        rows come from the row store."""
         if self._probes is None:
             self._probes = _pressure_probe_points(self.mesh)
-        return self._probes, self.row_store.rows(self._probes, (kind,))[0]
+        return self._probes
+
+    def newtonian_rows(self, grid, reads_trace):
+        """_newtonian_rows of forced solves on grid (velocity where the trace
+        is read, traction elsewhere, pressure at the probes), latest only."""
+        key = tuple(a.tobytes() for a in (grid.centers, grid.volumes,
+                                          reads_trace))
+        if self._newtonian is None or self._newtonian[0] != key:
+            mesh, on = self.mesh, reads_trace
+            self._newtonian = (key, (
+                _newtonian_rows(grid, mesh.centroids[on], self.params,
+                                "velocity", mesh.normals[on]),
+                _newtonian_rows(grid, mesh.centroids[~on], self.params,
+                                "traction", mesh.normals[~on]),
+                _newtonian_rows(grid, self.probes, None, "pressure")))
+        return self._newtonian[1]
 
 
 def _workspace_for(mesh, params, quadrature_order, workspace):
@@ -316,14 +334,6 @@ def _pressure_probe_points(mesh):
         raise NoInteriorProbes("none of the pressure probes around the vertex "
                                "mean lies inside this mesh, clear of it")
     return kept
-
-
-def _pressure_constant(tag, ws, density, forcing=None, grid=None):
-    probes, rows = ws.pressure_anchor("Qd" if tag == DOUBLE_LAYER else "Qs")
-    values = rows @ density.reshape(-1)
-    if forcing is not None:
-        values = values + newtonian_pressure(grid, forcing, probes)
-    return float(values.mean())
 
 
 # ------------------------------------------------------------------- solvers
@@ -381,25 +391,28 @@ def _sigma_range(lu, block=1):
     return 1.0 / inverse, x @ vt.T
 
 
-def _rhs(spec):
+def _reads_trace(spec):
+    """Panels that read the velocity trace (mixed: the Dirichlet patch)."""
+    return (spec.labeling.dirichlet_mask if spec.kind == MIXED
+            else np.full(spec.mesh.n_panels, spec.kind == DIRICHLET))
+
+
+def _rhs(spec, ws):
     """The right-hand side, shape (n_panels, 3): the Dirichlet datum less the
-    Newtonian trace on rows that read the velocity trace (all for Dirichlet,
-    the Dirichlet patch for mixed), the Neumann datum less the Newtonian
-    traction on the rest; each sum runs on its own rows only."""
-    mesh = spec.mesh
-    reads_trace = (spec.labeling.dirichlet_mask if spec.kind == MIXED
-                   else np.full(mesh.n_panels, spec.kind == DIRICHLET))
-    rhs = np.empty((mesh.n_panels, 3))
-    for rows, datum, kind in ((reads_trace, spec.dirichlet_data, "velocity"),
-                              (~reads_trace, spec.neumann_data, "traction")):
+    Newtonian trace on rows that read the velocity trace, the Neumann datum
+    less the Newtonian traction on the rest, from the workspace's maps."""
+    reads_trace = _reads_trace(spec)
+    maps = (ws.newtonian_rows(spec.grid, reads_trace)
+            if spec.forcing is not None else (None, None))
+    rhs = np.empty((spec.mesh.n_panels, 3))
+    for rows, datum, newtonian in ((reads_trace, spec.dirichlet_data, maps[0]),
+                                   (~reads_trace, spec.neumann_data, maps[1])):
         if not rows.any():
             continue
         rhs[rows] = datum.values[rows]
-        if spec.forcing is not None:
-            newtonian, = _newtonian_sums(spec.grid, spec.forcing,
-                                         mesh.centroids[rows], spec.params,
-                                         (kind,), mesh.normals[rows])
-            rhs[rows] -= newtonian
+        if newtonian is not None:
+            rhs[rows] -= np.einsum("pam,m->pa", newtonian,
+                                   spec.forcing.values.reshape(-1))
     return rhs
 
 
@@ -407,14 +420,20 @@ def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
             warnings=()):
     """Handle and report of the density x solving a collocation system
     A x = rhs, given applied = A x; t0 is the solve's start time.  A forced
-    spec gives a WITH_NEWTONIAN handle wrapping the layer tag."""
+    spec gives a WITH_NEWTONIAN handle wrapping the layer tag.  The pressure
+    constant is the mean pressure at the workspace's probes."""
     rhs_norm = np.linalg.norm(rhs)
     residual_l2 = (float(np.linalg.norm(applied - rhs) / rhs_norm)
                    if rhs_norm > 0.0 else 0.0)
     density = BoundaryField(spec.mesh, x.reshape(-1, 3))
-    constant = _pressure_constant(tag, ws, density.values, spec.forcing,
-                                  spec.grid)
     forced = spec.forcing is not None
+    rows, = ws.row_store.rows(ws.probes,
+                              ("Qd" if tag == DOUBLE_LAYER else "Qs",))
+    pressure = rows @ density.values.reshape(-1)
+    if forced:
+        newtonian = ws.newtonian_rows(spec.grid, _reads_trace(spec))[2]
+        pressure = pressure + newtonian @ spec.forcing.values.reshape(-1)
+    constant = float(pressure.mean())
     handle = SolutionHandle(tag=WITH_NEWTONIAN if forced else tag,
                             density=density, params=spec.params,
                             quadrature_order=spec.quadrature_order,
@@ -440,7 +459,7 @@ def solve_dirichlet(spec, workspace=None):
     # the user datum carries the flux obstruction; the Newtonian trace is
     # divergence-free, so the shifted datum is compatible up to quadrature
     _flux_check(spec.dirichlet_data, mesh, spec.flux_tol)
-    h0 = BoundaryField(mesh, _rhs(spec))
+    h0 = BoundaryField(mesh, _rhs(spec, ws))
 
     nu = BoundaryField(mesh, mesh.normals)
     coef = h0.inner(nu) / nu.inner(nu)
@@ -472,7 +491,7 @@ def solve_neumann(spec, workspace=None):
             "rigid-motion defects")
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
-    rhs = _rhs(spec).reshape(-1)
+    rhs = _rhs(spec, ws).reshape(-1)
     psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
     w = np.repeat(spec.mesh.areas, 3)                # K*ψ = Kᵀ(Wψ)/W
     applied = 0.5 * psi + ws.double_layer.matrix.T @ (w * psi) / w
@@ -488,7 +507,7 @@ def solve_mixed(spec, workspace=None):
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
     labeling = spec.labeling
-    rhs = _rhs(spec).reshape(-1)
+    rhs = _rhs(spec, ws).reshape(-1)
     psi = _lu_solve(ws.mixed_factorization(labeling), rhs, "mixed")
     return _solved(spec, ws, MIXED_SINGLE_LAYER, psi,
                    ws.mixed_matrix(labeling) @ psi, rhs, t0)

@@ -8,7 +8,10 @@ finite-difference stencils rather than the analytic gradients.
 
 import mpmath
 import numpy as np
+from scipy.signal import fftconvolve
 from scipy.special import gamma, kv
+
+from bbem.kernels import brinkman_velocity_tensor, pressure_vector
 
 
 def bessel_a1(z):
@@ -186,3 +189,33 @@ def stokes_self_block(corners, centroid):
         mat += (m11 * np.outer(u, u) + m12 * (np.outer(u, t) + np.outer(t, u))
                 + (inv_r - m11) * np.outer(t, t))
     return (total_inv_r * np.eye(3) + mat) / (8.0 * np.pi)
+
+
+def newtonian_on_lattice(values, m, h, params, kinds):
+    """The Newtonian pair at the cell centers of an m³ lattice of spacing h
+    by scipy.signal.fftconvolve in "full" mode, one call per kernel
+    component: the lattice path of potentials._newtonian_on_grid before it
+    moved to scipy.fft with shared transforms, its body unchanged."""
+    offsets = h * np.arange(-(m - 1), m)
+    diff = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"),
+                    axis=-1)
+    center = (m - 1, m - 1, m - 1)
+    diff[center] = 1.0  # placeholder; each kernel sets its self cell
+    window = (slice(m - 1, 2 * m - 1),) * 3
+    cells = values.reshape(m, m, m, 3)
+    outs = []
+    for kind in kinds:
+        if kind == "velocity":
+            kernel = h ** 3 * brinkman_velocity_tensor(diff, params.alpha)
+            radius = (3.0 * h ** 3 / (4.0 * np.pi)) ** (1.0 / 3.0)
+            kernel[center] = (radius ** 2 / 3.0) * np.eye(3)
+        else:
+            kernel = h ** 3 * pressure_vector(diff)[..., None, :]
+            kernel[center] = 0.0
+        out = np.zeros((m, m, m, kernel.shape[-2]))
+        for a, b in np.ndindex(*kernel.shape[-2:]):
+            full = fftconvolve(kernel[..., a, b], cells[..., b], mode="full")
+            out[..., a] += full[window]
+        outs.append(-out.reshape(-1, 3) if kind == "velocity"
+                    else -out.reshape(-1))
+    return outs

@@ -27,6 +27,7 @@ from bbem.kernels import (
 )
 
 QD_ALPHA = 2.0
+_KINDS = ("V", "W", "Qs", "Qd")
 
 
 def _lattice(resolution):
@@ -35,8 +36,9 @@ def _lattice(resolution):
 
 def _closed_forms(mesh, x, panels, alpha=QD_ALPHA):
     """_stokes_parts for targets x (m, 3) against panels (m,)."""
-    return P._stokes_parts(x.T, mesh.panel_corners[panels].transpose(1, 2, 0),
-                           mesh.normals[panels].T, alpha)
+    return tuple(P._stokes_parts(
+        x.T, mesh.panel_corners[panels].transpose(1, 2, 0),
+        mesh.normals[panels].T, alpha, _KINDS).values())
 
 
 def _duffy_sums(mesh, x, panels, order, kernels):
@@ -138,10 +140,26 @@ def test_target_on_an_edge_extension_is_finite():
         assert _block_errors(got, expected).max() <= 1.0e-12
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_each_kind_alone_keeps_its_bits(alpha):
+    # a part asked for alone, or with any other, skips the edge terms it
+    # does not read and keeps the bits of the part computed with all four
+    mesh = build_cube(1)
+    points = np.vstack([_lattice(10)[::7], mesh.centroids])
+    rows, panels, _, _, _ = P._near_search(mesh, points)
+    args = (points[rows].T, mesh.panel_corners[panels].transpose(1, 2, 0),
+            mesh.normals[panels].T, alpha)
+    full = P._stokes_parts(*args, _KINDS)
+    for kinds in [(kind,) for kind in _KINDS] + [("V", "Qd"), ("W", "Qs")]:
+        parts = P._stokes_parts(*args, kinds)
+        assert tuple(parts) == kinds
+        for kind in kinds:
+            assert parts[kind].tobytes() == full[kind].tobytes(), kind
+
+
 # --------------------------------------------------------- the error table
 
 _BANDS = (0.0, 0.05, 0.5, 1.0, 1.5, 2.0)   # distance over diameter
-_KINDS = ("V", "W", "Qs", "Qd")
 
 
 def _reference(mesh, x, panels, alpha):

@@ -421,10 +421,10 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
 
     def near_parts(plan):
         # the closed forms plus the bounded differences, as V and W take them
-        parts = plan.stokes(ALPHA)
-        plan.add_near(*differences["V"], parts[0])
-        plan.add_near(*differences["W"], parts[1])
-        return parts
+        parts = plan.stokes(ALPHA, ("V", "W", "Qs", "Qd"))
+        plan.add_near(*differences["V"], parts["V"])
+        plan.add_near(*differences["W"], parts["W"])
+        return list(parts.values())
 
     chunk = P._NearFar(mesh, quad, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),

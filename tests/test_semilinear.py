@@ -5,9 +5,13 @@ of the on-grid Newtonian pair, and the finite-difference residual."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from _oracles import newtonian_on_lattice
 
 from bbem.errors import (
     NotConverged,
@@ -211,6 +215,39 @@ def test_estimates_run_when_constants_omitted(setting):
                                 workspace=workspace)
     assert report.constants is not None
     assert report.constants == constants
+
+
+def test_picard_builds_the_boundary_rows_once(setting, monkeypatch):
+    # every sampled solve and every step is a forced solve on one grid, so
+    # the map from forcing to Newtonian boundary data is built once and no
+    # Newtonian sum runs inside the solves
+    mesh, labeling, grid, _, constants = setting
+    forcing, trace, traction = scaled_data(
+        mesh, grid, small_factor(mesh, grid, constants))
+    built, summed = [], []
+    rows, sums = S._newtonian_rows, P._newtonian_sums
+
+    def built_rows(grid, points, params, kind, normals=None):
+        built.append((kind, len(points)))
+        return rows(grid, points, params, kind, normals)
+
+    def counted_sums(*args, **kwargs):
+        summed.append(args[4])
+        return sums(*args, **kwargs)
+
+    monkeypatch.setattr(S, "_newtonian_rows", built_rows)
+    monkeypatch.setattr(S, "_newtonian_sums", counted_sums)
+    monkeypatch.setattr(P, "_newtonian_sums", counted_sums)
+    workspace = S.SolverWorkspace(mesh, PARAMS)
+    _, report = SL.picard_solve(mesh, labeling, grid, PARAMS, forcing, trace,
+                                traction, SL.PicardConfig(),
+                                workspace=workspace)
+    assert report.converged and len(report.iterates) > 2
+    assert report.constants == constants
+    assert built == [("velocity", labeling.n_dirichlet),
+                     ("traction", labeling.n_neumann),
+                     ("pressure", len(workspace.probes))]
+    assert summed == []
 
 
 def test_scaling_down_never_increases_iterations(setting):
@@ -417,6 +454,33 @@ def test_fft_convolution_matches_direct_sum():
     for lattice, pairwise in zip(fast, direct):
         gap = np.linalg.norm(lattice - pairwise) / np.linalg.norm(pairwise)
         assert gap <= 1.0e-12
+
+
+@pytest.mark.parametrize("m", [5, 8, 10, 11])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_lattice_convolution_matches_fftconvolve(m, alpha):
+    # the shared-transform convolution on the 2m − 1 padding against the
+    # one fftconvolve call per kernel component it replaced
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, m)
+    forcing = np.random.default_rng(m).normal(size=(grid.n_cells, 3))
+    params = BrinkmanParams(alpha=alpha)
+    kinds = ("velocity", "pressure")
+    fast = P._newtonian_on_grid(grid, forcing, params, kinds)
+    reference = newtonian_on_lattice(forcing, m, grid.spacing, params, kinds)
+    for kind, got, expected in zip(kinds, fast, reference):
+        assert got.shape == expected.shape
+        gap = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        assert gap <= 1.0e-13, kind
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal is the slowest scipy import, and bbem needs none of it
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    code = "import sys, bbem; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_filtered_grid_falls_back_to_direct_sum():

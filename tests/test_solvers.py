@@ -757,10 +757,12 @@ def test_solvers_take_volume_forcing(cube_mixed, kind):
                          ids=["dirichlet", "neumann", "mixed"])
 def test_forced_solves_compute_only_the_data_they_read(cube_mixed, monkeypatch,
                                                        kind):
-    """A forced solve sums the Newtonian trace on exactly the rows that read
-    the velocity trace and the traction on the rest, and each right-hand
-    side row is bit for bit the datum less newtonian_boundary_data's row."""
-    mesh, labeling, ws = cube_mixed
+    """A forced solve builds the Newtonian velocity rows on exactly the rows
+    that read the velocity trace and the traction rows on the rest, once
+    across the right-hand side and the solve, and each right-hand side row
+    is bit for bit the datum less newtonian_boundary_data's row."""
+    mesh, labeling, _ = cube_mixed
+    ws = S.SolverWorkspace(mesh, PARAMS)
     grid = build_volume_grid({"type": "cube", "side": 1.0}, 6)
     forcing = VolumeField(grid, np.tile([1.0, -0.5, 0.3], (grid.n_cells, 1)))
     h0 = BoundaryField(mesh, 0.01 * np.cos(mesh.centroids))
@@ -776,22 +778,45 @@ def test_forced_solves_compute_only_the_data_they_read(cube_mixed, monkeypatch,
     trace, traction = P.newtonian_boundary_data(grid, forcing, mesh, PARAMS)
     expected = np.where(reads_trace[:, None], h0.values - trace.values,
                         g0.values - traction.values)
-    panels = {"velocity": [], "traction": []}
-    sums = S._newtonian_sums
+    built = {"velocity": [], "traction": [], "pressure": []}
+    rows = S._newtonian_rows
 
-    def recorded(grid, forcing, points, params, kinds, normals=None):
-        for name in kinds:
-            panels[name] += [int(np.flatnonzero(
-                (mesh.centroids == p).all(axis=1))[0]) for p in points]
-        return sums(grid, forcing, points, params, kinds, normals)
+    def recorded(grid, points, params, kind, normals=None):
+        built[kind].append([int(np.flatnonzero(
+            (mesh.centroids == p).all(axis=1))[0]) for p in points]
+            if kind != "pressure" else len(points))
+        return rows(grid, points, params, kind, normals)
 
-    monkeypatch.setattr(S, "_newtonian_sums", recorded)
-    assert S._rhs(spec).tobytes() == expected.tobytes()
+    monkeypatch.setattr(S, "_newtonian_rows", recorded)
+    assert S._rhs(spec, ws).tobytes() == expected.tobytes()
     S._solve(spec, ws)
-    assert panels["velocity"] == 2 * list(np.flatnonzero(reads_trace))
-    assert panels["traction"] == 2 * list(np.flatnonzero(~reads_trace))
+    assert built == {"velocity": [list(np.flatnonzero(reads_trace))],
+                     "traction": [list(np.flatnonzero(~reads_trace))],
+                     "pressure": [len(ws.probes)]}
     if kind == S.MIXED:
-        assert (len(panels["velocity"]), len(panels["traction"])) == (80, 16)
+        assert [len(built[kind][0]) for kind in ("velocity", "traction")] == [
+            40, 8]
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 144])
+def test_newtonian_rows_apply_as_the_sums(chunk, monkeypatch):
+    # a row of the map is the row the sums contract, whatever the chunk;
+    # velocity and pressure also at cell centers, where the self cell counts
+    mesh = build_cube(1)
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 5)
+    forcing = np.random.default_rng(19).standard_normal((grid.n_cells, 3))
+    inside = np.vstack([mesh.centroids, grid.centers[::9]])
+    cases = (("velocity", inside, None), ("pressure", inside, None),
+             ("traction", mesh.centroids, mesh.normals))
+    sums = [P._newtonian_sums(grid, forcing, points, PARAMS, (kind,),
+                              normals)[0] for kind, points, normals in cases]
+    monkeypatch.setattr(P, "_chunk_rows", lambda width: chunk)
+    for (kind, points, normals), expected in zip(cases, sums):
+        rows = P._newtonian_rows(grid, points, PARAMS, kind, normals)
+        applied = np.einsum("pam,m->pa", rows.reshape(len(points), -1,
+                                                      rows.shape[-1]),
+                            forcing.reshape(-1))
+        assert applied.reshape(expected.shape).tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------------ evaluation
