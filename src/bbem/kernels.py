@@ -139,6 +139,17 @@ _E1 = (_Z_SERIES, np.array(_E1_COEF),
        lambda s, em, ex, s2: (_D1[2](s, em, ex, s2) + 0.5) / s2)
 _E2 = (_Z_SERIES, np.array(_E2_COEF),
        lambda s, em, ex, s2: (_D2[2](s, em, ex, s2) + 1.5) / s2)
+# The alpha-differences less their first-order terms, which the near field
+# integrates in closed form: c1 = (b1 + 2/3 - 3z/8)/z^2 and c3 = (b3 + 1/8)/z
+# for G^alpha - G^0, and e1, e2, b3 less their z = 0 values for its stress.
+_C1 = (_Z_SERIES, np.array(_B1_COEF[2:]),
+       lambda s, em, ex, s2: (_B1[2](s, em, ex, s2) + 2 / 3 - 0.375 * s) / s2)
+_C3 = (_Z_SERIES, np.array(_B3_COEF[1:]),
+       lambda s, em, ex, s2: (_B3[2](s, em, ex, s2) + 0.125) / s)
+_STRESS_REMAINDER = tuple(
+    (cutoff, np.append(0.0, coef[1:]),
+     lambda s, em, ex, s2, form=form, c0=coef[0]: form(s, em, ex, s2) - c0)
+    for cutoff, coef, form in (_E1, _E2, _B3))
 
 
 def _profile_pass(z, *profiles):
@@ -236,12 +247,11 @@ def _contracted(outers, diag, scale, out, transpose=False):
     return out
 
 
-def _symmetric_outer(g, d, r, diag):
-    """g u u^T + diag I, u = d/r, as a new (3, 3, ...) array.  Each of the six
+def _symmetric_outer(g, u, diag):
+    """g u u^T + diag I as a new (3, 3, ...) array.  Each of the six
     distinct products g u_i u_j is written once and copied to its mirror, so
     the result is exactly symmetric (g u_j u_i would round differently)."""
-    u = [d[i] / r for i in range(3)]
-    out = np.empty((3, 3) + r.shape)
+    out = np.empty((3, 3) + g.shape)
     for i in range(3):
         gu = g * u[i]
         for j in range(i, 3):
@@ -257,7 +267,7 @@ def _velocity_cf(d, alpha):
     r = _radial(d)
     p1, p2 = _kernel_profiles(alpha, r, _A1, _A2)
     rf = FOUR_PI * r
-    return _symmetric_outer(p2 / rf, d, r, p1 / rf)
+    return _symmetric_outer(p2 / rf, d / r, p1 / rf)
 
 
 def _pressure_cf(d):
@@ -308,20 +318,36 @@ def _double_layer_parts_cf(d, n, alpha):
     return parts
 
 
-def _double_layer_difference_cf(d, n, alpha):
+def _double_layer_difference_cf(d, n, alpha, profiles=(_E1, _E2, _B3)):
     """The (S^alpha - S^0) part of _double_layer_parts_cf alone, (3, 3, ...)."""
     r, xh, xn = _contraction_geometry(d, n)
     return _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha,
-                              np.empty((3, 3) + r.shape), transpose=True)
+                              np.empty((3, 3) + r.shape), True, profiles)
+
+
+def _double_layer_remainder_cf(d, n, alpha):
+    """_double_layer_difference_cf less its first-order term (alpha/(16 pi))
+    [xn I - xh n^T + n xh^T + xn xh xh^T], which is O(r)."""
+    return _double_layer_difference_cf(d, n, alpha, _STRESS_REMAINDER)
 
 
 def _velocity_difference_cf(d, alpha):
     """G^alpha(d) - G^0(d) for d = x - y, in subtracted form."""
     r = _radial(d, require_nonzero=False)
     b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
-    return _symmetric_outer((alpha / FOUR_PI) * r * b3, d,
-                            np.where(r == 0.0, 1.0, r),
+    return _symmetric_outer((alpha / FOUR_PI) * r * b3,
+                            d / np.where(r == 0.0, 1.0, r),
                             (np.sqrt(alpha) / FOUR_PI) * b1)
+
+
+def _velocity_remainder_cf(d, alpha):
+    """G^alpha(d) - G^0(d) less its first-order terms -(sqrt(alpha)/(6 pi)) I
+    + (alpha/(32 pi))(3 r I - d d^T/r): (alpha^(3/2)/(4 pi)) [r^2 c1 I + c3 d
+    d^T] for d = x - y, which is O(r^2) and has no 1/r."""
+    r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
+    c1, c3 = _profile_pass(np.sqrt(alpha * r2), _C1, _C3)
+    scale = alpha ** 1.5 / FOUR_PI
+    return _symmetric_outer(scale * c3, d, scale * r2 * c1)
 
 
 def brinkman_velocity_tensor(x, alpha):
@@ -433,10 +459,12 @@ def stress_difference(x, y, alpha):
     return grad + np.swapaxes(grad, -3, -1)
 
 
-def _difference_normal(xh, xn, n, z, alpha, out, transpose=False):
+def _difference_normal(xh, xn, n, z, alpha, out, transpose=False,
+                       profiles=(_E1, _E2, _B3)):
     """(alpha/4pi) [(e1 + b3) xn I + 2 b3 n xh^T + (b3 + e1) xh n^T + 2 e2 xn
-    xh xh^T] (or its transpose) into out (3, 3, ...)."""
-    e1, e2, b3 = _profile_pass(z, _E1, _E2, _B3)
+    xh xh^T] (or its transpose) into out (3, 3, ...), e1, e2, b3 from
+    profiles."""
+    e1, e2, b3 = _profile_pass(z, *profiles)
     outers = ((2.0 * b3 * n, xh), (xh, (b3 + e1) * n),
               (2.0 * (e2 * xn) * xh, xh))
     return _contracted(outers, (e1 + b3) * xn, alpha / FOUR_PI, out, transpose)

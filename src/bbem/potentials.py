@@ -30,14 +30,14 @@ so results are byte-identical for any BBEM_THREADS setting.
 One near/far plan, _NearFar, is built per chunk.  Panels within two
 diameters of a target (its own panel included) are near, the rest take the
 regular rule, one kernel call per chunk.  On a near pair every layer kernel
-takes its Stokes part in closed form (_stokes_parts: ∫G⁰ for V, ∫T⁰ for K
-and W, all of Q^s and Q^d), so quadrature carries only the bounded
-α-differences, and nothing at α = 0: G^α − G⁰ on Duffy order 6 below half
-a diameter and the 12-point symmetric rule beyond; (S^α − S⁰)ν on Duffy
-orders graded by distance over diameter (_NEAR_ORDERS: 12, 8, 6, 5 below
-0.5, 1, 1.5, 2), built per band in pieces of at most _PIECE_NODES nodes.
-Near blocks are within 4e-5 (V), 2e-5 (W) and 1e-9 (K, off the diagonal)
-of converged ones, Q^s and Q^d exact; the regular rule errs up to 3e-5.
+takes in closed form (_stokes_parts) its Stokes part (∫G⁰ for V, ∫T⁰ for K
+and W, all of Q^s and Q^d) and the first-order terms of its bounded
+α-difference, so quadrature carries only the smooth remainder, and nothing
+at α = 0: G^α − G⁰'s on the 12-point symmetric rule, (S^α − S⁰)ν's on
+Duffy order 6 below half a diameter and 5 beyond, built in pieces of at
+most _PIECE_NODES nodes.  Near blocks are within 4e-6 (V), 2e-7 (W) and
+3e-9 (K, off the diagonal) of converged ones down to 1e-3 diameters, Q^s
+and Q^d exact; the regular rule errs up to 3e-5.
 
 The Newtonian pair is linear in the forcing: _newtonian_rows builds its
 midpoint rows at any targets, which _newtonian_sums applies chunk by chunk.
@@ -70,24 +70,24 @@ from .geometry import (
 )
 from .kernels import (
     FOUR_PI,
-    _double_layer_difference_cf,
     _double_layer_parts_cf,
     _double_layer_pressure_cf,
+    _double_layer_remainder_cf,
     _pressure_cf,
     _radial,
     _traction_cf,
     _velocity_cf,
-    _velocity_difference_cf,
+    _velocity_remainder_cf,
 )
 
 _CHUNK_PAIRS = 2560         # (target, panel or cell) pairs per chunk
 _PIECE_NODES = 32768        # nodes per near-rule piece: bounds chunk memory
-# Duffy order of a near panel by its distance to the target over its
-# diameter: the first band whose limit the ratio is below.  Panels past the
-# last limit take the regular rule.
+# Duffy order of a near panel for a full kernel (integrate with near=None)
+# by its distance over its diameter: the first band whose limit the ratio is
+# below.  Panels past the last limit take the regular rule.
 _NEAR_ORDERS = ((0.5, 12), (1.0, 8), (1.5, 6), (2.0, 5))
 _NEAR_FACTOR = _NEAR_ORDERS[-1][0]
-_WARN_FACTOR = 0.05         # accuracy warning inside this many diameters
+_WARN_FACTOR = 1.0e-3       # accuracy warning inside this many diameters
 _KIND_CODES = {"V": 0, "K": 1, "Kstar": 2, "S_mixed": 3, "custom": 255}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 _MAGIC = b"BBEM"
@@ -337,8 +337,8 @@ class _NearFar:
     def _near_groups(self, rules):
         """(near pair indices, group) per band of rules, built one at a time
         in pieces of at most _PIECE_NODES nodes (or one pair)."""
-        band = sum(self.near_dist >= limit * self.mesh.diameters[self.near]
-                   for limit, _ in rules[:-1])
+        band = sum((self.near_dist >= limit * self.mesh.diameters[self.near]
+                    for limit, _ in rules[:-1]), np.zeros(len(self.near), int))
         for b, (_, rule) in enumerate(rules):
             at = np.flatnonzero(band == b)
             size = (rule.nodes.shape[1] if isinstance(rule, QuadratureSet)
@@ -414,19 +414,24 @@ def _check_quadrature(mesh, quadrature):
 
 def _stokes_parts(x, corners, n, alpha, kinds):
     """{kind: part}: "V" ∫G⁰, "W" ∫T⁰ (3, 3, m), "Qs" Q^s, "Qd" Q^d with its
-    α ν/(4π r) term (3, m) over flat triangles for m (target, panel) pairs,
+    α ν/(4π r) term (3, m), and "dV", "dW" (3, 3, m), the first-order terms
+    of G^α − G⁰ and of (S^α − S⁰)ν (as K takes it, x̂ = (y − x)/r):
+    −(√α/6π) I + (α/32π)(3r I − d dᵀ/r) and (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ
+    + x̂·ν x̂ x̂ᵀ), over flat triangles for m (target, panel) pairs,
     components first: targets x (3, m), corners (3, 3, m) as (corner,
     component, pair), counterclockwise about the unit normals n (3, m).
-    Sums of edge terms (the log term F for V, Qs, Qd; G for W, Qd) and the
-    solid angle (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78,
-    2009) in the edge frame (t, m = t × n) of the target's plane projection
-    x − h n.  A target within 1e-10 edge lengths of the plane is in it
-    (h = 0), where ∫T⁰ is exactly 0."""
+    Sums of edge terms (the log term F for V, Qs, Qd; G for W, Qd; F1 = ∫R
+    for dV, dW) and the solid angle (Wilton et al., IEEE TAP 32, 1984;
+    Nintcheu Fata, IJNME 78, 2009) in the edge frame (t, m = t × n) of the
+    target's plane projection x − h n.  A target within 1e-10 edge lengths
+    of the plane is in it (h = 0), where ∫T⁰ is exactly 0."""
     h, edge = _dot(x - corners[0], n), corners[1] - corners[0]
     h = np.where(np.abs(h) <= 1.0e-10 * np.sqrt(_dot(edge, edge)), 0.0, h)
     xp, ah = x - h * n, np.abs(h)
-    with_f, with_g = {"V", "Qs", "Qd"} & set(kinds), {"W", "Qd"} & set(kinds)
-    i1 = beta = j = j5 = s = l3 = l5 = 0.0
+    wanted = set(kinds)
+    with_f, with_g = {"V", "Qs", "Qd", "dV", "dW"} & wanted, {"W", "Qd"} & wanted
+    with_l3, with_f1 = {"V", "dW"} & wanted, {"dV", "dW"} & wanted
+    i1 = beta = j = j5 = s = l3 = l5 = j1 = k1 = l1 = area = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
             a, b = corners[k], corners[(k + 1) % 3]
@@ -445,23 +450,46 @@ def _stokes_parts(x, corners, n, alpha, kinds):
                 f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
                              np.log((rb + sb) / (ra + sa)))
                 i1, j = i1 + p * f - ah * angle, j + m * f
-            if "V" in kinds:
+            if with_l3:
                 l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
+            if with_f1:
+                f1 = 0.5 * (sb * rb - sa * ra + r02 * f)
+                j1 = j1 + m * f1
+            if "dV" in wanted:
+                area, k1 = area + 0.5 * p * length, k1 + p * f1
+                l1 = l1 + (p * f1 * m + (rb ** 3 - ra ** 3) / 3.0 * t)[:, None] * m
             if with_g:
                 g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
                 j5, s = j5 + m * g, s + p * g
-            if "W" in kinds:
+            if "W" in wanted:
                 l5 = l5 + (-p * g * m - (1.0 / ra - 1.0 / rb) * t)[:, None] * m
     hi3, nn, eye = np.sign(h) * beta, n[:, None] * n, np.eye(3)[:, :, None]
+
+    def d3():                                   # ∫d dᵀ/r³
+        return ((eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
+                + h * (j[:, None] * n + n[:, None] * j) + h * hi3 * nn)
+
+    def dv():
+        # ∫r, and ∫d dᵀ/r from ∫ρρᵀ/r and ∫ρ/r = −Σ m F1, ρ = x − h n − y
+        r1 = (k1 + h * h * i1) / 3.0
+        dd = (0.5 * (l1 + l1.swapaxes(0, 1)) - (eye - nn) * r1
+              - h * (j1[:, None] * n + n[:, None] * j1) + h * h * i1 * nn)
+        return (-np.sqrt(alpha) * 2.0 / 3.0 * area * eye
+                + alpha / 8.0 * (3.0 * r1 * eye - dd)) / FOUR_PI
+
+    def dw():
+        b = j1 - h * i1 * n                     # ∫x̂
+        return alpha / 4.0 * (-h * i1 * eye - b[:, None] * n + n[:, None] * b
+                              - h * d3()) / FOUR_PI
+
     parts = {
-        "V": lambda: ((2.0 * eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
-                      + h * (j[:, None] * n + n[:, None] * j)
-                      + h * hi3 * nn) / (2.0 * FOUR_PI),
+        "V": lambda: (eye * i1 + d3()) / (2.0 * FOUR_PI),
         "W": lambda: ((eye - nn) * hi3 + 0.5 * h * (l5 + l5.swapaxes(0, 1))
                       + h * h * (j5[:, None] * n + n[:, None] * j5)
                       + (hi3 + h * s) * nn) / FOUR_PI,
         "Qs": lambda: (j + hi3 * n) / FOUR_PI,
-        "Qd": lambda: (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / FOUR_PI}
+        "Qd": lambda: (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / FOUR_PI,
+        "dV": dv, "dW": dw}
     return {kind: parts[kind]() for kind in kinds}
 
 
@@ -473,13 +501,15 @@ def _dot(u, v):
 # ------------------------------------------------------------- operator assembly
 
 def _differences(mesh, alpha):
-    """kind: (kernel, rules) of the bounded α-differences that near pairs add
-    to the closed forms: G^α − G⁰ on Duffy order 6 below half a diameter and
-    the 12-point rule beyond, (S^α − S⁰)ν on the graded _NEAR_ORDERS."""
-    return {"V": (lambda x, y, _: _velocity_difference_cf(x - y, alpha),
-                  ((0.5, 6), (_NEAR_FACTOR, panel_quadrature(mesh, 12)))),
-            "W": (lambda x, y, nu: _double_layer_difference_cf(y - x, nu, alpha),
-                  _NEAR_ORDERS)}
+    """kind: (kernel, rules) of what near pairs add by quadrature to the
+    closed forms of kind and "d" + kind: the bounded α-differences less
+    their first-order terms, G^α − G⁰'s (O(r²), no kink) on the 12-point
+    rule out to two diameters, (S^α − S⁰)ν's (O(r)) on Duffy order 6 below
+    half a diameter and 5 beyond."""
+    return {"V": (lambda x, y, _: _velocity_remainder_cf(x - y, alpha),
+                  ((_NEAR_FACTOR, panel_quadrature(mesh, 12)),)),
+            "W": (lambda x, y, nu: _double_layer_remainder_cf(y - x, nu, alpha),
+                  ((0.5, 6), (_NEAR_FACTOR, 5)))}
 
 
 def assemble_single_layer(mesh, quadrature, params):
@@ -488,7 +518,7 @@ def assemble_single_layer(mesh, quadrature, params):
 
     Row block i, column block j approximates ∫_{panel j} G^α(x_i − y) dσ(y):
     regular quadrature for distant panels; within two diameters the
-    closed-form Stokes part ∫G⁰ plus G^α − G⁰ on its near rules.
+    closed forms ∫G⁰ and "dV" plus G^α − G⁰'s remainder on the 12-point rule.
     """
     _check_mesh_panels(mesh)
     rows, = _layer_rows(mesh, quadrature, params, mesh.centroids, ("V",),
@@ -504,7 +534,8 @@ def assemble_double_layer(mesh, quadrature, params):
     the far rule's or the closed form ∫T⁰, and its diagonal comes from the
     constant identity K⁰c = −½c: −½I minus the row's other blocks (a panel's
     own ∫T⁰ is 0).  The bounded K_α − K⁰ comes from the same far-rule
-    double_layer_parts call, and on near panels from the graded bands.
+    double_layer_parts call, and on near panels from the closed form "dW"
+    plus the remainder on Duffy orders 6 and 5 (_differences).
     """
     _check_mesh_panels(mesh)
     _check_quadrature(mesh, quadrature)
@@ -516,8 +547,8 @@ def assemble_double_layer(mesh, quadrature, params):
     def worker(start, stop):
         own = (np.arange(stop - start), np.arange(start, stop))
         plan = _NearFar(mesh, quadrature, mesh.centroids[start:stop])
-        near = np.zeros((2 if difference else 1, 3, 3, len(plan.near)))
-        near[0] = plan.stokes(alpha, ("W",))["W"]
+        near = np.stack(list(plan.stokes(
+            alpha, ("W", "dW") if difference else ("W",)).values()))
         if difference:
             plan.add_near(*difference, near[1])
         parts = plan.integrate(
@@ -552,9 +583,9 @@ def _point_guard(mesh, plan):
         raise ValueError("evaluation point lies on the boundary "
                          f"(distance {plan.min_dist.min():.3e})")
     if np.any(plan.near_dist < _WARN_FACTOR * mesh.diameters[plan.near]):
-        warnings.warn("evaluation point is within 0.05 panel diameters of "
-                      "the boundary; accuracy degrades", RuntimeWarning,
-                      stacklevel=3)
+        warnings.warn(f"evaluation point is within {_WARN_FACTOR:g} panel "
+                      "diameters of the boundary; accuracy degrades",
+                      RuntimeWarning, stacklevel=3)
 
 
 def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
@@ -591,9 +622,11 @@ def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
         plan = _NearFar(mesh, quadrature, points[start:stop])
         if not on_boundary:
             _point_guard(mesh, plan)
-        near = plan.stokes(alpha, kinds)
+        near = plan.stokes(alpha, kinds + tuple(
+            "d" + kind for kind in kinds if kind in differences))
         for kind, out in zip(kinds, outs):
             if kind in differences:
+                near[kind] += near["d" + kind]
                 plan.add_near(*differences[kind], near[kind])
             blocks = plan.integrate(kernels[kind], near[kind])
             if out.ndim == 3:
@@ -677,16 +710,15 @@ def _newtonian_block(grid, points, params, kind, normals, start, stop):
     3C) ("pressure": (P, 1, 3C)), with the kind's self-cell rule folded in."""
     diff = points[start:stop].T[:, :, None] - grid.centers.T[:, None, :]
     dist = _radial(diff, require_nonzero=False)
+    own = dist < (np.sqrt(3.0) if kind == "traction" else 1.0e-9) * grid.spacing
+    safe = np.where(own, 1.0, diff)
     if kind == "traction":
-        kernel = _traction_cf(diff, normals[start:stop].T[:, :, None],
+        kernel = _traction_cf(safe, normals[start:stop].T[:, :, None],
                               params.alpha)
-        kernel = np.where(dist >= np.sqrt(3.0) * grid.spacing, kernel, 0.0)
     else:
-        own = dist < 1.0e-9 * grid.spacing
-        safe = np.where(own, 1.0, diff)
         kernel = (_velocity_cf(safe, params.alpha) if kind == "velocity"
                   else _pressure_cf(safe)[None])
-        kernel[..., own] = 0.0
+    kernel[..., own] = 0.0
     kernel *= -grid.volumes
     if kind == "velocity":
         volumes = grid.volumes[np.nonzero(own)[1]]

@@ -43,7 +43,7 @@ def mp_profile(name, z, dps=50):
 
     Supported names: a1, a2, d1 (= z a1' - a1), d2 (= z a2' - 3 a2),
     b1 (= (a1 - 1/2)/z), b3 (= (a2 - 1/2)/z^2), e1 (= (d1 + 1/2)/z^2),
-    e2 (= (d2 + 3/2)/z^2).
+    e2 (= (d2 + 3/2)/z^2), c1 (= (b1 + 2/3 - 3z/8)/z^2), c3 (= (b3 + 1/8)/z).
     """
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
@@ -63,6 +63,12 @@ def mp_profile(name, z, dps=50):
             v = (zz * mpmath.diff(_mp_a1, zz) - _mp_a1(zz) + mpmath.mpf(1) / 2) / zz ** 2
         elif name == "e2":
             v = (zz * mpmath.diff(_mp_a2, zz) - 3 * _mp_a2(zz) + mpmath.mpf(3) / 2) / zz ** 2
+        elif name == "c1":
+            v = ((_mp_a1(zz) - mpmath.mpf(1) / 2) / zz + mpmath.mpf(2) / 3
+                 - 3 * zz / 8) / zz ** 2
+        elif name == "c3":
+            v = ((_mp_a2(zz) - mpmath.mpf(1) / 2) / zz ** 2
+                 + mpmath.mpf(1) / 8) / zz
         else:
             raise ValueError(name)
         return float(v)

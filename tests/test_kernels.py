@@ -56,7 +56,7 @@ def test_a1_a2_domain_errors():
 # ids "<name>-<name>" for the public a1 and a2, "<name>-_<name>" for the
 # private profiles
 @pytest.mark.parametrize("name", ["a1", "a2", "d1", "d2", "b1", "b3", "e1",
-                                  "e2"],
+                                  "e2", "c1", "c3"],
                          ids=lambda name: f"{name}-{name}" if name[0] == "a"
                          else f"{name}-_{name}")
 def test_profiles_match_high_precision(name):
@@ -67,7 +67,8 @@ def test_profiles_match_high_precision(name):
         assert v == pytest.approx(ref, rel=2.0e-10), f"{name}({z})"
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "D1", "D2", "B1", "B3", "E1", "E2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "D1", "D2", "B1", "B3", "E1", "E2",
+                                  "C1", "C3"])
 def test_polyval_is_numpy_polyval_bit_for_bit(name):
     # the in-place Horner loop keeps numpy's recurrence, so the series
     # values of every profile are numpy's to the bit
@@ -371,6 +372,32 @@ def test_velocity_difference_gradient_matches_fd():
         analytic = kernels.velocity_difference_gradient(x, alpha)
         fd = fd_gradient(lambda p: kernels.velocity_difference(p, alpha), x, h=1.0e-6)
         assert np.max(np.abs(analytic - fd)) <= 1.0e-7 * max(1.0, np.max(np.abs(analytic)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0, 25.0])
+def test_remainders_are_differences_less_first_order_terms(alpha):
+    # G^alpha - G^0 = -(sqrt(alpha)/(6 pi)) I + (alpha/(32 pi))(3 r I -
+    # d d^T/r) + remainder, and (S^alpha - S^0) nu as K takes it = (alpha/(16
+    # pi))(xn I - xh n^T + n xh^T + xn xh xh^T) + remainder, xh = d/r for
+    # d = y - x; the remainders vanish at d = 0
+    d = sample_points(40, seed=21, rmin=1.0e-6, rmax=3.0).T
+    n = rng(22).normal(size=(3, 40))
+    n /= np.linalg.norm(n, axis=0)
+    r = np.linalg.norm(d, axis=0)
+    xh, eye = d / r, np.eye(3)[:, :, None]
+    xn = np.sum(xh * n, axis=0)
+    first_v = (-np.sqrt(alpha) / (6 * np.pi) * eye
+               + alpha / (32 * np.pi) * (3 * r * eye - d[:, None] * d / r))
+    first_w = alpha / (16 * np.pi) * (xn * eye - xh[:, None] * n
+                                      + n[:, None] * xh + xn * xh[:, None] * xh)
+    for remainder, difference, first in (
+            (kernels._velocity_remainder_cf(d, alpha),
+             kernels._velocity_difference_cf(d, alpha), first_v),
+            (kernels._double_layer_remainder_cf(d, n, alpha),
+             kernels._double_layer_difference_cf(d, n, alpha), first_w)):
+        np.testing.assert_allclose(remainder + first, difference, rtol=0.0,
+                                   atol=1.0e-14 * max(1.0, alpha))
+    assert not np.any(kernels._velocity_remainder_cf(np.zeros((3, 1)), alpha))
 
 
 def test_stress_difference_matches_direct_subtraction():

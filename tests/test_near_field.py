@@ -2,8 +2,6 @@
 the layer kernels on flat triangles against high-order Duffy rules, and the
 worst block error of every layer kernel per distance band."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -18,12 +16,12 @@ from bbem.geometry import (
 )
 from bbem.kernels import (
     BrinkmanParams,
-    _double_layer_difference_cf,
     _double_layer_pressure_cf,
+    _double_layer_remainder_cf,
     _pressure_cf,
     _traction_cf,
     _velocity_cf,
-    _velocity_difference_cf,
+    _velocity_remainder_cf,
 )
 
 QD_ALPHA = 2.0
@@ -34,11 +32,11 @@ def _lattice(resolution):
     return build_volume_grid({"type": "cube", "side": 1.0}, resolution).centers
 
 
-def _closed_forms(mesh, x, panels, alpha=QD_ALPHA):
+def _closed_forms(mesh, x, panels, alpha=QD_ALPHA, kinds=_KINDS):
     """_stokes_parts for targets x (m, 3) against panels (m,)."""
     return tuple(P._stokes_parts(
         x.T, mesh.panel_corners[panels].transpose(1, 2, 0),
-        mesh.normals[panels].T, alpha, _KINDS).values())
+        mesh.normals[panels].T, alpha, kinds).values())
 
 
 def _duffy_sums(mesh, x, panels, order, kernels):
@@ -63,6 +61,26 @@ def _stokes_kernels(alpha):
             lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha))
 
 
+def _first_order_kernels(alpha):
+    """The first-order terms of G^α − G⁰ (d = x − y) and of (S^α − S⁰)ν as
+    K takes it (x̂ = (y − x)/r), which "dV" and "dW" integrate."""
+    eye = np.eye(3)[:, :, None]
+
+    def dv(x, y, nu):
+        d = x - y
+        r = np.linalg.norm(d, axis=0)
+        return (-np.sqrt(alpha) / (6.0 * np.pi) * eye
+                + alpha / (32.0 * np.pi) * (3.0 * r * eye - d[:, None] * d / r))
+
+    def dw(x, y, nu):
+        u = (y - x) / np.linalg.norm(y - x, axis=0)
+        un = np.sum(u * nu, axis=0)
+        return alpha / (16.0 * np.pi) * (un * eye - u[:, None] * nu
+                                         + nu[:, None] * u + un * u[:, None] * u)
+
+    return dv, dw
+
+
 def _block_errors(got, ref):
     """Per-pair relative error of blocks (..., pairs)."""
     axes = tuple(range(ref.ndim - 1))
@@ -84,13 +102,16 @@ def test_closed_forms_match_high_order_duffy(case):
         points = (0.97 if case == "sphere-inside" else 1.03) * mesh.centroids
     rows, panels, _, _, _ = P._near_search(mesh, points)
     pick = np.random.default_rng(18).choice(len(rows), 300, replace=False)
-    kernels = _stokes_kernels(0.0) + _stokes_kernels(QD_ALPHA)[3:]
+    kernels = (_stokes_kernels(0.0) + _stokes_kernels(QD_ALPHA)[3:]
+               + _first_order_kernels(QD_ALPHA))
     for chunk in np.array_split(pick, 12):
         x = points[rows[chunk]]
         ref = _duffy_sums(mesh, x, panels[chunk], order, kernels)
         got = (_closed_forms(mesh, x, panels[chunk], 0.0)
-               + _closed_forms(mesh, x, panels[chunk])[3:])
-        for name, g, r in zip(("G0", "T0", "Qs", "Qd", "Qd alpha"), got, ref):
+               + _closed_forms(mesh, x, panels[chunk], QD_ALPHA,
+                               ("Qd", "dV", "dW")))
+        for name, g, r in zip(("G0", "T0", "Qs", "Qd", "Qd alpha", "dV",
+                               "dW"), got, ref):
             assert _block_errors(g, r).max() <= 1.0e-12, (case, name)
 
 
@@ -99,14 +120,21 @@ def test_closed_forms_match_high_order_duffy(case):
                          ids=["icosphere2", "cube2"])
 def test_own_panel_closed_forms(build):
     # at a panel's own centroid: ∫G⁰ is the polar self-block oracle, ∫T⁰
-    # is exactly 0
+    # is exactly 0, and the first-order terms match the order-60 rule (at
+    # order 40 the angular term of dW is not converged: 5e-12)
     mesh = build()
     own = np.arange(mesh.n_panels)
-    g0, t0, _, _ = _closed_forms(mesh, mesh.centroids, own)
+    g0, t0, _, _, dv, dw = _closed_forms(mesh, mesh.centroids, own, QD_ALPHA,
+                                         _KINDS + ("dV", "dW"))
     oracle = np.array([stokes_self_block(c, x) for c, x in
                        zip(mesh.panel_corners, mesh.centroids)])
     assert _block_errors(g0, oracle.transpose(1, 2, 0)).max() <= 1.0e-14
     assert not np.any(t0)
+    some = own[::8]
+    ref = _duffy_sums(mesh, mesh.centroids[some], some, 60,
+                      _first_order_kernels(QD_ALPHA))
+    for got, expected in zip((dv, dw), ref):
+        assert _block_errors(got[..., some], expected).max() <= 1.0e-12
 
 
 def test_coplanar_neighbours_have_no_stokes_double_layer():
@@ -131,11 +159,12 @@ def test_target_on_an_edge_extension_is_finite():
     mesh = build_cube(1)
     corners = mesh.panel_corners[5]
     x = corners[1] + 0.4 * (corners[1] - corners[0])
-    parts = _closed_forms(mesh, x[None, :], np.array([5]))
+    parts = _closed_forms(mesh, x[None, :], np.array([5]), QD_ALPHA,
+                          _KINDS + ("dV", "dW"))
     assert all(np.all(np.isfinite(part)) for part in parts)
     assert not np.any(parts[1])
     ref = _duffy_sums(mesh, x[None, :], np.array([5]), 40,
-                      _stokes_kernels(QD_ALPHA))
+                      _stokes_kernels(QD_ALPHA) + _first_order_kernels(QD_ALPHA))
     for got, expected in zip(parts[::2] + parts[3:], ref[::2] + ref[3:]):
         assert _block_errors(got, expected).max() <= 1.0e-12
 
@@ -143,14 +172,16 @@ def test_target_on_an_edge_extension_is_finite():
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_each_kind_alone_keeps_its_bits(alpha):
     # a part asked for alone, or with any other, skips the edge terms it
-    # does not read and keeps the bits of the part computed with all four
+    # does not read and keeps the bits of the part computed with all six
     mesh = build_cube(1)
     points = np.vstack([_lattice(10)[::7], mesh.centroids])
     rows, panels, _, _, _ = P._near_search(mesh, points)
     args = (points[rows].T, mesh.panel_corners[panels].transpose(1, 2, 0),
             mesh.normals[panels].T, alpha)
-    full = P._stokes_parts(*args, _KINDS)
-    for kinds in [(kind,) for kind in _KINDS] + [("V", "Qd"), ("W", "Qs")]:
+    every = _KINDS + ("dV", "dW")
+    full = P._stokes_parts(*args, every)
+    for kinds in [(kind,) for kind in every] + [
+            ("V", "Qd"), ("W", "Qs"), ("V", "dV"), ("W", "dW"), ("Qs", "dW")]:
         parts = P._stokes_parts(*args, kinds)
         assert tuple(parts) == kinds
         for kind in kinds:
@@ -163,13 +194,18 @@ _BANDS = (0.0, 0.05, 0.5, 1.0, 1.5, 2.0)   # distance over diameter
 
 
 def _reference(mesh, x, panels, alpha):
-    """Converged blocks: the closed forms plus the bounded differences on
-    the order-24 Duffy rule; "T0" is the Stokes double layer alone."""
-    g0, t0, qs, qd = _closed_forms(mesh, x, panels, alpha)
-    dv, dw = _duffy_sums(mesh, x, panels, 24, (
-        lambda x, y, nu: _velocity_difference_cf(x - y, alpha),
-        lambda x, y, nu: _double_layer_difference_cf(y - x, nu, alpha)))
-    return {"V": g0 + dv, "W": t0 + dw, "Qs": qs, "Qd": qd, "T0": t0}
+    """Converged blocks: the closed forms, those of the differences'
+    first-order terms included, plus the remainders on the order-24 Duffy
+    rule; "T0" is the Stokes double layer alone.  The raw differences on
+    that rule are not converged next to a panel edge: at 1e-3 diameters
+    near a cube(1) edge they read (S^α − S⁰)ν 5e-6 off order 64."""
+    g0, t0, qs, qd, dv, dw = _closed_forms(mesh, x, panels, alpha,
+                                           _KINDS + ("dV", "dW"))
+    rv, rw = _duffy_sums(mesh, x, panels, 24, (
+        lambda x, y, nu: _velocity_remainder_cf(x - y, alpha),
+        lambda x, y, nu: _double_layer_remainder_cf(y - x, nu, alpha)))
+    return {"V": g0 + dv + rv, "W": t0 + dw + rw, "Qs": qs, "Qd": qd,
+            "T0": t0}
 
 
 def _bands(mesh, x, panels):
@@ -185,35 +221,56 @@ def _worst(table, key, errors, bands):
                               float(errors[bands == b].max()))
 
 
+def _close_targets(mesh, panels, depths=(1.001e-3, 1.0e-2)):
+    """Points inside the given panels at depths (in panel diameters) under
+    the centroid, a point near an edge and a point near a vertex; the
+    first depth is just outside the proximity warning's 1e-3, which the
+    rounding of the closest point would cross."""
+    bary = np.array([[1 / 3, 1 / 3, 1 / 3], [0.48, 0.48, 0.04],
+                     [0.96, 0.02, 0.02]])
+    return np.array([bary @ mesh.panel_corners[i] - depth
+                     * mesh.diameters[i] * mesh.normals[i]
+                     for i in panels for depth in depths]).reshape(-1, 3)
+
+
+def _row_errors(table, mesh, points, alphas, far=True):
+    """_worst of the V, W, Qs and Qd rows at points against _reference, on
+    the pairs past two diameters too if far."""
+    quad = panel_quadrature(mesh, 6)
+    n = mesh.n_panels
+    pair = np.arange(len(points) * n)
+    bands = _bands(mesh, points[pair // n], pair % n)
+    if not far:
+        near = bands < len(_BANDS) - 1
+        pair, bands = pair[near], bands[near]
+    x, panels = points[pair // n], pair % n
+    for alpha in alphas:
+        rows = P._layer_rows(mesh, quad, BrinkmanParams(alpha), points, _KINDS)
+        ref = _reference(mesh, x, panels, alpha)
+        for kind, row in zip(_KINDS, rows):
+            got = np.moveaxis(row.reshape(len(points), -1, n, 3)[
+                pair // n, :, panels], 0, -1).reshape(ref[kind].shape)
+            _worst(table, (kind, alpha), _block_errors(got, ref[kind]), bands)
+
+
 def near_field_errors(alphas=(1.0, 4.0), strides=(37, 149), sphere_rows=2):
     """The worst relative block error per (kind, α, distance band) against
     _reference: V, W, Qs and Qd rows at points of the cube(1) 10³ and 16³
-    lattices (every strides-th point), V and K rows at icosphere(2)
-    centroids (sphere_rows of them).  K's own block, keyed band "own", is
-    measured against −½I minus the row's other reference Stokes blocks plus
-    the order-24 difference, relative to the row maximum."""
+    lattices (every strides-th point) and, within two diameters, at 1e-3 and
+    1e-2 diameters inside three panels each of cube(1) and icosphere(2)
+    (_close_targets), V and K
+    rows at icosphere(2) centroids (sphere_rows of them).  K's own block,
+    keyed band "own", is measured against −½I minus the row's other
+    reference Stokes blocks plus the order-24 difference, relative to the
+    row maximum."""
     table = {}
     cube = build_cube(1)
-    cube_quad = panel_quadrature(cube, 6)
-    n = cube.n_panels
     for resolution, stride in zip((10, 16), strides):
-        points = _lattice(resolution)[::stride]
-        pair = np.arange(len(points) * n)
-        x, panels = points[pair // n], pair % n
-        bands = _bands(cube, x, panels)
-        for alpha in alphas:
-            with warnings.catch_warnings():
-                # the 16³ lattice's outer layer is within 0.05 diameters
-                warnings.simplefilter("ignore", RuntimeWarning)
-                rows = P._layer_rows(cube, cube_quad, BrinkmanParams(alpha),
-                                     points, _KINDS)
-            ref = _reference(cube, x, panels, alpha)
-            for kind, row in zip(_KINDS, rows):
-                got = np.moveaxis(row.reshape(len(points), -1, n, 3)[
-                    pair // n, :, panels], 0, -1).reshape(ref[kind].shape)
-                _worst(table, (kind, alpha), _block_errors(got, ref[kind]),
-                       bands)
+        _row_errors(table, cube, _lattice(resolution)[::stride], alphas)
     sphere = build_icosphere(2)
+    for mesh, panels in ((cube, (0, 21, 40)), (sphere, (0, 111, 250))):
+        _row_errors(table, mesh, _close_targets(mesh, panels), alphas,
+                    far=False)
     quad = panel_quadrature(sphere, 6)
     n = sphere.n_panels
     for alpha in alphas:
@@ -242,12 +299,13 @@ def near_field_errors(alphas=(1.0, 4.0), strides=(37, 149), sphere_rows=2):
 
 
 def test_near_field_error_table():
-    # within two diameters: V and W within 5e-5 at every α, Qs and Qd exact
-    # up to rounding, K's off-diagonal blocks within 1e-8 (up to 6.7e-8
-    # with the full kernel on the graded bands); past two diameters every kernel
-    # within the regular rule's 5e-5; K's own block within 2e-5 of the row
-    # maximum
-    near_bounds = {"V": 5.0e-5, "W": 5.0e-5, "Qs": 1.0e-14, "Qd": 1.0e-14,
+    # within two diameters: V within 1e-5 and W within 1e-6 at every α (up
+    # to 2.7e-5 and 1.9e-5 with the raw differences on Duffy rules), Qs and
+    # Qd exact up to rounding, K's off-diagonal blocks within 1e-8 (up to
+    # 6.7e-8 with the full kernel on the graded bands); past two diameters
+    # every kernel within the regular rule's 5e-5; K's own block within
+    # 2e-5 of the row maximum
+    near_bounds = {"V": 1.0e-5, "W": 1.0e-6, "Qs": 1.0e-14, "Qd": 1.0e-14,
                    "K": 1.0e-8}
     table = near_field_errors()
     for (kind, alpha, band), error in table.items():

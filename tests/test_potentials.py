@@ -26,9 +26,10 @@ from bbem.kernels import (
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
-    velocity_difference,
     _double_layer_parts_cf,
+    _double_layer_remainder_cf,
     _velocity_cf,
+    _velocity_remainder_cf,
 )
 from bbem import harness as H
 from bbem import potentials as P
@@ -171,9 +172,9 @@ def test_self_block_alpha_correction_matches_high_order_rule(coarse,
 def test_own_blocks_match_self_panel_construction(build, alpha):
     # the own panel is a near pair of the plan; its blocks equal the
     # separate construction: for K, -I/2 minus the off-diagonal Stokes
-    # blocks plus the order-12 centroid rule's integral of the difference
-    # kernel; for V, the closed-form Stokes block plus the order-6 rule's
-    # integral of G^alpha - G^0
+    # blocks plus the closed-form first-order term dW and the order-6
+    # centroid rule's integral of the remainder; for V, the closed-form
+    # Stokes block plus dV and the 12-point rule's integral of the remainder
     mesh = build()
     quad = panel_quadrature(mesh, 6)
     params = BrinkmanParams(alpha=alpha)
@@ -186,17 +187,21 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
         blocks[kind] = matrix.matrix.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
     stokes = blocks["K0"].copy()
     stokes[np.arange(n), np.arange(n)] = 0.0
+    first = P._stokes_parts(mesh.centroids.T,
+                            mesh.panel_corners.transpose(1, 2, 0),
+                            mesh.normals.T, alpha, ("dV", "dW"))
+    twelve = panel_quadrature(mesh, 12)
     for i in range(n):
         c, nu = mesh.centroids[i], mesh.normals[i]
-        nodes, weights = duffy_singular_rule(mesh.panel_corners[i], c,
-                                             P._NEAR_ORDERS[0][1])
-        k_own = (-0.5 * np.eye(3) - stokes[i].sum(axis=0)
-                 + np.einsum("q,qba->ab", weights, stress_difference_normal(
-                     nodes, c, nu, alpha)))
         nodes, weights = duffy_singular_rule(mesh.panel_corners[i], c, 6)
+        k_own = (-0.5 * np.eye(3) - stokes[i].sum(axis=0) + first["dW"][..., i]
+                 + np.einsum("q,abq->ab", weights, _double_layer_remainder_cf(
+                     (nodes - c).T, nu[:, None], alpha)))
         v_own = (stokes_self_block(mesh.panel_corners[i], c)
-                 + np.einsum("q,qab->ab", weights,
-                             velocity_difference(c - nodes, alpha)))
+                 + first["dV"][..., i]
+                 + np.einsum("q,abq->ab", twelve.weights[i],
+                             _velocity_remainder_cf((c - twelve.nodes[i]).T,
+                                                    alpha)))
         for got, expected, kind in ((blocks["K"][i, i], k_own, "K"),
                                     (blocks["V"][i, i], v_own, "V")):
             np.testing.assert_allclose(
@@ -207,9 +212,10 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
                                                      alpha):
-    # the Stokes parts are closed forms, so at alpha = 0 K assembly and the
-    # V, Qs and Qd rows build no Duffy rule; at alpha > 0 the V rows build
-    # only order 6, and K the graded bands
+    # the Stokes parts and the differences' first-order terms are closed
+    # forms, so at alpha = 0 K assembly builds no Duffy rule and at
+    # alpha > 0 only orders 6 and 5; the V, Qs and Qd rows build none at
+    # any alpha (V's remainder takes the 12-point rule)
     mesh, quad = coarse
     calls = []
 
@@ -223,11 +229,24 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
     monkeypatch.setattr(P, "duffy_rule_batch", counted)
     params = BrinkmanParams(alpha=alpha)
     P.assemble_double_layer(mesh, quad, params)
-    assert set(calls) == ({order for _, order in P._NEAR_ORDERS} if alpha
-                          else set())
+    assert set(calls) == ({6, 5} if alpha else set())
     calls.clear()
     P._layer_rows(mesh, quad, params, 0.9 * mesh.centroids, ("V", "Qs", "Qd"))
-    assert set(calls) == ({6} if alpha else set())
+    assert calls == []
+
+
+def test_one_band_table_integrates_every_near_pair():
+    # a one-band rule table is the two-band table with the same rule twice
+    mesh = build_cube(1)
+    quad, twelve = panel_quadrature(mesh, 6), panel_quadrature(mesh, 12)
+    plan = P._NearFar(mesh, quad, 0.9 * mesh.centroids[:4] + 0.05)
+    sums = []
+    for rules in (((2.0, twelve),), ((0.5, twelve), (2.0, twelve))):
+        out = np.zeros((3, 3, len(plan.near)))
+        plan.add_near(lambda x, y, _: _velocity_cf(x - y, ALPHA), rules, out)
+        sums.append(out)
+    assert np.all(sums[0].any(axis=(0, 1)))
+    np.testing.assert_array_equal(sums[0], sums[1])
 
 
 # --------------------------------------------------------- operator identities
@@ -886,6 +905,22 @@ def test_newtonian_boundary_data_force_balance():
     assert rels[1] < rels[0]
 
 
+def test_newtonian_traction_at_a_cell_center():
+    # a traction target on a cell center drops that cell with every other
+    # within one cell diameter, before any kernel is evaluated there
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 5)
+    f = np.random.default_rng(7).standard_normal((grid.n_cells, 3))
+    points = grid.centers[::9]
+    normals = np.tile([0.0, 0.6, 0.8], (len(points), 1))
+    got, = P._newtonian_sums(grid, f, points, PARAMS, ("traction",), normals)
+    for x, nu, value in zip(points, normals, got):
+        far = np.linalg.norm(grid.centers - x, axis=1) >= np.sqrt(3.0) * grid.spacing
+        kernel = traction_kernel(x, grid.centers[far], nu, ALPHA)
+        expected = -np.einsum("c,cab,cb->a", grid.volumes[far], kernel, f[far])
+        np.testing.assert_allclose(value, expected, rtol=1.0e-12,
+                                   atol=1.0e-13 * np.abs(expected).max())
+
+
 def test_newtonian_forcing_shape_validation():
     grid = build_volume_grid({"type": "cube", "side": 1.0}, 4)
     with pytest.raises(ValueError, match="shape"):
@@ -920,7 +955,7 @@ def test_eval_rejects_on_surface_point(fine):
 def test_eval_warns_very_close_to_surface(fine):
     mesh, quad = fine
     g = smooth_density(mesh)
-    x = mesh.centroids[5] + 0.01 * mesh.diameters[5] * mesh.normals[5]
+    x = mesh.centroids[5] + 5.0e-4 * mesh.diameters[5] * mesh.normals[5]
     with pytest.warns(RuntimeWarning, match="accuracy"):
         P.eval_single_layer(mesh, g, x[None], PARAMS, quad)
 
