@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import (BBEMError, InvalidLabeling, InvalidSource,
-                     InvalidThreadCount)
+                     InvalidThreadCount, UnsupportedParameter)
 from .harness import (
     SUITE_NAMES,
     ConfigError,
@@ -140,7 +140,7 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidSource, InvalidLabeling, InvalidThreadCount,
-            OSError) as exc:
+            UnsupportedParameter, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BBEMError as exc:

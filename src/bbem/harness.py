@@ -52,6 +52,8 @@ from .potentials import (
     VolumeField,
     eval_double_layer,
     eval_single_layer,
+    _FAR_ORDER,
+    _NEAR_ORDERS,
     _NearFar,
     _closest_points_on_panels,
     _newtonian_on_grid,
@@ -314,16 +316,20 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
     return (8.0 * f1 - 6.0 * f2 + f3) / 3.0
 
 
-def _sl_traction(mesh, quad, density, x, nu_x, alpha):
+def _sl_traction(mesh, density, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point: the full
-    kernel, near panels on the graded Duffy bands (_NearFar.integrate)."""
-    blocks = _NearFar(mesh, quad, x[None, :]).integrate(
-        lambda t, y, _: _traction_cf(t - y, nu_x[:, None, None], alpha))
-    return np.einsum("jib,jb->i", blocks[0], density)
+    kernel, near panels on the graded Duffy bands (_NEAR_ORDERS)."""
+    plan = _NearFar(mesh, panel_quadrature(mesh, _FAR_ORDER), x[None, :])
+
+    def kernel(t, y, _):
+        return _traction_cf(t - y, nu_x[:, None, None], alpha)
+
+    near = np.zeros((3, 3, len(plan.near)))
+    plan.add_near(kernel, _NEAR_ORDERS, near)
+    return np.einsum("jib,jb->i", plan.integrate(kernel, near)[0], density)
 
 
-def jump_battery(mesh, params, seed=SUITE_SEED, n_points=6,
-                 quadrature_order=6):
+def jump_battery(mesh, params, seed=SUITE_SEED, n_points=6):
     """Measured boundary jumps of the layer potentials with a smooth seeded
     density: the single-layer velocity is continuous across the boundary,
     the double-layer trace jumps by the density from inside to outside, and
@@ -341,7 +347,6 @@ def jump_battery(mesh, params, seed=SUITE_SEED, n_points=6,
     center = 0.5 * (mesh.vertices.max(axis=0) + mesh.vertices.min(axis=0))
     panels = [int(np.argmax((mesh.centroids - center) @ d))
               for d in directions]
-    quad = panel_quadrature(mesh, quadrature_order)
 
     mismatches = {"sl_trace": [], "w_jump": [], "t_jump": []}
     scales = []
@@ -349,13 +354,13 @@ def jump_battery(mesh, params, seed=SUITE_SEED, n_points=6,
         x0, nu, dia = mesh.centroids[i], mesh.normals[i], mesh.diameters[i]
 
         def single(x):
-            return eval_single_layer(mesh, density, x[None], params, quad)[0]
+            return eval_single_layer(mesh, density, x[None], params)[0]
 
         def double(x):
-            return eval_double_layer(mesh, density, x[None], params, quad)[0]
+            return eval_double_layer(mesh, density, x[None], params)[0]
 
         def traction(x):
-            return _sl_traction(mesh, quad, density, x, nu, params.alpha)
+            return _sl_traction(mesh, density, x, nu, params.alpha)
 
         v_in = _extrapolate_to_surface(single, x0, nu, dia, -1)
         v_out = _extrapolate_to_surface(single, x0, nu, dia, +1)
@@ -412,7 +417,7 @@ def sl_normal_defect(workspace):
 # ------------------------------------------------- manufactured-solve errors
 
 def manufactured_errors(kind, mesh, source, points, labeling=None,
-                        workspace=None, quadrature_order=6):
+                        workspace=None):
     """Solve the named problem with the exact pole data and report errors.
 
     Returns interior_l2 (relative velocity error at the probe points),
@@ -421,7 +426,7 @@ def manufactured_errors(kind, mesh, source, points, labeling=None,
     report, and the solve wall time.
     """
     params = source.params
-    ws = _workspace_for(mesh, params, quadrature_order, workspace)
+    ws = _workspace_for(mesh, params, workspace)
     trace = source.trace(mesh)
     if kind == MIXED and labeling is None:
         raise ValueError("the mixed battery needs a patch labeling")
@@ -429,7 +434,6 @@ def manufactured_errors(kind, mesh, source, points, labeling=None,
                    dirichlet_data=None if kind == NEUMANN else trace,
                    neumann_data=(None if kind == DIRICHLET
                                  else source.traction(mesh)),
-                   quadrature_order=quadrature_order,
                    flux_tol=MANUFACTURED_FLUX_TOL)
     handle, report = _solve(spec, ws)
     flat = handle.density.values.reshape(-1)
@@ -449,15 +453,14 @@ def manufactured_errors(kind, mesh, source, points, labeling=None,
             "wall_time_s": report.wall_time_s}
 
 
-def green_identity_error(mesh, source, points, quadrature_order=6):
+def green_identity_error(mesh, source, points):
     """Relative residual of the direct representation u = V t − W γu for the
     exact pole pair, measured at the probe points."""
     trace = source.trace(mesh)
     traction = source.traction(mesh)
     exact = source.velocity(points)
     resid = greens_identity_residual(trace, traction, source.params, points,
-                                     exact_velocity=exact,
-                                     quadrature_order=quadrature_order)
+                                     exact_velocity=exact)
     return float(np.linalg.norm(resid) / np.linalg.norm(exact))
 
 
@@ -466,7 +469,7 @@ def ntd_consistency(mesh, labeling, source, workspace=None):
     the composed traction-to-trace operator against solve-then-restrict on
     the same discretization."""
     params = source.params
-    ws = _workspace_for(mesh, params, 6, workspace)
+    ws = _workspace_for(mesh, params, workspace)
     traction = source.traction(mesh)
     ntd = neumann_to_dirichlet(mesh, labeling, params, workspace=ws)
     composed = ntd.apply(traction).values
@@ -859,10 +862,10 @@ def convergence_study(config):
 
     config is a mapping with keys kind (dirichlet | neumann | mixed),
     geometry ({"type": "icosphere" | "cube", ...}), levels (strictly
-    increasing integers), alpha, source_point, column, and optionally
-    quadrature_order and, for mixed runs, patches (a label_patches rule).
-    Levels needing more than PANEL_BUDGET panels are refused before any
-    solve.  A single-level study yields one row with an empty ratio.
+    increasing integers), alpha, source_point, column, and, for mixed
+    runs, patches (a label_patches rule).  Levels needing more than
+    PANEL_BUDGET panels are refused before any solve.  A single-level study
+    yields one row with an empty ratio.
     """
     if not isinstance(config, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -881,7 +884,6 @@ def convergence_study(config):
     alpha = _cfg_number(config, "", "alpha", minimum=0.0)
     point = _cfg_vec3(config, "", "source_point")
     column = _cfg_int(config, "", "column", minimum=1, maximum=3)
-    order = _cfg_order(config)
     params = BrinkmanParams(alpha=alpha)
     source = manufactured_solution(point, column, params)
     patches = _cfg_map(config, "", "patches",
@@ -894,10 +896,8 @@ def convergence_study(config):
         labeling = (_cfg_labeling(mesh, patches) if kind == MIXED else None)
         points = interior_probes(mesh)
         errors = manufactured_errors(kind, mesh, source, points,
-                                     labeling=labeling,
-                                     quadrature_order=order)
-        jump = green_identity_error(mesh, source, points,
-                                    quadrature_order=order)
+                                     labeling=labeling)
+        jump = green_identity_error(mesh, source, points)
         ratio = None if previous is None else previous / errors["interior_l2"]
         rows.append(ConvergenceRow(level=level, n_panels=mesh.n_panels,
                                    trace_l2=errors["trace_l2"],
@@ -985,13 +985,6 @@ def _cfg_map(value, name):
     if not isinstance(value, dict):
         raise ConfigError(f"'{name}': expected an object")
     return value
-
-
-def _cfg_order(cfg):
-    order = _cfg_int(cfg, "", "quadrature_order", default=6)
-    if order not in (1, 3, 6, 12):
-        raise ConfigError("'quadrature_order': expected one of 1, 3, 6, 12")
-    return order
 
 
 def _cfg_geometry(geometry, levels):
@@ -1090,7 +1083,6 @@ class RunConfig:
     alpha: float
     beta: float
     data: tuple
-    quadrature_order: int
     volume: tuple | None
     picard: PicardConfig
     flux_tol: float
@@ -1121,7 +1113,6 @@ class RunConfig:
             detail = {key: _cfg_str(data, "data", key)
                       for key in ("dirichlet", "neumann")
                       if kind in (key, "mixed")}
-        order = _cfg_order(cfg)
         volume = _cfg_map(cfg, "", "volume", default=None)
         if volume is not None:
             resolution = _cfg_int(volume, "volume", "resolution", minimum=2)
@@ -1152,8 +1143,8 @@ class RunConfig:
             raise ConfigError("'flux_tol': must be positive")
         return cls(kind=kind, geometry=(geometry_type, level, size),
                    patches=patches, alpha=alpha, beta=beta,
-                   data=(source, detail), quadrature_order=order,
-                   volume=volume, picard=picard, flux_tol=flux_tol,
+                   data=(source, detail), volume=volume, picard=picard,
+                   flux_tol=flux_tol,
                    output=_cfg_str(cfg, "", "output", default=None),
                    mapping=cfg)
 
@@ -1219,13 +1210,11 @@ def run_config(path, out_dir=None):
     report = contraction = None
     if rc.beta > 0.0:
         handle, contraction = picard_solve(
-            mesh, labeling, grid, params, forcing, trace, traction,
-            rc.picard, quadrature_order=rc.quadrature_order)
+            mesh, labeling, grid, params, forcing, trace, traction, rc.picard)
     else:
         spec = BVPSpec(kind=_KIND_BY_NAME[rc.kind], params=params, mesh=mesh,
                        labeling=labeling, dirichlet_data=trace,
                        neumann_data=traction, forcing=forcing, grid=grid,
-                       quadrature_order=rc.quadrature_order,
                        flux_tol=rc.flux_tol)
         handle, report = _solve(spec)
 
@@ -1242,7 +1231,6 @@ def run_config(path, out_dir=None):
             "kind": rc.kind, "geometry": rc.mapping["geometry"],
             "patches": rc.patches, "alpha": rc.alpha, "beta": rc.beta,
             "data": rc.mapping["data"],
-            "quadrature_order": rc.quadrature_order,
             "volume": rc.mapping.get("volume"),
         },
         "report": None if report is None else json.loads(report.to_json()),

@@ -27,17 +27,22 @@ run over chunks of _CHUNK_PAIRS (target, column) pairs, at least 8 rows,
 whose per-row arithmetic does not depend on the chunk or the thread count,
 so results are byte-identical for any BBEM_THREADS setting.
 
-One near/far plan, _NearFar, is built per chunk.  Panels within two
+_layer_rows is the one row loop: every layer operator and evaluation is
+its rows on one near/far plan, _NearFar, per chunk.  Panels within two
 diameters of a target (its own panel included) are near, the rest take the
-regular rule, one kernel call per chunk.  On a near pair every layer kernel
-takes in closed form (_stokes_parts) its Stokes part (∫G⁰ for V, ∫T⁰ for K
-and W, all of Q^s and Q^d) and the first-order terms of its bounded
-α-difference, so quadrature carries only the smooth remainder, and nothing
-at α = 0: G^α − G⁰'s on the 12-point symmetric rule, (S^α − S⁰)ν's on
-Duffy order 6 below half a diameter and 5 beyond, built in pieces of at
-most _PIECE_NODES nodes.  Near blocks are within 4e-6 (V), 2e-7 (W) and
-3e-9 (K, off the diagonal) of converged ones down to 1e-3 diameters, Q^s
-and Q^d exact; the regular rule errs up to 3e-5.
+_FAR_ORDER-point rule, one kernel call per chunk.  K is the "W" rows at the
+centroids, whose own blocks take the row-sum diagonal of the constant
+identity K⁰c = −½c.  On a near pair every layer kernel takes in closed form
+(_stokes_parts) its Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and
+Q^d) and the first-order terms of its bounded α-difference, so quadrature
+carries only the smooth remainder, and nothing at α = 0: G^α − G⁰'s on the
+12-point symmetric rule, (S^α − S⁰)ν's on Duffy order 6 below half a
+diameter and 5 beyond, built in pieces of at most _PIECE_NODES nodes.  Near
+blocks are within 4e-6 (V), 2e-7 (W) and 3e-9 (K, off the diagonal) of
+converged ones down to 1e-3 diameters, Q^s and Q^d exact; the regular rule
+errs up to 3e-5.  The remainder is smooth on a panel only while √α times
+the largest panel diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near
+blocks err 2.4e-5 there, 7.5e-4 at 5.1); past it the rows are refused.
 
 The Newtonian pair is linear in the forcing: _newtonian_rows builds its
 midpoint rows at any targets, which _newtonian_sums applies chunk by chunk.
@@ -50,7 +55,6 @@ cells per axis, one transform per component shared by all products.
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
 import warnings
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .errors import InvalidThreadCount
+from .errors import InvalidThreadCount, UnsupportedParameter
 from .geometry import (
     QuadratureSet,
     SurfaceMesh,
@@ -82,9 +86,12 @@ from .kernels import (
 
 _CHUNK_PAIRS = 2560         # (target, panel or cell) pairs per chunk
 _PIECE_NODES = 32768        # nodes per near-rule piece: bounds chunk memory
-# Duffy order of a near panel for a full kernel (integrate with near=None)
-# by its distance over its diameter: the first band whose limit the ratio is
-# below.  Panels past the last limit take the regular rule.
+_FAR_ORDER = 6              # points per panel of the regular (far) rule
+_MAX_ALPHA_DIAMETER = 2.5   # largest √α · panel diameter the near field serves
+# Duffy order of a near panel for the single-layer traction (the harness's
+# jump battery, which takes the full kernel) by its distance over its
+# diameter: the first band whose limit the ratio is below.  Panels past the
+# last limit take the regular rule.
 _NEAR_ORDERS = ((0.5, 12), (1.0, 8), (1.5, 6), (2.0, 5))
 _NEAR_FACTOR = _NEAR_ORDERS[-1][0]
 _WARN_FACTOR = 1.0e-3       # accuracy warning inside this many diameters
@@ -366,26 +373,16 @@ class _NearFar:
         return np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
                                starts, axis=-1)
 
-    def integrate(self, kernel, near=None):
+    def integrate(self, kernel, near):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
         normals (3, R, 1)), a new (*shape, R, q) array (weighted in place):
         (targets, panels, *shape).  Near pairs take near (*shape, pairs),
-        their integrals from the caller, or else kernel on _NEAR_ORDERS."""
-        blocks = None
-        groups = [self.far]
-        if near is None:
-            groups = itertools.chain(groups, (group for _, group in
-                                              self._near_groups(_NEAR_ORDERS)))
-        else:
-            blocks = np.zeros(self.shape + near.shape[:-1])
-            blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
-        for group in groups:
-            if not len(group[2]):
-                continue
-            sums = self._sums(kernel, group)
-            if blocks is None:
-                blocks = np.zeros(self.shape + sums.shape[:-1])
-            blocks[group[0], group[1]] = np.moveaxis(sums, -1, 0)
+        their integrals from the caller, far ones the regular rule."""
+        blocks = np.zeros(self.shape + near.shape[:-1])
+        blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
+        if len(self.far[2]):
+            blocks[self.far[0], self.far[1]] = np.moveaxis(
+                self._sums(kernel, self.far), -1, 0)
         return blocks
 
     def add_near(self, kernel, rules, out):
@@ -403,11 +400,6 @@ class _NearFar:
 def _check_mesh_panels(mesh):
     if mesh.areas.min() < 1.0e-14 * mesh.scale ** 2:
         raise ValueError("degenerate panel: area below 1e-14 of the squared mesh scale")
-
-
-def _check_quadrature(mesh, quadrature):
-    if quadrature.nodes.shape[0] != mesh.n_panels:
-        raise ValueError("quadrature was built for a different mesh")
 
 
 # ------------------------------------------------ closed-form Stokes parts
@@ -512,7 +504,7 @@ def _differences(mesh, alpha):
                   ((0.5, 6), (_NEAR_FACTOR, 5)))}
 
 
-def assemble_single_layer(mesh, quadrature, params):
+def assemble_single_layer(mesh, params):
     """Dense matrix of the single-layer boundary trace 𝒱_α: the "V" layer
     rows at the panel centroids, each panel's own included.
 
@@ -520,15 +512,14 @@ def assemble_single_layer(mesh, quadrature, params):
     regular quadrature for distant panels; within two diameters the
     closed forms ∫G⁰ and "dV" plus G^α − G⁰'s remainder on the 12-point rule.
     """
-    _check_mesh_panels(mesh)
-    rows, = _layer_rows(mesh, quadrature, params, mesh.centroids, ("V",),
-                        on_boundary=True)
+    rows, = _layer_rows(mesh, params, mesh.centroids, ("V",), on_boundary=True)
     return DenseOperator(rows.reshape(3 * mesh.n_panels, -1), "V",
                          alpha=params.alpha)
 
 
-def assemble_double_layer(mesh, quadrature, params):
-    """Dense matrix of the double-layer boundary operator K_α.
+def assemble_double_layer(mesh, params):
+    """Dense matrix of the double-layer boundary operator K_α: the "W" layer
+    rows at the panel centroids.
 
     The Stokes part carries the full singularity: its off-diagonal blocks are
     the far rule's or the closed form ∫T⁰, and its diagonal comes from the
@@ -537,28 +528,9 @@ def assemble_double_layer(mesh, quadrature, params):
     double_layer_parts call, and on near panels from the closed form "dW"
     plus the remainder on Duffy orders 6 and 5 (_differences).
     """
-    _check_mesh_panels(mesh)
-    _check_quadrature(mesh, quadrature)
-    alpha = params.alpha
-    n = mesh.n_panels
-    difference = _differences(mesh, alpha)["W"] if alpha > 0.0 else None
-    out = np.zeros((3 * n, 3 * n))
-
-    def worker(start, stop):
-        own = (np.arange(stop - start), np.arange(start, stop))
-        plan = _NearFar(mesh, quadrature, mesh.centroids[start:stop])
-        near = np.stack(list(plan.stokes(
-            alpha, ("W", "dW") if difference else ("W",)).values()))
-        if difference:
-            plan.add_near(*difference, near[1])
-        parts = plan.integrate(
-            lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha), near)
-        blocks = parts.sum(axis=2)
-        blocks[own] -= 0.5 * np.eye(3) + parts[:, :, 0].sum(axis=1)
-        out[3 * start:3 * stop] = blocks.transpose(0, 2, 1, 3).reshape(-1, 3 * n)
-
-    _run_chunked(n, n, worker)
-    return DenseOperator(out, "K", alpha=alpha)
+    rows, = _layer_rows(mesh, params, mesh.centroids, ("W",), on_boundary=True)
+    return DenseOperator(rows.reshape(3 * mesh.n_panels, -1), "K",
+                         alpha=params.alpha)
 
 
 def adjoint_double_layer(double_layer, weights):
@@ -588,17 +560,26 @@ def _point_guard(mesh, plan):
                       RuntimeWarning, stacklevel=3)
 
 
-def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
+def _layer_rows(mesh, params, points, kinds, on_boundary=False):
     """Evaluation matrix rows of the given layer kernels at the points, all
     integrated on one near/far plan per chunk; returns one array per kind.
 
     kinds: "V" and "W" give (P, 3, 3N) tensors; "Qs" and "Qd" give (P, 3N).
-    Near panels take the closed-form Stokes parts, V and W plus their
-    bounded α-differences (_differences).  Points off the boundary are
-    guarded (_point_guard) unless on_boundary (assembly at centroids).
+    Far panels take the _FAR_ORDER-point rule, near ones the closed-form
+    Stokes parts, V and W plus their bounded α-differences (_differences).
+    Points off the boundary are guarded (_point_guard).  on_boundary points
+    are the centroids, where W's own blocks take K's row-sum diagonal: −½I
+    minus the row's Stokes parts.  An α past the near field's reach
+    (_MAX_ALPHA_DIAMETER) raises UnsupportedParameter.
     """
-    _check_quadrature(mesh, quadrature)
+    _check_mesh_panels(mesh)
     alpha = params.alpha
+    reach = np.sqrt(alpha) * mesh.diameters.max()
+    if reach > _MAX_ALPHA_DIAMETER:
+        raise UnsupportedParameter(
+            f"alpha = {alpha:g} is too large for this mesh: sqrt(alpha) times "
+            f"the largest panel diameter is {reach:.3g}, above "
+            f"{_MAX_ALPHA_DIAMETER:g}; refine the mesh or lower alpha")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"evaluation points must have shape (P, 3), got "
@@ -612,10 +593,11 @@ def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
                      else (n_points, 3 * n)) for kind in kinds]
     kernels = {
         "V": lambda x, y, nu: _velocity_cf(x - y, alpha),
-        "W": lambda x, y, nu: _traction_cf(y - x, nu, alpha).swapaxes(0, 1),
+        "W": lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha),
         "Qs": lambda x, y, nu: _pressure_cf(x - y),
         "Qd": lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha),
     }
+    quadrature = panel_quadrature(mesh, _FAR_ORDER)
     differences = _differences(mesh, alpha) if alpha > 0.0 else {}
 
     def worker(start, stop):
@@ -625,10 +607,21 @@ def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
         near = plan.stokes(alpha, kinds + tuple(
             "d" + kind for kind in kinds if kind in differences))
         for kind, out in zip(kinds, outs):
+            part = near[kind]
+            if kind == "W":         # _double_layer_parts_cf's parts
+                part = (np.stack([part, near["dW"]]) if differences
+                        else part[None])
+            elif kind in differences:
+                part += near["dV"]
             if kind in differences:
-                near[kind] += near["d" + kind]
-                plan.add_near(*differences[kind], near[kind])
-            blocks = plan.integrate(kernels[kind], near[kind])
+                plan.add_near(*differences[kind],
+                              part[-1] if kind == "W" else part)
+            blocks = plan.integrate(kernels[kind], part)
+            if kind == "W":
+                parts, blocks = blocks, blocks.sum(axis=2)
+                if on_boundary:
+                    own = (np.arange(stop - start), np.arange(start, stop))
+                    blocks[own] -= 0.5 * np.eye(3) + parts[:, :, 0].sum(axis=1)
             if out.ndim == 3:
                 blocks = blocks.transpose(0, 2, 1, 3)
             out[start:stop] = blocks.reshape(stop - start, *out.shape[1:])
@@ -637,44 +630,38 @@ def _layer_rows(mesh, quadrature, params, points, kinds, on_boundary=False):
     return outs
 
 
-def _eval_layers(mesh, density, points, params, kinds, quadrature=None):
+def _eval_layers(mesh, density, points, params, kinds):
     """The given layer potentials of one density at off-boundary points, from
     one near/far split per point: "V" (V_α g) and "W" (W_α h) give (P, 3)
     arrays, "Qs" (Q^s g) and "Qd" (Q^d_α h) give (P,) arrays."""
-    quadrature, values = _eval_setup(mesh, density, quadrature)
+    values = (density.values if isinstance(density, BoundaryField)
+              else np.asarray(density))
+    if values.shape != (mesh.n_panels, 3):
+        raise ValueError("density shape does not match the mesh")
     flat = values.reshape(-1)
     return [np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
             else rows @ flat
-            for rows in _layer_rows(mesh, quadrature, params, points, kinds)]
+            for rows in _layer_rows(mesh, params, points, kinds)]
 
 
-def eval_single_layer(mesh, density, points, params, quadrature=None):
+def eval_single_layer(mesh, density, points, params):
     """(V_α g)(x) at off-boundary points; returns a (P, 3) array."""
-    return _eval_layers(mesh, density, points, params, ("V",), quadrature)[0]
+    return _eval_layers(mesh, density, points, params, ("V",))[0]
 
 
-def eval_single_layer_pressure(mesh, density, points, params, quadrature=None):
+def eval_single_layer_pressure(mesh, density, points, params):
     """(Q^s g)(x) at off-boundary points; returns a (P,) array."""
-    return _eval_layers(mesh, density, points, params, ("Qs",), quadrature)[0]
+    return _eval_layers(mesh, density, points, params, ("Qs",))[0]
 
 
-def eval_double_layer(mesh, density, points, params, quadrature=None):
+def eval_double_layer(mesh, density, points, params):
     """(W_α h)(x) at off-boundary points; returns a (P, 3) array."""
-    return _eval_layers(mesh, density, points, params, ("W",), quadrature)[0]
+    return _eval_layers(mesh, density, points, params, ("W",))[0]
 
 
-def eval_double_layer_pressure(mesh, density, points, params, quadrature=None):
+def eval_double_layer_pressure(mesh, density, points, params):
     """(Q^d_α h)(x) at off-boundary points; returns a (P,) array."""
-    return _eval_layers(mesh, density, points, params, ("Qd",), quadrature)[0]
-
-
-def _eval_setup(mesh, density, quadrature):
-    if quadrature is None:
-        quadrature = panel_quadrature(mesh, 6)
-    values = density.values if isinstance(density, BoundaryField) else np.asarray(density)
-    if values.shape != (mesh.n_panels, 3):
-        raise ValueError("density shape does not match the mesh")
-    return quadrature, values
+    return _eval_layers(mesh, density, points, params, ("Qd",))[0]
 
 
 # --------------------------------------------------------------- volume potentials

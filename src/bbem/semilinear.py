@@ -165,7 +165,7 @@ def _grid_velocity(workspace, handle):
 
 def picard_solve(mesh, labeling, grid, params, forcing, dirichlet_data,
                  neumann_data, config, initial_velocity=None, constants=None,
-                 workspace=None, quadrature_order=6):
+                 workspace=None):
     """Solve the semilinear mixed problem by fixed-point iteration.
 
     Each step solves the linear mixed problem with forcing f + β|v|v sampled
@@ -184,15 +184,12 @@ def picard_solve(mesh, labeling, grid, params, forcing, dirichlet_data,
         raise UnsupportedParameter("the fixed-point solver needs alpha > 0")
     base = BVPSpec(kind=MIXED, params=params, mesh=mesh, labeling=labeling,
                    dirichlet_data=dirichlet_data, neumann_data=neumann_data,
-                   forcing=forcing, grid=grid,
-                   quadrature_order=quadrature_order)
-    ws = _workspace_for(mesh, params, quadrature_order, workspace)
+                   forcing=forcing, grid=grid)
+    ws = _workspace_for(mesh, params, workspace)
     beta = params.beta
     if constants is None and beta > 0.0:
         constants = estimate_constants(mesh, labeling, grid, params,
-                                       samples=8,
-                                       quadrature_order=quadrature_order,
-                                       workspace=ws)
+                                       samples=8, workspace=ws)
 
     if initial_velocity is None:
         v = np.zeros((grid.n_cells, 3))
@@ -309,8 +306,7 @@ def _tuple_inner(grid, mesh, first, second):
 
 
 def estimate_constants(mesh, labeling, grid, params, samples,
-                       quadrature_order=6, workspace=None,
-                       seed=ESTIMATION_SEED):
+                       workspace=None, seed=ESTIMATION_SEED):
     """Estimate the contraction constants from sampled solves.
 
     Draws `samples` smooth random data tuples, orthonormalizes them in the
@@ -325,7 +321,7 @@ def estimate_constants(mesh, labeling, grid, params, samples,
         raise ValueError(f"samples must be an integer >= 8, got {samples!r}")
     if params.alpha <= 0.0:
         raise UnsupportedParameter("constant estimation needs alpha > 0")
-    ws = _workspace_for(mesh, params, quadrature_order, workspace)
+    ws = _workspace_for(mesh, params, workspace)
     scale = mesh.scale
 
     basis = []
@@ -350,8 +346,7 @@ def estimate_constants(mesh, labeling, grid, params, samples,
                        labeling=labeling,
                        dirichlet_data=BoundaryField(mesh, h),
                        neumann_data=BoundaryField(mesh, g),
-                       forcing=VolumeField(grid, f), grid=grid,
-                       quadrature_order=quadrature_order)
+                       forcing=VolumeField(grid, f), grid=grid)
         handle, _ = solve_poisson(spec, ws)
         fields.append(_grid_velocity(ws, handle))
 
@@ -436,8 +431,8 @@ def semilinear_residual(handle, grid, params, forcing):
     cells = evaluated.reshape(-1)
     flat = handle.density.values.reshape(-1)
     velocity_rows = store.rows(grid.centers, (velocity_kind,))[0][cells]
-    pressure_rows, = _layer_rows(store.mesh, store.quadrature, store.params,
-                                 grid.centers[cells], (pressure_kind,))
+    pressure_rows, = _layer_rows(store.mesh, store.params, grid.centers[cells],
+                                 (pressure_kind,))
     velocity = np.full((m, m, m, 3), np.nan)
     pressure = np.full((m, m, m), np.nan)
     velocity[evaluated] = np.einsum("pam,m->pa", velocity_rows, flat)

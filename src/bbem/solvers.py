@@ -50,7 +50,6 @@ from .geometry import (
     PatchLabeling,
     SurfaceMesh,
     VolumeGrid,
-    panel_quadrature,
     winding_number,
 )
 from .kernels import BrinkmanParams
@@ -94,7 +93,6 @@ class BVPSpec:
     neumann_data: BoundaryField | None = None
     forcing: VolumeField | None = None
     grid: VolumeGrid | None = None
-    quadrature_order: int = 6
     flux_tol: float = 1.0e-8
 
     def __post_init__(self):
@@ -135,7 +133,6 @@ class SolutionHandle:
     tag: str
     density: BoundaryField
     params: BrinkmanParams
-    quadrature_order: int = 6
     pressure_constant: float = 0.0
     layer_tag: str | None = None
     forcing: VolumeField | None = None
@@ -175,20 +172,19 @@ class SolveReport:
 
 
 class _RowStore:
-    """Read-only layer-evaluation rows of one mesh, quadrature and α: each
+    """Read-only layer-evaluation rows of one mesh and α: each
     kinds tuple keeps the rows of its most recent point set, keyed on the
     points' shape and bytes, since callers may edit a point array in place."""
 
-    def __init__(self, mesh, quadrature, params):
-        self.mesh, self.quadrature, self.params = mesh, quadrature, params
+    def __init__(self, mesh, params):
+        self.mesh, self.params = mesh, params
         self._entries = {}
 
     def rows(self, points, kinds):
         key = (points.shape, points.tobytes())
         entry = self._entries.get(kinds)
         if entry is None or entry[0] != key:
-            rows = _layer_rows(self.mesh, self.quadrature, self.params,
-                               points, kinds)
+            rows = _layer_rows(self.mesh, self.params, points, kinds)
             for array in rows:
                 array.setflags(write=False)
             entry = self._entries[kinds] = (key, rows)
@@ -196,18 +192,17 @@ class _RowStore:
 
 
 class SolverWorkspace:
-    """Lazily assembled operators for one mesh, α and quadrature order.
+    """Lazily assembled operators for one mesh and α.
 
     Solvers accept a shared workspace so iterative callers pay for assembly
     and factorization once: each kind's system (mixed: per labeling) is
-    LU-factored once.  No linear operator reads β, so it serves every β.
+    LU-factored once.  No linear operator reads β, so it serves any β at
+    fixed mesh and α.
     """
 
-    def __init__(self, mesh, params, quadrature_order=6):
+    def __init__(self, mesh, params):
         self.mesh = mesh
         self.params = params
-        self.quadrature_order = quadrature_order
-        self.quadrature = panel_quadrature(mesh, quadrature_order)
         self._single = None
         self._double = None
         self._mixed_sys = {}
@@ -216,24 +211,21 @@ class SolverWorkspace:
         self._dirichlet_lu = None
         self._probes = None
         self._newtonian = None
-        self.row_store = _RowStore(mesh, self.quadrature, params)
+        self.row_store = _RowStore(mesh, params)
 
-    def matches(self, mesh, params, quadrature_order):
-        return (mesh is self.mesh and params.alpha == self.params.alpha
-                and quadrature_order == self.quadrature_order)
+    def matches(self, mesh, params):
+        return mesh is self.mesh and params.alpha == self.params.alpha
 
     @property
     def single_layer(self):
         if self._single is None:
-            self._single = assemble_single_layer(self.mesh, self.quadrature,
-                                                 self.params)
+            self._single = assemble_single_layer(self.mesh, self.params)
         return self._single
 
     @property
     def double_layer(self):
         if self._double is None:
-            self._double = assemble_double_layer(self.mesh, self.quadrature,
-                                                 self.params)
+            self._double = assemble_double_layer(self.mesh, self.params)
         return self._double
 
     def dirichlet_factorization(self):
@@ -309,10 +301,10 @@ class SolverWorkspace:
         return self._newtonian[1]
 
 
-def _workspace_for(mesh, params, quadrature_order, workspace):
+def _workspace_for(mesh, params, workspace):
     if workspace is None:
-        return SolverWorkspace(mesh, params, quadrature_order)
-    if not workspace.matches(mesh, params, quadrature_order):
+        return SolverWorkspace(mesh, params)
+    if not workspace.matches(mesh, params):
         raise ValueError("workspace was built for a different problem")
     return workspace
 
@@ -436,7 +428,6 @@ def _solved(spec, ws, tag, x, applied, rhs, t0, sigma=(None, None),
     constant = float(pressure.mean())
     handle = SolutionHandle(tag=WITH_NEWTONIAN if forced else tag,
                             density=density, params=spec.params,
-                            quadrature_order=spec.quadrature_order,
                             pressure_constant=constant,
                             layer_tag=tag if forced else None,
                             forcing=spec.forcing, grid=spec.grid,
@@ -454,7 +445,7 @@ def solve_dirichlet(spec, workspace=None):
     if spec.kind != DIRICHLET:
         raise ValueError("spec kind must be dirichlet")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, workspace)
     mesh = spec.mesh
     # the user datum carries the flux obstruction; the Newtonian trace is
     # divergence-free, so the shifted datum is compatible up to quadrature
@@ -490,7 +481,7 @@ def solve_neumann(spec, workspace=None):
             "the Neumann problem needs alpha > 0; the alpha = 0 system has "
             "rigid-motion defects")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, workspace)
     rhs = _rhs(spec, ws).reshape(-1)
     psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
     w = np.repeat(spec.mesh.areas, 3)                # K*ψ = Kᵀ(Wψ)/W
@@ -505,7 +496,7 @@ def solve_mixed(spec, workspace=None):
     if spec.params.alpha <= 0.0:
         raise UnsupportedParameter("the mixed problem needs alpha > 0")
     t0 = time.perf_counter()
-    ws = _workspace_for(spec.mesh, spec.params, spec.quadrature_order, workspace)
+    ws = _workspace_for(spec.mesh, spec.params, workspace)
     labeling = spec.labeling
     rhs = _rhs(spec, ws).reshape(-1)
     psi = _lu_solve(ws.mixed_factorization(labeling), rhs, "mixed")
@@ -542,8 +533,7 @@ class NeumannToDirichletMap:
         return self.matrix[np.ix_(sel, sel)]
 
 
-def neumann_to_dirichlet(mesh, labeling, params, quadrature_order=6,
-                         workspace=None):
+def neumann_to_dirichlet(mesh, labeling, params, workspace=None):
     """Compose the Neumann solve with the single-layer trace, restricted to
     the Dirichlet patch."""
     if params.alpha <= 0.0:
@@ -551,7 +541,7 @@ def neumann_to_dirichlet(mesh, labeling, params, quadrature_order=6,
             "the Neumann-to-Dirichlet map needs alpha > 0")
     if labeling.n_dirichlet == 0:
         raise InvalidLabeling("the Dirichlet patch is empty")
-    workspace = _workspace_for(mesh, params, quadrature_order, workspace)
+    workspace = _workspace_for(mesh, params, workspace)
     composed = _lu_solve(workspace.neumann_factorization(),  # (A⁻ᵀVᵀ)ᵀ
                          workspace.single_layer.matrix.T, "Neumann", 1).T
     composed[~np.repeat(labeling.dirichlet_mask, 3)] = 0.0
@@ -572,9 +562,7 @@ def solve_poisson(spec, workspace=None):
 def _handle_rows(handle):
     """The handle's row store (a hand-built handle gets a fresh one) and the
     (velocity, pressure) row kinds of its layer."""
-    mesh = handle.density.mesh
-    store = handle.row_store or _RowStore(
-        mesh, panel_quadrature(mesh, handle.quadrature_order), handle.params)
+    store = handle.row_store or _RowStore(handle.density.mesh, handle.params)
     layer = handle.layer_tag if handle.tag == WITH_NEWTONIAN else handle.tag
     return store, ("W", "Qd") if layer == DOUBLE_LAYER else ("V", "Qs")
 
@@ -599,7 +587,7 @@ def evaluate_solution(handle, points):
 
 
 def greens_identity_residual(u_trace, traction, params, points,
-                             exact_velocity=None, quadrature_order=6):
+                             exact_velocity=None):
     """Residual of the direct representation V(traction) − W(trace) − u.
 
     When exact_velocity is omitted the caller receives V(traction) − W(trace)
@@ -608,8 +596,7 @@ def greens_identity_residual(u_trace, traction, params, points,
     mesh = u_trace.mesh
     if traction.mesh is not mesh:
         raise ValueError("trace and traction live on different meshes")
-    quadrature = panel_quadrature(mesh, quadrature_order)
-    single, double = _layer_rows(mesh, quadrature, params, points, ("V", "W"))
+    single, double = _layer_rows(mesh, params, points, ("V", "W"))
     rep = (np.einsum("pam,m->pa", single, traction.flat)
            - np.einsum("pam,m->pa", double, u_trace.flat))
     if exact_velocity is None:

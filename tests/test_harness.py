@@ -525,7 +525,7 @@ def test_run_config_with_volume_forcing(tmp_path, beta):
 
 
 _BAD_SETTINGS = [
-    ({"quadrature_order": 5}, "'quadrature_order'"),
+    ({"alpha": -1.0}, "'alpha': must be >= 0"),
     ({"patches": {"type": "cube_faces", "neumann_faces": ["+w"]}},
      "'patches'"),
     ({"patches": {"type": "cube_faces", "neumann_faces": 5}}, "'patches'"),
@@ -617,6 +617,18 @@ def test_cli_solve_bad_config_names_the_key(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     assert "'alpha'" in capsys.readouterr().err
+
+
+def test_cli_solve_refuses_alpha_past_the_near_field(tmp_path, capsys):
+    # on icosphere(1) sqrt(alpha) times the largest panel diameter is 6.2,
+    # past the near field's 2.5: a configuration error, refused before
+    # any solve
+    cfg = {**RUN, "kind": "dirichlet", "alpha": 100.0}
+    code = cli.main(["solve", "--config", _write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "alpha = 100" in err
 
 
 def test_cli_solve_reports_missing_pressure_probes(tmp_path, capsys,

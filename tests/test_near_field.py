@@ -12,7 +12,6 @@ from bbem.geometry import (
     build_icosphere,
     build_volume_grid,
     duffy_rule_batch,
-    panel_quadrature,
 )
 from bbem.kernels import (
     BrinkmanParams,
@@ -236,7 +235,6 @@ def _close_targets(mesh, panels, depths=(1.001e-3, 1.0e-2)):
 def _row_errors(table, mesh, points, alphas, far=True):
     """_worst of the V, W, Qs and Qd rows at points against _reference, on
     the pairs past two diameters too if far."""
-    quad = panel_quadrature(mesh, 6)
     n = mesh.n_panels
     pair = np.arange(len(points) * n)
     bands = _bands(mesh, points[pair // n], pair % n)
@@ -245,7 +243,7 @@ def _row_errors(table, mesh, points, alphas, far=True):
         pair, bands = pair[near], bands[near]
     x, panels = points[pair // n], pair % n
     for alpha in alphas:
-        rows = P._layer_rows(mesh, quad, BrinkmanParams(alpha), points, _KINDS)
+        rows = P._layer_rows(mesh, BrinkmanParams(alpha), points, _KINDS)
         ref = _reference(mesh, x, panels, alpha)
         for kind, row in zip(_KINDS, rows):
             got = np.moveaxis(row.reshape(len(points), -1, n, 3)[
@@ -271,11 +269,10 @@ def near_field_errors(alphas=(1.0, 4.0), strides=(37, 149), sphere_rows=2):
     for mesh, panels in ((cube, (0, 21, 40)), (sphere, (0, 111, 250))):
         _row_errors(table, mesh, _close_targets(mesh, panels), alphas,
                     far=False)
-    quad = panel_quadrature(sphere, 6)
     n = sphere.n_panels
     for alpha in alphas:
         params = BrinkmanParams(alpha)
-        matrices = {kind: assemble(sphere, quad, params).matrix.reshape(
+        matrices = {kind: assemble(sphere, params).matrix.reshape(
                         n, 3, n, 3)
                     for kind, assemble in (("V", P.assemble_single_layer),
                                            ("K", P.assemble_double_layer))}

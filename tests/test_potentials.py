@@ -33,7 +33,7 @@ from bbem.kernels import (
 )
 from bbem import harness as H
 from bbem import potentials as P
-from bbem.errors import InvalidThreadCount
+from bbem.errors import InvalidThreadCount, UnsupportedParameter
 
 ALPHA = 1.0
 PARAMS = BrinkmanParams(alpha=ALPHA)
@@ -48,9 +48,9 @@ def coarse():
 
 @pytest.fixture(scope="module")
 def coarse_ops(coarse):
-    mesh, quad = coarse
-    v = P.assemble_single_layer(mesh, quad, PARAMS)
-    k = P.assemble_double_layer(mesh, quad, PARAMS)
+    mesh, _ = coarse
+    v = P.assemble_single_layer(mesh, PARAMS)
+    k = P.assemble_double_layer(mesh, PARAMS)
     return v, k, P.adjoint_double_layer(k, mesh.areas)
 
 
@@ -62,9 +62,9 @@ def fine():
 
 @pytest.fixture(scope="module")
 def fine_ops(fine):
-    mesh, quad = fine
-    v = P.assemble_single_layer(mesh, quad, PARAMS)
-    k = P.assemble_double_layer(mesh, quad, PARAMS)
+    mesh, _ = fine
+    v = P.assemble_single_layer(mesh, PARAMS)
+    k = P.assemble_double_layer(mesh, PARAMS)
     return v, k, P.adjoint_double_layer(k, mesh.areas)
 
 
@@ -176,14 +176,13 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
     # centroid rule's integral of the remainder; for V, the closed-form
     # Stokes block plus dV and the 12-point rule's integral of the remainder
     mesh = build()
-    quad = panel_quadrature(mesh, 6)
     params = BrinkmanParams(alpha=alpha)
     n = mesh.n_panels
     blocks = {}
     for kind, assemble in (("V", P.assemble_single_layer),
                            ("K", P.assemble_double_layer),
                            ("K0", P.assemble_double_layer)):
-        matrix = assemble(mesh, quad, PARAMS0 if kind == "K0" else params)
+        matrix = assemble(mesh, PARAMS0 if kind == "K0" else params)
         blocks[kind] = matrix.matrix.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
     stokes = blocks["K0"].copy()
     stokes[np.arange(n), np.arange(n)] = 0.0
@@ -216,7 +215,7 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
     # forms, so at alpha = 0 K assembly builds no Duffy rule and at
     # alpha > 0 only orders 6 and 5; the V, Qs and Qd rows build none at
     # any alpha (V's remainder takes the 12-point rule)
-    mesh, quad = coarse
+    mesh, _ = coarse
     calls = []
 
     def counted(corners, points, order):
@@ -228,10 +227,10 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
 
     monkeypatch.setattr(P, "duffy_rule_batch", counted)
     params = BrinkmanParams(alpha=alpha)
-    P.assemble_double_layer(mesh, quad, params)
+    P.assemble_double_layer(mesh, params)
     assert set(calls) == ({6, 5} if alpha else set())
     calls.clear()
-    P._layer_rows(mesh, quad, params, 0.9 * mesh.centroids, ("V", "Qs", "Qd"))
+    P._layer_rows(mesh, params, 0.9 * mesh.centroids, ("V", "Qs", "Qd"))
     assert calls == []
 
 
@@ -267,22 +266,22 @@ def test_single_layer_weighted_symmetry(fine_ops, fine):
 
 
 def test_operators_continuous_in_alpha(coarse):
-    mesh, quad = coarse
+    mesh, _ = coarse
     tiny = BrinkmanParams(alpha=1.0e-12)
-    v0 = P.assemble_single_layer(mesh, quad, PARAMS0)
-    v_eps = P.assemble_single_layer(mesh, quad, tiny)
+    v0 = P.assemble_single_layer(mesh, PARAMS0)
+    v_eps = P.assemble_single_layer(mesh, tiny)
     assert (np.linalg.norm(v_eps.matrix - v0.matrix)
             / np.linalg.norm(v0.matrix) < 1.0e-6)
-    k0 = P.assemble_double_layer(mesh, quad, PARAMS0)
-    k_eps = P.assemble_double_layer(mesh, quad, tiny)
+    k0 = P.assemble_double_layer(mesh, PARAMS0)
+    k_eps = P.assemble_double_layer(mesh, tiny)
     assert (np.linalg.norm(k_eps.matrix - k0.matrix)
             / np.linalg.norm(k0.matrix) < 1.0e-6)
 
 
 def test_double_layer_constant_identity_stokes(coarse):
     # the row-sum diagonal makes the constant identity exact at alpha = 0
-    mesh, quad = coarse
-    k0 = P.assemble_double_layer(mesh, quad, PARAMS0)
+    mesh, _ = coarse
+    k0 = P.assemble_double_layer(mesh, PARAMS0)
     c = np.tile([0.3, -1.2, 0.7], (mesh.n_panels, 1))
     np.testing.assert_allclose(k0.apply(c), -0.5 * c, rtol=0, atol=1.0e-13)
 
@@ -385,6 +384,16 @@ def _per_node(kernel):
     return plan_kernel
 
 
+def _graded(plan, kernel):
+    """plan.integrate(kernel) with the near pairs on the graded Duffy bands
+    of _NEAR_ORDERS, as the harness's single-layer traction takes them."""
+    x = plan.points[:, :1, None]
+    probe = kernel(x, x + 1.0, plan.normals[:, :1, None])
+    near = np.zeros(probe.shape[:-2] + (len(plan.near),))
+    plan.add_near(kernel, P._NEAR_ORDERS, near)
+    return plan.integrate(kernel, near)
+
+
 def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point, summed panel
     by panel with the same near-panel upgrade policy as the library."""
@@ -405,7 +414,7 @@ def test_near_far_split_matches_per_panel_loop(fine):
         x = mesh.centroids[i] - 0.3 * mesh.diameters[i] * nu
         assert len(P._near_search(mesh, x[None, :])[1]) > 0
         expected = _sl_traction(mesh, quad, g, x, nu, ALPHA)
-        got = H._sl_traction(mesh, quad, g, x, nu, ALPHA)
+        got = H._sl_traction(mesh, g, x, nu, ALPHA)
         np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                    atol=1.0e-13 * np.abs(expected).max())
     for i in (3, 97, 210):
@@ -418,7 +427,7 @@ def test_near_far_split_matches_per_panel_loop(fine):
         for name in ("V", "K Stokes"):
             def kernel(y, nu):
                 return _LAYER_KERNELS[name](x[None, :], y, nu)
-            got = plan.integrate(_per_node(_LAYER_KERNELS[name]))[0]
+            got = _graded(plan, _per_node(_LAYER_KERNELS[name]))[0]
             expected = _per_panel_blocks(mesh, quad, x, kernel)
             np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                        atol=1.0e-13 * np.abs(expected).max())
@@ -448,14 +457,14 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
     chunk = P._NearFar(mesh, quad, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
                lambda x, y, nu: _double_layer_parts_cf(y - x, nu, ALPHA))
-    rows = [chunk.integrate(kernel) for kernel in kernels]
+    rows = [_graded(chunk, kernel) for kernel in kernels]
     chunk_near = near_parts(chunk)
     for t, x in enumerate(points):
         alone = P._NearFar(mesh, quad, x[None, :])
         assert len(alone.near) > 0
         for kernel, chunk_rows in zip(kernels, rows):
             np.testing.assert_array_equal(chunk_rows[t],
-                                          alone.integrate(kernel)[0])
+                                          _graded(alone, kernel)[0])
         for chunk_part, part in zip(chunk_near, near_parts(alone)):
             np.testing.assert_array_equal(chunk_part[..., chunk.rows == t],
                                           part)
@@ -507,7 +516,7 @@ def _graded_errors(mesh, targets):
         for name, kernel in _LAYER_KERNELS.items():
             def at_x(y, nu):
                 return kernel(x[None, :], y, nu)
-            got = plan.integrate(_per_node(kernel))[0][panels]
+            got = _graded(plan, _per_node(kernel))[0][panels]
             ref = _reference_blocks(mesh, panels, closest, _REFERENCE_ORDER,
                                     at_x)
             full = _reference_blocks(mesh, panels, closest,
@@ -559,8 +568,8 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
     for x in targets:
         _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
         orders = _band_orders(mesh, panels, dist)
-        blocks = P._NearFar(mesh, quad, x[None, :]).integrate(
-            lambda xs, y, _: _velocity_cf(xs - y, ALPHA))[0]
+        blocks = _graded(P._NearFar(mesh, quad, x[None, :]),
+                         lambda xs, y, _: _velocity_cf(xs - y, ALPHA))[0]
         for panel, point, order, d in zip(panels, closest, orders, dist):
             # below a quarter diameter the order-12 rule itself is only
             # good to about 1e-5 here; that band is not graded
@@ -575,7 +584,7 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
 
 
 def test_single_layer_trace_continuity(fine_ops, fine):
-    mesh, quad = fine
+    mesh, _ = fine
     v = fine_ops[0]
     g = smooth_density(mesh)
     vg = v.apply(g)
@@ -583,7 +592,7 @@ def test_single_layer_trace_continuity(fine_ops, fine):
         x0, nu, d = mesh.centroids[i], mesh.normals[i], mesh.diameters[i]
 
         def sample(x):
-            return P.eval_single_layer(mesh, g, x[None], PARAMS, quad)[0]
+            return P.eval_single_layer(mesh, g, x[None], PARAMS)[0]
 
         inner = _extrapolate_to_surface(sample, x0, nu, d, -1)
         outer = _extrapolate_to_surface(sample, x0, nu, d, +1)
@@ -595,7 +604,7 @@ def test_single_layer_trace_continuity(fine_ops, fine):
 def test_double_layer_jump_and_interior_trace(fine_ops, fine):
     # exterior minus interior value of W equals the density; the interior
     # trace matches (-I/2 + K) h
-    mesh, quad = fine
+    mesh, _ = fine
     _, k, _ = fine_ops
     h = smooth_density(mesh)
     kh = k.apply(h)
@@ -603,7 +612,7 @@ def test_double_layer_jump_and_interior_trace(fine_ops, fine):
         x0, nu, d = mesh.centroids[i], mesh.normals[i], mesh.diameters[i]
 
         def sample(x):
-            return P.eval_double_layer(mesh, h, x[None], PARAMS, quad)[0]
+            return P.eval_double_layer(mesh, h, x[None], PARAMS)[0]
 
         inner = _extrapolate_to_surface(sample, x0, nu, d, -1)
         outer = _extrapolate_to_surface(sample, x0, nu, d, +1)
@@ -639,27 +648,27 @@ def test_traction_jump_and_adjoint_formula(fine_ops, fine):
 
 def test_constant_density_interior_exterior_values(fine):
     # at alpha = 0 the double layer of a constant is -c inside, 0 outside
-    mesh, quad = fine
+    mesh, _ = fine
     c = np.tile([0.3, -1.2, 0.7], (mesh.n_panels, 1))
     inside = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]])
     outside = np.array([[1.7, 0.4, 0.9], [0.0, -2.5, 0.0]])
-    w_in = P.eval_double_layer(mesh, c, inside, PARAMS0, quad)
-    w_out = P.eval_double_layer(mesh, c, outside, PARAMS0, quad)
+    w_in = P.eval_double_layer(mesh, c, inside, PARAMS0)
+    w_out = P.eval_double_layer(mesh, c, outside, PARAMS0)
     np.testing.assert_allclose(w_in, -c[:2], rtol=0, atol=1.0e-4)
     np.testing.assert_allclose(w_out, 0.0, atol=1.0e-4)
 
 
 def test_normal_density_pressure_values(fine_ops, fine):
     # V nu vanishes everywhere and Q^s nu is -1 inside, 0 outside
-    mesh, quad = fine
+    mesh, _ = fine
     nu = mesh.normals
     inside = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]])
     outside = np.array([[1.7, 0.4, 0.9]])
-    u_in = P.eval_single_layer(mesh, nu, inside, PARAMS, quad)
+    u_in = P.eval_single_layer(mesh, nu, inside, PARAMS)
     np.testing.assert_allclose(u_in, 0.0, atol=1.0e-6)
-    p_in = P.eval_single_layer_pressure(mesh, nu, inside, PARAMS, quad)
+    p_in = P.eval_single_layer_pressure(mesh, nu, inside, PARAMS)
     np.testing.assert_allclose(p_in, -1.0, rtol=1.0e-4)
-    p_out = P.eval_single_layer_pressure(mesh, nu, outside, PARAMS, quad)
+    p_out = P.eval_single_layer_pressure(mesh, nu, outside, PARAMS)
     np.testing.assert_allclose(p_out, 0.0, atol=1.0e-4)
 
 
@@ -668,8 +677,8 @@ def test_double_layer_pressure_alpha_difference(fine):
     mesh, quad = fine
     h = smooth_density(mesh)
     pts = np.array([[0.2, 0.1, -0.3], [0.0, 0.4, 0.0]])
-    qd_a = P.eval_double_layer_pressure(mesh, h, pts, PARAMS, quad)
-    qd_0 = P.eval_double_layer_pressure(mesh, h, pts, PARAMS0, quad)
+    qd_a = P.eval_double_layer_pressure(mesh, h, pts, PARAMS)
+    qd_0 = P.eval_double_layer_pressure(mesh, h, pts, PARAMS0)
     hnu = np.einsum("fj,fj->f", h, mesh.normals)
     for p, x in enumerate(pts):
         r = np.linalg.norm(x[None, None, :] - quad.nodes, axis=2)
@@ -680,7 +689,7 @@ def test_double_layer_pressure_alpha_difference(fine):
 def test_representation_formula_manufactured_pair(fine):
     # an exterior-pole column pair is reproduced inside by V(t) - W(trace)
     # and its pressure by Q^s(t) - Q^d(trace)
-    mesh, quad = fine
+    mesh, _ = fine
     x_src = np.array([0.0, 0.0, 2.0])
     col = 2
     trace = brinkman_velocity_tensor(mesh.centroids - x_src, ALPHA)[:, :, col]
@@ -688,10 +697,10 @@ def test_representation_formula_manufactured_pair(fine):
                            ALPHA)[:, :, col]
     pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, -0.2], [-0.4, 0.2, 0.3],
                     [0.1, -0.5, 0.0], [0.0, 0.35, 0.45]])
-    u = (P.eval_single_layer(mesh, trac, pts, PARAMS, quad)
-         - P.eval_double_layer(mesh, trace, pts, PARAMS, quad))
-    pi = (P.eval_single_layer_pressure(mesh, trac, pts, PARAMS, quad)
-          - P.eval_double_layer_pressure(mesh, trace, pts, PARAMS, quad))
+    u = (P.eval_single_layer(mesh, trac, pts, PARAMS)
+         - P.eval_double_layer(mesh, trace, pts, PARAMS))
+    pi = (P.eval_single_layer_pressure(mesh, trac, pts, PARAMS)
+          - P.eval_double_layer_pressure(mesh, trace, pts, PARAMS))
     u_exact = brinkman_velocity_tensor(pts - x_src, ALPHA)[:, :, col]
     p_exact = pressure_vector(pts - x_src)[:, col]
     rel_u = np.linalg.norm(u - u_exact, axis=1) / np.linalg.norm(u_exact, axis=1)
@@ -750,26 +759,26 @@ def test_all_kinds_roundtrip_codes(tmp_path):
 # --------------------------------------------------------------- determinism
 
 def test_assembly_thread_count_invariance(coarse, monkeypatch):
-    mesh, quad = coarse
+    mesh, _ = coarse
     results = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("BBEM_THREADS", threads)
-        v = P.assemble_single_layer(mesh, quad, PARAMS)
-        k = P.assemble_double_layer(mesh, quad, PARAMS)
+        v = P.assemble_single_layer(mesh, PARAMS)
+        k = P.assemble_double_layer(mesh, PARAMS)
         results[threads] = (v.matrix.tobytes(), k.matrix.tobytes())
     assert results["1"][0] == results["4"][0]
     assert results["1"][1] == results["4"][1]
 
 
 def test_evaluation_thread_count_invariance(coarse, monkeypatch):
-    mesh, quad = coarse
+    mesh, _ = coarse
     g = smooth_density(mesh)
     pts = np.array([[0.1, 0.0, 0.2], [0.0, -0.3, 0.1], [0.2, 0.2, -0.2]])
     results = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("BBEM_THREADS", threads)
-        results[threads] = P.eval_single_layer(mesh, g, pts, PARAMS,
-                                               quad).tobytes()
+        results[threads] = P.eval_single_layer(mesh, g, pts,
+                                               PARAMS).tobytes()
     assert results["1"] == results["4"]
 
 
@@ -787,35 +796,35 @@ def _interior_points(count):
                                       P.eval_double_layer_pressure])
 def test_layer_evaluation_thread_count_invariance(coarse, monkeypatch,
                                                   evaluate):
-    mesh, quad = coarse
+    mesh, _ = coarse
     g = smooth_density(mesh)
     pts = _interior_points(3 * P._chunk_rows(mesh.n_panels) - 5)
     results = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("BBEM_THREADS", threads)
-        results[threads] = evaluate(mesh, g, pts, PARAMS, quad).tobytes()
+        results[threads] = evaluate(mesh, g, pts, PARAMS).tobytes()
     assert results["1"] == results["4"]
 
 
 def test_single_layer_traction_thread_count_invariance(coarse, monkeypatch):
-    mesh, quad = coarse
+    mesh, _ = coarse
     g = smooth_density(mesh)
     results = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("BBEM_THREADS", threads)
         results[threads] = np.array([
-            H._sl_traction(mesh, quad, g, x, mesh.normals[0], ALPHA)
+            H._sl_traction(mesh, g, x, mesh.normals[0], ALPHA)
             for x in _interior_points(8)]).tobytes()
     assert results["1"] == results["4"]
 
 
 @pytest.mark.parametrize("setting", ["abc", "0", "-3"])
 def test_invalid_thread_count_is_named(coarse, monkeypatch, setting):
-    mesh, quad = coarse
+    mesh, _ = coarse
     monkeypatch.setenv("BBEM_THREADS", setting)
     with pytest.raises(InvalidThreadCount,
                        match=f"BBEM_THREADS.*'{setting}'"):
-        P.assemble_single_layer(mesh, quad, PARAMS)
+        P.assemble_single_layer(mesh, PARAMS)
 
 
 # --------------------------------------------------------- volume potentials
@@ -946,55 +955,66 @@ def test_newtonian_rejects_forcing_from_another_grid():
 # ------------------------------------------------------------ evaluation guards
 
 def test_eval_rejects_on_surface_point(fine):
-    mesh, quad = fine
+    mesh, _ = fine
     g = smooth_density(mesh)
     with pytest.raises(ValueError, match="boundary"):
-        P.eval_single_layer(mesh, g, mesh.centroids[5][None], PARAMS, quad)
+        P.eval_single_layer(mesh, g, mesh.centroids[5][None], PARAMS)
 
 
 def test_eval_warns_very_close_to_surface(fine):
-    mesh, quad = fine
+    mesh, _ = fine
     g = smooth_density(mesh)
     x = mesh.centroids[5] + 5.0e-4 * mesh.diameters[5] * mesh.normals[5]
     with pytest.warns(RuntimeWarning, match="accuracy"):
-        P.eval_single_layer(mesh, g, x[None], PARAMS, quad)
+        P.eval_single_layer(mesh, g, x[None], PARAMS)
 
 
 def test_eval_silent_at_moderate_distance(fine):
-    mesh, quad = fine
+    mesh, _ = fine
     g = smooth_density(mesh)
     x = mesh.centroids[5] + 0.5 * mesh.diameters[5] * mesh.normals[5]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        P.eval_single_layer(mesh, g, x[None], PARAMS, quad)
+        P.eval_single_layer(mesh, g, x[None], PARAMS)
 
 
 def test_eval_linearity_and_zero(fine):
-    mesh, quad = fine
+    mesh, _ = fine
     rng = np.random.default_rng(3)
     g1 = rng.standard_normal((mesh.n_panels, 3))
     g2 = rng.standard_normal((mesh.n_panels, 3))
     pts = np.array([[0.1, 0.0, 0.2], [0.0, -0.3, 0.1]])
-    zero = P.eval_single_layer(mesh, np.zeros_like(g1), pts, PARAMS, quad)
+    zero = P.eval_single_layer(mesh, np.zeros_like(g1), pts, PARAMS)
     np.testing.assert_array_equal(zero, 0.0)
-    combo = P.eval_single_layer(mesh, 2.0 * g1 - 3.0 * g2, pts, PARAMS, quad)
-    parts = (2.0 * P.eval_single_layer(mesh, g1, pts, PARAMS, quad)
-             - 3.0 * P.eval_single_layer(mesh, g2, pts, PARAMS, quad))
+    combo = P.eval_single_layer(mesh, 2.0 * g1 - 3.0 * g2, pts, PARAMS)
+    parts = (2.0 * P.eval_single_layer(mesh, g1, pts, PARAMS)
+             - 3.0 * P.eval_single_layer(mesh, g2, pts, PARAMS))
     np.testing.assert_allclose(combo, parts, rtol=1.0e-12, atol=1.0e-14)
 
 
-def test_assembly_rejects_foreign_quadrature(coarse, fine):
-    mesh_small, _ = coarse
-    _, quad_big = fine
-    with pytest.raises(ValueError, match="different mesh"):
-        P.assemble_single_layer(mesh_small, quad_big, PARAMS)
-
-
 def test_assembly_rejects_degenerate_panels():
+    # evaluation refuses the mesh too, rather than warn and return values
+    # near 1e-17
     vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                          [0.5, 1.0e-16, 0.0]])
     sliver = SurfaceMesh(vertices, np.array([[0, 1, 2]]),
                          orient_outward=False)
-    quad = panel_quadrature(sliver, 6)
-    with pytest.raises(ValueError, match="degenerate"):
-        P.assemble_single_layer(sliver, quad, PARAMS)
+    calls = (lambda: P.assemble_single_layer(sliver, PARAMS),
+             lambda: P.eval_single_layer(sliver, np.ones((1, 3)),
+                                         np.array([[0.5, 0.3, 0.4]]), PARAMS))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="degenerate"):
+                call()
+
+
+def test_layer_rows_refuse_alpha_past_the_near_field():
+    # sqrt(alpha) times the largest diameter is 6.2 here, where the near V
+    # blocks err 2.4e-3; the bound is 2.5
+    mesh = build_icosphere(1)
+    reach = 10.0 * mesh.diameters.max()
+    assert reach > 2.5
+    with pytest.raises(UnsupportedParameter,
+                       match=rf"alpha = 100 .* {reach:.3g}, above 2\.5"):
+        P.assemble_single_layer(mesh, BrinkmanParams(alpha=100.0))

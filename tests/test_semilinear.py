@@ -117,7 +117,7 @@ def test_solver_rejects_foreign_workspace(setting):
 
 def test_estimates_reject_foreign_workspace(setting):
     mesh, labeling, grid, _, _ = setting
-    other = S.SolverWorkspace(mesh, PARAMS, quadrature_order=3)
+    other = S.SolverWorkspace(mesh, BrinkmanParams(alpha=2.0, beta=1.0))
     with pytest.raises(ValueError, match="workspace was built for a "
                                          "different problem"):
         SL.estimate_constants(mesh, labeling, grid, PARAMS, samples=8,

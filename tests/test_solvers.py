@@ -895,7 +895,7 @@ def test_pressure_anchor_built_once_per_workspace(cube_mixed, monkeypatch):
                          neumann_data=exact_traction(mesh, pole))
         handle, _ = S.solve_mixed(spec, ws)
         expected = P.eval_single_layer_pressure(
-            mesh, handle.density.values, probes, PARAMS, ws.quadrature)
+            mesh, handle.density.values, probes, PARAMS)
         assert handle.pressure_constant == float(expected.mean())
     assert len(calls) == 1
     assert built == [("Qs",)]
@@ -905,9 +905,9 @@ def _recording_layer_rows(built):
     """solvers._layer_rows that appends the kinds of each build to built."""
     layer_rows = S._layer_rows
 
-    def recorded(mesh, quadrature, params, points, kinds):
+    def recorded(mesh, params, points, kinds):
         built.append(kinds)
-        return layer_rows(mesh, quadrature, params, points, kinds)
+        return layer_rows(mesh, params, points, kinds)
 
     return recorded
 
@@ -929,7 +929,7 @@ def test_evaluation_rows_built_once_per_point_set(cube_mixed, monkeypatch):
 
     def check(points):
         sol = S.evaluate_solution(handle, points)
-        args = (mesh, handle.density.values, points, PARAMS, ws.quadrature)
+        args = (mesh, handle.density.values, points, PARAMS)
         velocity = P.eval_single_layer(*args)
         pressure = P.eval_single_layer_pressure(*args) - handle.pressure_constant
         assert sol.velocity.tobytes() == velocity.tobytes()
@@ -981,7 +981,7 @@ def test_evaluate_solution_matches_layer_evaluators(sphere_coarse,
     for handle, velocity, pressure in (
             (double, P.eval_double_layer, P.eval_double_layer_pressure),
             (single, P.eval_single_layer, P.eval_single_layer_pressure)):
-        args = (mesh, handle.density.values, points, PARAMS, ws.quadrature)
+        args = (mesh, handle.density.values, points, PARAMS)
         for _ in range(2):
             sol = S.evaluate_solution(handle, points)
             assert sol.velocity.tobytes() == velocity(*args).tobytes()
