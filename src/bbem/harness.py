@@ -56,6 +56,7 @@ from .potentials import (
     _NEAR_ORDERS,
     _NearFar,
     _closest_points_on_panels,
+    _lattice_kernel,
     _newtonian_on_grid,
 )
 from .semilinear import (
@@ -499,8 +500,9 @@ def newtonian_residual(resolution, params, seed=SUITE_SEED):
     grid = build_volume_grid({"type": "cube", "side": 1.0}, m)
     rng = np.random.default_rng(seed)
     values = _smooth_field(grid.centers, 1.0, rng)
-    velocity, pressure = _newtonian_on_grid(grid, values, params,
-                                            ("velocity", "pressure"))
+    kinds = ("velocity", "pressure")
+    velocity, pressure = _newtonian_on_grid(
+        grid, values, params, kinds, _lattice_kernel(grid, params, kinds))
     forcing = values.reshape(m, m, m, 3)
     resid, _ = _lattice_residual(velocity.reshape(m, m, m, 3),
                                  pressure.reshape(m, m, m), forcing,

@@ -318,6 +318,51 @@ def _double_layer_parts_cf(d, n, alpha):
     return parts
 
 
+def _double_layer_rows_cf(d, n, alpha, profiles=None):
+    """_double_layer_parts_cf for d = y - x as rows (k, ...) to be summed
+    over a rule whose normal n is fixed, then contracted by
+    _double_layer_pairs: g x̂x̂ᵀ's six upper entries (g = -3 xn/(4 pi r^2)),
+    then at alpha > 0 those of 2 e2 xn x̂x̂ᵀ, 2 b3 x̂, (b3 + e1) x̂ and
+    (e1 + b3) xn.  With profiles, the difference's rows alone."""
+    r, xh, xn = _contraction_geometry(d, n)
+    outer = (profiles is None) + (alpha > 0.0)      # blocks of six entries
+    rows = np.empty((6 * outer + 7 * (alpha > 0.0),) + r.shape)
+    scale = np.empty((outer,) + r.shape)
+    if profiles is None:
+        np.divide(-3.0 * xn, FOUR_PI * r ** 2, out=scale[0])
+    if alpha > 0.0:
+        e1, e2, b3 = _profile_pass(np.sqrt(alpha) * r,
+                                   *(profiles or (_E1, _E2, _B3)))
+        np.multiply(2.0, e2 * xn, out=scale[-1])
+        eb = np.add(e1, b3, out=e1)
+        np.multiply(2.0 * b3, xh, out=rows[-7:-4])
+        np.multiply(eb, xh, out=rows[-4:-1])
+        np.multiply(eb, xn, out=rows[-1])
+    sxh, six = scale[:, None] * xh, rows[:6 * outer].reshape(
+        (outer, 6) + r.shape)
+    for i, start in enumerate((0, 3, 5)):
+        np.multiply(sxh[:, i, None], xh[i:], out=six[:, start:start + 3 - i])
+    return rows
+
+
+def _double_layer_pairs(sums, n, alpha):
+    """Integrals (k, 3, 3, pairs) of _double_layer_parts_cf's parts, or of
+    the difference alone, from per-pair sums (k, pairs) of
+    _double_layer_rows_cf and the normals n (3, pairs): g x̂x̂ᵀ mirrored, and
+    the difference as (alpha/4pi)[c I + V1 nᵀ + n V2ᵀ + S2]."""
+    outer = (len(sums) - 7 * (alpha > 0.0)) // 6
+    mirror = [0, 1, 2, 1, 3, 4, 2, 4, 5]        # 3×3 from six upper entries
+    parts = sums[:6 * outer].reshape(outer, 6, -1)[:, mirror].reshape(
+        outer, 3, 3, -1)
+    if alpha > 0.0:
+        difference = parts[-1]
+        difference.reshape(9, -1)[::4] += sums[-1]
+        difference += sums[-7:-4, None] * n
+        difference += n[:, None] * sums[-4:-1]
+        difference *= alpha / FOUR_PI
+    return parts
+
+
 def _double_layer_difference_cf(d, n, alpha, profiles=(_E1, _E2, _B3)):
     """The (S^alpha - S^0) part of _double_layer_parts_cf alone, (3, 3, ...)."""
     r, xh, xn = _contraction_geometry(d, n)

@@ -32,17 +32,20 @@ its rows on one near/far plan, _NearFar, per chunk.  Panels within two
 diameters of a target (its own panel included) are near, the rest take the
 _FAR_ORDER-point rule, one kernel call per chunk.  K is the "W" rows at the
 centroids, whose own blocks take the row-sum diagonal of the constant
-identity K⁰c = −½c.  On a near pair every layer kernel takes in closed form
-(_stokes_parts) its Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and
-Q^d) and the first-order terms of its bounded α-difference, so quadrature
-carries only the smooth remainder, and nothing at α = 0: G^α − G⁰'s on the
-12-point symmetric rule, (S^α − S⁰)ν's on Duffy order 6 below half a
-diameter and 5 beyond, built in pieces of at most _PIECE_NODES nodes.  Near
-blocks are within 4e-6 (V), 2e-7 (W) and 3e-9 (K, off the diagonal) of
-converged ones down to 1e-3 diameters, Q^s and Q^d exact; the regular rule
-errs up to 3e-5.  The remainder is smooth on a panel only while √α times
-the largest panel diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near
-blocks err 2.4e-5 there, 7.5e-4 at 5.1); past it the rows are refused.
+identity K⁰c = −½c; V and K come from one plan where both are needed
+(_boundary_operators).  W's nodes give normal-free rows whose per-pair
+sums are contracted with the panel normal (_double_layer_pairs).  On a
+near pair every layer kernel takes in closed form (_stokes_parts) its
+Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the
+first-order terms of its bounded α-difference, so quadrature carries only
+the smooth remainder, and nothing at α = 0: G^α − G⁰'s on the 12-point
+symmetric rule, (S^α − S⁰)ν's on Duffy order 6 below half a diameter and 5
+beyond, built in pieces of at most _PIECE_NODES nodes.  Near blocks are
+within 4e-6 (V), 2e-7 (W) and 3e-9 (K, off the diagonal) of converged ones
+down to 1e-3 diameters, Q^s and Q^d exact; the regular rule errs up to
+3e-5.  The remainder is smooth on a panel only while √α times the largest
+panel diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near blocks err
+2.4e-5 there, 7.5e-4 at 5.1); past it the rows are refused.
 
 The Newtonian pair is linear in the forcing: _newtonian_rows builds its
 midpoint rows at any targets, which _newtonian_sums applies chunk by chunk.
@@ -73,10 +76,11 @@ from .geometry import (
     panel_quadrature,
 )
 from .kernels import (
+    _STRESS_REMAINDER,
     FOUR_PI,
-    _double_layer_parts_cf,
+    _double_layer_pairs,
     _double_layer_pressure_cf,
-    _double_layer_remainder_cf,
+    _double_layer_rows_cf,
     _pressure_cf,
     _radial,
     _traction_cf,
@@ -222,6 +226,8 @@ class DenseOperator:
 def _thread_count():
     setting = os.environ.get("BBEM_THREADS")
     if setting is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(setting)
@@ -365,19 +371,24 @@ class _NearFar:
                            np.cumsum(counts) - counts)
 
     def _sums(self, kernel, group):
-        """Per-pair integrals of kernel over a group, (*shape, pairs)."""
+        """Per-pair integrals of kernel over a group, (*shape, pairs); a kernel
+        (rows, form) gives form(per-pair integrals of rows, pair normals)."""
+        rows, form = kernel if isinstance(kernel, tuple) else (
+            kernel, lambda sums, _: sums)
         targets, panels, pair, nodes, weights, starts = group
-        values = kernel(self.points[:, targets[pair], None], nodes,
-                        self.normals[:, panels[pair], None])
+        normals = self.normals[:, panels]
+        values = rows(self.points[:, targets[pair], None], nodes,
+                      normals[:, pair, None])
         values *= weights
-        return np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
-                               starts, axis=-1)
+        return form(np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
+                                    starts, axis=-1), normals)
 
     def integrate(self, kernel, near):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
-        normals (3, R, 1)), a new (*shape, R, q) array (weighted in place):
-        (targets, panels, *shape).  Near pairs take near (*shape, pairs),
-        their integrals from the caller, far ones the regular rule."""
+        normals (3, R, 1)), a new (*shape, R, q) array (weighted in place),
+        or of a (rows, form) pair (_sums): (targets, panels, *shape).  Near
+        pairs take near (*shape, pairs), their integrals from the caller,
+        far ones the regular rule."""
         blocks = np.zeros(self.shape + near.shape[:-1])
         blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
         if len(self.far[2]):
@@ -390,11 +401,10 @@ class _NearFar:
         for at, group in self._near_groups(rules):
             out[..., at] += self._sums(kernel, group)
 
-    def stokes(self, alpha, kinds):
+    def stokes(self, alpha, kinds, frames):
         """The near pairs' closed forms of kinds (_stokes_parts)."""
-        corners = self.mesh.panel_corners[self.near].transpose(1, 2, 0)
-        return _stokes_parts(self.points[:, self.rows], corners,
-                             self.normals[:, self.near], alpha, kinds)
+        return _stokes_parts(self.points[:, self.rows], self.near, frames,
+                             alpha, kinds)
 
 
 def _check_mesh_panels(mesh):
@@ -404,21 +414,34 @@ def _check_mesh_panels(mesh):
 
 # ------------------------------------------------ closed-form Stokes parts
 
-def _stokes_parts(x, corners, n, alpha, kinds):
+def _panel_frames(mesh):
+    """Corners (corner, component, panel), normals, and the lengths,
+    tangents t and normals m = t × n of the edges k → k + 1 (mod 3)."""
+    corners, n = mesh.panel_corners.transpose(1, 2, 0), mesh.normals.T
+    edges = corners[[1, 2, 0]] - corners
+    lengths = np.sqrt(_dot(edges.swapaxes(0, 1), edges.swapaxes(0, 1)))
+    t = edges / lengths[:, None]
+    m = np.stack([t[:, 1] * n[2] - t[:, 2] * n[1], t[:, 2] * n[0]
+                  - t[:, 0] * n[2], t[:, 0] * n[1] - t[:, 1] * n[0]], axis=1)
+    return corners, n, lengths, t, m
+
+
+def _stokes_parts(x, panels, frames, alpha, kinds):
     """{kind: part}: "V" ∫G⁰, "W" ∫T⁰ (3, 3, m), "Qs" Q^s, "Qd" Q^d with its
     α ν/(4π r) term (3, m), and "dV", "dW" (3, 3, m), the first-order terms
     of G^α − G⁰ and of (S^α − S⁰)ν (as K takes it, x̂ = (y − x)/r):
     −(√α/6π) I + (α/32π)(3r I − d dᵀ/r) and (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ
     + x̂·ν x̂ x̂ᵀ), over flat triangles for m (target, panel) pairs,
-    components first: targets x (3, m), corners (3, 3, m) as (corner,
-    component, pair), counterclockwise about the unit normals n (3, m).
+    components first: targets x (3, m) and panels (m,), whose corners run
+    counterclockwise about their unit normals, with their _panel_frames.
     Sums of edge terms (the log term F for V, Qs, Qd; G for W, Qd; F1 = ∫R
     for dV, dW) and the solid angle (Wilton et al., IEEE TAP 32, 1984;
     Nintcheu Fata, IJNME 78, 2009) in the edge frame (t, m = t × n) of the
     target's plane projection x − h n.  A target within 1e-10 edge lengths
     of the plane is in it (h = 0), where ∫T⁰ is exactly 0."""
-    h, edge = _dot(x - corners[0], n), corners[1] - corners[0]
-    h = np.where(np.abs(h) <= 1.0e-10 * np.sqrt(_dot(edge, edge)), 0.0, h)
+    corners, n, lengths, ts, ms = (a[..., panels] for a in frames)
+    h = _dot(x - corners[0], n)
+    h = np.where(np.abs(h) <= 1.0e-10 * lengths[0], 0.0, h)
     xp, ah = x - h * n, np.abs(h)
     wanted = set(kinds)
     with_f, with_g = {"V", "Qs", "Qd", "dV", "dW"} & wanted, {"W", "Qd"} & wanted
@@ -426,11 +449,7 @@ def _stokes_parts(x, corners, n, alpha, kinds):
     i1 = beta = j = j5 = s = l3 = l5 = j1 = k1 = l1 = area = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
-            a, b = corners[k], corners[(k + 1) % 3]
-            length = np.sqrt(_dot(b - a, b - a))
-            t = (b - a) / length
-            m = np.stack([t[1] * n[2] - t[2] * n[1], t[2] * n[0] - t[0] * n[2],
-                          t[0] * n[1] - t[1] * n[0]])
+            a, length, t, m = corners[k], lengths[k], ts[k], ms[k]
             p, sa = _dot(a - xp, m), _dot(a - xp, t)
             sb = sa + length
             r02 = p * p + h * h
@@ -496,11 +515,13 @@ def _differences(mesh, alpha):
     """kind: (kernel, rules) of what near pairs add by quadrature to the
     closed forms of kind and "d" + kind: the bounded α-differences less
     their first-order terms, G^α − G⁰'s (O(r²), no kink) on the 12-point
-    rule out to two diameters, (S^α − S⁰)ν's (O(r)) on Duffy order 6 below
-    half a diameter and 5 beyond."""
+    rule out to two diameters, (S^α − S⁰)ν's (O(r), contracted per pair)
+    on Duffy order 6 below half a diameter and 5 beyond."""
     return {"V": (lambda x, y, _: _velocity_remainder_cf(x - y, alpha),
                   ((_NEAR_FACTOR, panel_quadrature(mesh, 12)),)),
-            "W": (lambda x, y, nu: _double_layer_remainder_cf(y - x, nu, alpha),
+            "W": ((lambda x, y, nu: _double_layer_rows_cf(
+                       y - x, nu, alpha, _STRESS_REMAINDER),
+                   lambda sums, nu: _double_layer_pairs(sums, nu, alpha)[0]),
                   ((0.5, 6), (_NEAR_FACTOR, 5)))}
 
 
@@ -512,9 +533,7 @@ def assemble_single_layer(mesh, params):
     regular quadrature for distant panels; within two diameters the
     closed forms ∫G⁰ and "dV" plus G^α − G⁰'s remainder on the 12-point rule.
     """
-    rows, = _layer_rows(mesh, params, mesh.centroids, ("V",), on_boundary=True)
-    return DenseOperator(rows.reshape(3 * mesh.n_panels, -1), "V",
-                         alpha=params.alpha)
+    return _boundary_operators(mesh, params, ("V",))[0]
 
 
 def assemble_double_layer(mesh, params):
@@ -525,12 +544,20 @@ def assemble_double_layer(mesh, params):
     the far rule's or the closed form ∫T⁰, and its diagonal comes from the
     constant identity K⁰c = −½c: −½I minus the row's other blocks (a panel's
     own ∫T⁰ is 0).  The bounded K_α − K⁰ comes from the same far-rule
-    double_layer_parts call, and on near panels from the closed form "dW"
-    plus the remainder on Duffy orders 6 and 5 (_differences).
+    call of _double_layer_rows_cf, contracted per pair, and on near panels
+    from the closed form "dW" plus the remainder on Duffy orders 6 and 5
+    (_differences).
     """
-    rows, = _layer_rows(mesh, params, mesh.centroids, ("W",), on_boundary=True)
-    return DenseOperator(rows.reshape(3 * mesh.n_panels, -1), "K",
-                         alpha=params.alpha)
+    return _boundary_operators(mesh, params, ("W",))[0]
+
+
+def _boundary_operators(mesh, params, kinds):
+    """The operators of kinds, "V" (𝒱_α) and "W" (K_α), from one plan: their
+    layer rows at the centroids."""
+    rows = _layer_rows(mesh, params, mesh.centroids, kinds, on_boundary=True)
+    return [DenseOperator(block.reshape(3 * mesh.n_panels, -1),
+                          "K" if kind == "W" else kind, alpha=params.alpha)
+            for kind, block in zip(kinds, rows)]
 
 
 def adjoint_double_layer(double_layer, weights):
@@ -593,11 +620,12 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
                      else (n_points, 3 * n)) for kind in kinds]
     kernels = {
         "V": lambda x, y, nu: _velocity_cf(x - y, alpha),
-        "W": lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha),
+        "W": (lambda x, y, nu: _double_layer_rows_cf(y - x, nu, alpha),
+              lambda sums, nu: _double_layer_pairs(sums, nu, alpha)),
         "Qs": lambda x, y, nu: _pressure_cf(x - y),
         "Qd": lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha),
     }
-    quadrature = panel_quadrature(mesh, _FAR_ORDER)
+    quadrature, frames = panel_quadrature(mesh, _FAR_ORDER), _panel_frames(mesh)
     differences = _differences(mesh, alpha) if alpha > 0.0 else {}
 
     def worker(start, stop):
@@ -605,7 +633,7 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
         if not on_boundary:
             _point_guard(mesh, plan)
         near = plan.stokes(alpha, kinds + tuple(
-            "d" + kind for kind in kinds if kind in differences))
+            "d" + kind for kind in kinds if kind in differences), frames)
         for kind, out in zip(kinds, outs):
             part = near[kind]
             if kind == "W":         # _double_layer_parts_cf's parts
@@ -763,31 +791,40 @@ def newtonian_pressure(grid, forcing, points):
     return _newtonian_sums(grid, forcing, points, None, ("pressure",))[0]
 
 
-def _newtonian_on_grid(grid, forcing, params, kinds):
-    """The Newtonian pair at the grid's own cell centers; returns one array
-    per kind: "velocity" gives (n_cells, 3), "pressure" gives (n_cells,).
-    On a full cubic lattice the sums are discrete convolutions whose kernel
-    is the row at the center of the 2m − 1 lattice of offsets, self cell
-    included, so both agree to rounding; other grids take the sums."""
-    values = _volume_values(grid, forcing)
+def _lattice_kernel(grid, params, kinds):
+    """(m, transform shape, one transform per kind) of the Newtonian kernels
+    on a full cubic lattice of m cells per axis, else None."""
     m = _lattice_resolution(grid)
     if m is None:
-        return _newtonian_sums(grid, values, grid.centers, params, kinds)
+        return None
     h, n = grid.spacing, 2 * m - 1
     offsets = np.stack(np.meshgrid(*[h * np.arange(1 - m, m)] * 3,
                                    indexing="ij"), axis=-1).reshape(-1, 3)
     lattice = VolumeGrid(-offsets, np.full(n ** 3, h ** 3), h, {})
     # zero padding to 2m − 1 per axis keeps the window free of wraparound
     shape = (next_fast_len(n, real=True),) * 3
-    window = (..., *(slice(m - 1, n),) * 3)
+    return m, shape, [rfftn(np.moveaxis(_newtonian_block(
+        lattice, np.zeros((1, 3)), params, kind, None, 0, 1).reshape(
+            -1, n, n, n, 3), -1, 1), shape, axes=(2, 3, 4)) for kind in kinds]
+
+
+def _newtonian_on_grid(grid, forcing, params, kinds, kernel):
+    """The Newtonian pair at the grid's own cell centers; returns one array
+    per kind: "velocity" gives (n_cells, 3), "pressure" gives (n_cells,).
+    On a full cubic lattice the sums are discrete convolutions whose kernel
+    is the row at the center of the 2m − 1 lattice of offsets, self cell
+    included, so both agree to rounding; other grids take the sums.  kernel
+    is the grid's _lattice_kernel of kinds."""
+    values = _volume_values(grid, forcing)
+    if kernel is None:
+        return _newtonian_sums(grid, values, grid.centers, params, kinds)
+    m, shape, transforms = kernel
+    window = (..., *(slice(m - 1, 2 * m - 1),) * 3)
     f_hat = rfftn(values.T.reshape(3, m, m, m), shape, axes=(1, 2, 3))
     outs = []
-    for kind in kinds:
-        kernel = _newtonian_block(lattice, np.zeros((1, 3)), params, kind,
-                                  None, 0, 1).reshape(-1, n, n, n, 3)
-        k_hat = rfftn(np.moveaxis(kernel, -1, 1), shape, axes=(2, 3, 4))
+    for kind, k_hat in zip(kinds, transforms):
         out = irfftn(np.einsum("ab...,b...->a...", k_hat, f_hat), shape,
-                     axes=(1, 2, 3))[window].reshape(len(kernel), -1).T
+                     axes=(1, 2, 3))[window].reshape(len(k_hat), -1).T
         outs.append(out if kind == "velocity" else out[:, 0])
     return outs
 

@@ -31,6 +31,7 @@ from .errors import NotConverged, SmallnessViolated, UnsupportedParameter
 from .potentials import (
     BoundaryField,
     VolumeField,
+    _lattice_kernel,
     _lattice_resolution,
     _layer_rows,
     _newtonian_on_grid,
@@ -157,7 +158,8 @@ def _grid_velocity(workspace, handle):
     flat = handle.density.values.reshape(-1)
     layer = np.einsum("cam,m->ca", rows, flat)
     newtonian, = _newtonian_on_grid(handle.grid, handle.forcing,
-                                    handle.params, ("velocity",))
+                                    handle.params, ("velocity",),
+                                    workspace._velocity_lattice(handle.grid))
     return layer + newtonian
 
 
@@ -438,8 +440,10 @@ def semilinear_residual(handle, grid, params, forcing):
     velocity[evaluated] = np.einsum("pam,m->pa", velocity_rows, flat)
     pressure[evaluated] = pressure_rows @ flat - handle.pressure_constant
     if forced:
+        kinds = ("velocity", "pressure")
+        kernel = _lattice_kernel(grid, handle.params, kinds)
         newtonian = _newtonian_on_grid(grid, handle.forcing, handle.params,
-                                       ("velocity", "pressure"))
+                                       kinds, kernel)
         velocity += newtonian[0].reshape(m, m, m, 3)
         pressure += newtonian[1].reshape(m, m, m)
     residual, drag = _lattice_residual(velocity, pressure, f_values, h,

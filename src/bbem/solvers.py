@@ -58,6 +58,8 @@ from .potentials import (
     VolumeField,
     assemble_double_layer,
     assemble_single_layer,
+    _boundary_operators,
+    _lattice_kernel,
     _layer_rows,
     _near_search,
     _newtonian_rows,
@@ -196,8 +198,9 @@ class SolverWorkspace:
 
     Solvers accept a shared workspace so iterative callers pay for assembly
     and factorization once: each kind's system (mixed: per labeling) is
-    LU-factored once.  No linear operator reads β, so it serves any β at
-    fixed mesh and α.
+    LU-factored once.  The systems that read both V and K build them from
+    one plan.  No linear operator reads β, so it serves any β at fixed mesh
+    and α.
     """
 
     def __init__(self, mesh, params):
@@ -210,7 +213,7 @@ class SolverWorkspace:
         self._neumann_lu = None
         self._dirichlet_lu = None
         self._probes = None
-        self._newtonian = None
+        self._grid = None, {}
         self.row_store = _RowStore(mesh, params)
 
     def matches(self, mesh, params):
@@ -227,6 +230,12 @@ class SolverWorkspace:
         if self._double is None:
             self._double = assemble_double_layer(self.mesh, self.params)
         return self._double
+
+    def _both_layers(self):
+        """Build V and K from one plan unless either is built already."""
+        if self._single is None and self._double is None:
+            self._single, self._double = _boundary_operators(
+                self.mesh, self.params, ("V", "W"))
 
     def dirichlet_factorization(self):
         """LU factor of −½I + K and its (σ_min, σ_max) estimate, σ_max by
@@ -257,6 +266,7 @@ class SolverWorkspace:
     def mixed_matrix(self, labeling):
         cached = self._mixed_sys.get(labeling)
         if cached is None:
+            self._both_layers()
             cached = _traction_system(self, 0.5)
             rows = np.repeat(labeling.dirichlet_mask, 3)
             cached[rows] = self.single_layer.matrix[rows]
@@ -285,20 +295,31 @@ class SolverWorkspace:
             self._probes = _pressure_probe_points(self.mesh)
         return self._probes
 
+    def _grid_data(self, grid, item, build):
+        """item of the latest grid's data, build() on first use: the forced
+        solves' Newtonian maps per reads_trace, the velocity's lattice."""
+        key = (grid.centers.tobytes(), grid.volumes.tobytes())
+        if self._grid[0] != key:
+            self._grid = key, {}
+        if item not in self._grid[1]:
+            self._grid[1][item] = build()
+        return self._grid[1][item]
+
     def newtonian_rows(self, grid, reads_trace):
         """_newtonian_rows of forced solves on grid (velocity where the trace
-        is read, traction elsewhere, pressure at the probes), latest only."""
-        key = tuple(a.tobytes() for a in (grid.centers, grid.volumes,
-                                          reads_trace))
-        if self._newtonian is None or self._newtonian[0] != key:
-            mesh, on = self.mesh, reads_trace
-            self._newtonian = (key, (
-                _newtonian_rows(grid, mesh.centroids[on], self.params,
-                                "velocity", mesh.normals[on]),
-                _newtonian_rows(grid, mesh.centroids[~on], self.params,
-                                "traction", mesh.normals[~on]),
-                _newtonian_rows(grid, self.probes, None, "pressure")))
-        return self._newtonian[1]
+        is read, traction elsewhere, pressure at the probes), latest grid."""
+        mesh, on = self.mesh, reads_trace
+        return self._grid_data(grid, on.tobytes(), lambda: (
+            _newtonian_rows(grid, mesh.centroids[on], self.params,
+                            "velocity", mesh.normals[on]),
+            _newtonian_rows(grid, mesh.centroids[~on], self.params,
+                            "traction", mesh.normals[~on]),
+            _newtonian_rows(grid, self.probes, None, "pressure")))
+
+    def _velocity_lattice(self, grid):
+        """The grid's _lattice_kernel of the velocity, latest grid."""
+        return self._grid_data(grid, "lattice", lambda: _lattice_kernel(
+            grid, self.params, ("velocity",)))
 
 
 def _workspace_for(mesh, params, workspace):
@@ -542,6 +563,7 @@ def neumann_to_dirichlet(mesh, labeling, params, workspace=None):
     if labeling.n_dirichlet == 0:
         raise InvalidLabeling("the Dirichlet patch is empty")
     workspace = _workspace_for(mesh, params, workspace)
+    workspace._both_layers()
     composed = _lu_solve(workspace.neumann_factorization(),  # (A⁻ᵀVᵀ)ᵀ
                          workspace.single_layer.matrix.T, "Neumann", 1).T
     composed[~np.repeat(labeling.dirichlet_mask, 3)] = 0.0

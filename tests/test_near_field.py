@@ -33,9 +33,8 @@ def _lattice(resolution):
 
 def _closed_forms(mesh, x, panels, alpha=QD_ALPHA, kinds=_KINDS):
     """_stokes_parts for targets x (m, 3) against panels (m,)."""
-    return tuple(P._stokes_parts(
-        x.T, mesh.panel_corners[panels].transpose(1, 2, 0),
-        mesh.normals[panels].T, alpha, kinds).values())
+    return tuple(P._stokes_parts(x.T, panels, P._panel_frames(mesh), alpha,
+                                 kinds).values())
 
 
 def _duffy_sums(mesh, x, panels, order, kernels):
@@ -175,8 +174,7 @@ def test_each_kind_alone_keeps_its_bits(alpha):
     mesh = build_cube(1)
     points = np.vstack([_lattice(10)[::7], mesh.centroids])
     rows, panels, _, _, _ = P._near_search(mesh, points)
-    args = (points[rows].T, mesh.panel_corners[panels].transpose(1, 2, 0),
-            mesh.normals[panels].T, alpha)
+    args = (points[rows].T, panels, P._panel_frames(mesh), alpha)
     every = _KINDS + ("dV", "dW")
     full = P._stokes_parts(*args, every)
     for kinds in [(kind,) for kind in every] + [
@@ -185,6 +183,20 @@ def test_each_kind_alone_keeps_its_bits(alpha):
         assert tuple(parts) == kinds
         for kind in kinds:
             assert parts[kind].tobytes() == full[kind].tobytes(), kind
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("build", [build_icosphere, build_cube])
+def test_one_plan_for_v_and_k_keeps_their_bits(build, alpha):
+    # V and K from one _layer_rows call share its near search and closed
+    # forms, and keep the bits of each kind's call alone
+    mesh, params = build(1), BrinkmanParams(alpha=alpha)
+    both = P._layer_rows(mesh, params, mesh.centroids, ("V", "W"),
+                         on_boundary=True)
+    for kind, rows in zip(("V", "W"), both):
+        alone, = P._layer_rows(mesh, params, mesh.centroids, (kind,),
+                               on_boundary=True)
+        assert rows.tobytes() == alone.tobytes(), kind
 
 
 # --------------------------------------------------------- the error table

@@ -26,8 +26,10 @@ from bbem.kernels import (
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
+    _double_layer_pairs,
     _double_layer_parts_cf,
     _double_layer_remainder_cf,
+    _double_layer_rows_cf,
     _velocity_cf,
     _velocity_remainder_cf,
 )
@@ -186,9 +188,8 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
         blocks[kind] = matrix.matrix.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
     stokes = blocks["K0"].copy()
     stokes[np.arange(n), np.arange(n)] = 0.0
-    first = P._stokes_parts(mesh.centroids.T,
-                            mesh.panel_corners.transpose(1, 2, 0),
-                            mesh.normals.T, alpha, ("dV", "dW"))
+    first = P._stokes_parts(mesh.centroids.T, np.arange(n),
+                            P._panel_frames(mesh), alpha, ("dV", "dW"))
     twelve = panel_quadrature(mesh, 12)
     for i in range(n):
         c, nu = mesh.centroids[i], mesh.normals[i]
@@ -449,7 +450,8 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
 
     def near_parts(plan):
         # the closed forms plus the bounded differences, as V and W take them
-        parts = plan.stokes(ALPHA, ("V", "W", "Qs", "Qd"))
+        parts = plan.stokes(ALPHA, ("V", "W", "Qs", "Qd"),
+                            P._panel_frames(mesh))
         plan.add_near(*differences["V"], parts["V"])
         plan.add_near(*differences["W"], parts["W"])
         return list(parts.values())
@@ -468,6 +470,37 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
         for chunk_part, part in zip(chunk_near, near_parts(alone)):
             np.testing.assert_array_equal(chunk_part[..., chunk.rows == t],
                                           part)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("on_boundary", [True, False])
+@pytest.mark.parametrize("build", [build_icosphere, build_cube])
+def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
+    # K's kernel contracted per pair from the normal-free rows against the
+    # 3×3 kernels summed node by node on the same plan: the far group
+    # against _double_layer_parts_cf, the near bands against
+    # _double_layer_remainder_cf, within 1e-15 of each row's maximum of W
+    mesh = build(1)
+    points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
+    params = BrinkmanParams(alpha=alpha)
+    rows, = P._layer_rows(mesh, params, points, ("W",), on_boundary)
+    row_max = np.abs(rows).max(axis=2)
+    plan = P._NearFar(mesh, panel_quadrature(mesh, 6), points)
+    far = (lambda x, y, nu: _double_layer_rows_cf(y - x, nu, alpha),
+           lambda sums, nu: _double_layer_pairs(sums, nu, alpha))
+    cases = [(plan.far[0], plan._sums(far, plan.far), plan._sums(
+        lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha), plan.far))]
+    if alpha > 0.0:
+        near, rules = P._differences(mesh, alpha)["W"]
+        cases += [(plan.rows[at], plan._sums(near, group), plan._sums(
+            lambda x, y, nu: _double_layer_remainder_cf(y - x, nu, alpha),
+            group)) for at, group in plan._near_groups(rules)]
+        assert sum(len(targets) for targets, _, _ in cases[1:]) == len(
+            plan.near)
+    for targets, got, expected in cases:
+        assert got.shape == expected.shape
+        scale = row_max[targets].T[:, None]         # (a, 1, pairs)
+        assert np.all(np.abs(got - expected) <= 1.0e-15 * scale)
 
 
 # ------------------------------------------------- distance-graded near rules
@@ -816,6 +849,17 @@ def test_single_layer_traction_thread_count_invariance(coarse, monkeypatch):
             H._sl_traction(mesh, g, x, mesh.normals[0], ALPHA)
             for x in _interior_points(8)]).tobytes()
     assert results["1"] == results["4"]
+
+
+def test_default_thread_count_is_the_affinity_set(monkeypatch):
+    # a process pinned to two CPUs of many runs two threads
+    monkeypatch.delenv("BBEM_THREADS", raising=False)
+    monkeypatch.setattr(P.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(P.os, "sched_getaffinity", lambda pid: {0, 5},
+                        raising=False)
+    assert P._thread_count() == 2
+    monkeypatch.delattr(P.os, "sched_getaffinity")
+    assert P._thread_count() == 64
 
 
 @pytest.mark.parametrize("setting", ["abc", "0", "-3"])

@@ -443,12 +443,17 @@ def test_report_serializes_with_pinned_keys(setting):
 
 # ---------------------------------------------------- on-grid Newtonian term
 
+def _on_grid(grid, forcing, params, kinds):
+    """_newtonian_on_grid on the grid's lattice transforms built here."""
+    return P._newtonian_on_grid(grid, forcing, params, kinds,
+                                P._lattice_kernel(grid, params, kinds))
+
+
 def test_fft_convolution_matches_direct_sum():
     grid = build_volume_grid({"type": "cube", "side": 1.0}, 8)
     rng = np.random.default_rng(11)
     forcing = rng.normal(size=(grid.n_cells, 3))
-    fast = P._newtonian_on_grid(grid, forcing, PARAMS,
-                                ("velocity", "pressure"))
+    fast = _on_grid(grid, forcing, PARAMS, ("velocity", "pressure"))
     direct = (newtonian_velocity(grid, forcing, grid.centers, PARAMS),
               newtonian_pressure(grid, forcing, grid.centers))
     for lattice, pairwise in zip(fast, direct):
@@ -465,12 +470,39 @@ def test_lattice_convolution_matches_fftconvolve(m, alpha):
     forcing = np.random.default_rng(m).normal(size=(grid.n_cells, 3))
     params = BrinkmanParams(alpha=alpha)
     kinds = ("velocity", "pressure")
-    fast = P._newtonian_on_grid(grid, forcing, params, kinds)
+    fast = _on_grid(grid, forcing, params, kinds)
     reference = newtonian_on_lattice(forcing, m, grid.spacing, params, kinds)
     for kind, got, expected in zip(kinds, fast, reference):
         assert got.shape == expected.shape
         gap = np.linalg.norm(got - expected) / np.linalg.norm(expected)
         assert gap <= 1.0e-13, kind
+
+
+def test_workspace_keeps_the_velocity_transform_per_grid(monkeypatch):
+    # the velocity kernel's transform is built once per workspace and grid,
+    # beside the grid's Newtonian maps, and the convolution on it keeps the
+    # bits of the one built per call
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 6)
+    forcing = np.random.default_rng(6).normal(size=(grid.n_cells, 3))
+    ws = S.SolverWorkspace(build_cube(1), PARAMS)
+    builds, lattice_kernel = [], S._lattice_kernel
+
+    def counted(*args):
+        builds.append(args[2])
+        return lattice_kernel(*args)
+
+    monkeypatch.setattr(S, "_lattice_kernel", counted)
+    kernel = ws._velocity_lattice(grid)
+    mask = np.arange(ws.mesh.n_panels) % 2 == 0
+    maps = ws.newtonian_rows(grid, mask)
+    assert ws._velocity_lattice(grid) is kernel and builds == [("velocity",)]
+    assert ws.newtonian_rows(grid, mask) is maps
+    got, = P._newtonian_on_grid(grid, forcing, PARAMS, ("velocity",), kernel)
+    expected, = _on_grid(grid, forcing, PARAMS, ("velocity",))
+    assert got.tobytes() == expected.tobytes()
+    other = build_volume_grid({"type": "cube", "side": 1.0}, 5)
+    ws._velocity_lattice(other)
+    assert len(builds) == 2
 
 
 def test_import_leaves_scipy_signal_out():
@@ -488,8 +520,8 @@ def test_filtered_grid_falls_back_to_direct_sum():
     assert SL._lattice_resolution(grid) is None
     rng = np.random.default_rng(12)
     forcing = rng.normal(size=(grid.n_cells, 3))
-    velocity, pressure = P._newtonian_on_grid(grid, forcing, PARAMS,
-                                              ("velocity", "pressure"))
+    velocity, pressure = _on_grid(grid, forcing, PARAMS,
+                                  ("velocity", "pressure"))
     assert np.array_equal(
         velocity, newtonian_velocity(grid, forcing, grid.centers, PARAMS))
     assert np.array_equal(

@@ -330,6 +330,32 @@ def test_dirichlet_factors_once_per_workspace(sphere_coarse, monkeypatch):
     assert not np.array_equal(first.density.values, second.density.values)
 
 
+def test_mixed_systems_build_v_and_k_from_one_plan(cube_mixed, sphere_coarse,
+                                                   monkeypatch):
+    calls, layer_rows = [], P._layer_rows
+
+    def counted(mesh, params, points, kinds, on_boundary=False):
+        if on_boundary:                 # assembly, not evaluation rows
+            calls.append(kinds)
+        return layer_rows(mesh, params, points, kinds, on_boundary)
+
+    monkeypatch.setattr(P, "_layer_rows", counted)
+    mesh, labeling, _ = cube_mixed
+    ws = S.SolverWorkspace(mesh, PARAMS)
+    ws.mixed_factorization(labeling)
+    S.neumann_to_dirichlet(mesh, labeling, PARAMS, workspace=ws)
+    assert calls == [("V", "W")]
+    calls.clear()
+    S.neumann_to_dirichlet(mesh, labeling, PARAMS)
+    assert calls == [("V", "W")]
+    # a Dirichlet solve builds K alone
+    calls.clear()
+    mesh, _ = sphere_coarse
+    ws = S.SolverWorkspace(mesh, PARAMS)
+    S.solve_dirichlet(dirichlet_spec(mesh), ws)
+    assert calls == [("W",)] and ws._single is None
+
+
 @pytest.mark.parametrize("sign, alpha", [(-1, 0.0), (-1, 1.0), (-1, 4.0),
                                          (1, 1.0), (1, 4.0)])
 @pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
