@@ -32,12 +32,14 @@ and the pressure tensor of the double layer is
 
 At alpha = 0 the double-layer kernel (stress at y contracted with nu(y),
 pole at x) is T0 = -3 (r^.nu) r^ r^T / (4 pi r^2), r^ = (y - x)/r, with no
-profiles; double_layer_parts returns it beside the alpha difference.
+profiles.  The double-layer assembly sums T0 and the alpha difference as
+normal-free rows per node and contracts them once per (target, panel) pair;
+stress_difference_normal is the same rows with each node its own pair.
 
-Difference kernels G^alpha - G^0 and S^alpha - S^0 are provided as dedicated
-evaluators in subtracted analytic form: the naive float difference of the two
-kernels cancels catastrophically as r -> 0, while the subtracted profiles
-below are regular there (G^alpha - G^0 tends to -(sqrt(alpha)/(6 pi)) I).
+The differences G^alpha - G^0 and S^alpha - S^0 are evaluated in subtracted
+analytic form: the naive float difference of the two kernels cancels
+catastrophically as r -> 0, while the subtracted profiles below are regular
+there (G^alpha - G^0 tends to -(sqrt(alpha)/(6 pi)) I).
 
 All functions broadcast over leading axes; displacement arguments have shape
 (..., 3) and alpha is a scalar.  Each evaluator call forms one exp(-z) and
@@ -231,22 +233,6 @@ def _contraction_geometry(d, n, require_nonzero=True):
     return r, xh, xh[0] * n[0] + xh[1] * n[1] + xh[2] * n[2]
 
 
-def _contracted(outers, diag, scale, out, transpose=False):
-    """scale [u1 v1^T + diag I + u2 v2^T + ...] over the (u, v) pairs in
-    outers, or its transpose, into out (3, 3, ...), components first: the
-    terms of a normal-contracted stress kernel, added in place in this order
-    (which fixes the rounding)."""
-    if transpose:
-        outers = [(v, u) for u, v in outers]
-    np.multiply(outers[0][0][:, None], outers[0][1][None, :], out=out)
-    for k in range(3):
-        out[k, k] += diag
-    for u, v in outers[1:]:
-        out += u[:, None] * v[None, :]
-    out *= scale
-    return out
-
-
 def _symmetric_outer(g, u, diag):
     """g u u^T + diag I as a new (3, 3, ...) array.  Each of the six
     distinct products g u_i u_j is written once and copied to its mirror, so
@@ -282,10 +268,17 @@ def _traction_cf(d, n, alpha):
     d1, d2, f2 = _kernel_profiles(alpha, r, _D1, _D2, _A2)
     pref = 1.0 / (FOUR_PI * r ** 2)
     # pref [-n xh^T + (d1 + f2) xn I + 2 f2 n xh^T + (f2 + d1) xh n^T
-    #       + 2 d2 xn xh xh^T]; -Pi_j nu_i is the first term
-    outers = ((-n, xh), (2.0 * f2 * n, xh), (xh, (f2 + d1) * n),
-              (2.0 * (d2 * xn) * xh, xh))
-    return _contracted(outers, (d1 + f2) * xn, pref, np.empty((3, 3) + r.shape))
+    #       + 2 d2 xn xh xh^T], added in this order (which fixes the
+    # rounding); -Pi_j nu_i is the first term
+    out = np.multiply(-n[:, None], xh[None, :], out=np.empty((3, 3) + r.shape))
+    diag = (d1 + f2) * xn
+    for k in range(3):
+        out[k, k] += diag
+    for u, v in ((2.0 * f2 * n, xh), (xh, (f2 + d1) * n),
+                 (2.0 * (d2 * xn) * xh, xh)):
+        out += u[:, None] * v[None, :]
+    out *= pref
+    return out
 
 
 def _pressure_tensor_cf(d, alpha):
@@ -305,26 +298,15 @@ def _double_layer_pressure_cf(d, n, alpha):
     return -(((lam[:, 0] * n[0] + lam[:, 2] * n[2]) + lam[:, 1] * n[1]) + 0.0)
 
 
-def _double_layer_parts_cf(d, n, alpha):
-    """double_layer_parts for d = y - x as (2 or 1, 3, 3, ...)."""
-    alpha = _check_alpha(alpha)
-    r, xh, xn = _contraction_geometry(d, n)
-    parts = np.empty((2 if alpha > 0.0 else 1, 3, 3) + r.shape)
-    np.multiply(((-3.0 * xn / (FOUR_PI * r ** 2)) * xh)[:, None],
-                xh[None, :], out=parts[0])
-    if alpha > 0.0:
-        _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha, parts[1],
-                           transpose=True)
-    return parts
-
-
 def _double_layer_rows_cf(d, n, alpha, profiles=None):
-    """_double_layer_parts_cf for d = y - x as rows (k, ...) to be summed
-    over a rule whose normal n is fixed, then contracted by
-    _double_layer_pairs: g x̂x̂ᵀ's six upper entries (g = -3 xn/(4 pi r^2)),
-    then at alpha > 0 those of 2 e2 xn x̂x̂ᵀ, 2 b3 x̂, (b3 + e1) x̂ and
-    (e1 + b3) xn.  With profiles, the difference's rows alone."""
-    r, xh, xn = _contraction_geometry(d, n)
+    """The double-layer kernel for d = y - x and normals n (3, ...) as rows
+    (k, ...) to be summed over a rule whose normal n is fixed, then
+    contracted by _double_layer_pairs: the six upper entries of the Stokes
+    part T0 = g x̂x̂ᵀ (g = -3 xn/(4 pi r^2)), then at alpha > 0 those of
+    2 e2 xn x̂x̂ᵀ, 2 b3 x̂, (b3 + e1) x̂ and (e1 + b3) xn for the difference.
+    With profiles, the difference's rows alone, 0 at d = 0 (T0 raises
+    there)."""
+    r, xh, xn = _contraction_geometry(d, n, require_nonzero=profiles is None)
     outer = (profiles is None) + (alpha > 0.0)      # blocks of six entries
     rows = np.empty((6 * outer + 7 * (alpha > 0.0),) + r.shape)
     scale = np.empty((outer,) + r.shape)
@@ -346,10 +328,11 @@ def _double_layer_rows_cf(d, n, alpha, profiles=None):
 
 
 def _double_layer_pairs(sums, n, alpha):
-    """Integrals (k, 3, 3, pairs) of _double_layer_parts_cf's parts, or of
-    the difference alone, from per-pair sums (k, pairs) of
-    _double_layer_rows_cf and the normals n (3, pairs): g x̂x̂ᵀ mirrored, and
-    the difference as (alpha/4pi)[c I + V1 nᵀ + n V2ᵀ + S2]."""
+    """Integrals (k, 3, 3, pairs) of the double-layer kernel's parts from
+    per-pair sums (k, pairs) of _double_layer_rows_cf and the normals n
+    (3, pairs): T0 = g x̂x̂ᵀ mirrored, then at alpha > 0 the difference
+    (S^alpha - S^0) nu, transposed as K takes it, as (alpha/4pi)[c I
+    + V1 nᵀ + n V2ᵀ + S2]; with profiles, the difference alone."""
     outer = (len(sums) - 7 * (alpha > 0.0)) // 6
     mirror = [0, 1, 2, 1, 3, 4, 2, 4, 5]        # 3×3 from six upper entries
     parts = sums[:6 * outer].reshape(outer, 6, -1)[:, mirror].reshape(
@@ -363,17 +346,18 @@ def _double_layer_pairs(sums, n, alpha):
     return parts
 
 
-def _double_layer_difference_cf(d, n, alpha, profiles=(_E1, _E2, _B3)):
-    """The (S^alpha - S^0) part of _double_layer_parts_cf alone, (3, 3, ...)."""
-    r, xh, xn = _contraction_geometry(d, n)
-    return _difference_normal(xh, xn, n, np.sqrt(alpha) * r, alpha,
-                              np.empty((3, 3) + r.shape), True, profiles)
-
-
-def _double_layer_remainder_cf(d, n, alpha):
-    """_double_layer_difference_cf less its first-order term (alpha/(16 pi))
-    [xn I - xh n^T + n xh^T + xn xh xh^T], which is O(r)."""
-    return _double_layer_difference_cf(d, n, alpha, _STRESS_REMAINDER)
+def _double_layer_nodes(d, n, alpha, profiles=None):
+    """_double_layer_pairs node by node, each node its own pair: the parts
+    (k, 3, 3, ...) for d = y - x and normals n (3, ...); with profiles, the
+    difference alone, zeros at alpha = 0."""
+    d, n = np.broadcast_arrays(d, n)
+    shape = d.shape[1:]
+    if profiles is not None and alpha == 0.0:
+        return np.zeros((1, 3, 3) + shape)
+    d, n = d.reshape(3, -1), n.reshape(3, -1)       # a (3,) point is (3, 1)
+    parts = _double_layer_pairs(_double_layer_rows_cf(d, n, alpha, profiles),
+                                n, alpha)
+    return parts.reshape(parts.shape[:3] + shape)   # no -1: shape may be 0
 
 
 def _velocity_difference_cf(d, alpha):
@@ -504,34 +488,14 @@ def stress_difference(x, y, alpha):
     return grad + np.swapaxes(grad, -3, -1)
 
 
-def _difference_normal(xh, xn, n, z, alpha, out, transpose=False,
-                       profiles=(_E1, _E2, _B3)):
-    """(alpha/4pi) [(e1 + b3) xn I + 2 b3 n xh^T + (b3 + e1) xh n^T + 2 e2 xn
-    xh xh^T] (or its transpose) into out (3, 3, ...), e1, e2, b3 from
-    profiles."""
-    e1, e2, b3 = _profile_pass(z, *profiles)
-    outers = ((2.0 * b3 * n, xh), (xh, (b3 + e1) * n),
-              (2.0 * (e2 * xn) * xh, xh))
-    return _contracted(outers, (e1 + b3) * xn, alpha / FOUR_PI, out, transpose)
-
-
 def stress_difference_normal(x, y, normal, alpha):
     """Contraction (S^alpha - S^0)_{ijl}(x, y) n_l, shape (..., 3, 3).
 
-    Bounded near coincidence (the correction kernel of the double-layer
-    assembly); 0 is returned at exact coincidence.
+    Bounded near coincidence; 0 is returned at exact coincidence.  It is the
+    double-layer kernel's alpha difference for d = x - y, transposed.
     """
     alpha = _check_alpha(alpha)
     d, n = _components_first(np.subtract(x, y), normal)
-    r, xh, xn = _contraction_geometry(d, n, require_nonzero=False)
-    return _components_last(_difference_normal(
-        xh, xn, n, np.sqrt(alpha) * r, alpha, np.empty((3, 3) + r.shape)))
+    difference = _double_layer_nodes(d, n, alpha, (_E1, _E2, _B3))[0]
+    return _components_last(np.swapaxes(difference, 0, 1))
 
-
-def double_layer_parts(y, x, normal, alpha):
-    """Double-layer kernel at nodes y (normals nu(y)) for the target x as
-    (..., 2, 3, 3), of length 1 on axis -3 at alpha = 0: [0] is the closed
-    form T0 of traction_kernel(y, x, normal, 0).swapaxes(-1, -2), [1] is
-    stress_difference_normal(y, x, normal, alpha).swapaxes(-1, -2)."""
-    return _components_last(_double_layer_parts_cf(
-        *_components_first(np.subtract(y, x), normal), alpha), 3)

@@ -636,7 +636,7 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
             "d" + kind for kind in kinds if kind in differences), frames)
         for kind, out in zip(kinds, outs):
             part = near[kind]
-            if kind == "W":         # _double_layer_parts_cf's parts
+            if kind == "W":         # _double_layer_pairs' parts
                 part = (np.stack([part, near["dW"]]) if differences
                         else part[None])
             elif kind in differences:

@@ -393,8 +393,9 @@ def test_remainders_are_differences_less_first_order_terms(alpha):
     for remainder, difference, first in (
             (kernels._velocity_remainder_cf(d, alpha),
              kernels._velocity_difference_cf(d, alpha), first_v),
-            (kernels._double_layer_remainder_cf(d, n, alpha),
-             kernels._double_layer_difference_cf(d, n, alpha), first_w)):
+            (kernels._double_layer_nodes(d, n, alpha,
+                                         kernels._STRESS_REMAINDER)[0],
+             kernels._double_layer_nodes(d, n, alpha)[1], first_w)):
         np.testing.assert_allclose(remainder + first, difference, rtol=0.0,
                                    atol=1.0e-14 * max(1.0, alpha))
     assert not np.any(kernels._velocity_remainder_cf(np.zeros((3, 1)), alpha))
@@ -422,18 +423,7 @@ def test_stress_difference_bounded_near_coincidence():
         kernels.stress_difference(np.zeros(3), np.zeros(3), 1.0), np.zeros((3, 3, 3)))
 
 
-def test_stress_difference_normal_matches_contraction():
-    g = rng(12)
-    x = g.normal(size=(10, 3))
-    y = g.normal(size=(10, 3))
-    n = g.normal(size=(10, 3))
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    full = np.einsum("pijl,pl->pij", kernels.stress_difference(x, y, 2.0), n)
-    np.testing.assert_allclose(kernels.stress_difference_normal(x, y, n, 2.0), full,
-                               rtol=1.0e-11, atol=1.0e-14)
-
-
-def _double_layer_pairs(seed, count):
+def _nodes_targets_normals(seed, count):
     """Seeded (node, target, unit normal) triples at distances 1e-3 to 3."""
     g = rng(seed)
     x = g.normal(size=(count, 3))
@@ -445,10 +435,47 @@ def _double_layer_pairs(seed, count):
     return x + d, x, n
 
 
-def test_double_layer_parts_stokes_closed_form():
+def test_stress_difference_normal_matches_contraction():
+    g = rng(12)
+    scattered = g.normal(size=(2, 10, 3))
+    normals = g.normal(size=(10, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    y, x, n = _nodes_targets_normals(13, 400)
+    # besides the scattered points: one point, an empty batch, and a batch
+    # against one point keep their shapes
+    cases = ((*scattered, normals), (x, y, n), (x[7], y[7], n[7]),
+             (x[:0], y[:0], n[:0]), (g.normal(size=(4, 2, 3)), y[7], n[7]))
+    for alpha in (0.25, 1.0, 4.0):
+        z = np.sqrt(alpha) * np.linalg.norm(x - y, axis=1)
+        # both branches of the difference profiles are exercised
+        assert np.any(z < kernels._Z_SERIES) and np.any(z >= kernels._Z_SERIES)
+        for a, b, nu in cases:
+            full = np.einsum("...ijl,...l->...ij",
+                             kernels.stress_difference(a, b, alpha), nu)
+            got = kernels.stress_difference_normal(a, b, nu, alpha)
+            assert got.shape == np.broadcast_shapes(
+                np.shape(a), np.shape(nu))[:-1] + (3, 3)
+            np.testing.assert_allclose(got, full, rtol=1.0e-11, atol=1.0e-14)
+
+
+def test_stress_difference_normal_is_zero_at_alpha_zero_and_coincidence():
+    y, x, n = _nodes_targets_normals(14, 50)
+    for a, b, nu, alpha in ((x, y, n, 0.0), (x[3], y[3], n[3], 0.0),
+                            (x, x, n, 1.0), (x[3], x[3], n[3], 4.0)):
+        got = kernels.stress_difference_normal(a, b, nu, alpha)
+        np.testing.assert_array_equal(got, np.zeros(np.shape(a)[:-1] + (3, 3)))
+
+
+def _node_parts(y, x, n, alpha, profiles=None):
+    """The double-layer kernel's parts node by node as (count, k, 3, 3)."""
+    return np.moveaxis(kernels._double_layer_nodes((y - x).T, n.T, alpha,
+                                                   profiles), -1, 0)
+
+
+def test_double_layer_nodes_stokes_closed_form():
     # the closed-form Stokes part against the profile-based traction kernel
-    y, x, n = _double_layer_pairs(31, 10_000)
-    parts = kernels.double_layer_parts(y, x, n, 0.0)
+    y, x, n = _nodes_targets_normals(31, 10_000)
+    parts = _node_parts(y, x, n, 0.0)
     assert parts.shape == (10_000, 1, 3, 3)
     expected = kernels.traction_kernel(y, x, n, 0.0).swapaxes(1, 2)
     error = (np.abs(parts[:, 0] - expected).max(axis=(1, 2))
@@ -457,18 +484,38 @@ def test_double_layer_parts_stokes_closed_form():
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
-def test_double_layer_parts_difference_is_stress_difference_normal(alpha):
-    y, x, n = _double_layer_pairs(32, 2_000)
+def test_double_layer_nodes_difference_is_stress_difference_normal(alpha):
+    y, x, n = _nodes_targets_normals(32, 2_000)
     z = np.sqrt(alpha) * np.linalg.norm(y - x, axis=1)
     # both branches of the difference profiles are exercised
     assert np.any(z < kernels._Z_SERIES) and np.any(z >= kernels._Z_SERIES)
-    parts = kernels.double_layer_parts(y, x, n, alpha)
+    parts = _node_parts(y, x, n, alpha)
     assert parts.shape == (2_000, 2, 3, 3)
     np.testing.assert_array_equal(
         parts[:, 1],
         kernels.stress_difference_normal(y, x, n, alpha).swapaxes(1, 2))
-    np.testing.assert_array_equal(
-        parts[:, 0], kernels.double_layer_parts(y, x, n, 0.0)[:, 0])
+    np.testing.assert_array_equal(parts[:, 0],
+                                  _node_parts(y, x, n, 0.0)[:, 0])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_double_layer_nodes_keep_empty_and_single_shapes(alpha):
+    # a plan's group of (target, panel) pairs can be empty (cube(1)'s far
+    # group at the centroids): nodes (3, 0, q) with normals (3, 0, 1); and
+    # one point (3,) is a node too
+    g = rng(35)
+    for d_shape, n_shape in (((3, 0, 6), (3, 0, 1)), ((3, 4, 6), (3, 4, 1)),
+                             ((3,), (3,))):
+        d, n = g.normal(size=d_shape), g.normal(size=n_shape)
+        shape = np.broadcast_shapes(d_shape, n_shape)[1:]
+        for profiles, parts in ((None, 1 + (alpha > 0.0)),
+                                (kernels._STRESS_REMAINDER, 1)):
+            got = kernels._double_layer_nodes(d, n, alpha, profiles)
+            assert got.shape == (parts, 3, 3) + shape
+    # the difference alone at alpha = 0 is zeros, at coincidence too
+    np.testing.assert_array_equal(kernels._double_layer_nodes(
+        np.zeros((3, 2)), np.ones((3, 2)), alpha, kernels._STRESS_REMAINDER),
+        np.zeros((1, 3, 3, 2)))
 
 
 def _same_bytes(got, expected):
@@ -497,10 +544,6 @@ def test_public_kernels_are_their_components_first_evaluators(alpha):
                 to_last[0](kernels._pressure_cf((x - y).T)))
     _same_bytes(kernels.traction_kernel(x, y, n, alpha),
                 to_last[1](kernels._traction_cf((x - y).T, n.T, alpha)))
-    _same_bytes(kernels.double_layer_parts(y, x, n, alpha),
-                np.moveaxis(kernels._double_layer_parts_cf((y - x).T, n.T,
-                                                           alpha),
-                            (0, 1, 2), (-3, -2, -1)))
     pressure = kernels.brinkman_pressure_tensor(x, y, alpha)
     _same_bytes(pressure,
                 to_last[1](kernels._pressure_tensor_cf((y - x).T, alpha)))

@@ -15,8 +15,9 @@ from bbem.geometry import (
 )
 from bbem.kernels import (
     BrinkmanParams,
+    _STRESS_REMAINDER,
+    _double_layer_nodes,
     _double_layer_pressure_cf,
-    _double_layer_remainder_cf,
     _pressure_cf,
     _traction_cf,
     _velocity_cf,
@@ -214,7 +215,8 @@ def _reference(mesh, x, panels, alpha):
                                            _KINDS + ("dV", "dW"))
     rv, rw = _duffy_sums(mesh, x, panels, 24, (
         lambda x, y, nu: _velocity_remainder_cf(x - y, alpha),
-        lambda x, y, nu: _double_layer_remainder_cf(y - x, nu, alpha)))
+        lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha,
+                                             _STRESS_REMAINDER)[0]))
     return {"V": g0 + dv + rv, "W": t0 + dw + rw, "Qs": qs, "Qd": qd,
             "T0": t0}
 

@@ -26,9 +26,9 @@ from bbem.kernels import (
     pressure_vector,
     stress_difference_normal,
     traction_kernel,
+    _STRESS_REMAINDER,
+    _double_layer_nodes,
     _double_layer_pairs,
-    _double_layer_parts_cf,
-    _double_layer_remainder_cf,
     _double_layer_rows_cf,
     _velocity_cf,
     _velocity_remainder_cf,
@@ -195,8 +195,8 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
         c, nu = mesh.centroids[i], mesh.normals[i]
         nodes, weights = duffy_singular_rule(mesh.panel_corners[i], c, 6)
         k_own = (-0.5 * np.eye(3) - stokes[i].sum(axis=0) + first["dW"][..., i]
-                 + np.einsum("q,abq->ab", weights, _double_layer_remainder_cf(
-                     (nodes - c).T, nu[:, None], alpha)))
+                 + np.einsum("q,abq->ab", weights, _double_layer_nodes(
+                     (nodes - c).T, nu[:, None], alpha, _STRESS_REMAINDER)[0]))
         v_own = (stokes_self_block(mesh.panel_corners[i], c)
                  + first["dV"][..., i]
                  + np.einsum("q,abq->ab", twelve.weights[i],
@@ -458,7 +458,7 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
 
     chunk = P._NearFar(mesh, quad, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
-               lambda x, y, nu: _double_layer_parts_cf(y - x, nu, ALPHA))
+               lambda x, y, nu: _double_layer_nodes(y - x, nu, ALPHA))
     rows = [_graded(chunk, kernel) for kernel in kernels]
     chunk_near = near_parts(chunk)
     for t, x in enumerate(points):
@@ -477,9 +477,9 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
 @pytest.mark.parametrize("build", [build_icosphere, build_cube])
 def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
     # K's kernel contracted per pair from the normal-free rows against the
-    # 3×3 kernels summed node by node on the same plan: the far group
-    # against _double_layer_parts_cf, the near bands against
-    # _double_layer_remainder_cf, within 1e-15 of each row's maximum of W
+    # same rows contracted node by node and summed on the same plan
+    # (_double_layer_nodes): the far group in full, the near bands' remainder
+    # (_STRESS_REMAINDER), within 1e-15 of each row's maximum of W
     mesh = build(1)
     points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
     params = BrinkmanParams(alpha=alpha)
@@ -489,11 +489,12 @@ def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
     far = (lambda x, y, nu: _double_layer_rows_cf(y - x, nu, alpha),
            lambda sums, nu: _double_layer_pairs(sums, nu, alpha))
     cases = [(plan.far[0], plan._sums(far, plan.far), plan._sums(
-        lambda x, y, nu: _double_layer_parts_cf(y - x, nu, alpha), plan.far))]
+        lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha), plan.far))]
     if alpha > 0.0:
         near, rules = P._differences(mesh, alpha)["W"]
         cases += [(plan.rows[at], plan._sums(near, group), plan._sums(
-            lambda x, y, nu: _double_layer_remainder_cf(y - x, nu, alpha),
+            lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha,
+                                                 _STRESS_REMAINDER)[0],
             group)) for at, group in plan._near_groups(rules)]
         assert sum(len(targets) for targets, _, _ in cases[1:]) == len(
             plan.near)
