@@ -141,16 +141,18 @@ _E1 = (_Z_SERIES, np.array(_E1_COEF),
        lambda s, em, ex, s2: (_D1[2](s, em, ex, s2) + 0.5) / s2)
 _E2 = (_Z_SERIES, np.array(_E2_COEF),
        lambda s, em, ex, s2: (_D2[2](s, em, ex, s2) + 1.5) / s2)
-# The alpha-differences less their first-order terms, which the near field
-# integrates in closed form: c1 = (b1 + 2/3 - 3z/8)/z^2 and c3 = (b3 + 1/8)/z
-# for G^alpha - G^0, and e1, e2, b3 less their z = 0 values for its stress.
+# The alpha-differences less the terms the near field integrates in closed
+# form: c1 = (b1 + 2/3 - 3z/8)/z^2 and c3 = (b3 + 1/8)/z for G^alpha - G^0
+# (its first-order terms), and e1, e2, b3 less their z^0 and z^2 terms for
+# its stress (the odd terms are polynomials in y on a flat panel).
 _C1 = (_Z_SERIES, np.array(_B1_COEF[2:]),
        lambda s, em, ex, s2: (_B1[2](s, em, ex, s2) + 2 / 3 - 0.375 * s) / s2)
 _C3 = (_Z_SERIES, np.array(_B3_COEF[1:]),
        lambda s, em, ex, s2: (_B3[2](s, em, ex, s2) + 0.125) / s)
 _STRESS_REMAINDER = tuple(
-    (cutoff, np.append(0.0, coef[1:]),
-     lambda s, em, ex, s2, form=form, c0=coef[0]: form(s, em, ex, s2) - c0)
+    (cutoff, np.concatenate(([0.0, coef[1], 0.0], coef[3:])),
+     lambda s, em, ex, s2, form=form, c0=coef[0], c2=coef[2]:
+         form(s, em, ex, s2) - c0 - c2 * s2)
     for cutoff, coef, form in (_E1, _E2, _B3))
 
 
@@ -307,7 +309,7 @@ def _double_layer_rows_cf(d, n, alpha, profiles=None):
     With profiles, the difference's rows alone, 0 at d = 0 (T0 raises
     there)."""
     r, xh, xn = _contraction_geometry(d, n, require_nonzero=profiles is None)
-    outer = (profiles is None) + (alpha > 0.0)      # blocks of six entries
+    outer = (profiles is None) + bool(alpha > 0.0)  # blocks of six entries
     rows = np.empty((6 * outer + 7 * (alpha > 0.0),) + r.shape)
     scale = np.empty((outer,) + r.shape)
     if profiles is None:

@@ -37,13 +37,14 @@ identity K⁰c = −½c; V and K come from one plan where both are needed
 sums are contracted with the panel normal (_double_layer_pairs).  On a
 near pair every layer kernel takes in closed form (_stokes_parts) its
 Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the
-first-order terms of its bounded α-difference, so quadrature carries only
-the smooth remainder, and nothing at α = 0: G^α − G⁰'s on the 12-point
-symmetric rule, (S^α − S⁰)ν's on Duffy order 6 below half a diameter and 5
-beyond, built in pieces of at most _PIECE_NODES nodes.  Near blocks are
-within 4e-6 (V), 2e-7 (W) and 3e-9 (K, off the diagonal) of converged ones
-down to 1e-3 diameters, Q^s and Q^d exact; the regular rule errs up to
-3e-5.  The remainder is smooth on a panel only while √α times the largest
+kinked terms of its bounded α-difference: G^α − G⁰'s first-order ones,
+(S^α − S⁰)ν's of orders 0 and 2 in √α r (its odd ones are polynomials on
+a flat panel).  Quadrature carries only the smooth remainder, and nothing
+at α = 0: both on the 12-point symmetric rule, in groups of at most
+_PIECE_NODES nodes; no layer row builds a Duffy rule.  Near blocks are
+within 4e-6 (V), 6e-7 (W) and 1.1e-9 (K, off the diagonal) of converged
+ones down to 1e-3 diameters, Q^s and Q^d exact; the regular rule errs up
+to 3e-5.  The remainder is smooth on a panel only while √α times the largest
 panel diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near blocks err
 2.4e-5 there, 7.5e-4 at 5.1); past it the rows are refused.
 
@@ -65,7 +66,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import InvalidThreadCount, UnsupportedParameter
 from .geometry import (
@@ -336,7 +336,9 @@ class _NearFar:
     QuadratureSet) bands by distance over diameter like _NEAR_ORDERS.  A
     group is (targets, panels, pair, nodes (3, rows, q), weights (rows, q),
     starts): row r belongs to pair[r], pair k's rule is the run of rows from
-    node starts[k]."""
+    node starts[k] (one row per pair on a QuadratureSet, one per fan
+    triangle on a Duffy rule).  _sums weights and sums each row's q nodes
+    with one einsum, then adds the rows of each pair."""
 
     def __init__(self, mesh, quadrature, points):
         self.mesh, self.shape = mesh, (len(points), mesh.n_panels)
@@ -379,16 +381,16 @@ class _NearFar:
         normals = self.normals[:, panels]
         values = rows(self.points[:, targets[pair], None], nodes,
                       normals[:, pair, None])
-        values *= weights
-        return form(np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)),
-                                    starts, axis=-1), normals)
+        sums = np.einsum("...rq,rq->...r", values, weights)
+        return form(np.add.reduceat(sums, starts // weights.shape[1], axis=-1),
+                    normals)
 
     def integrate(self, kernel, near):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
-        normals (3, R, 1)), a new (*shape, R, q) array (weighted in place),
-        or of a (rows, form) pair (_sums): (targets, panels, *shape).  Near
-        pairs take near (*shape, pairs), their integrals from the caller,
-        far ones the regular rule."""
+        normals (3, R, 1)), a (*shape, R, q) array, or of a (rows, form)
+        pair (_sums): (targets, panels, *shape).  Near pairs take near
+        (*shape, pairs), their integrals from the caller, far ones the
+        regular rule."""
         blocks = np.zeros(self.shape + near.shape[:-1])
         blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
         if len(self.far[2]):
@@ -429,15 +431,16 @@ def _panel_frames(mesh):
 def _stokes_parts(x, panels, frames, alpha, kinds):
     """{kind: part}: "V" ∫G⁰, "W" ∫T⁰ (3, 3, m), "Qs" Q^s, "Qd" Q^d with its
     α ν/(4π r) term (3, m), and "dV", "dW" (3, 3, m), the first-order terms
-    of G^α − G⁰ and of (S^α − S⁰)ν (as K takes it, x̂ = (y − x)/r):
-    −(√α/6π) I + (α/32π)(3r I − d dᵀ/r) and (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ
-    + x̂·ν x̂ x̂ᵀ), over flat triangles for m (target, panel) pairs,
-    components first: targets x (3, m) and panels (m,), whose corners run
-    counterclockwise about their unit normals, with their _panel_frames.
-    Sums of edge terms (the log term F for V, Qs, Qd; G for W, Qd; F1 = ∫R
-    for dV, dW) and the solid angle (Wilton et al., IEEE TAP 32, 1984;
-    Nintcheu Fata, IJNME 78, 2009) in the edge frame (t, m = t × n) of the
-    target's plane projection x − h n.  A target within 1e-10 edge lengths
+    of G^α − G⁰, −(√α/6π) I + (α/32π)(3r I − d dᵀ/r), and the first- and
+    second-order terms of (S^α − S⁰)ν (as K takes it, d = y − x, x̂ = d/r),
+    (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ + x̂·ν x̂ x̂ᵀ) + (α²/48π)(r d·ν I
+    − ½ r d νᵀ + ν r dᵀ − ½ d·ν d dᵀ/r), over flat triangles for m (target,
+    panel) pairs, components first: targets x (3, m) and panels (m,), whose
+    corners run counterclockwise about their unit normals, with their
+    _panel_frames.  Sums of edge terms (the log term F for V, Qs, Qd; G for
+    W, Qd; F1 = ∫R for dV, dW; F3 = ∫R³ for dW) and the solid angle (Wilton
+    et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in the edge
+    frame (t, m = t × n) of the target's plane projection x − h n.  A target within 1e-10 edge lengths
     of the plane is in it (h = 0), where ∫T⁰ is exactly 0."""
     corners, n, lengths, ts, ms = (a[..., panels] for a in frames)
     h = _dot(x - corners[0], n)
@@ -446,7 +449,7 @@ def _stokes_parts(x, panels, frames, alpha, kinds):
     wanted = set(kinds)
     with_f, with_g = {"V", "Qs", "Qd", "dV", "dW"} & wanted, {"W", "Qd"} & wanted
     with_l3, with_f1 = {"V", "dW"} & wanted, {"dV", "dW"} & wanted
-    i1 = beta = j = j5 = s = l3 = l5 = j1 = k1 = l1 = area = 0.0
+    i1 = beta = j = j5 = s = l3 = l5 = j1 = j3 = k1 = l1 = area = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(3):
             a, length, t, m = corners[k], lengths[k], ts[k], ms[k]
@@ -465,10 +468,11 @@ def _stokes_parts(x, panels, frames, alpha, kinds):
                 l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
             if with_f1:
                 f1 = 0.5 * (sb * rb - sa * ra + r02 * f)
-                j1 = j1 + m * f1
-            if "dV" in wanted:
-                area, k1 = area + 0.5 * p * length, k1 + p * f1
+                area, j1, k1 = area + 0.5 * p * length, j1 + m * f1, k1 + p * f1
                 l1 = l1 + (p * f1 * m + (rb ** 3 - ra ** 3) / 3.0 * t)[:, None] * m
+            if "dW" in wanted:                  # F3 = ∫R³ ds
+                j3 = j3 + m * (0.25 * (sb * rb ** 3 - sa * ra ** 3)
+                               + 0.75 * r02 * f1)
             if with_g:
                 g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
                 j5, s = j5 + m * g, s + p * g
@@ -480,18 +484,25 @@ def _stokes_parts(x, panels, frames, alpha, kinds):
         return ((eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
                 + h * (j[:, None] * n + n[:, None] * j) + h * hi3 * nn)
 
-    def dv():
+    def r1_dd():
         # ∫r, and ∫d dᵀ/r from ∫ρρᵀ/r and ∫ρ/r = −Σ m F1, ρ = x − h n − y
         r1 = (k1 + h * h * i1) / 3.0
-        dd = (0.5 * (l1 + l1.swapaxes(0, 1)) - (eye - nn) * r1
-              - h * (j1[:, None] * n + n[:, None] * j1) + h * h * i1 * nn)
+        return r1, (0.5 * (l1 + l1.swapaxes(0, 1)) - (eye - nn) * r1
+                    - h * (j1[:, None] * n + n[:, None] * j1) + h * h * i1 * nn)
+
+    def dv():
+        r1, dd = r1_dd()
         return (-np.sqrt(alpha) * 2.0 / 3.0 * area * eye
                 + alpha / 8.0 * (3.0 * r1 * eye - dd)) / FOUR_PI
 
     def dw():
         b = j1 - h * i1 * n                     # ∫x̂
-        return alpha / 4.0 * (-h * i1 * eye - b[:, None] * n + n[:, None] * b
-                              - h * d3()) / FOUR_PI
+        r1, dd = r1_dd()
+        c = j3 / 3.0 - h * r1 * n               # ∫r d, d = y − x
+        return (alpha / 4.0 * (-h * i1 * eye - b[:, None] * n + n[:, None] * b
+                               - h * d3())
+                + alpha ** 2 / 12.0 * (-h * r1 * eye - 0.5 * c[:, None] * n
+                                       + n[:, None] * c + 0.5 * h * dd)) / FOUR_PI
 
     parts = {
         "V": lambda: (eye * i1 + d3()) / (2.0 * FOUR_PI),
@@ -514,15 +525,15 @@ def _dot(u, v):
 def _differences(mesh, alpha):
     """kind: (kernel, rules) of what near pairs add by quadrature to the
     closed forms of kind and "d" + kind: the bounded α-differences less
-    their first-order terms, G^α − G⁰'s (O(r²), no kink) on the 12-point
-    rule out to two diameters, (S^α − S⁰)ν's (O(r), contracted per pair)
-    on Duffy order 6 below half a diameter and 5 beyond."""
-    return {"V": (lambda x, y, _: _velocity_remainder_cf(x - y, alpha),
-                  ((_NEAR_FACTOR, panel_quadrature(mesh, 12)),)),
+    their closed-form terms, G^α − G⁰'s (O(r²)) and (S^α − S⁰)ν's (O(r),
+    contracted per pair), both smooth enough for one rule, the 12-point
+    symmetric rule out to two diameters."""
+    rules = ((_NEAR_FACTOR, panel_quadrature(mesh, 12)),)
+    return {"V": (lambda x, y, _: _velocity_remainder_cf(x - y, alpha), rules),
             "W": ((lambda x, y, nu: _double_layer_rows_cf(
                        y - x, nu, alpha, _STRESS_REMAINDER),
                    lambda sums, nu: _double_layer_pairs(sums, nu, alpha)[0]),
-                  ((0.5, 6), (_NEAR_FACTOR, 5)))}
+                  rules)}
 
 
 def assemble_single_layer(mesh, params):
@@ -545,7 +556,7 @@ def assemble_double_layer(mesh, params):
     constant identity K⁰c = −½c: −½I minus the row's other blocks (a panel's
     own ∫T⁰ is 0).  The bounded K_α − K⁰ comes from the same far-rule
     call of _double_layer_rows_cf, contracted per pair, and on near panels
-    from the closed form "dW" plus the remainder on Duffy orders 6 and 5
+    from the closed form "dW" plus the remainder on the 12-point rule
     (_differences).
     """
     return _boundary_operators(mesh, params, ("W",))[0]
@@ -666,6 +677,8 @@ def _eval_layers(mesh, density, points, params, kinds):
               else np.asarray(density))
     if values.shape != (mesh.n_panels, 3):
         raise ValueError("density shape does not match the mesh")
+    if not isinstance(density, BoundaryField) and not np.isfinite(values).all():
+        raise ValueError("density contains non-finite values")
     flat = values.reshape(-1)
     return [np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
             else rows @ flat
@@ -700,6 +713,8 @@ def _volume_values(grid, forcing):
     values = forcing.values if isinstance(forcing, VolumeField) else np.asarray(forcing)
     if values.shape != (grid.n_cells, 3):
         raise ValueError("forcing shape does not match the volume grid")
+    if not isinstance(forcing, VolumeField) and not np.isfinite(values).all():
+        raise ValueError("forcing contains non-finite values")
     return values
 
 
@@ -794,6 +809,8 @@ def newtonian_pressure(grid, forcing, points):
 def _lattice_kernel(grid, params, kinds):
     """(m, transform shape, one transform per kind) of the Newtonian kernels
     on a full cubic lattice of m cells per axis, else None."""
+    from scipy.fft import next_fast_len, rfftn     # slow to import: on use
+
     m = _lattice_resolution(grid)
     if m is None:
         return None
@@ -818,6 +835,8 @@ def _newtonian_on_grid(grid, forcing, params, kinds, kernel):
     values = _volume_values(grid, forcing)
     if kernel is None:
         return _newtonian_sums(grid, values, grid.centers, params, kinds)
+    from scipy.fft import irfftn, rfftn
+
     m, shape, transforms = kernel
     window = (..., *(slice(m - 1, 2 * m - 1),) * 3)
     f_hat = rfftn(values.T.reshape(3, m, m, m), shape, axes=(1, 2, 3))

@@ -120,8 +120,8 @@ class BVPSpec:
             raise ValueError("volume forcing and grid come together")
         if self.forcing is not None and self.forcing.grid is not self.grid:
             raise ValueError("forcing lives on a different volume grid")
-        if self.flux_tol <= 0.0:
-            raise ValueError("flux_tol must be positive")
+        if not (np.isfinite(self.flux_tol) and self.flux_tol > 0.0):
+            raise ValueError("flux_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -378,8 +378,9 @@ def test_velocity_difference_gradient_matches_fd():
 def test_remainders_are_differences_less_first_order_terms(alpha):
     # G^alpha - G^0 = -(sqrt(alpha)/(6 pi)) I + (alpha/(32 pi))(3 r I -
     # d d^T/r) + remainder, and (S^alpha - S^0) nu as K takes it = (alpha/(16
-    # pi))(xn I - xh n^T + n xh^T + xn xh xh^T) + remainder, xh = d/r for
-    # d = y - x; the remainders vanish at d = 0
+    # pi))(xn I - xh n^T + n xh^T + xn xh xh^T) + (alpha^2/(48 pi))(r dn I
+    # - r d n^T/2 + r n d^T - dn d d^T/(2 r)) + remainder, xh = d/r and
+    # dn = d.n for d = y - x; the remainders vanish at d = 0
     d = sample_points(40, seed=21, rmin=1.0e-6, rmax=3.0).T
     n = rng(22).normal(size=(3, 40))
     n /= np.linalg.norm(n, axis=0)
@@ -388,8 +389,12 @@ def test_remainders_are_differences_less_first_order_terms(alpha):
     xn = np.sum(xh * n, axis=0)
     first_v = (-np.sqrt(alpha) / (6 * np.pi) * eye
                + alpha / (32 * np.pi) * (3 * r * eye - d[:, None] * d / r))
-    first_w = alpha / (16 * np.pi) * (xn * eye - xh[:, None] * n
-                                      + n[:, None] * xh + xn * xh[:, None] * xh)
+    dn = r * xn
+    first_w = (alpha / (16 * np.pi) * (xn * eye - xh[:, None] * n
+                                       + n[:, None] * xh + xn * xh[:, None] * xh)
+               + alpha ** 2 / (48 * np.pi) * (
+                   r * dn * eye - 0.5 * (r * d)[:, None] * n
+                   + n[:, None] * (r * d) - 0.5 * dn * d[:, None] * d / r))
     for remainder, difference, first in (
             (kernels._velocity_remainder_cf(d, alpha),
              kernels._velocity_difference_cf(d, alpha), first_v),

@@ -61,8 +61,9 @@ def _stokes_kernels(alpha):
 
 
 def _first_order_kernels(alpha):
-    """The first-order terms of G^α − G⁰ (d = x − y) and of (S^α − S⁰)ν as
-    K takes it (x̂ = (y − x)/r), which "dV" and "dW" integrate."""
+    """The first-order terms of G^α − G⁰ (d = x − y) and the first- and
+    second-order terms of (S^α − S⁰)ν as K takes it (d = y − x, x̂ = d/r),
+    which "dV" and "dW" integrate."""
     eye = np.eye(3)[:, :, None]
 
     def dv(x, y, nu):
@@ -72,10 +73,15 @@ def _first_order_kernels(alpha):
                 + alpha / (32.0 * np.pi) * (3.0 * r * eye - d[:, None] * d / r))
 
     def dw(x, y, nu):
-        u = (y - x) / np.linalg.norm(y - x, axis=0)
-        un = np.sum(u * nu, axis=0)
-        return alpha / (16.0 * np.pi) * (un * eye - u[:, None] * nu
-                                         + nu[:, None] * u + un * u[:, None] * u)
+        d = y - x
+        r = np.linalg.norm(d, axis=0)
+        u, dn = d / r, np.sum(d * nu, axis=0)
+        un = dn / r
+        return (alpha / (16.0 * np.pi) * (un * eye - u[:, None] * nu
+                                          + nu[:, None] * u + un * u[:, None] * u)
+                + alpha ** 2 / (48.0 * np.pi) * (
+                    r * dn * eye - 0.5 * (r * d)[:, None] * nu
+                    + nu[:, None] * (r * d) - 0.5 * dn * d[:, None] * d / r))
 
     return dv, dw
 
@@ -119,7 +125,7 @@ def test_closed_forms_match_high_order_duffy(case):
                          ids=["icosphere2", "cube2"])
 def test_own_panel_closed_forms(build):
     # at a panel's own centroid: ∫G⁰ is the polar self-block oracle, ∫T⁰
-    # is exactly 0, and the first-order terms match the order-60 rule (at
+    # is exactly 0, and "dV" and "dW" match the order-60 rule (at
     # order 40 the angular term of dW is not converged: 5e-12)
     mesh = build()
     own = np.arange(mesh.n_panels)
@@ -206,8 +212,8 @@ _BANDS = (0.0, 0.05, 0.5, 1.0, 1.5, 2.0)   # distance over diameter
 
 
 def _reference(mesh, x, panels, alpha):
-    """Converged blocks: the closed forms, those of the differences'
-    first-order terms included, plus the remainders on the order-24 Duffy
+    """Converged blocks: the closed forms, "dV" and "dW" of the
+    differences included, plus the remainders on the order-24 Duffy
     rule; "T0" is the Stokes double layer alone.  The raw differences on
     that rule are not converged next to a panel edge: at 1e-3 diameters
     near a cube(1) edge they read (S^α − S⁰)ν 5e-6 off order 64."""

@@ -174,9 +174,9 @@ def test_self_block_alpha_correction_matches_high_order_rule(coarse,
 def test_own_blocks_match_self_panel_construction(build, alpha):
     # the own panel is a near pair of the plan; its blocks equal the
     # separate construction: for K, -I/2 minus the off-diagonal Stokes
-    # blocks plus the closed-form first-order term dW and the order-6
-    # centroid rule's integral of the remainder; for V, the closed-form
-    # Stokes block plus dV and the 12-point rule's integral of the remainder
+    # blocks plus the closed-form difference terms dW and the 12-point
+    # rule's integral of the remainder; for V, the closed-form Stokes block
+    # plus dV and the 12-point rule's integral of the remainder
     mesh = build()
     params = BrinkmanParams(alpha=alpha)
     n = mesh.n_panels
@@ -193,10 +193,10 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
     twelve = panel_quadrature(mesh, 12)
     for i in range(n):
         c, nu = mesh.centroids[i], mesh.normals[i]
-        nodes, weights = duffy_singular_rule(mesh.panel_corners[i], c, 6)
         k_own = (-0.5 * np.eye(3) - stokes[i].sum(axis=0) + first["dW"][..., i]
-                 + np.einsum("q,abq->ab", weights, _double_layer_nodes(
-                     (nodes - c).T, nu[:, None], alpha, _STRESS_REMAINDER)[0]))
+                 + np.einsum("q,abq->ab", twelve.weights[i], _double_layer_nodes(
+                     (twelve.nodes[i] - c).T, nu[:, None], alpha,
+                     _STRESS_REMAINDER)[0]))
         v_own = (stokes_self_block(mesh.panel_corners[i], c)
                  + first["dV"][..., i]
                  + np.einsum("q,abq->ab", twelve.weights[i],
@@ -212,10 +212,11 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
                                                      alpha):
-    # the Stokes parts and the differences' first-order terms are closed
-    # forms, so at alpha = 0 K assembly builds no Duffy rule and at
-    # alpha > 0 only orders 6 and 5; the V, Qs and Qd rows build none at
-    # any alpha (V's remainder takes the 12-point rule)
+    # the Stokes parts and the differences' kinked terms are closed forms
+    # and the remainders take the 12-point rule, so neither K assembly nor
+    # the V, W, Qs and Qd rows build a Duffy rule at any alpha; only the
+    # harness's single-layer traction (the full kernel) takes the graded
+    # Duffy bands
     mesh, _ = coarse
     calls = []
 
@@ -229,10 +230,12 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
     monkeypatch.setattr(P, "duffy_rule_batch", counted)
     params = BrinkmanParams(alpha=alpha)
     P.assemble_double_layer(mesh, params)
-    assert set(calls) == ({6, 5} if alpha else set())
-    calls.clear()
-    P._layer_rows(mesh, params, 0.9 * mesh.centroids, ("V", "Qs", "Qd"))
+    P._layer_rows(mesh, params, 0.9 * mesh.centroids, ("V", "W", "Qs", "Qd"))
     assert calls == []
+    x = 0.9 * mesh.centroids[0]
+    H._sl_traction(mesh, np.ones((mesh.n_panels, 3)), x, mesh.normals[0],
+                   alpha)
+    assert set(calls) <= {order for _, order in P._NEAR_ORDERS} and calls
 
 
 def test_one_band_table_integrates_every_near_pair():
@@ -530,12 +533,17 @@ def _band_orders(mesh, panels, dist):
 
 
 def _reference_blocks(mesh, panels, closest, order, kernel):
-    """Per-panel integrals of kernel with a uniform Duffy order."""
+    """Per-panel integrals of kernel with a uniform Duffy order, summed as
+    the plan sums: each fan triangle's order² nodes by one einsum,
+    components first, then the triangles of each panel."""
     nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[panels],
                                               closest, order)
+    q = order ** 2
     values = kernel(nodes, np.repeat(mesh.normals[panels], counts, axis=0))
-    values = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
-    return np.add.reduceat(values, np.cumsum(counts) - counts, axis=0)
+    values = np.moveaxis(values, 0, -1).reshape(values.shape[1:] + (-1, q))
+    sums = np.einsum("...rq,rq->...r", values, weights.reshape(-1, q))
+    return np.moveaxis(np.add.reduceat(sums, (np.cumsum(counts) - counts) // q,
+                                       axis=-1), -1, 0)
 
 
 def _graded_errors(mesh, targets):
@@ -792,6 +800,17 @@ def test_all_kinds_roundtrip_codes(tmp_path):
 
 # --------------------------------------------------------------- determinism
 
+def test_double_layer_takes_a_numpy_alpha():
+    # alpha > 0 as a numpy scalar is a numpy bool, which must still count
+    # the kernel's blocks of rows as an integer does
+    mesh = build_icosphere(1)
+    for alpha in (1.0, 0.0):
+        expected = P.assemble_double_layer(mesh, BrinkmanParams(alpha)).matrix
+        got = P.assemble_double_layer(mesh,
+                                      BrinkmanParams(np.float64(alpha))).matrix
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_assembly_thread_count_invariance(coarse, monkeypatch):
     mesh, _ = coarse
     results = {}
@@ -814,6 +833,26 @@ def test_evaluation_thread_count_invariance(coarse, monkeypatch):
         results[threads] = P.eval_single_layer(mesh, g, pts,
                                                PARAMS).tobytes()
     assert results["1"] == results["4"]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_layer_rows_do_not_depend_on_the_chunk_size(monkeypatch, alpha):
+    # each row's arithmetic, the plan's per-row einsum sums included, is the
+    # same whatever rows share its chunk: V, W, Qs and Qd rows at the
+    # icosphere(2) centroids (8 against 32 rows a chunk) and at the cube(1)
+    # 10^3 lattice (13 against 213) keep their bits
+    params = BrinkmanParams(alpha=alpha)
+    lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
+    sphere = build_icosphere(2)
+    cases = ((sphere, sphere.centroids, True), (build_cube(1), lattice, False))
+    for mesh, points, on_boundary in cases:
+        rows = {}
+        for pairs in (640, 10240):
+            monkeypatch.setattr(P, "_CHUNK_PAIRS", pairs)
+            rows[pairs] = P._layer_rows(mesh, params, points,
+                                        ("V", "W", "Qs", "Qd"), on_boundary)
+        for kind, small, large in zip("V W Qs Qd".split(), *rows.values()):
+            assert small.tobytes() == large.tobytes(), (kind, on_boundary)
 
 
 def _interior_points(count):
@@ -982,6 +1021,19 @@ def test_newtonian_forcing_shape_validation():
                              np.zeros((1, 3)), PARAMS)
 
 
+def test_newtonian_rejects_non_finite_raw_forcing():
+    # a raw forcing array is checked like a VolumeField, so the Newtonian
+    # pair raises rather than return NaN
+    grid = build_volume_grid({"type": "cube", "side": 1.0}, 4)
+    forcing = np.ones((grid.n_cells, 3))
+    forcing[5, 1] = np.nan
+    origin = np.zeros((1, 3))
+    for call in (lambda: P.newtonian_velocity(grid, forcing, origin, PARAMS),
+                 lambda: P.newtonian_pressure(grid, forcing, origin)):
+        with pytest.raises(ValueError, match="forcing contains non-finite"):
+            call()
+
+
 def test_newtonian_rejects_forcing_from_another_grid():
     # equal cell counts, so only the grid identity tells the two apart
     grid = build_volume_grid({"type": "cube", "side": 1.0}, 4)
@@ -998,6 +1050,19 @@ def test_newtonian_rejects_forcing_from_another_grid():
 
 
 # ------------------------------------------------------------ evaluation guards
+
+@pytest.mark.parametrize("evaluate", [P.eval_single_layer,
+                                      P.eval_double_layer,
+                                      P.eval_single_layer_pressure,
+                                      P.eval_double_layer_pressure])
+def test_eval_rejects_non_finite_raw_density(coarse, evaluate):
+    # a raw density array is checked like a BoundaryField
+    mesh, _ = coarse
+    density = np.ones((mesh.n_panels, 3))
+    density[3, 2] = np.nan
+    with pytest.raises(ValueError, match="density contains non-finite"):
+        evaluate(mesh, density, np.zeros((1, 3)), PARAMS)
+
 
 def test_eval_rejects_on_surface_point(fine):
     mesh, _ = fine

@@ -505,14 +505,25 @@ def test_workspace_keeps_the_velocity_transform_per_grid(monkeypatch):
     assert len(builds) == 2
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal is the slowest scipy import, and bbem needs none of it
+def _imported_by_bbem(module):
+    """Whether a fresh `import bbem` imports module."""
     src = os.path.dirname(os.path.dirname(P.__file__))
-    code = "import sys, bbem; print('scipy.signal' in sys.modules)"
+    code = f"import sys, bbem; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal is the slowest scipy import, and bbem needs none of it
+    assert not _imported_by_bbem("scipy.signal")
+
+
+def test_import_leaves_scipy_fft_out():
+    # scipy.fft costs about 0.06 s of every process start; only the lattice
+    # convolution needs it, and imports it on its first call
+    assert not _imported_by_bbem("scipy.fft")
 
 
 def test_filtered_grid_falls_back_to_direct_sum():

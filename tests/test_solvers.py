@@ -145,6 +145,14 @@ def test_spec_requires_forcing_grid_pair(sphere_coarse):
         dirichlet_spec(mesh, flux_tol=0.0)
 
 
+@pytest.mark.parametrize("flux_tol", [np.nan, np.inf])
+def test_spec_refuses_non_finite_flux_tol(sphere_coarse, flux_tol):
+    # a NaN tolerance would switch the flux check off, and so would inf
+    mesh, _ = sphere_coarse
+    with pytest.raises(ValueError, match="flux_tol must be finite"):
+        dirichlet_spec(mesh, flux_tol=flux_tol)
+
+
 def test_mixed_spec_labeling_guards(cube_mixed):
     mesh, labeling, _ = cube_mixed
     data = dict(dirichlet_data=exact_trace(mesh, CUBE_POLE),
