@@ -295,9 +295,11 @@ def _pressure_tensor_cf(d, alpha):
 def _double_layer_pressure_cf(d, n, alpha):
     """-Lambda(x, y) n for d = y - x, summed as ((k=0 + k=2) + k=1) + 0.0:
     the order and signed zero of np.einsum's vector loop, so it equals
-    -np.einsum("...ik,...k->...i", Lambda, n) to the bit."""
+    -np.einsum("...ik,...k->...i", Lambda, n) to the bit; laid out like d, not
+    like Lambda (numpy picks that by size), so its rule sums round alike."""
     lam = _pressure_tensor_cf(d, alpha)
-    return -(((lam[:, 0] * n[0] + lam[:, 2] * n[2]) + lam[:, 1] * n[1]) + 0.0)
+    return np.negative(((lam[:, 0] * n[0] + lam[:, 2] * n[2])
+                        + lam[:, 1] * n[1]) + 0.0, out=np.empty_like(d))
 
 
 def _double_layer_rows_cf(d, n, alpha, profiles=None):

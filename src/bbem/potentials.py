@@ -24,13 +24,14 @@ represented as u = V(t) − W(γu), π = Q^s(t) − Q^d(γu).
 
 Densities are piecewise constant at panel centroids.  Assembly and evaluation
 run over chunks of _CHUNK_PAIRS (target, column) pairs, at least 8 rows,
-whose per-row arithmetic does not depend on the chunk or the thread count,
-so results are byte-identical for any BBEM_THREADS setting.
+each planned once and integrated in pieces of at most _PIECE_NODES nodes;
+per-row arithmetic depends on neither the chunk, the pieces nor the thread
+count, so results are byte-identical for any BBEM_THREADS setting.
 
 _layer_rows is the one row loop: every layer operator and evaluation is
 its rows on one near/far plan, _NearFar, per chunk.  Panels within two
 diameters of a target (its own panel included) are near, the rest take the
-_FAR_ORDER-point rule, one kernel call per chunk.  K is the "W" rows at the
+_FAR_ORDER-point rule, one kernel call per piece.  K is the "W" rows at the
 centroids, whose own blocks take the row-sum diagonal of the constant
 identity K⁰c = −½c; V and K come from one plan where both are needed
 (_boundary_operators).  W's nodes give normal-free rows whose per-pair
@@ -39,14 +40,14 @@ near pair every layer kernel takes in closed form (_stokes_parts) its
 Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the
 kinked terms of its bounded α-difference: G^α − G⁰'s first-order ones,
 (S^α − S⁰)ν's of orders 0 and 2 in √α r (its odd ones are polynomials on
-a flat panel).  Quadrature carries only the smooth remainder, and nothing
-at α = 0: both on the 12-point symmetric rule, in groups of at most
-_PIECE_NODES nodes; no layer row builds a Duffy rule.  Near blocks are
-within 4e-6 (V), 6e-7 (W) and 1.1e-9 (K, off the diagonal) of converged
-ones down to 1e-3 diameters, Q^s and Q^d exact; the regular rule errs up
-to 3e-5.  The remainder is smooth on a panel only while √α times the largest
-panel diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near blocks err
-2.4e-5 there, 7.5e-4 at 5.1); past it the rows are refused.
+a flat panel), _PIECE_NODES // 8 pairs at a time.  Quadrature carries only
+the smooth remainder, and nothing at α = 0: both on the 12-point symmetric
+rule; no layer row builds a Duffy rule.  Near blocks are within 4e-6 (V),
+6e-7 (W) and 1.1e-9 (K, off the diagonal) of converged ones down to 1e-3
+diameters, Q^s and Q^d exact; the regular rule errs up to 3e-5.  The
+remainder is smooth on a panel only while √α times the largest panel
+diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near blocks err 2.4e-5
+there, 7.5e-4 at 5.1); past it the rows are refused.
 
 The Newtonian pair is linear in the forcing: _newtonian_rows builds its
 midpoint rows at any targets, which _newtonian_sums applies chunk by chunk.
@@ -88,8 +89,8 @@ from .kernels import (
     _velocity_remainder_cf,
 )
 
-_CHUNK_PAIRS = 2560         # (target, panel or cell) pairs per chunk
-_PIECE_NODES = 32768        # nodes per near-rule piece: bounds chunk memory
+_CHUNK_PAIRS = 10240        # (target, panel or cell) pairs per chunk
+_PIECE_NODES = 16384        # nodes per rule piece: bounds chunk memory
 _FAR_ORDER = 6              # points per panel of the regular (far) rule
 _MAX_ALPHA_DIAMETER = 2.5   # largest √α · panel diameter the near field serves
 # Duffy order of a near panel for the single-layer traction (the harness's
@@ -240,7 +241,8 @@ def _thread_count():
 
 
 def _chunk_rows(width):
-    """Rows per chunk of width-column rows: _CHUNK_PAIRS pairs, at least 8."""
+    """Rows per chunk of width-column rows: _CHUNK_PAIRS pairs, at least 8,
+    whatever the thread count (a chunk's kernels run in bounded pieces)."""
     return max(8, _CHUNK_PAIRS // width)
 
 
@@ -330,15 +332,16 @@ def _regular_group(targets, panels, quadrature):
 
 
 class _NearFar:
-    """Quadrature plan for a block of targets.  Far panels take the regular
+    """Quadrature plan for a chunk of targets.  Far pairs take the regular
     rule, near ones (a target's own panel included) the caller's closed
     forms, to which add_near adds a kernel on rules: (limit, Duffy order or
-    QuadratureSet) bands by distance over diameter like _NEAR_ORDERS.  A
-    group is (targets, panels, pair, nodes (3, rows, q), weights (rows, q),
-    starts): row r belongs to pair[r], pair k's rule is the run of rows from
-    node starts[k] (one row per pair on a QuadratureSet, one per fan
-    triangle on a Duffy rule).  _sums weights and sums each row's q nodes
-    with one einsum, then adds the rows of each pair."""
+    QuadratureSet) bands by distance over diameter like _NEAR_ORDERS.  The
+    far rule and each band are integrated in pieces (_groups), each a group
+    (targets, panels, pair, nodes (3, rows, q), weights (rows, q), starts):
+    row r belongs to pair[r], pair k's rule is the run of rows from node
+    starts[k] (one row per pair on a QuadratureSet, one per fan triangle on
+    a Duffy rule).  _sums weights and sums each row's q nodes with one
+    einsum, then adds the rows of each pair."""
 
     def __init__(self, mesh, quadrature, points):
         self.mesh, self.shape = mesh, (len(points), mesh.n_panels)
@@ -346,27 +349,28 @@ class _NearFar:
             _near_search(mesh, points))
         far = np.ones(self.shape, dtype=bool)
         far[self.rows, self.near] = False
-        self.far = _regular_group(*np.nonzero(far), quadrature)
+        self.far, self.quadrature = np.nonzero(far), quadrature
         self.points, self.normals = points.T, mesh.normals.T
 
-    def _near_groups(self, rules):
-        """(near pair indices, group) per band of rules, built one at a time
-        in pieces of at most _PIECE_NODES nodes (or one pair)."""
+    def _groups(self, rules, far=False):
+        """(pair indices, group) per band of rules over the near pairs, by
+        distance over diameter, or over the far pairs (far, one band), built
+        one at a time in pieces of at most _PIECE_NODES nodes (or one pair)."""
+        targets, panels = self.far if far else (self.rows, self.near)
         band = sum((self.near_dist >= limit * self.mesh.diameters[self.near]
-                    for limit, _ in rules[:-1]), np.zeros(len(self.near), int))
+                    for limit, _ in rules[:-1]), np.zeros(len(panels), int))
         for b, (_, rule) in enumerate(rules):
             at = np.flatnonzero(band == b)
             size = (rule.nodes.shape[1] if isinstance(rule, QuadratureSet)
                     else 3 * rule ** 2)
             pieces = -(-len(at) * size // _PIECE_NODES)
             for at in np.array_split(at, pieces) if pieces else ():
-                targets, panels = self.rows[at], self.near[at]
                 if isinstance(rule, QuadratureSet):
-                    yield at, _regular_group(targets, panels, rule)
+                    yield at, _regular_group(targets[at], panels[at], rule)
                     continue
                 nodes, weights, counts = duffy_rule_batch(
-                    self.mesh.panel_corners[panels], self.closest[at], rule)
-                yield at, (targets, panels,
+                    self.mesh.panel_corners[panels[at]], self.closest[at], rule)
+                yield at, (targets[at], panels[at],
                            np.repeat(np.arange(len(at)), counts // rule ** 2),
                            nodes.T.reshape(3, -1, rule ** 2),
                            weights.reshape(-1, rule ** 2),
@@ -382,31 +386,37 @@ class _NearFar:
         values = rows(self.points[:, targets[pair], None], nodes,
                       normals[:, pair, None])
         sums = np.einsum("...rq,rq->...r", values, weights)
-        return form(np.add.reduceat(sums, starts // weights.shape[1], axis=-1),
-                    normals)
+        if len(starts) < len(weights):      # a Duffy rule's fan triangles
+            sums = np.add.reduceat(sums, starts // weights.shape[1], axis=-1)
+        return form(sums, normals)
 
     def integrate(self, kernel, near):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
         normals (3, R, 1)), a (*shape, R, q) array, or of a (rows, form)
         pair (_sums): (targets, panels, *shape).  Near pairs take near
         (*shape, pairs), their integrals from the caller, far ones the
-        regular rule."""
+        regular rule, one piece at a time."""
         blocks = np.zeros(self.shape + near.shape[:-1])
         blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
-        if len(self.far[2]):
-            blocks[self.far[0], self.far[1]] = np.moveaxis(
-                self._sums(kernel, self.far), -1, 0)
+        for _, group in self._groups(((None, self.quadrature),), far=True):
+            blocks[group[0], group[1]] = np.moveaxis(
+                self._sums(kernel, group), -1, 0)
         return blocks
 
     def add_near(self, kernel, rules, out):
         """Add the near pairs' integrals of kernel on rules to out (*shape, pairs)."""
-        for at, group in self._near_groups(rules):
+        for at, group in self._groups(rules):
             out[..., at] += self._sums(kernel, group)
 
     def stokes(self, alpha, kinds, frames):
-        """The near pairs' closed forms of kinds (_stokes_parts)."""
-        return _stokes_parts(self.points[:, self.rows], self.near, frames,
-                             alpha, kinds)
+        """The near pairs' closed forms of kinds (_stokes_parts), taken in
+        pieces of at most _PIECE_NODES // 8 pairs."""
+        pieces = max(1, -(-8 * len(self.near) // _PIECE_NODES))
+        parts = [_stokes_parts(self.points[:, self.rows[at]], self.near[at],
+                               frames, alpha, kinds)
+                 for at in np.array_split(np.arange(len(self.near)), pieces)]
+        return {kind: np.concatenate([part[kind] for part in parts], axis=-1)
+                for kind in kinds}
 
 
 def _check_mesh_panels(mesh):

@@ -388,20 +388,23 @@ def _traction_system(ws, diagonal):
 
 def _sigma_range(lu, block=1):
     """The block smallest σ of a square A (ascending) and their right vectors
-    as columns, from A's LU alone: 30 seeded steps of block inverse iteration
-    on (AᵀA)⁻¹ (lu_solve with trans=1, then plain, then a QR; Golub & Van
-    Loan, ch. 8), then Rayleigh–Ritz by a thin SVD of A⁻ᵀX, whose values are
-    1/σ (each σ an upper bound, NaN for an exactly singular factor)."""
+    as columns, from A's LU alone: seeded block inverse iteration on (AᵀA)⁻¹
+    (lu_solve with trans=1, then plain, then a QR; Golub & Van Loan, ch. 8),
+    each step's A⁻ᵀX giving Rayleigh–Ritz values 1/σ by a thin SVD (each σ an
+    upper bound, NaN for an exactly singular factor) until all move by at most
+    1e-13 relative in a step, or for 30 steps."""
     x = np.random.default_rng(0).standard_normal((len(lu[0]), block))
-    for _ in range(30):
-        x = scipy.linalg.lu_solve(lu, x, trans=1, check_finite=False)
-        x = scipy.linalg.lu_solve(lu, x, check_finite=False)
-        x = np.linalg.qr(x)[0]
-    applied = scipy.linalg.lu_solve(lu, x, trans=1, check_finite=False)
-    if not np.all(np.isfinite(applied)):
-        return np.full(block, np.nan), x
-    _, inverse, vt = np.linalg.svd(applied, full_matrices=False)
-    return 1.0 / inverse, x @ vt.T
+    previous = np.inf
+    for step in range(31):
+        applied = scipy.linalg.lu_solve(lu, x, trans=1, check_finite=False)
+        if not np.all(np.isfinite(applied)):
+            return np.full(block, np.nan), x
+        _, inverse, vt = np.linalg.svd(applied, full_matrices=False)
+        if step == 30 or np.all(abs(inverse - previous) <= 1.0e-13 * inverse):
+            return 1.0 / inverse, x @ vt.T
+        previous = inverse
+        x = np.linalg.qr(scipy.linalg.lu_solve(lu, applied,
+                                               check_finite=False))[0]
 
 
 def _reads_trace(spec):

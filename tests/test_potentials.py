@@ -3,6 +3,7 @@ traction jump relations, adjoint duality in the area-weighted pairing,
 operator serialization, deterministic threading, and the Newtonian volume
 potential with its self-cell correction."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
     # harness's single-layer traction (the full kernel) takes the graded
     # Duffy bands
     mesh, _ = coarse
-    calls = []
+    calls, regular_group, stokes_parts = [], P._regular_group, P._stokes_parts
 
     def counted(corners, points, order):
         # each piece of a band stays within the node budget
@@ -227,7 +228,19 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
         calls.append(order)
         return duffy_rule_batch(corners, points, order)
 
+    def regular(targets, panels, quadrature):
+        # so does each piece of the far rule and of the 12-point bands
+        assert len(panels) * quadrature.nodes.shape[1] <= P._PIECE_NODES
+        return regular_group(targets, panels, quadrature)
+
+    def closed_forms(x, panels, *args):
+        # and each piece of the closed forms, counted as 8 nodes a pair
+        assert 8 * len(panels) <= P._PIECE_NODES
+        return stokes_parts(x, panels, *args)
+
     monkeypatch.setattr(P, "duffy_rule_batch", counted)
+    monkeypatch.setattr(P, "_regular_group", regular)
+    monkeypatch.setattr(P, "_stokes_parts", closed_forms)
     params = BrinkmanParams(alpha=alpha)
     P.assemble_double_layer(mesh, params)
     P._layer_rows(mesh, params, 0.9 * mesh.centroids, ("V", "W", "Qs", "Qd"))
@@ -481,8 +494,9 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
 def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
     # K's kernel contracted per pair from the normal-free rows against the
     # same rows contracted node by node and summed on the same plan
-    # (_double_layer_nodes): the far group in full, the near bands' remainder
-    # (_STRESS_REMAINDER), within 1e-15 of each row's maximum of W
+    # (_double_layer_nodes): the far rule's pieces, together every far pair,
+    # and the near bands' remainder (_STRESS_REMAINDER), within 1e-15 of
+    # each row's maximum of W
     mesh = build(1)
     points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
     params = BrinkmanParams(alpha=alpha)
@@ -491,16 +505,19 @@ def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
     plan = P._NearFar(mesh, panel_quadrature(mesh, 6), points)
     far = (lambda x, y, nu: _double_layer_rows_cf(y - x, nu, alpha),
            lambda sums, nu: _double_layer_pairs(sums, nu, alpha))
-    cases = [(plan.far[0], plan._sums(far, plan.far), plan._sums(
-        lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha), plan.far))]
+    cases = [(group[0], plan._sums(far, group), plan._sums(
+        lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha), group))
+        for _, group in plan._groups(((None, plan.quadrature),), far=True)]
+    assert sum(len(targets) for targets, _, _ in cases) == len(plan.far[0])
     if alpha > 0.0:
         near, rules = P._differences(mesh, alpha)["W"]
-        cases += [(plan.rows[at], plan._sums(near, group), plan._sums(
+        near_cases = [(plan.rows[at], plan._sums(near, group), plan._sums(
             lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha,
                                                  _STRESS_REMAINDER)[0],
-            group)) for at, group in plan._near_groups(rules)]
-        assert sum(len(targets) for targets, _, _ in cases[1:]) == len(
+            group)) for at, group in plan._groups(rules)]
+        assert sum(len(targets) for targets, _, _ in near_cases) == len(
             plan.near)
+        cases += near_cases
     for targets, got, expected in cases:
         assert got.shape == expected.shape
         scale = row_max[targets].T[:, None]         # (a, 1, pairs)
@@ -838,21 +855,40 @@ def test_evaluation_thread_count_invariance(coarse, monkeypatch):
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_layer_rows_do_not_depend_on_the_chunk_size(monkeypatch, alpha):
     # each row's arithmetic, the plan's per-row einsum sums included, is the
-    # same whatever rows share its chunk: V, W, Qs and Qd rows at the
-    # icosphere(2) centroids (8 against 32 rows a chunk) and at the cube(1)
-    # 10^3 lattice (13 against 213) keep their bits
+    # same whatever rows share its chunk and however the chunk's far rule,
+    # near bands and closed forms are cut into pieces: V, W, Qs and Qd rows
+    # at the icosphere(2) centroids (8 against 32 rows a chunk) and at the
+    # cube(1) 10^3 lattice (13 against 213) keep their bits with pieces of
+    # 2048 nodes (256 closed-form pairs) against 16384
     params = BrinkmanParams(alpha=alpha)
     lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
     sphere = build_icosphere(2)
     cases = ((sphere, sphere.centroids, True), (build_cube(1), lattice, False))
     for mesh, points, on_boundary in cases:
         rows = {}
-        for pairs in (640, 10240):
+        for pairs, nodes in ((640, 2048), (10240, 16384)):
             monkeypatch.setattr(P, "_CHUNK_PAIRS", pairs)
+            monkeypatch.setattr(P, "_PIECE_NODES", nodes)
             rows[pairs] = P._layer_rows(mesh, params, points,
                                         ("V", "W", "Qs", "Qd"), on_boundary)
         for kind, small, large in zip("V W Qs Qd".split(), *rows.values()):
             assert small.tobytes() == large.tobytes(), (kind, on_boundary)
+
+
+def test_double_layer_assembly_memory_stays_bounded(monkeypatch):
+    # chunks plan many pairs, but the far rule, the near bands and the
+    # closed forms are evaluated in pieces of at most _PIECE_NODES nodes, so
+    # K's traced peak at icosphere(2), alpha = 1, one thread, stays within
+    # 10 MB of its 7.4 MB output
+    monkeypatch.setenv("BBEM_THREADS", "1")
+    mesh, params = build_icosphere(2), BrinkmanParams(alpha=1.0)
+    tracemalloc.start()
+    try:
+        matrix = P.assemble_double_layer(mesh, params).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - matrix.nbytes < 10.0e6
 
 
 def _interior_points(count):

@@ -385,6 +385,29 @@ def test_sigma_range_brackets_svdvals(name, sign, alpha):
         assert 0.95 * exact[0] <= high <= exact[0] * (1 + 1.0e-12)
 
 
+def _sigma_range_30_steps(lu, block):
+    """_sigma_range without its early exit: all 30 steps, then Ritz."""
+    x = np.random.default_rng(0).standard_normal((len(lu[0]), block))
+    for _ in range(30):
+        x = scipy.linalg.lu_solve(lu, x, trans=1)
+        x = np.linalg.qr(scipy.linalg.lu_solve(lu, x))[0]
+    return 1.0 / np.linalg.svd(scipy.linalg.lu_solve(lu, x, trans=1),
+                               compute_uv=False)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_sigma_range_early_exit_matches_30_steps(alpha):
+    # the Ritz values stop once they settle to 1e-13, and then agree with
+    # the values after all 30 steps to 1e-13 on the sweep's -1/2 I + K,
+    # for blocks of 1 and 2
+    ws = S.SolverWorkspace(build_icosphere(2), BrinkmanParams(alpha=alpha))
+    lu = ws.dirichlet_factorization()[0]
+    for block in (1, 2):
+        np.testing.assert_allclose(S._sigma_range(lu, block)[0],
+                                   _sigma_range_30_steps(lu, block),
+                                   rtol=1.0e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("mesh", [build_icosphere(1), build_icosphere(2),
                                   build_cube(1)],
                          ids=["icosphere1", "icosphere2", "cube1"])
