@@ -722,8 +722,8 @@ def _suite_mixed():
             workspace=ws)["interior_l2"]
         ntd = neumann_to_dirichlet(mesh, labeling, _SUITE_PARAMS,
                                    workspace=ws)
-        sigma[level] = float(scipy.linalg.svdvals(
-            ntd.dirichlet_submatrix)[-1])
+        sigma[level] = float(_sigma_range(scipy.linalg.lu_factor(
+            ntd.dirichlet_submatrix), block=4)[0][0])  # spans σ₁..₃ at cube(2)
         if level == 1:
             consistency = ntd_consistency(mesh, labeling, source,
                                           workspace=ws)

@@ -44,8 +44,8 @@ there (G^alpha - G^0 tends to -(sqrt(alpha)/(6 pi)) I).
 All functions broadcast over leading axes; displacement arguments have shape
 (..., 3) and alpha is a scalar.  Each evaluator call forms one exp(-z) and
 one expm1(-z) for all the profiles it needs and adds its terms in place into
-one preallocated output; G writes its six distinct products once and mirrors
-them, so it is symmetric by construction.
+one preallocated output.  G and its differences are six upper entries (00,
+01, 02, 11, 12, 22), each written once; the public tensors mirror them.
 
 Layout: kernels are computed components first, each pass along the point
 axes.  The *_cf evaluators take d (3, ...) and normals (3, ...); the
@@ -235,27 +235,32 @@ def _contraction_geometry(d, n, require_nonzero=True):
     return r, xh, xh[0] * n[0] + xh[1] * n[1] + xh[2] * n[2]
 
 
-def _symmetric_outer(g, u, diag):
-    """g u u^T + diag I as a new (3, 3, ...) array.  Each of the six
-    distinct products g u_i u_j is written once and copied to its mirror, so
-    the result is exactly symmetric (g u_j u_i would round differently)."""
-    out = np.empty((3, 3) + g.shape)
-    for i in range(3):
-        gu = g * u[i]
-        for j in range(i, 3):
-            np.multiply(gu, u[j], out=out[i, j, ...])
-            out[j, i] = out[i, j]
-        out[i, i] += diag
+_MIRROR = [0, 1, 2, 1, 3, 4, 2, 4, 5]      # 3×3 from six upper entries
+
+
+def _mirrored(six):
+    """The symmetric (3, 3, ...) tensor of six upper entries (6, ...)."""
+    return six[_MIRROR].reshape((3, 3) + six.shape[1:])
+
+
+def _symmetric_six(g, u, diag):
+    """The six upper entries of g u u^T + diag I as a new (6, ...) array, each
+    product g u_i u_j written once (g u_j u_i would round differently)."""
+    out, gu = np.empty((6,) + g.shape), [g * u[i] for i in range(3)]
+    for k, (i, j) in enumerate(zip((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))):
+        np.multiply(gu[i], u[j], out=out[k, ...])
+    for k in (0, 3, 5):
+        out[k] += diag
     return out
 
 
 def _velocity_cf(d, alpha):
-    """G(d) for d = x - y."""
+    """The six upper entries of G(d) for d = x - y."""
     alpha = _check_alpha(alpha)
     r = _radial(d)
     p1, p2 = _kernel_profiles(alpha, r, _A1, _A2)
     rf = FOUR_PI * r
-    return _symmetric_outer(p2 / rf, d / r, p1 / rf)
+    return _symmetric_six(p2 / rf, d / r, p1 / rf)
 
 
 def _pressure_cf(d):
@@ -338,8 +343,7 @@ def _double_layer_pairs(sums, n, alpha):
     (S^alpha - S^0) nu, transposed as K takes it, as (alpha/4pi)[c I
     + V1 nᵀ + n V2ᵀ + S2]; with profiles, the difference alone."""
     outer = (len(sums) - 7 * (alpha > 0.0)) // 6
-    mirror = [0, 1, 2, 1, 3, 4, 2, 4, 5]        # 3×3 from six upper entries
-    parts = sums[:6 * outer].reshape(outer, 6, -1)[:, mirror].reshape(
+    parts = sums[:6 * outer].reshape(outer, 6, -1)[:, _MIRROR].reshape(
         outer, 3, 3, -1)
     if alpha > 0.0:
         difference = parts[-1]
@@ -364,28 +368,20 @@ def _double_layer_nodes(d, n, alpha, profiles=None):
     return parts.reshape(parts.shape[:3] + shape)   # no -1: shape may be 0
 
 
-def _velocity_difference_cf(d, alpha):
-    """G^alpha(d) - G^0(d) for d = x - y, in subtracted form."""
-    r = _radial(d, require_nonzero=False)
-    b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
-    return _symmetric_outer((alpha / FOUR_PI) * r * b3,
-                            d / np.where(r == 0.0, 1.0, r),
-                            (np.sqrt(alpha) / FOUR_PI) * b1)
-
-
 def _velocity_remainder_cf(d, alpha):
     """G^alpha(d) - G^0(d) less its first-order terms -(sqrt(alpha)/(6 pi)) I
-    + (alpha/(32 pi))(3 r I - d d^T/r): (alpha^(3/2)/(4 pi)) [r^2 c1 I + c3 d
-    d^T] for d = x - y, which is O(r^2) and has no 1/r."""
+    + (alpha/(32 pi))(3 r I - d d^T/r), six upper entries: (alpha^(3/2)/(4
+    pi)) [r^2 c1 I + c3 d d^T] for d = x - y, O(r^2) and with no 1/r."""
     r2 = d[0] ** 2 + d[1] ** 2 + d[2] ** 2
     c1, c3 = _profile_pass(np.sqrt(alpha * r2), _C1, _C3)
     scale = alpha ** 1.5 / FOUR_PI
-    return _symmetric_outer(scale * c3, d, scale * r2 * c1)
+    return _symmetric_six(scale * c3, d, scale * r2 * c1)
 
 
 def brinkman_velocity_tensor(x, alpha):
     """Fundamental velocity tensor G(x) of the Brinkman system, shape (..., 3, 3)."""
-    return _components_last(_velocity_cf(*_components_first(x), alpha))
+    return _components_last(_mirrored(_velocity_cf(*_components_first(x),
+                                                   alpha)))
 
 
 def stokeslet(x):
@@ -466,8 +462,13 @@ def velocity_difference(x, alpha):
         sqrt(alpha)/(4 pi) [ delta b1(z) ] + alpha r /(4 pi) b3(z) xhat xhat,
     which is cancellation-free for all r including r = 0.
     """
-    return _components_last(_velocity_difference_cf(*_components_first(x),
-                                                    _check_alpha(alpha)))
+    alpha = _check_alpha(alpha)
+    (d,) = _components_first(x)
+    r = _radial(d, require_nonzero=False)
+    b1, b3 = _profile_pass(np.sqrt(alpha) * r, _B1, _B3)
+    return _components_last(_mirrored(_symmetric_six(
+        (alpha / FOUR_PI) * r * b3, d / np.where(r == 0.0, 1.0, r),
+        (np.sqrt(alpha) / FOUR_PI) * b1)))
 
 
 def velocity_difference_gradient(x, alpha):

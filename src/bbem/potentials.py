@@ -35,16 +35,17 @@ _FAR_ORDER-point rule, one kernel call per piece.  K is the "W" rows at the
 centroids, whose own blocks take the row-sum diagonal of the constant
 identity K⁰c = −½c; V and K come from one plan where both are needed
 (_boundary_operators).  W's nodes give normal-free rows whose per-pair
-sums are contracted with the panel normal (_double_layer_pairs).  On a
-near pair every layer kernel takes in closed form (_stokes_parts) its
-Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the
-kinked terms of its bounded α-difference: G^α − G⁰'s first-order ones,
-(S^α − S⁰)ν's of orders 0 and 2 in √α r (its odd ones are polynomials on
-a flat panel), _PIECE_NODES // 8 pairs at a time.  Quadrature carries only
-the smooth remainder, and nothing at α = 0: both on the 12-point symmetric
-rule; no layer row builds a Duffy rule.  Near blocks are within 4e-6 (V),
-6e-7 (W) and 1.1e-9 (K, off the diagonal) of converged ones down to 1e-3
-diameters, Q^s and Q^d exact; the regular rule errs up to 3e-5.  The
+sums are contracted with the panel normal (_double_layer_pairs); V is six
+upper entries on every path, mirrored once per block.  On a near pair
+every layer kernel takes in closed form (_stokes_parts: edge coefficients
+on per-panel tensors, _PIECE_NODES // 2 pairs at a time) its Stokes part
+(∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the kinked terms of
+its α-difference: G^α − G⁰'s first-order ones, (S^α − S⁰)ν's of orders 0
+and 2 in √α r (the odd ones are polynomials on a flat panel).  Quadrature
+carries the smooth rest, nothing at α = 0, on the 12-point symmetric
+rule: no layer row builds a Duffy rule.  Near blocks are within 4e-6
+(V), 6e-7 (W) and 1.1e-9 (K, off the diagonal) of converged ones down to
+1e-3 diameters, Q^s and Q^d exact; the regular rule errs up to 3e-5.  The
 remainder is smooth on a panel only while √α times the largest panel
 diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near blocks err 2.4e-5
 there, 7.5e-4 at 5.1); past it the rows are refused.
@@ -82,6 +83,7 @@ from .kernels import (
     _double_layer_pairs,
     _double_layer_pressure_cf,
     _double_layer_rows_cf,
+    _mirrored,
     _pressure_cf,
     _radial,
     _traction_cf,
@@ -410,8 +412,8 @@ class _NearFar:
 
     def stokes(self, alpha, kinds, frames):
         """The near pairs' closed forms of kinds (_stokes_parts), taken in
-        pieces of at most _PIECE_NODES // 8 pairs."""
-        pieces = max(1, -(-8 * len(self.near) // _PIECE_NODES))
+        pieces of at most _PIECE_NODES // 2 pairs."""
+        pieces = max(1, -(-2 * len(self.near) // _PIECE_NODES))
         parts = [_stokes_parts(self.points[:, self.rows[at]], self.near[at],
                                frames, alpha, kinds)
                  for at in np.array_split(np.arange(len(self.near)), pieces)]
@@ -419,114 +421,107 @@ class _NearFar:
                 for kind in kinds}
 
 
-def _check_mesh_panels(mesh):
-    if mesh.areas.min() < 1.0e-14 * mesh.scale ** 2:
-        raise ValueError("degenerate panel: area below 1e-14 of the squared mesh scale")
-
-
 # ------------------------------------------------ closed-form Stokes parts
 
 def _panel_frames(mesh):
-    """Corners (corner, component, panel), normals, and the lengths,
-    tangents t and normals m = t × n of the edges k → k + 1 (mod 3)."""
+    """Per panel (last axis): corners (corner, component), normals n, areas,
+    lengths, tangents t and normals m = t × n of the edges k → k + 1 (mod
+    3), and the basis tensors of the closed forms (11, 6 upper entries): I,
+    nnᵀ, m_k m_kᵀ, sym(t_k m_kᵀ), sym(m_k nᵀ); sym(u vᵀ) = ½(u vᵀ + v uᵀ)."""
     corners, n = mesh.panel_corners.transpose(1, 2, 0), mesh.normals.T
     edges = corners[[1, 2, 0]] - corners
     lengths = np.sqrt(_dot(edges.swapaxes(0, 1), edges.swapaxes(0, 1)))
     t = edges / lengths[:, None]
-    m = np.stack([t[:, 1] * n[2] - t[:, 2] * n[1], t[:, 2] * n[0]
-                  - t[:, 0] * n[2], t[:, 0] * n[1] - t[:, 1] * n[0]], axis=1)
-    return corners, n, lengths, t, m
+    m = np.cross(t, n, axisa=1, axisb=0, axisc=1)
+    i, j = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]       # the upper entries
+    sym = lambda u, v: 0.5 * (u[..., i, :] * v[..., j, :]    # noqa: E731
+                              + v[..., i, :] * u[..., j, :])
+    return corners, n, mesh.areas, lengths, t, m, np.concatenate([
+        np.broadcast_to(np.eye(3)[i, j, None], (1, 6, mesh.n_panels)),
+        sym(n, n)[None], sym(m, m), sym(t, m), sym(m, n)])
 
 
 def _stokes_parts(x, panels, frames, alpha, kinds):
-    """{kind: part}: "V" ∫G⁰, "W" ∫T⁰ (3, 3, m), "Qs" Q^s, "Qd" Q^d with its
-    α ν/(4π r) term (3, m), and "dV", "dW" (3, 3, m), the first-order terms
-    of G^α − G⁰, −(√α/6π) I + (α/32π)(3r I − d dᵀ/r), and the first- and
-    second-order terms of (S^α − S⁰)ν (as K takes it, d = y − x, x̂ = d/r),
-    (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ + x̂·ν x̂ x̂ᵀ) + (α²/48π)(r d·ν I
-    − ½ r d νᵀ + ν r dᵀ − ½ d·ν d dᵀ/r), over flat triangles for m (target,
-    panel) pairs, components first: targets x (3, m) and panels (m,), whose
-    corners run counterclockwise about their unit normals, with their
-    _panel_frames.  Sums of edge terms (the log term F for V, Qs, Qd; G for
-    W, Qd; F1 = ∫R for dV, dW; F3 = ∫R³ for dW) and the solid angle (Wilton
-    et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in the edge
-    frame (t, m = t × n) of the target's plane projection x − h n.  A target within 1e-10 edge lengths
-    of the plane is in it (h = 0), where ∫T⁰ is exactly 0."""
-    corners, n, lengths, ts, ms = (a[..., panels] for a in frames)
-    h = _dot(x - corners[0], n)
+    """{kind: part} over flat triangles for m (target, panel) pairs: targets
+    x (3, m), panels (m,) with corners counterclockwise about their unit
+    normals, and their _panel_frames.  "V" ∫G⁰ and "dV" (6 upper entries,
+    m); "W" ∫T⁰, "dW" (3, 3, m); "Qs" Q^s, "Qd" Q^d with its α ν/(4π r) term
+    (3, m).  "dV" is G^α − G⁰'s first-order terms, −(√α/6π) I + (α/32π)(3r I
+    − d dᵀ/r); "dW" (S^α − S⁰)ν's first- and second-order ones as K takes
+    it (d = y − x, x̂ = d/r), (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ + x̂·ν x̂ x̂ᵀ) +
+    (α²/48π)(r d·ν I − ½ r d νᵀ + ν r dᵀ − ½ d·ν d dᵀ/r); "V+dV" their sum.
+    Each is scalar coefficients per pair and edge, from the solid angle and
+    the edge integrals F (the log term), G, F1 = ∫R ds and F3 = ∫R³ ds
+    (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in
+    the edge frame (t, m = t × n), summed in a fixed order on the panel's
+    basis tensors ("dW" adds n m_kᵀ − m_k nᵀ) or on n and m_k.  A target
+    within 1e-10 edge lengths of the plane is in it (h = 0): ∫T⁰ is 0."""
+    corners, n, area, lengths, t, m = (np.take(a, panels, axis=-1)
+                                       for a in frames[:6])
+    parts = set("+".join(kinds).split("+"))
+    d = (corners - x).swapaxes(0, 1)            # (component, corner, pair)
+    h = -_dot(d[:, 0], n)                       # (x − c₀)·n
     h = np.where(np.abs(h) <= 1.0e-10 * lengths[0], 0.0, h)
-    xp, ah = x - h * n, np.abs(h)
-    wanted = set(kinds)
-    with_f, with_g = {"V", "Qs", "Qd", "dV", "dW"} & wanted, {"W", "Qd"} & wanted
-    with_l3, with_f1 = {"V", "dW"} & wanted, {"dV", "dW"} & wanted
-    i1 = beta = j = j5 = s = l3 = l5 = j1 = j3 = k1 = l1 = area = 0.0
+    ah, hh = np.abs(h), h * h
+    p, sa = _dot(d, m.swapaxes(0, 1)), _dot(d, t.swapaxes(0, 1))
+    sb, r02 = sa + lengths, p * p + hh
+    ra, rb = np.sqrt(sa * sa + r02), np.sqrt(sb * sb + r02)
+    a2, coef = alpha * alpha, {}                # coef in units of 1/4π
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(3):
-            a, length, t, m = corners[k], lengths[k], ts[k], ms[k]
-            p, sa = _dot(a - xp, m), _dot(a - xp, t)
-            sb = sa + length
-            r02 = p * p + h * h
-            ra, rb = np.sqrt(sa * sa + r02), np.sqrt(sb * sb + r02)
-            angle = (np.arctan2(p * sb, r02 + ah * rb)
-                     - np.arctan2(p * sa, r02 + ah * ra))
-            beta = beta + angle
-            if with_f:
-                f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
-                             np.log((rb + sb) / (ra + sa)))
-                i1, j = i1 + p * f - ah * angle, j + m * f
-            if with_l3:
-                l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
-            if with_f1:
-                f1 = 0.5 * (sb * rb - sa * ra + r02 * f)
-                area, j1, k1 = area + 0.5 * p * length, j1 + m * f1, k1 + p * f1
-                l1 = l1 + (p * f1 * m + (rb ** 3 - ra ** 3) / 3.0 * t)[:, None] * m
-            if "dW" in wanted:                  # F3 = ∫R³ ds
-                j3 = j3 + m * (0.25 * (sb * rb ** 3 - sa * ra ** 3)
-                               + 0.75 * r02 * f1)
-            if with_g:
-                g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
-                j5, s = j5 + m * g, s + p * g
-            if "W" in wanted:
-                l5 = l5 + (-p * g * m - (1.0 / ra - 1.0 / rb) * t)[:, None] * m
-    hi3, nn, eye = np.sign(h) * beta, n[:, None] * n, np.eye(3)[:, :, None]
-
-    def d3():                                   # ∫d dᵀ/r³
-        return ((eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
-                + h * (j[:, None] * n + n[:, None] * j) + h * hi3 * nn)
-
-    def r1_dd():
-        # ∫r, and ∫d dᵀ/r from ∫ρρᵀ/r and ∫ρ/r = −Σ m F1, ρ = x − h n − y
-        r1 = (k1 + h * h * i1) / 3.0
-        return r1, (0.5 * (l1 + l1.swapaxes(0, 1)) - (eye - nn) * r1
-                    - h * (j1[:, None] * n + n[:, None] * j1) + h * h * i1 * nn)
-
-    def dv():
-        r1, dd = r1_dd()
-        return (-np.sqrt(alpha) * 2.0 / 3.0 * area * eye
-                + alpha / 8.0 * (3.0 * r1 * eye - dd)) / FOUR_PI
-
-    def dw():
-        b = j1 - h * i1 * n                     # ∫x̂
-        r1, dd = r1_dd()
-        c = j3 / 3.0 - h * r1 * n               # ∫r d, d = y − x
-        return (alpha / 4.0 * (-h * i1 * eye - b[:, None] * n + n[:, None] * b
-                               - h * d3())
-                + alpha ** 2 / 12.0 * (-h * r1 * eye - 0.5 * c[:, None] * n
-                                       + n[:, None] * c + 0.5 * h * dd)) / FOUR_PI
-
-    parts = {
-        "V": lambda: (eye * i1 + d3()) / (2.0 * FOUR_PI),
-        "W": lambda: ((eye - nn) * hi3 + 0.5 * h * (l5 + l5.swapaxes(0, 1))
-                      + h * h * (j5[:, None] * n + n[:, None] * j5)
-                      + (hi3 + h * s) * nn) / FOUR_PI,
-        "Qs": lambda: (j + hi3 * n) / FOUR_PI,
-        "Qd": lambda: (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / FOUR_PI,
-        "dV": dv, "dW": dw}
-    return {kind: parts[kind]() for kind in kinds}
+        beta = (np.arctan2(p * sb, r02 + ah * rb)
+                - np.arctan2(p * sa, r02 + ah * ra))
+        beta = beta[0] + beta[1] + beta[2]
+        hi3 = np.sign(h) * beta
+        if parts - {"W"}:
+            f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
+                         np.log((rb + sb) / (ra + sa)))
+            i1 = _dot(p, f) - ah * beta                 # ∫1/r
+            coef["Qs"] = (hi3, f)
+        if {"dV", "dW"} & parts:
+            f1 = 0.5 * (sb * rb - sa * ra + r02 * f)
+            r1 = (_dot(p, f1) + hh * i1) / 3.0          # ∫r
+            ra3, rb3 = ra ** 3, rb ** 3
+        if {"W", "Qd"} & parts:
+            g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
+            s = _dot(p, g)
+            coef["W"] = (hi3, h * s, -h * p * g, -h * (1.0 / ra - 1.0 / rb),
+                         2.0 * hh * g)
+        if "Qd" in parts:
+            coef["Qd"] = (2.0 * s + alpha * i1, 2.0 * h * g)
+        if "V" in parts:
+            coef["V"] = (i1, 0.5 * (h * hi3 - i1), -0.5 * p * f,
+                         -0.5 * (rb - ra), h * f)
+        if "dV" in parts:
+            coef["dV"] = (alpha / 2.0 * r1 - 2.0 / 3.0 * np.sqrt(alpha) * area,
+                          -alpha / 8.0 * (r1 + hh * i1), -alpha / 8.0 * p * f1,
+                          -alpha / 24.0 * (rb3 - ra3), alpha / 4.0 * h * f1)
+        if "dW" in parts:
+            f3 = 0.25 * (sb * rb3 - sa * ra3) + 0.75 * r02 * f1
+            anti = alpha / 4.0 * f1 + a2 / 48.0 * f3    # on n m_kᵀ − m_k nᵀ
+            coef["dW"] = (
+                -h * (alpha / 2.0 * i1 + a2 / 8.0 * r1),
+                h * (alpha / 4.0 * (i1 - h * hi3) + a2 / 24.0 * hh * i1),
+                h * p * (alpha / 4.0 * f + a2 / 24.0 * f1),
+                h * (alpha / 4.0 * (rb - ra) + a2 / 72.0 * (rb3 - ra3)),
+                a2 / 72.0 * f3 - hh * (alpha / 2.0 * f + a2 / 12.0 * f1))
+    out = {kind: (coef[kind][0] * n + _dot(coef[kind][1][:, None], m))
+           / FOUR_PI for kind in kinds if kind in ("Qs", "Qd")}
+    tensors = [kind for kind in kinds if kind not in out]
+    stacked = np.reshape([sum(np.vstack(coef[k]) for k in kind.split("+"))
+                          for kind in tensors], (len(tensors), 11, len(panels)))
+    six = np.zeros((len(tensors), 6, len(panels)))
+    for b, basis in enumerate(frames[6]):       # in a fixed order
+        six += stacked[:, b, None] * np.take(basis, panels, axis=-1)
+    for kind, part in zip(tensors, six / FOUR_PI):
+        out[kind] = part if "W" not in kind else _mirrored(part)
+        if "dW" in kind.split("+"):     # Σ c_k (n m_kᵀ − m_k nᵀ) = −[Σ c_k t_k]×
+            u = _dot(anti[:, None], t)[[2, 1, 0]] / FOUR_PI
+            out[kind].reshape(9, -1)[[1, 6, 5, 3, 2, 7]] += [*u, *-u]
+    return {kind: out[kind] for kind in kinds}
 
 
 def _dot(u, v):
-    """u·v over the leading component axis."""
+    """u·v over the leading (component or edge) axis, in a fixed order."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
@@ -620,7 +615,8 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
     minus the row's Stokes parts.  An α past the near field's reach
     (_MAX_ALPHA_DIAMETER) raises UnsupportedParameter.
     """
-    _check_mesh_panels(mesh)
+    if mesh.areas.min() < 1.0e-14 * mesh.scale ** 2:
+        raise ValueError("degenerate panel: area below 1e-14 of the squared mesh scale")
     alpha = params.alpha
     reach = np.sqrt(alpha) * mesh.diameters.max()
     if reach > _MAX_ALPHA_DIAMETER:
@@ -648,25 +644,27 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
     }
     quadrature, frames = panel_quadrature(mesh, _FAR_ORDER), _panel_frames(mesh)
     differences = _differences(mesh, alpha) if alpha > 0.0 else {}
+    # closed forms: V's summed with "dV", W's beside "dW"
+    closed = [kind + "+dV" if kind == "V" and differences else kind
+              for kind in kinds] + ["dW"] * ("W" in kinds and bool(differences))
 
     def worker(start, stop):
         plan = _NearFar(mesh, quadrature, points[start:stop])
         if not on_boundary:
             _point_guard(mesh, plan)
-        near = plan.stokes(alpha, kinds + tuple(
-            "d" + kind for kind in kinds if kind in differences), frames)
-        for kind, out in zip(kinds, outs):
-            part = near[kind]
+        near = plan.stokes(alpha, closed, frames)
+        for kind, name, out in zip(kinds, closed, outs):
+            part = near[name]
             if kind == "W":         # _double_layer_pairs' parts
                 part = (np.stack([part, near["dW"]]) if differences
                         else part[None])
-            elif kind in differences:
-                part += near["dV"]
             if kind in differences:
                 plan.add_near(*differences[kind],
                               part[-1] if kind == "W" else part)
             blocks = plan.integrate(kernels[kind], part)
-            if kind == "W":
+            if kind == "V":         # six upper entries, mirrored once
+                blocks = _mirrored(blocks.T).T
+            elif kind == "W":
                 parts, blocks = blocks, blocks.sum(axis=2)
                 if on_boundary:
                     own = (np.arange(stop - start), np.arange(start, stop))
@@ -756,8 +754,8 @@ def _newtonian_block(grid, points, params, kind, normals, start, stop):
         kernel = _traction_cf(safe, normals[start:stop].T[:, :, None],
                               params.alpha)
     else:
-        kernel = (_velocity_cf(safe, params.alpha) if kind == "velocity"
-                  else _pressure_cf(safe)[None])
+        kernel = (_mirrored(_velocity_cf(safe, params.alpha))
+                  if kind == "velocity" else _pressure_cf(safe)[None])
     kernel[..., own] = 0.0
     kernel *= -grid.volumes
     if kind == "velocity":

@@ -50,6 +50,7 @@ from .geometry import (
     PatchLabeling,
     SurfaceMesh,
     VolumeGrid,
+    check_closed,
     winding_number,
 )
 from .kernels import BrinkmanParams
@@ -200,14 +201,13 @@ class SolverWorkspace:
     and factorization once: each kind's system (mixed: per labeling) is
     LU-factored once.  The systems that read both V and K build them from
     one plan.  No linear operator reads β, so it serves any β at fixed mesh
-    and α.
+    and α.  It refuses an open mesh (check_closed names the bad edge).
     """
 
     def __init__(self, mesh, params):
-        self.mesh = mesh
-        self.params = params
-        self._single = None
-        self._double = None
+        check_closed(mesh)
+        self.mesh, self.params = mesh, params
+        self._single = self._double = None
         self._mixed_sys = {}
         self._mixed_lu = {}
         self._neumann_lu = None

@@ -225,3 +225,73 @@ def newtonian_on_lattice(values, m, h, params, kinds):
         outs.append(-out.reshape(-1, 3) if kind == "velocity"
                     else -out.reshape(-1))
     return outs
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def tensor_stokes_parts(mesh, x, panels, alpha, kinds):
+    """The near field's closed forms in tensor form, the library's before its
+    parts became scalar edge coefficients on per-panel basis tensors, its
+    body unchanged: {kind: part} for targets x (3, m) against panels (m,),
+    "V" ∫G⁰, "W" ∫T⁰, "dV" and "dW" (3, 3, m), "Qs" and "Qd" (3, m).  Each
+    edge's terms are summed as (3, 3, m) outer products of its frame."""
+    corners, n = mesh.panel_corners.transpose(1, 2, 0), mesh.normals.T
+    edges = corners[[1, 2, 0]] - corners
+    lengths = np.sqrt(_dot(edges.swapaxes(0, 1), edges.swapaxes(0, 1)))
+    t = edges / lengths[:, None]
+    m = np.stack([t[:, 1] * n[2] - t[:, 2] * n[1], t[:, 2] * n[0]
+                  - t[:, 0] * n[2], t[:, 0] * n[1] - t[:, 1] * n[0]], axis=1)
+    corners, n, lengths, ts, ms = (a[..., panels]
+                                   for a in (corners, n, lengths, t, m))
+    h = _dot(x - corners[0], n)
+    h = np.where(np.abs(h) <= 1.0e-10 * lengths[0], 0.0, h)
+    xp, ah = x - h * n, np.abs(h)
+    i1 = beta = j = j5 = s = l3 = l5 = j1 = j3 = k1 = l1 = area = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(3):
+            a, length, t, m = corners[k], lengths[k], ts[k], ms[k]
+            p, sa = _dot(a - xp, m), _dot(a - xp, t)
+            sb = sa + length
+            r02 = p * p + h * h
+            ra, rb = np.sqrt(sa * sa + r02), np.sqrt(sb * sb + r02)
+            angle = (np.arctan2(p * sb, r02 + ah * rb)
+                     - np.arctan2(p * sa, r02 + ah * ra))
+            beta = beta + angle
+            f = np.where(sa + sb < 0.0, np.log((ra - sa) / (rb - sb)),
+                         np.log((rb + sb) / (ra + sa)))
+            i1, j = i1 + p * f - ah * angle, j + m * f
+            l3 = l3 + (-p * f * m - (rb - ra) * t)[:, None] * m
+            f1 = 0.5 * (sb * rb - sa * ra + r02 * f)
+            area, j1, k1 = area + 0.5 * p * length, j1 + m * f1, k1 + p * f1
+            l1 = l1 + (p * f1 * m + (rb ** 3 - ra ** 3) / 3.0 * t)[:, None] * m
+            j3 = j3 + m * (0.25 * (sb * rb ** 3 - sa * ra ** 3)
+                           + 0.75 * r02 * f1)
+            g = np.where(r02 > 0.0, (sb / rb - sa / ra) / r02, 0.0)
+            j5, s = j5 + m * g, s + p * g
+            l5 = l5 + (-p * g * m - (1.0 / ra - 1.0 / rb) * t)[:, None] * m
+    hi3, nn, eye = np.sign(h) * beta, n[:, None] * n, np.eye(3)[:, :, None]
+    d3 = ((eye - nn) * i1 + 0.5 * (l3 + l3.swapaxes(0, 1))
+          + h * (j[:, None] * n + n[:, None] * j) + h * hi3 * nn)
+    r1 = (k1 + h * h * i1) / 3.0
+    dd = (0.5 * (l1 + l1.swapaxes(0, 1)) - (eye - nn) * r1
+          - h * (j1[:, None] * n + n[:, None] * j1) + h * h * i1 * nn)
+    b = j1 - h * i1 * n
+    c = j3 / 3.0 - h * r1 * n
+    four_pi = 4.0 * np.pi
+    parts = {
+        "V": (eye * i1 + d3) / (2.0 * four_pi),
+        "W": ((eye - nn) * hi3 + 0.5 * h * (l5 + l5.swapaxes(0, 1))
+              + h * h * (j5[:, None] * n + n[:, None] * j5)
+              + (hi3 + h * s) * nn) / four_pi,
+        "Qs": (j + hi3 * n) / four_pi,
+        "Qd": (2.0 * h * j5 + (2.0 * s + alpha * i1) * n) / four_pi,
+        "dV": (-np.sqrt(alpha) * 2.0 / 3.0 * area * eye
+               + alpha / 8.0 * (3.0 * r1 * eye - dd)) / four_pi,
+        "dW": (alpha / 4.0 * (-h * i1 * eye - b[:, None] * n + n[:, None] * b
+                              - h * d3)
+               + alpha ** 2 / 12.0 * (-h * r1 * eye - 0.5 * c[:, None] * n
+                                      + n[:, None] * c + 0.5 * h * dd))
+        / four_pi}
+    return {kind: parts[kind] for kind in kinds}

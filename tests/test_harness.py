@@ -9,9 +9,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bbem.errors import BBEMError, IllConditioned, InvalidSource, NoInteriorProbes
-from bbem.geometry import build_cube, build_icosphere, winding_number
+from bbem.geometry import (build_cube, build_icosphere, label_patches,
+                           winding_number)
 from bbem.kernels import BrinkmanParams, stokeslet
 from bbem.potentials import DenseOperator
 from bbem.solvers import SolverWorkspace
@@ -339,6 +341,20 @@ def test_convergence_study_names_missing_keys():
 def test_convergence_study_rejects_unsorted_levels():
     with pytest.raises(H.ConfigError, match="strictly"):
         H.convergence_study({**STUDY, "levels": [2, 1]})
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_ntd_sigma_min_from_its_lu_matches_svdvals(level):
+    # the mixed suite reads the NtD map's σ_min by block inverse iteration
+    # on an LU of its Dirichlet submatrix, not by a dense SVD; one vector
+    # stops at the step cap 9.6e-7 off at cube(2), where σ₂/σ₁ is 1.14
+    mesh = build_cube(level)
+    labeling = label_patches(mesh, H._TOP_FACE_RULE)
+    submatrix = S.neumann_to_dirichlet(mesh, labeling,
+                                       H._SUITE_PARAMS).dirichlet_submatrix
+    exact = scipy.linalg.svdvals(submatrix)[-1]
+    sigma, _ = S._sigma_range(scipy.linalg.lu_factor(submatrix), block=4)
+    assert abs(sigma[0] - exact) <= 1.0e-10 * exact
 
 
 def test_convergence_study_requires_patches_for_mixed():

@@ -396,8 +396,10 @@ def test_remainders_are_differences_less_first_order_terms(alpha):
                    r * dn * eye - 0.5 * (r * d)[:, None] * n
                    + n[:, None] * (r * d) - 0.5 * dn * d[:, None] * d / r))
     for remainder, difference, first in (
-            (kernels._velocity_remainder_cf(d, alpha),
-             kernels._velocity_difference_cf(d, alpha), first_v),
+            (kernels._mirrored(kernels._velocity_remainder_cf(d, alpha)),
+             np.moveaxis(kernels.velocity_difference(d.T, alpha), (1, 2),
+                         (0, 1)),
+             first_v),
             (kernels._double_layer_nodes(d, n, alpha,
                                          kernels._STRESS_REMAINDER)[0],
              kernels._double_layer_nodes(d, n, alpha)[1], first_w)):
@@ -544,7 +546,8 @@ def test_public_kernels_are_their_components_first_evaluators(alpha):
     to_last = (lambda a: np.moveaxis(a, 0, -1),
                lambda a: np.moveaxis(a, (0, 1), (-2, -1)))
     _same_bytes(kernels.brinkman_velocity_tensor(x - y, alpha),
-                to_last[1](kernels._velocity_cf((x - y).T, alpha)))
+                to_last[1](kernels._mirrored(kernels._velocity_cf((x - y).T,
+                                                                  alpha))))
     _same_bytes(kernels.pressure_vector(x - y),
                 to_last[0](kernels._pressure_cf((x - y).T)))
     _same_bytes(kernels.traction_kernel(x, y, n, alpha),

@@ -5,7 +5,7 @@ worst block error of every layer kernel per distance band."""
 import numpy as np
 import pytest
 
-from _oracles import stokes_self_block
+from _oracles import stokes_self_block, tensor_stokes_parts
 from bbem import potentials as P
 from bbem.geometry import (
     build_cube,
@@ -18,6 +18,7 @@ from bbem.kernels import (
     _STRESS_REMAINDER,
     _double_layer_nodes,
     _double_layer_pressure_cf,
+    _mirrored,
     _pressure_cf,
     _traction_cf,
     _velocity_cf,
@@ -33,9 +34,11 @@ def _lattice(resolution):
 
 
 def _closed_forms(mesh, x, panels, alpha=QD_ALPHA, kinds=_KINDS):
-    """_stokes_parts for targets x (m, 3) against panels (m,)."""
-    return tuple(P._stokes_parts(x.T, panels, P._panel_frames(mesh), alpha,
-                                 kinds).values())
+    """_stokes_parts for targets x (m, 3) against panels (m,), "V", "dV"
+    and "V+dV" mirrored from their six upper entries."""
+    parts = P._stokes_parts(x.T, panels, P._panel_frames(mesh), alpha, kinds)
+    return tuple(_mirrored(part) if kind in ("V", "dV", "V+dV") else part
+                 for kind, part in parts.items())
 
 
 def _duffy_sums(mesh, x, panels, order, kernels):
@@ -54,7 +57,7 @@ def _duffy_sums(mesh, x, panels, order, kernels):
 def _stokes_kernels(alpha):
     """The full Stokes kernels of the four closed forms (Qd with its α
     term), as the layer rows evaluate them."""
-    return (lambda x, y, nu: _velocity_cf(x - y, 0.0),
+    return (lambda x, y, nu: _mirrored(_velocity_cf(x - y, 0.0)),
             lambda x, y, nu: _traction_cf(y - x, nu, 0.0).swapaxes(0, 1),
             lambda x, y, nu: _pressure_cf(x - y),
             lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha))
@@ -175,6 +178,37 @@ def test_target_on_an_edge_extension_is_finite():
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("case", ["icosphere1", "icosphere2",
+                                  "icosphere1-off", "icosphere2-off",
+                                  "cube-lattice"])
+def test_edge_coefficients_match_the_tensor_form(case, alpha):
+    # the closed forms as scalar edge coefficients on per-panel basis
+    # tensors against the tensor form they replaced (_oracles), every kind
+    # within 1e-14 of its largest entry over all near pairs: at the
+    # icosphere centroids (own panels at h = 0), at 0.9 × the centroids
+    # + 0.02, and at the cube(1) 10³ lattice; "V+dV", as V's rows take
+    # it, against the sum
+    if case == "cube-lattice":
+        mesh, points = build_cube(1), _lattice(10)
+    else:
+        mesh = build_icosphere(int(case[9]))
+        points = (0.9 * mesh.centroids + 0.02 if case.endswith("-off")
+                  else mesh.centroids)
+    rows, panels, _, _, _ = P._near_search(mesh, points)
+    if not case.endswith("-off") and case != "cube-lattice":
+        assert np.any(rows == panels)
+    kinds = _KINDS + ("dV", "dW")
+    got = _closed_forms(mesh, points[rows], panels, alpha, kinds + ("V+dV",))
+    expected = tensor_stokes_parts(mesh, points[rows].T, panels, alpha, kinds)
+    expected["V+dV"] = expected["V"] + expected["dV"]
+    for kind, part in zip(kinds + ("V+dV",), got):
+        ref = expected[kind]
+        assert part.shape == ref.shape, kind
+        assert (np.abs(part - ref).max()
+                <= 1.0e-14 * np.abs(ref).max()), (kind, case, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_each_kind_alone_keeps_its_bits(alpha):
     # a part asked for alone, or with any other, skips the edge terms it
     # does not read and keeps the bits of the part computed with all six
@@ -220,7 +254,7 @@ def _reference(mesh, x, panels, alpha):
     g0, t0, qs, qd, dv, dw = _closed_forms(mesh, x, panels, alpha,
                                            _KINDS + ("dV", "dW"))
     rv, rw = _duffy_sums(mesh, x, panels, 24, (
-        lambda x, y, nu: _velocity_remainder_cf(x - y, alpha),
+        lambda x, y, nu: _mirrored(_velocity_remainder_cf(x - y, alpha)),
         lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha,
                                              _STRESS_REMAINDER)[0]))
     return {"V": g0 + dv + rv, "W": t0 + dw + rw, "Qs": qs, "Qd": qd,

@@ -31,6 +31,7 @@ from bbem.kernels import (
     _double_layer_nodes,
     _double_layer_pairs,
     _double_layer_rows_cf,
+    _mirrored,
     _velocity_cf,
     _velocity_remainder_cf,
 )
@@ -199,10 +200,9 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
                      (twelve.nodes[i] - c).T, nu[:, None], alpha,
                      _STRESS_REMAINDER)[0]))
         v_own = (stokes_self_block(mesh.panel_corners[i], c)
-                 + first["dV"][..., i]
-                 + np.einsum("q,abq->ab", twelve.weights[i],
-                             _velocity_remainder_cf((c - twelve.nodes[i]).T,
-                                                    alpha)))
+                 + _mirrored(first["dV"][..., i])
+                 + np.einsum("q,abq->ab", twelve.weights[i], _mirrored(
+                     _velocity_remainder_cf((c - twelve.nodes[i]).T, alpha))))
         for got, expected, kind in ((blocks["K"][i, i], k_own, "K"),
                                     (blocks["V"][i, i], v_own, "V")):
             np.testing.assert_allclose(
@@ -234,8 +234,8 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
         return regular_group(targets, panels, quadrature)
 
     def closed_forms(x, panels, *args):
-        # and each piece of the closed forms, counted as 8 nodes a pair
-        assert 8 * len(panels) <= P._PIECE_NODES
+        # and each piece of the closed forms, counted as 2 nodes a pair
+        assert 2 * len(panels) <= P._PIECE_NODES
         return stokes_parts(x, panels, *args)
 
     monkeypatch.setattr(P, "duffy_rule_batch", counted)
@@ -258,10 +258,10 @@ def test_one_band_table_integrates_every_near_pair():
     plan = P._NearFar(mesh, quad, 0.9 * mesh.centroids[:4] + 0.05)
     sums = []
     for rules in (((2.0, twelve),), ((0.5, twelve), (2.0, twelve))):
-        out = np.zeros((3, 3, len(plan.near)))
+        out = np.zeros((6, len(plan.near)))
         plan.add_near(lambda x, y, _: _velocity_cf(x - y, ALPHA), rules, out)
         sums.append(out)
-    assert np.all(sums[0].any(axis=(0, 1)))
+    assert np.all(sums[0].any(axis=0))
     np.testing.assert_array_equal(sums[0], sums[1])
 
 
@@ -638,7 +638,7 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
             expected = polar_triangle_integral(
                 lambda y: brinkman_velocity_tensor(x - y, ALPHA)[..., 0, 0],
                 mesh.panel_corners[panel], point)
-            assert blocks[panel, 0, 0] == pytest.approx(expected, rel=1.0e-6)
+            assert blocks[panel, 0] == pytest.approx(expected, rel=1.0e-6)
     assert checked == {order for _, order in P._NEAR_ORDERS}
 
 
@@ -854,25 +854,60 @@ def test_evaluation_thread_count_invariance(coarse, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_layer_rows_do_not_depend_on_the_chunk_size(monkeypatch, alpha):
-    # each row's arithmetic, the plan's per-row einsum sums included, is the
-    # same whatever rows share its chunk and however the chunk's far rule,
-    # near bands and closed forms are cut into pieces: V, W, Qs and Qd rows
-    # at the icosphere(2) centroids (8 against 32 rows a chunk) and at the
-    # cube(1) 10^3 lattice (13 against 213) keep their bits with pieces of
-    # 2048 nodes (256 closed-form pairs) against 16384
+    # each row's arithmetic, the plan's per-row einsum sums and the closed
+    # forms' fixed-order contraction included, is the same whatever rows
+    # share its chunk and however the chunk's far rule, near bands and
+    # closed forms are cut into pieces: V, W, Qs and Qd rows at the
+    # icosphere(2) centroids (8 against 32 rows a chunk) and at the cube(1)
+    # 10^3 lattice (13 against 213) keep their bits with pieces of 2048
+    # nodes (1024 closed-form pairs) against 16384 (8192 pairs), where the
+    # lattice's full chunks (10224 near pairs) take their closed forms in
+    # two pieces
     params = BrinkmanParams(alpha=alpha)
     lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
     sphere = build_icosphere(2)
     cases = ((sphere, sphere.centroids, True), (build_cube(1), lattice, False))
+    pieces, stokes_parts = [], P._stokes_parts
+
+    def recorded(x, panels, *args):
+        pieces.append(len(panels))
+        return stokes_parts(x, panels, *args)
+
+    monkeypatch.setattr(P, "_stokes_parts", recorded)
     for mesh, points, on_boundary in cases:
         rows = {}
         for pairs, nodes in ((640, 2048), (10240, 16384)):
             monkeypatch.setattr(P, "_CHUNK_PAIRS", pairs)
             monkeypatch.setattr(P, "_PIECE_NODES", nodes)
+            pieces.clear()
             rows[pairs] = P._layer_rows(mesh, params, points,
                                         ("V", "W", "Qs", "Qd"), on_boundary)
+            assert max(pieces) <= nodes // 2
         for kind, small, large in zip("V W Qs Qd".split(), *rows.values()):
             assert small.tobytes() == large.tobytes(), (kind, on_boundary)
+    assert len(pieces) > -(-len(lattice) // P._chunk_rows(48))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("on_boundary", [True, False])
+@pytest.mark.parametrize("build", [build_icosphere, build_cube])
+def test_single_layer_blocks_are_symmetric_to_the_bit(build, on_boundary,
+                                                      alpha):
+    # V is carried as its six upper entries through the far rule, the
+    # remainder and the closed forms and mirrored once per block, so every
+    # 3×3 block of its rows is symmetric bit for bit: far, near and (at the
+    # centroids) own panel
+    mesh = build(2)
+    points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
+    rows, = P._layer_rows(mesh, BrinkmanParams(alpha=alpha), points, ("V",),
+                          on_boundary)
+    blocks = rows.reshape(len(points), 3, mesh.n_panels, 3)
+    assert blocks.tobytes() == np.ascontiguousarray(
+        blocks.transpose(0, 3, 2, 1)).tobytes()
+    near, panels, _, _, _ = P._near_search(mesh, points)
+    assert 0 < len(near) < len(points) * mesh.n_panels
+    if on_boundary:
+        assert np.sum(near == panels) == mesh.n_panels
 
 
 def test_double_layer_assembly_memory_stays_bounded(monkeypatch):

@@ -21,6 +21,7 @@ from bbem.errors import (
     UnsupportedParameter,
 )
 from bbem.geometry import (
+    SurfaceMesh,
     build_cube,
     build_icosphere,
     build_volume_grid,
@@ -178,6 +179,22 @@ def test_solvers_reject_wrong_kind(sphere_coarse):
         S.solve_neumann(dirichlet_spec(mesh), ws)
     with pytest.raises(ValueError, match="kind"):
         S.solve_dirichlet(neumann_spec(mesh), ws)
+
+
+def test_open_mesh_is_refused():
+    # icosphere(1) with one triangle removed: the workspace refuses it by
+    # the ValueError that names its first boundary edge, whether the solve
+    # builds the workspace or is given one, and whatever the data
+    base = build_icosphere(1)
+    mesh = SurfaceMesh(base.vertices, base.triangles[:-1])
+    zero = BoundaryField(mesh, np.zeros((mesh.n_panels, 3)))
+    with pytest.raises(ValueError, match=r"boundary edge \(\d+, \d+\)"):
+        S.solve_neumann(neumann_spec(mesh))
+    with pytest.raises(ValueError, match="mesh is not closed"):
+        S.solve_dirichlet(S.BVPSpec(kind=S.DIRICHLET, params=PARAMS,
+                                    mesh=mesh, dirichlet_data=zero))
+    with pytest.raises(ValueError, match="mesh is not closed"):
+        S.SolverWorkspace(mesh, PARAMS)
 
 
 def test_workspace_mismatch_rejected(sphere_coarse):
