@@ -449,16 +449,16 @@ def _stokes_parts(x, panels, frames, alpha, kinds):
     (3, m).  "dV" is G^α − G⁰'s first-order terms, −(√α/6π) I + (α/32π)(3r I
     − d dᵀ/r); "dW" (S^α − S⁰)ν's first- and second-order ones as K takes
     it (d = y − x, x̂ = d/r), (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ + x̂·ν x̂ x̂ᵀ) +
-    (α²/48π)(r d·ν I − ½ r d νᵀ + ν r dᵀ − ½ d·ν d dᵀ/r); "V+dV" their sum.
-    Each is scalar coefficients per pair and edge, from the solid angle and
-    the edge integrals F (the log term), G, F1 = ∫R ds and F3 = ∫R³ ds
-    (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in
-    the edge frame (t, m = t × n), summed in a fixed order on the panel's
-    basis tensors ("dW" adds n m_kᵀ − m_k nᵀ) or on n and m_k.  A target
-    within 1e-10 edge lengths of the plane is in it (h = 0): ∫T⁰ is 0."""
+    (α²/48π)(r d·ν I − ½ r d νᵀ + ν r dᵀ − ½ d·ν d dᵀ/r); "V+dV" their sum
+    in one contraction.  Each is scalar coefficients per pair and edge, from the
+    solid angle and the edge integrals F (the log term), G, F1 = ∫R ds and F3 =
+    ∫R³ ds (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in
+    the edge frame (t, m = t × n), summed in a fixed order on the panel's basis
+    tensors ("dW" adds n m_kᵀ − m_k nᵀ) or on n and m_k.  A target within 1e-10
+    edge lengths of the plane is in it (h = 0): ∫T⁰ is 0."""
     corners, n, area, lengths, t, m = (np.take(a, panels, axis=-1)
                                        for a in frames[:6])
-    parts = set("+".join(kinds).split("+"))
+    parts = set(kinds) | ({"V", "dV"} if "V+dV" in kinds else set())
     d = (corners - x).swapaxes(0, 1)            # (component, corner, pair)
     h = -_dot(d[:, 0], n)                       # (x − c₀)·n
     h = np.where(np.abs(h) <= 1.0e-10 * lengths[0], 0.0, h)
@@ -507,14 +507,15 @@ def _stokes_parts(x, panels, frames, alpha, kinds):
     out = {kind: (coef[kind][0] * n + _dot(coef[kind][1][:, None], m))
            / FOUR_PI for kind in kinds if kind in ("Qs", "Qd")}
     tensors = [kind for kind in kinds if kind not in out]
-    stacked = np.reshape([sum(np.vstack(coef[k]) for k in kind.split("+"))
+    stacked = np.reshape([np.vstack(coef["V"]) + np.vstack(coef["dV"])
+                          if kind == "V+dV" else np.vstack(coef[kind])
                           for kind in tensors], (len(tensors), 11, len(panels)))
     six = np.zeros((len(tensors), 6, len(panels)))
     for b, basis in enumerate(frames[6]):       # in a fixed order
         six += stacked[:, b, None] * np.take(basis, panels, axis=-1)
     for kind, part in zip(tensors, six / FOUR_PI):
-        out[kind] = part if "W" not in kind else _mirrored(part)
-        if "dW" in kind.split("+"):     # Σ c_k (n m_kᵀ − m_k nᵀ) = −[Σ c_k t_k]×
+        out[kind] = _mirrored(part) if kind in ("W", "dW") else part
+        if kind == "dW":        # Σ c_k (n m_kᵀ − m_k nᵀ) = −[Σ c_k t_k]×
             u = _dot(anti[:, None], t)[[2, 1, 0]] / FOUR_PI
             out[kind].reshape(9, -1)[[1, 6, 5, 3, 2, 7]] += [*u, *-u]
     return {kind: out[kind] for kind in kinds}
@@ -645,7 +646,7 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
     quadrature, frames = panel_quadrature(mesh, _FAR_ORDER), _panel_frames(mesh)
     differences = _differences(mesh, alpha) if alpha > 0.0 else {}
     # closed forms: V's summed with "dV", W's beside "dW"
-    closed = [kind + "+dV" if kind == "V" and differences else kind
+    closed = ["V+dV" if kind == "V" and differences else kind
               for kind in kinds] + ["dW"] * ("W" in kinds and bool(differences))
 
     def worker(start, stop):

@@ -209,6 +209,39 @@ def test_edge_coefficients_match_the_tensor_form(case, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("on_boundary", [True, False])
+def test_layer_rows_match_the_tensor_form(on_boundary, alpha, monkeypatch):
+    # every layer row with the edge coefficients against the same rows
+    # with the tensor form in their place, within 1e-14 of the row's largest
+    # entry, at the icosphere(2) centroids and at 0.9 × them + 0.02; K's
+    # own blocks, −½I minus a row sum of about ½ that leaves about 1e-7,
+    # keep only the sum's absolute rounding: 8 ulps of ½ (4 measured)
+    mesh, params = build_icosphere(2), BrinkmanParams(alpha=alpha)
+    points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
+    upper = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+
+    def tensor_form(x, panels, frames, alpha, names):
+        parts = tensor_stokes_parts(mesh, x, panels, alpha,
+                                    _KINDS + ("dV", "dW"))
+        parts["V+dV"] = parts["V"] + parts["dV"]
+        return {name: parts[name][upper] if name in ("V", "dV", "V+dV")
+                else parts[name] for name in names}
+
+    got = P._layer_rows(mesh, params, points, _KINDS, on_boundary)
+    monkeypatch.setattr(P, "_stokes_parts", tensor_form)
+    expected = P._layer_rows(mesh, params, points, _KINDS, on_boundary)
+    own = np.kron(np.eye(mesh.n_panels, dtype=bool), np.ones((3, 3), bool))
+    for kind, rows, ref in zip(_KINDS, got, expected):
+        rows, ref = (a.reshape(-1, 3 * mesh.n_panels) for a in (rows, ref))
+        error = np.abs(rows - ref)
+        if kind == "W" and on_boundary:
+            assert error[own].max() <= 8 * np.spacing(0.5), alpha
+            error[own] = 0.0
+        assert np.all(error <= 1.0e-14 * np.abs(ref).max(axis=1, keepdims=True)
+                      ), (kind, on_boundary, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 def test_each_kind_alone_keeps_its_bits(alpha):
     # a part asked for alone, or with any other, skips the edge terms it
     # does not read and keeps the bits of the part computed with all six
