@@ -55,9 +55,10 @@ from .potentials import (
     _FAR_ORDER,
     _NEAR_ORDERS,
     _NearFar,
-    _closest_points_on_panels,
+    _edge_frame,
     _lattice_kernel,
     _newtonian_on_grid,
+    _panel_frames,
 )
 from .semilinear import (
     PicardConfig,
@@ -197,8 +198,8 @@ def _check_source(mesh, source_point):
     quarter of the bounding-box diagonal, keeping the data well conditioned."""
     if winding_number(mesh, source_point[None])[0] >= 0.5:
         raise InvalidSource("source point lies inside the domain")
-    closest = _closest_points_on_panels(mesh.panel_corners, source_point)
-    dist = float(np.linalg.norm(closest - source_point, axis=1).min())
+    dist = float(_edge_frame(_panel_frames(mesh), np.arange(mesh.n_panels),
+                             source_point[:, None])[1].min())
     diagonal = float(np.linalg.norm(mesh.vertices.max(axis=0)
                                     - mesh.vertices.min(axis=0)))
     if dist < 0.25 * diagonal:
@@ -236,8 +237,8 @@ def interior_probes(mesh, fraction=0.7):
     the center-to-boundary distance.
     """
     center = 0.5 * (mesh.vertices.max(axis=0) + mesh.vertices.min(axis=0))
-    closest = _closest_points_on_panels(mesh.panel_corners, center)
-    reach = float(np.linalg.norm(closest - center, axis=1).min())
+    reach = float(_edge_frame(_panel_frames(mesh), np.arange(mesh.n_panels),
+                              center[:, None])[1].min())
     pattern = INTERIOR_PROBES / np.linalg.norm(INTERIOR_PROBES, axis=1).max()
     return center + fraction * reach * pattern
 

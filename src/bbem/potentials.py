@@ -31,12 +31,14 @@ count, so results are byte-identical for any BBEM_THREADS setting.
 _layer_rows is the one row loop: every layer operator and evaluation is
 its rows on one near/far plan, _NearFar, per chunk.  Panels within two
 diameters of a target (its own panel included) are near, the rest take the
-_FAR_ORDER-point rule, one kernel call per piece.  K is the "W" rows at the
-centroids, whose own blocks take the row-sum diagonal of the constant
-identity K⁰c = −½c; V and K come from one plan where both are needed
-(_boundary_operators).  W's nodes give normal-free rows whose per-pair
-sums are contracted with the panel normal (_double_layer_pairs); V is six
-upper entries on every path, mirrored once per block.  On a near pair
+_FAR_ORDER-point rule, one kernel call per piece; one edge frame per
+candidate pair (_edge_frame) gives the exact distance that splits them, the
+closed forms' coordinates and the Duffy singular points.  K is the "W" rows
+at the centroids, whose own blocks take the row-sum diagonal of the
+constant identity K⁰c = −½c; V and K come from one plan where both are
+needed (_boundary_operators).  W's nodes give normal-free rows whose
+per-pair sums are contracted with the panel normal (_double_layer_pairs);
+V is six upper entries on every path, mirrored once per block.  On a near pair
 every layer kernel takes in closed form (_stokes_parts: edge coefficients
 on per-panel tensors, _PIECE_NODES // 2 pairs at a time) its Stokes part
 (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the kinked terms of
@@ -268,87 +270,81 @@ def _run_chunked(n_rows, width, worker):
 
 # ----------------------------------------------------------- geometric helpers
 
-def _closest_points_on_panels(corners, p):
-    """Closest point to p on each triangle of corners (m, 3, 3), vectorized.
-
-    Standard barycentric region classification: test the three vertex
-    regions, then the three edge regions, and default to the face interior.
-    """
-    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
-    ab, ac = b - a, c - a
-    d1, d2, d3, d4, d5, d6 = (np.einsum("mi,mi->m", edge, p - corner)
-                              for corner in (a, b, c) for edge in (ab, ac))
-    va = d3 * d6 - d4 * d5
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = d1 / (d1 - d3)
-        t_ac = d2 / (d2 - d6)
-        t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        denom = va + vb + vc
-        w_b = vb / denom
-        w_c = vc / denom
-
-    # face interior (default), then edge regions, then vertex regions;
-    # later assignments win, matching the branch order of the scalar test
-    out = a + w_b[:, None] * ab + w_c[:, None] * ac
-    regions = (  # edges bc, ac, ab, then vertices c, b, a
-        ((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
-         b + t_bc[:, None] * (c - b)),
-        ((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), a + t_ac[:, None] * ac),
-        ((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), a + t_ab[:, None] * ab),
-        ((d6 >= 0.0) & (d5 <= d6), c),
-        ((d3 >= 0.0) & (d4 <= d3), b),
-        ((d1 <= 0.0) & (d2 <= 0.0), a))
-    for inside, point in regions:
-        out = np.where(inside[:, None], point, out)
-    return out
+def _edge_frame(frames, panels, x):
+    """(frame, distance) of targets x (3, m) and panels (m,) of
+    _panel_frames: frame (10, m) stacks h = (x − c₀)·n and, per edge k,
+    p_k = (c_k − x)·m_k, s_a,k = (c_k − x)·t_k and s_b,k = s_a,k + ℓ_k; the
+    distance is |h| when every p_k ≥ 0, else √(h² + min_k(p_k² + o_k²)),
+    o_k = max(s_a,k, 0) + min(s_b,k, 0) the overshoot past the edge's ends."""
+    corners, n, _, lengths, t, m = (np.take(a, panels, axis=-1)
+                                    for a in frames[:6])
+    d = (corners - x).swapaxes(0, 1)            # (component, corner, pair)
+    p, sa = _dot(d, m.swapaxes(0, 1)), _dot(d, t.swapaxes(0, 1))
+    h, sb = -_dot(d[:, 0], n), sa + lengths
+    off = np.maximum(sa, 0.0) + np.minimum(sb, 0.0)
+    return np.concatenate([h[None], p, sa, sb]), np.where(
+        (p >= 0.0).all(axis=0), np.abs(h),
+        np.sqrt(h * h + (p * p + off * off).min(axis=0)))
 
 
-def _near_search(mesh, points):
-    """(rows, panels, closest points, distances) of the (target, panel)
-    pairs closer than the Duffy-upgrade threshold, target-major with
-    ascending panels, and each target's distance to its candidate panels
-    (inf when none), which is exact whenever it matters: other panels are
-    farther than every cutoff."""
+def _closest_points(frames, panels, x, frame):
+    """Closest points (m, 3) on panels (m,) to targets x (3, m) from their
+    _edge_frame: x − h n, moved by p_k m_k + o_k t_k onto the nearest edge k
+    when it lies outside the triangle."""
+    h, (p, sa, sb) = frame[0], frame[1:].reshape(3, 3, -1)
+    n, t, m = (np.take(frames[i], panels, axis=-1) for i in (1, 4, 5))
+    off = np.maximum(sa, 0.0) + np.minimum(sb, 0.0)
+    foot = np.take_along_axis(p * m.swapaxes(0, 1) + off * t.swapaxes(0, 1), (
+        p * p + off * off).argmin(axis=0)[None, None], axis=1)[:, 0]
+    return (x - h * n + np.where((p >= 0.0).all(axis=0), 0.0, foot)).T
+
+
+def _near_search(mesh, points, frames=None):
+    """(rows, panels, edge frames, distances, min_dist) of the (target,
+    panel) pairs closer than the Duffy-upgrade threshold, target-major with
+    ascending panels, their _edge_frame, and each target's distance to its
+    candidate panels (inf when none), which is exact whenever it matters:
+    other panels are farther than every cutoff."""
+    frames = _panel_frames(mesh) if frames is None else frames
     centroid_dist = _radial(mesh.centroids.T[:, None] - points.T[:, :, None],
                             require_nonzero=False)
     # centroid-to-farthest-corner is at most one diameter, so this is safe
     mask = centroid_dist < (_NEAR_FACTOR + 1.0) * mesh.diameters
     rows, panels = np.nonzero(mask)
-    closest = _closest_points_on_panels(mesh.panel_corners[panels], points[rows])
-    dist = _radial((points[rows] - closest).T, require_nonzero=False)
+    frame, dist = _edge_frame(frames, panels, np.take(points.T, rows, axis=1))
     min_dist = np.full(len(points), np.inf)
     np.minimum.at(min_dist, rows, dist)
-    keep = dist < _NEAR_FACTOR * mesh.diameters[panels]
-    return rows[keep], panels[keep], closest[keep], dist[keep], min_dist
+    keep = np.flatnonzero(dist < _NEAR_FACTOR * mesh.diameters[panels])
+    return (rows[keep], panels[keep], np.take(frame, keep, axis=1),
+            dist[keep], min_dist)
 
 
 def _regular_group(targets, panels, quadrature):
     """A plan group of (targets, panels) pairs on quadrature's panel rules."""
     q = quadrature.nodes.shape[1]
     return (targets, panels, np.arange(len(panels)),
-            quadrature.nodes.transpose(2, 0, 1)[:, panels],
+            np.take(quadrature.nodes.transpose(2, 0, 1), panels, axis=1),
             quadrature.weights[panels], q * np.arange(len(panels)))
 
 
 class _NearFar:
     """Quadrature plan for a chunk of targets.  Far pairs take the regular
     rule, near ones (a target's own panel included) the caller's closed
-    forms, to which add_near adds a kernel on rules: (limit, Duffy order or
-    QuadratureSet) bands by distance over diameter like _NEAR_ORDERS.  The
-    far rule and each band are integrated in pieces (_groups), each a group
-    (targets, panels, pair, nodes (3, rows, q), weights (rows, q), starts):
-    row r belongs to pair[r], pair k's rule is the run of rows from node
-    starts[k] (one row per pair on a QuadratureSet, one per fan triangle on
-    a Duffy rule).  _sums weights and sums each row's q nodes with one
-    einsum, then adds the rows of each pair."""
+    forms on their edge frames, to which add_near adds a kernel on rules:
+    (limit, Duffy order or QuadratureSet) bands by distance over diameter
+    like _NEAR_ORDERS.  The far rule and each band are integrated in pieces
+    (_groups), each a group (targets, panels, pair, nodes (3, rows, q),
+    weights (rows, q), starts): row r belongs to pair[r], pair k's rule is
+    the run of rows from node starts[k] (one per pair on a QuadratureSet,
+    one per fan triangle about _closest_points on a Duffy rule).  _sums
+    gathers components first and weights and sums each row's q nodes with
+    one einsum, then adds the rows of each pair."""
 
-    def __init__(self, mesh, quadrature, points):
+    def __init__(self, mesh, quadrature, points, frames=None):
         self.mesh, self.shape = mesh, (len(points), mesh.n_panels)
-        self.rows, self.near, self.closest, self.near_dist, self.min_dist = (
-            _near_search(mesh, points))
+        self.frames = _panel_frames(mesh) if frames is None else frames
+        self.rows, self.near, self.frame, self.near_dist, self.min_dist = (
+            _near_search(mesh, points, self.frames))
         far = np.ones(self.shape, dtype=bool)
         far[self.rows, self.near] = False
         self.far, self.quadrature = np.nonzero(far), quadrature
@@ -371,7 +367,10 @@ class _NearFar:
                     yield at, _regular_group(targets[at], panels[at], rule)
                     continue
                 nodes, weights, counts = duffy_rule_batch(
-                    self.mesh.panel_corners[panels[at]], self.closest[at], rule)
+                    self.mesh.panel_corners[panels[at]], _closest_points(
+                        self.frames, panels[at], np.take(
+                            self.points, targets[at], axis=1),
+                        np.take(self.frame, at, axis=1)), rule)
                 yield at, (targets[at], panels[at],
                            np.repeat(np.arange(len(at)), counts // rule ** 2),
                            nodes.T.reshape(3, -1, rule ** 2),
@@ -384,9 +383,9 @@ class _NearFar:
         rows, form = kernel if isinstance(kernel, tuple) else (
             kernel, lambda sums, _: sums)
         targets, panels, pair, nodes, weights, starts = group
-        normals = self.normals[:, panels]
-        values = rows(self.points[:, targets[pair], None], nodes,
-                      normals[:, pair, None])
+        normals = np.take(self.normals, panels, axis=1)
+        values = rows(np.take(self.points, targets[pair], axis=1)[:, :, None],
+                      nodes, np.take(normals, pair, axis=1)[:, :, None])
         sums = np.einsum("...rq,rq->...r", values, weights)
         if len(starts) < len(weights):      # a Duffy rule's fan triangles
             sums = np.add.reduceat(sums, starts // weights.shape[1], axis=-1)
@@ -410,12 +409,12 @@ class _NearFar:
         for at, group in self._groups(rules):
             out[..., at] += self._sums(kernel, group)
 
-    def stokes(self, alpha, kinds, frames):
-        """The near pairs' closed forms of kinds (_stokes_parts), taken in
-        pieces of at most _PIECE_NODES // 2 pairs."""
+    def stokes(self, alpha, kinds):
+        """The near pairs' closed forms of kinds (_stokes_parts) on their
+        edge frames, taken in pieces of at most _PIECE_NODES // 2 pairs."""
         pieces = max(1, -(-2 * len(self.near) // _PIECE_NODES))
-        parts = [_stokes_parts(self.points[:, self.rows[at]], self.near[at],
-                               frames, alpha, kinds)
+        parts = [_stokes_parts(np.take(self.frame, at, axis=1),
+                               self.near[at], self.frames, alpha, kinds)
                  for at in np.array_split(np.arange(len(self.near)), pieces)]
         return {kind: np.concatenate([part[kind] for part in parts], axis=-1)
                 for kind in kinds}
@@ -441,30 +440,29 @@ def _panel_frames(mesh):
         sym(n, n)[None], sym(m, m), sym(t, m), sym(m, n)])
 
 
-def _stokes_parts(x, panels, frames, alpha, kinds):
-    """{kind: part} over flat triangles for m (target, panel) pairs: targets
-    x (3, m), panels (m,) with corners counterclockwise about their unit
-    normals, and their _panel_frames.  "V" ∫G⁰ and "dV" (6 upper entries,
-    m); "W" ∫T⁰, "dW" (3, 3, m); "Qs" Q^s, "Qd" Q^d with its α ν/(4π r) term
-    (3, m).  "dV" is G^α − G⁰'s first-order terms, −(√α/6π) I + (α/32π)(3r I
-    − d dᵀ/r); "dW" (S^α − S⁰)ν's first- and second-order ones as K takes
-    it (d = y − x, x̂ = d/r), (α/16π)(x̂·ν I − x̂ νᵀ + ν x̂ᵀ + x̂·ν x̂ x̂ᵀ) +
-    (α²/48π)(r d·ν I − ½ r d νᵀ + ν r dᵀ − ½ d·ν d dᵀ/r); "V+dV" their sum
-    in one contraction.  Each is scalar coefficients per pair and edge, from the
-    solid angle and the edge integrals F (the log term), G, F1 = ∫R ds and F3 =
-    ∫R³ ds (Wilton et al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in
-    the edge frame (t, m = t × n), summed in a fixed order on the panel's basis
-    tensors ("dW" adds n m_kᵀ − m_k nᵀ) or on n and m_k.  A target within 1e-10
-    edge lengths of the plane is in it (h = 0): ∫T⁰ is 0."""
-    corners, n, area, lengths, t, m = (np.take(a, panels, axis=-1)
-                                       for a in frames[:6])
+def _stokes_parts(frame, panels, frames, alpha, kinds):
+    """{kind: part} over flat triangles for m (target, panel) pairs: their
+    _edge_frame (h, p, s_a, s_b), panels (m,) with corners counterclockwise
+    about their unit normals, and their _panel_frames.  "V" ∫G⁰ and "dV" (6
+    upper entries, m); "W" ∫T⁰, "dW" (3, 3, m); "Qs" Q^s, "Qd" Q^d with its
+    α ν/(4π r) term (3, m).  "dV" is G^α − G⁰'s first-order terms,
+    −(√α/6π) I + (α/32π)(3r I − d dᵀ/r); "dW" (S^α − S⁰)ν's first- and
+    second-order ones as K takes it (d = y − x, x̂ = d/r), (α/16π)(x̂·ν I −
+    x̂ νᵀ + ν x̂ᵀ + x̂·ν x̂ x̂ᵀ) + (α²/48π)(r d·ν I − ½ r d νᵀ + ν r dᵀ − ½ d·ν
+    d dᵀ/r); "V+dV" their sum in one contraction.  Each is scalar
+    coefficients per pair and edge, from the solid angle and the edge
+    integrals F (the log term), G, F1 = ∫R ds and F3 = ∫R³ ds (Wilton et
+    al., IEEE TAP 32, 1984; Nintcheu Fata, IJNME 78, 2009) in the edge
+    frame (t, m = t × n), summed in a fixed order on the panel's basis
+    tensors ("dW" adds n m_kᵀ − m_k nᵀ) or on n and m_k.  A target within
+    1e-10 edge lengths of the plane is in it (h = 0): ∫T⁰ is 0."""
+    n, area, lengths, t, m = (np.take(a, panels, axis=-1)
+                              for a in frames[1:6])
     parts = set(kinds) | ({"V", "dV"} if "V+dV" in kinds else set())
-    d = (corners - x).swapaxes(0, 1)            # (component, corner, pair)
-    h = -_dot(d[:, 0], n)                       # (x − c₀)·n
+    h, (p, sa, sb) = frame[0], frame[1:].reshape(3, 3, -1)
     h = np.where(np.abs(h) <= 1.0e-10 * lengths[0], 0.0, h)
     ah, hh = np.abs(h), h * h
-    p, sa = _dot(d, m.swapaxes(0, 1)), _dot(d, t.swapaxes(0, 1))
-    sb, r02 = sa + lengths, p * p + hh
+    r02 = p * p + hh
     ra, rb = np.sqrt(sa * sa + r02), np.sqrt(sb * sb + r02)
     a2, coef = alpha * alpha, {}                # coef in units of 1/4π
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -650,10 +648,10 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
               for kind in kinds] + ["dW"] * ("W" in kinds and bool(differences))
 
     def worker(start, stop):
-        plan = _NearFar(mesh, quadrature, points[start:stop])
+        plan = _NearFar(mesh, quadrature, points[start:stop], frames)
         if not on_boundary:
             _point_guard(mesh, plan)
-        near = plan.stokes(alpha, closed, frames)
+        near = plan.stokes(alpha, closed)
         for kind, name, out in zip(kinds, closed, outs):
             part = near[name]
             if kind == "W":         # _double_layer_pairs' parts
@@ -666,7 +664,8 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
             if kind == "V":         # six upper entries, mirrored once
                 blocks = _mirrored(blocks.T).T
             elif kind == "W":
-                parts, blocks = blocks, blocks.sum(axis=2)
+                parts, blocks = blocks, (blocks[:, :, 0] + blocks[:, :, 1]
+                                         if differences else blocks[:, :, 0])
                 if on_boundary:
                     own = (np.arange(stop - start), np.arange(start, stop))
                     blocks[own] -= 0.5 * np.eye(3) + parts[:, :, 0].sum(axis=1)

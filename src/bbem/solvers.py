@@ -158,8 +158,8 @@ class SolveReport:
     """Diagnostics of one solve; serializes to a flat JSON document.
 
     sigma_min and sigma_max bound the Dirichlet operator's extreme singular
-    values from above (_sigma_range on its LU factor) and from below (power
-    steps through K); None for Neumann and mixed."""
+    values from above (_sigma_range on its LU factor) and from below (by
+    Lanczos through K, _sigma_max); None for Neumann and mixed."""
 
     kind: str
     alpha: float
@@ -177,17 +177,23 @@ class SolveReport:
 class _RowStore:
     """Read-only layer-evaluation rows of one mesh and α: each
     kinds tuple keeps the rows of its most recent point set, keyed on the
-    points' shape and bytes, since callers may edit a point array in place."""
+    points' shape and bytes (callers may edit a point array in place), and
+    inside=True refuses a point outside Ω as it builds them."""
 
     def __init__(self, mesh, params):
         self.mesh, self.params = mesh, params
         self._entries = {}
 
-    def rows(self, points, kinds):
+    def rows(self, points, kinds, inside=False):
         key = (points.shape, points.tobytes())
         entry = self._entries.get(kinds)
         if entry is None or entry[0] != key:
             rows = _layer_rows(self.mesh, self.params, points, kinds)
+            outside = inside and winding_number(self.mesh, points) < 0.5
+            if np.any(outside):
+                at = int(np.argmax(outside))
+                raise ValueError(f"evaluation point {at} lies outside the "
+                                 f"domain: {points[at]}")
             for array in rows:
                 array.setflags(write=False)
             entry = self._entries[kinds] = (key, rows)
@@ -238,22 +244,16 @@ class SolverWorkspace:
                 self.mesh, self.params, ("V", "W"))
 
     def dirichlet_factorization(self):
-        """LU factor of −½I + K and its (σ_min, σ_max) estimate, σ_max by
-        30 seeded power steps on AᵀA applied through K (a lower bound)."""
+        """LU factor of −½I + K and its (σ_min, σ_max) estimate, the upper
+        and lower bounds of _sigma_range on the factor and _sigma_max."""
         if self._dirichlet_lu is None:
             matrix = self.double_layer.matrix
             system = np.array(matrix, order="F")
             system.flat[::len(system) + 1] -= 0.5
             lu = scipy.linalg.lu_factor(system, overwrite_a=True,
                                         check_finite=False)
-            high = np.random.default_rng(0).standard_normal(len(matrix))
-            for _ in range(30):
-                applied = -0.5 * high + matrix @ high
-                high = -0.5 * applied + matrix.T @ applied
-                high /= np.linalg.norm(high)
-            sigma_max = float(np.linalg.norm(-0.5 * high + matrix @ high))
             self._dirichlet_lu = (lu, (float(_sigma_range(lu)[0][0]),
-                                       sigma_max))
+                                       _sigma_max(matrix)))
         return self._dirichlet_lu
 
     def neumann_factorization(self):
@@ -405,6 +405,32 @@ def _sigma_range(lu, block=1):
         previous = inverse
         x = np.linalg.qr(scipy.linalg.lu_solve(lu, applied,
                                                check_finite=False))[0]
+
+
+def _sigma_max(matrix):
+    """σ_max of A = −½I + matrix from below: the top σ of B in the seeded
+    Golub–Kahan–Lanczos bidiagonalization A V = U B (Golub & Van Loan, ch.
+    10), each column orthogonalized twice against those before it on its
+    side, stopped as _sigma_range is; NaN once B is not finite."""
+    basis, b = np.zeros((2, 30, len(matrix))), np.zeros((30, 30))
+    x, previous = np.random.default_rng(0).standard_normal(len(matrix)), 0.0
+    for i in range(60):     # v_0, u_0, v_1, …: A v_k = β_k−1 u_k−1 + α_k u_k
+        side, k = basis[i % 2], i // 2
+        for _ in range(2):
+            x = x - side[:k].T @ (side[:k] @ x)
+        norm = np.linalg.norm(x)
+        if norm == 0.0:     # breakdown: the Krylov space is invariant
+            return float(previous)
+        side[k] = x / norm
+        if i:
+            b[(i - 1) // 2, k] = norm
+        if i % 2:           # α_k on the diagonal of B's leading k + 1 block
+            top = (np.linalg.svd(b[:k + 1, :k + 1], compute_uv=False)[0]
+                   if np.isfinite(b[k, k]) else np.nan)
+            if i == 59 or not abs(top - previous) > 1.0e-13 * top:
+                return float(top)
+            previous = top
+        x = -0.5 * side[k] + (matrix.T if i % 2 else matrix) @ side[k]
 
 
 def _reads_trace(spec):
@@ -593,15 +619,17 @@ def _handle_rows(handle):
 
 
 def evaluate_solution(handle, points):
-    """Velocity and pressure of a solved representation at interior points.
+    """Velocity and pressure of a solved representation at points inside Ω.
 
     The layer rows come from the handle's row store (a hand-built handle
-    gets a fresh one), so a repeated point set is integrated once."""
+    gets a fresh one), so a repeated point set is integrated and checked
+    for a point outside Ω, which raises ValueError, once."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     store, kinds = _handle_rows(handle)
     flat = handle.density.values.reshape(-1)
     velocity, pressure = (np.einsum("pam,m->pa", rows, flat) if rows.ndim == 3
-                          else rows @ flat for rows in store.rows(points, kinds))
+                          else rows @ flat
+                          for rows in store.rows(points, kinds, inside=True))
     if handle.tag == WITH_NEWTONIAN:
         newtonian = _newtonian_sums(handle.grid, handle.forcing, points,
                                     handle.params, ("velocity", "pressure"))

@@ -105,6 +105,46 @@ def fd_laplacian(f, x, h=1.0e-3):
     return total
 
 
+def closest_points_on_panels(corners, p):
+    """Closest point to p on each triangle of corners (m, 3, 3), vectorized:
+    the reference for the distances of potentials._edge_frame and the Duffy
+    singular points of potentials._closest_points.
+
+    Standard barycentric region classification: test the three vertex
+    regions, then the three edge regions, and default to the face interior.
+    """
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    ab, ac = b - a, c - a
+    d1, d2, d3, d4, d5, d6 = (np.einsum("mi,mi->m", edge, p - corner)
+                              for corner in (a, b, c) for edge in (ab, ac))
+    va = d3 * d6 - d4 * d5
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = d1 / (d1 - d3)
+        t_ac = d2 / (d2 - d6)
+        t_bc = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        denom = va + vb + vc
+        w_b = vb / denom
+        w_c = vc / denom
+
+    # face interior (default), then edge regions, then vertex regions;
+    # later assignments win, matching the branch order of the scalar test
+    out = a + w_b[:, None] * ab + w_c[:, None] * ac
+    regions = (  # edges bc, ac, ab, then vertices c, b, a
+        ((va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
+         b + t_bc[:, None] * (c - b)),
+        ((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0), a + t_ac[:, None] * ac),
+        ((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), a + t_ab[:, None] * ab),
+        ((d6 >= 0.0) & (d5 <= d6), c),
+        ((d3 >= 0.0) & (d4 <= d3), b),
+        ((d1 <= 0.0) & (d2 <= 0.0), a))
+    for inside, point in regions:
+        out = np.where(inside[:, None], point, out)
+    return out
+
+
 def polar_triangle_integral(func, vertices, origin, epsabs=1.0e-12):
     """Integrate func over a flat triangle in polar coordinates around origin.
 

@@ -5,7 +5,11 @@ worst block error of every layer kernel per distance band."""
 import numpy as np
 import pytest
 
-from _oracles import stokes_self_block, tensor_stokes_parts
+from _oracles import (
+    closest_points_on_panels,
+    stokes_self_block,
+    tensor_stokes_parts,
+)
 from bbem import potentials as P
 from bbem.geometry import (
     build_cube,
@@ -34,9 +38,11 @@ def _lattice(resolution):
 
 
 def _closed_forms(mesh, x, panels, alpha=QD_ALPHA, kinds=_KINDS):
-    """_stokes_parts for targets x (m, 3) against panels (m,), "V", "dV"
-    and "V+dV" mirrored from their six upper entries."""
-    parts = P._stokes_parts(x.T, panels, P._panel_frames(mesh), alpha, kinds)
+    """_stokes_parts for targets x (m, 3) against panels (m,) on their edge
+    frames, "V", "dV" and "V+dV" mirrored from their six upper entries."""
+    frames = P._panel_frames(mesh)
+    parts = P._stokes_parts(P._edge_frame(frames, panels, x.T)[0], panels,
+                            frames, alpha, kinds)
     return tuple(_mirrored(part) if kind in ("V", "dV", "V+dV") else part
                  for kind, part in parts.items())
 
@@ -45,7 +51,7 @@ def _duffy_sums(mesh, x, panels, order, kernels):
     """Per-pair integrals of each kernel(x, y, nu) (components first) on the
     order-`order` Duffy rule at the panel's closest point to x."""
     corners = mesh.panel_corners[panels]
-    closest = P._closest_points_on_panels(corners, x)
+    closest = closest_points_on_panels(corners, x)
     nodes, weights, counts = duffy_rule_batch(corners, closest, order)
     starts = np.cumsum(counts) - counts
     xs = np.repeat(x, counts, axis=0).T
@@ -177,6 +183,92 @@ def test_target_on_an_edge_extension_is_finite():
         assert _block_errors(got, expected).max() <= 1.0e-12
 
 
+# ------------------------------------------------------- the edge frame
+
+def _region_targets(mesh, seed=30, per_panel=24):
+    """Seeded targets around every panel: barycentric coordinates spread
+    over the face, edge and vertex regions, at heights off the plane and in
+    the plane (h = 0), every twelfth on the triangle; returns targets (m,
+    3), their panels and the number of their oracle points at a vertex, on
+    an edge and inside."""
+    rng = np.random.default_rng(seed)
+    panels = np.repeat(np.arange(mesh.n_panels), per_panel)
+    bary = rng.uniform(-1.5, 2.5, (len(panels), 3))
+    bary[:, 0] = 1.0 - bary[:, 1] - bary[:, 2]
+    bary[::4] = rng.dirichlet(np.ones(3), len(bary[::4]))
+    height = rng.uniform(-1.0, 1.0, len(panels)) * mesh.diameters[panels]
+    height[1::3] = 0.0
+    x = (np.einsum("mk,mki->mi", bary, mesh.panel_corners[panels])
+         + height[:, None] * mesh.normals[panels])
+    closest = closest_points_on_panels(mesh.panel_corners[panels], x)
+    corners = mesh.panel_corners[panels]
+    edges, to = corners[:, [1, 2, 0]] - corners, closest[:, None] - corners
+    on_edge = np.linalg.norm(np.cross(edges, to), axis=2) <= 1.0e-12 * (
+        mesh.diameters[panels, None] ** 2)
+    at_vertex = np.linalg.norm(to, axis=2) <= 1.0e-12 * mesh.diameters[
+        panels, None]
+    counts = (at_vertex.any(axis=1).sum(),
+              (on_edge.any(axis=1) & ~at_vertex.any(axis=1)).sum(),
+              (~on_edge.any(axis=1)).sum())
+    return x, panels, counts
+
+
+@pytest.mark.parametrize("build", [lambda: build_icosphere(1),
+                                   lambda: build_cube(1)],
+                         ids=["icosphere1", "cube1"])
+def test_edge_frame_matches_the_closest_point_oracle(build):
+    # the edge frame's distances and Duffy singular points against the
+    # barycentric closest points (_oracles), within 1e-14 of the panel
+    # diameter, in every region of every panel, off, in and on its plane
+    mesh = build()
+    x, panels, counts = _region_targets(mesh)
+    assert min(counts) > 50, counts
+    frames = P._panel_frames(mesh)
+    frame, dist = P._edge_frame(frames, panels, x.T)
+    closest = closest_points_on_panels(mesh.panel_corners[panels], x)
+    scale = mesh.diameters[panels]
+    assert np.all(np.abs(dist - np.linalg.norm(x - closest, axis=1))
+                  <= 1.0e-14 * scale)
+    feet = P._closest_points(frames, panels, x.T, frame)
+    assert np.all(np.linalg.norm(feet - closest, axis=1) <= 1.0e-14 * scale)
+    # targets on the triangle are their own singular points
+    on = np.arange(4, len(x), 12)
+    assert np.all(dist[on] <= 1.0e-14 * scale[on])
+    assert np.all(np.linalg.norm(feet[on] - x[on], axis=1)
+                  <= 1.0e-14 * scale[on])
+
+
+@pytest.mark.parametrize("case", ["icosphere2-off", "cube1-lattice",
+                                  "cube2-centroids"])
+def test_near_split_matches_the_closest_point_oracle(case):
+    # _near_search's (target, panel) pairs against every pair's oracle
+    # distance under two diameters, but for pairs within 1e-12 of that
+    # limit, where cube meshes have exact ties (36 at cube(2)'s centroids)
+    if case == "icosphere2-off":
+        mesh = build_icosphere(2)
+        points = 0.9 * mesh.centroids + 0.02
+    elif case == "cube1-lattice":
+        mesh, points = build_cube(1), _lattice(10)
+    else:
+        mesh = build_cube(2)
+        points = mesh.centroids
+    rows, panels, _, dist, min_dist = P._near_search(mesh, points)
+    n = mesh.n_panels
+    pair = np.arange(len(points) * n)
+    oracle = np.linalg.norm(points[pair // n] - closest_points_on_panels(
+        mesh.panel_corners[pair % n], points[pair // n]), axis=1)
+    ratio = oracle / (P._NEAR_FACTOR * mesh.diameters[pair % n])
+    tied = np.abs(ratio - 1.0) <= 1.0e-12
+    assert (case == "cube2-centroids") == bool(tied.any())
+    expected = set(pair[(ratio < 1.0) & ~tied].tolist())
+    got = set((rows * n + panels).tolist())
+    assert expected <= got
+    assert got - expected <= set(pair[tied].tolist())
+    np.testing.assert_allclose(dist, oracle[rows * n + panels], rtol=0.0,
+                               atol=1.0e-14 * mesh.scale)
+    assert np.all(min_dist[rows] <= dist)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
 @pytest.mark.parametrize("case", ["icosphere1", "icosphere2",
                                   "icosphere1-off", "icosphere2-off",
@@ -220,15 +312,15 @@ def test_layer_rows_match_the_tensor_form(on_boundary, alpha, monkeypatch):
     points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
     upper = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 
-    def tensor_form(x, panels, frames, alpha, names):
-        parts = tensor_stokes_parts(mesh, x, panels, alpha,
-                                    _KINDS + ("dV", "dW"))
+    def tensor_form(plan, alpha, names):
+        parts = tensor_stokes_parts(mesh, plan.points[:, plan.rows],
+                                    plan.near, alpha, _KINDS + ("dV", "dW"))
         parts["V+dV"] = parts["V"] + parts["dV"]
         return {name: parts[name][upper] if name in ("V", "dV", "V+dV")
                 else parts[name] for name in names}
 
     got = P._layer_rows(mesh, params, points, _KINDS, on_boundary)
-    monkeypatch.setattr(P, "_stokes_parts", tensor_form)
+    monkeypatch.setattr(P._NearFar, "stokes", tensor_form)
     expected = P._layer_rows(mesh, params, points, _KINDS, on_boundary)
     own = np.kron(np.eye(mesh.n_panels, dtype=bool), np.ones((3, 3), bool))
     for kind, rows, ref in zip(_KINDS, got, expected):
@@ -247,8 +339,8 @@ def test_each_kind_alone_keeps_its_bits(alpha):
     # does not read and keeps the bits of the part computed with all six
     mesh = build_cube(1)
     points = np.vstack([_lattice(10)[::7], mesh.centroids])
-    rows, panels, _, _, _ = P._near_search(mesh, points)
-    args = (points[rows].T, panels, P._panel_frames(mesh), alpha)
+    rows, panels, frame, _, _ = P._near_search(mesh, points)
+    args = (frame, panels, P._panel_frames(mesh), alpha)
     every = _KINDS + ("dV", "dW")
     full = P._stokes_parts(*args, every)
     for kinds in [(kind,) for kind in every] + [
@@ -295,7 +387,7 @@ def _reference(mesh, x, panels, alpha):
 
 
 def _bands(mesh, x, panels):
-    closest = P._closest_points_on_panels(mesh.panel_corners[panels], x)
+    closest = closest_points_on_panels(mesh.panel_corners[panels], x)
     ratio = np.linalg.norm(x - closest, axis=1) / mesh.diameters[panels]
     return np.searchsorted(_BANDS, ratio, side="right") - 1
 

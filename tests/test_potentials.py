@@ -190,8 +190,10 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
         blocks[kind] = matrix.matrix.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
     stokes = blocks["K0"].copy()
     stokes[np.arange(n), np.arange(n)] = 0.0
-    first = P._stokes_parts(mesh.centroids.T, np.arange(n),
-                            P._panel_frames(mesh), alpha, ("dV", "dW"))
+    frames = P._panel_frames(mesh)
+    first = P._stokes_parts(
+        P._edge_frame(frames, np.arange(n), mesh.centroids.T)[0],
+        np.arange(n), frames, alpha, ("dV", "dW"))
     twelve = panel_quadrature(mesh, 12)
     for i in range(n):
         c, nu = mesh.centroids[i], mesh.normals[i]
@@ -369,11 +371,21 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
     return (8.0 * f1 - 6.0 * f2 + f3) / 3.0
 
 
+def _near_panels(mesh, x):
+    """The near panels of target x, the closest points on them to x that
+    the plan's Duffy rules take (from its edge frames) and their
+    distances."""
+    frames = P._panel_frames(mesh)
+    _, panels, frame, dist, _ = P._near_search(mesh, x[None, :], frames)
+    return (panels, P._closest_points(frames, panels, x[:, None], frame),
+            dist)
+
+
 def _per_panel_blocks(mesh, quad, x, kernel):
     """Per-panel integrals of kernel(y, nu) around target x, one panel at a
     time: the Gauss rule on far panels and duffy_singular_rule at the band
     order on near panels."""
-    _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
+    panels, closest, dist = _near_panels(mesh, x)
     near = dict(zip(panels.tolist(),
                     zip(closest, _band_orders(mesh, panels, dist))))
     blocks = []
@@ -466,8 +478,7 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
 
     def near_parts(plan):
         # the closed forms plus the bounded differences, as V and W take them
-        parts = plan.stokes(ALPHA, ("V", "W", "Qs", "Qd"),
-                            P._panel_frames(mesh))
+        parts = plan.stokes(ALPHA, ("V", "W", "Qs", "Qd"))
         plan.add_near(*differences["V"], parts["V"])
         plan.add_near(*differences["W"], parts["W"])
         return list(parts.values())
@@ -569,7 +580,7 @@ def _graded_errors(mesh, targets):
     quad = panel_quadrature(mesh, 6)
     worst = {}
     for x in targets:
-        _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
+        panels, closest, dist = _near_panels(mesh, x)
         orders = _band_orders(mesh, panels, dist)
         plan = P._NearFar(mesh, quad, x[None, :])
         for name, kernel in _LAYER_KERNELS.items():
@@ -625,7 +636,7 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
     quad = panel_quadrature(mesh, 6)
     checked = set()
     for x in targets:
-        _, panels, closest, dist, _ = P._near_search(mesh, x[None, :])
+        panels, closest, dist = _near_panels(mesh, x)
         orders = _band_orders(mesh, panels, dist)
         blocks = _graded(P._NearFar(mesh, quad, x[None, :]),
                          lambda xs, y, _: _velocity_cf(xs - y, ALPHA))[0]

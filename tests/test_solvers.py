@@ -385,9 +385,10 @@ def test_mixed_systems_build_v_and_k_from_one_plan(cube_mixed, sphere_coarse,
                                          (1, 1.0), (1, 4.0)])
 @pytest.mark.parametrize("name", sorted(_ORACLE_MESHES))
 def test_sigma_range_brackets_svdvals(name, sign, alpha):
-    # the Ritz values of the factor bound σ_min from above, and ‖A v‖ after
-    # the Dirichlet power steps through K bounds σ_max from below; both
-    # come within the stated margins of the SVD values
+    # the Ritz values of the factor bound σ_min from above, and the top
+    # Ritz value of the Dirichlet Lanczos bidiagonalization through K bounds
+    # σ_max from below, to rounding; both come within the stated margins of
+    # the SVD values
     ws = _oracle_workspace(name, alpha)
     n = 3 * ws.mesh.n_panels
     if sign < 0:
@@ -399,7 +400,7 @@ def test_sigma_range_brackets_svdvals(name, sign, alpha):
     exact = scipy.linalg.svdvals(system)
     assert exact[-1] * (1 - 1.0e-12) <= low <= exact[-1] * (1 + 1.0e-3)
     if sign < 0:
-        assert 0.95 * exact[0] <= high <= exact[0] * (1 + 1.0e-12)
+        assert exact[0] * (1 - 1.0e-10) <= high <= exact[0] * (1 + 1.0e-12)
 
 
 def _sigma_range_30_steps(lu, block):
@@ -423,6 +424,61 @@ def test_sigma_range_early_exit_matches_30_steps(alpha):
         np.testing.assert_allclose(S._sigma_range(lu, block)[0],
                                    _sigma_range_30_steps(lu, block),
                                    rtol=1.0e-13, atol=0.0)
+
+
+def _sigma_max_30_steps(matrix):
+    """_sigma_max without its early exit: 30 Golub–Kahan–Lanczos steps on
+    A = −½I + matrix from the same seeded start, each new vector
+    orthogonalized twice against all before it on its side, then the top
+    singular value of the 30 × 30 bidiagonal."""
+    def unit(x, basis):
+        for _ in range(2):
+            x = x - basis.T @ (basis @ x)
+        return x / np.linalg.norm(x), np.linalg.norm(x)
+
+    n = len(matrix)
+    right, left, b = np.zeros((31, n)), np.zeros((30, n)), np.zeros((30, 31))
+    right[0] = unit(np.random.default_rng(0).standard_normal(n), right[:0])[0]
+    for k in range(30):
+        left[k], b[k, k] = unit(-0.5 * right[k] + matrix @ right[k], left[:k])
+        right[k + 1], b[k, k + 1] = unit(-0.5 * left[k] + matrix.T @ left[k],
+                                         right[:k + 1])
+    return np.linalg.svd(b[:, :30], compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+def test_sigma_max_early_exit_matches_30_steps(alpha):
+    # the top Ritz value stops once it settles to 1e-13, and then agrees
+    # with the value after all 30 Lanczos steps to 1e-13 on the sweep's
+    # −½I + K, which it reaches in fewer steps
+    ws = S.SolverWorkspace(build_icosphere(2), BrinkmanParams(alpha=alpha))
+    matrix, products = ws.double_layer.matrix, []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    high = S._sigma_max(matrix.view(Counted))
+    assert 0 < len(products) < 60
+    np.testing.assert_allclose(high, _sigma_max_30_steps(matrix),
+                               rtol=1.0e-13, atol=0.0)
+    assert high == ws.dirichlet_factorization()[1][1]
+
+
+def test_sigma_max_of_a_non_finite_operator_is_nan():
+    # a NaN in K reaches B at the first step; the Dirichlet solve then
+    # refuses the system (test_non_finite_double_layer_raises_ill_conditioned)
+    matrix = np.eye(6)
+    matrix[2, 4] = np.nan
+    assert np.isnan(S._sigma_max(matrix))
+
+
+def test_sigma_max_stops_on_an_invariant_krylov_space():
+    # K = 0 leaves A = -I/2, whose first left vector spans the Krylov space:
+    # the next right vector is exactly zero, and the top Ritz value so far
+    # (1/2) is returned rather than a NaN from normalizing it
+    assert S._sigma_max(np.zeros((12, 12))) == 0.5
 
 
 @pytest.mark.parametrize("mesh", [build_icosphere(1), build_icosphere(2),
@@ -900,6 +956,26 @@ def test_evaluate_rejects_boundary_point(sphere_coarse):
     handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
     with pytest.raises(ValueError, match="boundary"):
         S.evaluate_solution(handle, mesh.centroids[0])
+
+
+def test_evaluate_rejects_points_outside_the_domain(sphere_coarse,
+                                                   monkeypatch):
+    # the interior Dirichlet representation used to answer at (3, 0, 0) on
+    # icosphere(1), alpha = 1 (u_y = -2.1e-6, the double layer's exterior
+    # field); a point set with a point outside Ω raises, naming its first
+    # such point, and the winding number runs once per point set
+    mesh, ws = sphere_coarse
+    handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), ws)
+    points = np.array([[0.1, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
+    with pytest.raises(ValueError, match=r"point 1 lies outside the domain"):
+        S.evaluate_solution(handle, points)
+    calls, winding = [], S.winding_number
+    monkeypatch.setattr(S, "winding_number", lambda *args: (
+        calls.append(1), winding(*args))[1])
+    inside = 0.5 * points[:1]
+    first = S.evaluate_solution(handle, inside).velocity
+    assert S.evaluate_solution(handle, inside).velocity.tobytes() == (
+        first.tobytes()) and calls == [1]
 
 
 # every public evaluation path, called with a solved handle's density
