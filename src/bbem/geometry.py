@@ -10,6 +10,7 @@ interior used by the Newtonian potentials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,7 @@ class SurfaceMesh:
         for arr in (self.vertices, self.triangles, self.centroids, self.areas,
                     self.normals, self.diameters, self.panel_corners):
             arr.setflags(write=False)
+        self._derived = {}
 
     @property
     def n_panels(self):
@@ -82,6 +84,19 @@ class SurfaceMesh:
         return float(np.max(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
 
+def _per_mesh(build):
+    """build(mesh, *args) once per mesh and args, kept on the mesh; a raise
+    is not kept.  The mesh's arrays are immutable, and so are build's."""
+    @functools.wraps(build)
+    def once(mesh, *args):
+        key = (build.__name__, *args)
+        if key not in mesh._derived:
+            mesh._derived[key] = build(mesh, *args)
+        return mesh._derived[key]
+    return once
+
+
+@_per_mesh
 def check_closed(mesh):
     """Verify the mesh is closed and consistently oriented.
 
@@ -355,6 +370,7 @@ class QuadratureSet:
     order: int
 
 
+@_per_mesh
 def panel_quadrature(mesh, order):
     """Symmetric Gauss rule of the given order on every panel."""
     if order not in _TRIANGLE_RULES:

@@ -36,7 +36,6 @@ from .geometry import (
     build_icosphere,
     build_volume_grid,
     label_patches,
-    panel_quadrature,
     winding_number,
 )
 from .kernels import (
@@ -52,7 +51,6 @@ from .potentials import (
     VolumeField,
     eval_double_layer,
     eval_single_layer,
-    _FAR_ORDER,
     _NEAR_ORDERS,
     _NearFar,
     _edge_frame,
@@ -321,7 +319,7 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
 def _sl_traction(mesh, density, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point: the full
     kernel, near panels on the graded Duffy bands (_NEAR_ORDERS)."""
-    plan = _NearFar(mesh, panel_quadrature(mesh, _FAR_ORDER), x[None, :])
+    plan = _NearFar(mesh, x[None, :])
 
     def kernel(t, y, _):
         return _traction_cf(t - y, nu_x[:, None, None], alpha)
@@ -392,9 +390,8 @@ def operator_spectra(workspace):
     of 8 on the minus one, since σ₂ is a triple value on the icosphere.  A
     non-finite σ (from a non-finite K) raises IllConditioned.
     """
-    sigma, vectors = _sigma_range(scipy.linalg.lu_factor(
-        _traction_system(workspace, -0.5), overwrite_a=True,
-        check_finite=False), block=8)
+    sigma, vectors = _sigma_range(workspace._factor(
+        _traction_system(workspace, -0.5))[0], block=8)
     normals = workspace.mesh.normals.reshape(-1)
     cosine = abs(vectors[:, 0] @ normals) / np.linalg.norm(normals)
     plus, _ = _sigma_range(workspace.neumann_factorization())
@@ -1210,6 +1207,7 @@ def run_config(path, out_dir=None):
         grid = build_volume_grid(domain, resolution)
         forcing = VolumeField(grid, np.tile(tile, (grid.n_cells, 1)))
 
+    points = interior_probes(mesh)
     report = contraction = None
     if rc.beta > 0.0:
         handle, contraction = picard_solve(
@@ -1219,9 +1217,11 @@ def run_config(path, out_dir=None):
                        labeling=labeling, dirichlet_data=trace,
                        neumann_data=traction, forcing=forcing, grid=grid,
                        flux_tol=rc.flux_tol)
-        handle, report = _solve(spec)
+        workspace = SolverWorkspace(mesh, params)  # evaluation rows by its LU
+        workspace.row_store.want(points, ("W", "Qd") if spec.kind == DIRICHLET
+                                 else ("V", "Qs"), inside=True)
+        handle, report = _solve(spec, workspace)
 
-    points = interior_probes(mesh)
     fields = evaluate_solution(handle, points)
     interior_l2 = None
     if exact_velocity is not None and forcing is None:

@@ -26,7 +26,9 @@ Densities are piecewise constant at panel centroids.  Assembly and evaluation
 run over chunks of _CHUNK_PAIRS (target, column) pairs, at least 8 rows,
 each planned once and integrated in pieces of at most _PIECE_NODES nodes;
 per-row arithmetic depends on neither the chunk, the pieces nor the thread
-count, so results are byte-identical for any BBEM_THREADS setting.
+count, so results are byte-identical for any BBEM_THREADS setting.  After
+the assembly a solver's second thread takes the LU (solvers.SolverWorkspace
+._factor) while the first builds the evaluation rows the run will read.
 
 _layer_rows is the one row loop: every layer operator and evaluation is
 its rows on one near/far plan, _NearFar, per chunk.  Panels within two
@@ -76,6 +78,7 @@ from .geometry import (
     QuadratureSet,
     SurfaceMesh,
     VolumeGrid,
+    _per_mesh,
     duffy_rule_batch,
     panel_quadrature,
 )
@@ -299,13 +302,13 @@ def _closest_points(frames, panels, x, frame):
     return (x - h * n + np.where((p >= 0.0).all(axis=0), 0.0, foot)).T
 
 
-def _near_search(mesh, points, frames=None):
+def _near_search(mesh, points):
     """(rows, panels, edge frames, distances, min_dist) of the (target,
     panel) pairs closer than the Duffy-upgrade threshold, target-major with
     ascending panels, their _edge_frame, and each target's distance to its
     candidate panels (inf when none), which is exact whenever it matters:
     other panels are farther than every cutoff."""
-    frames = _panel_frames(mesh) if frames is None else frames
+    frames = _panel_frames(mesh)
     centroid_dist = _radial(mesh.centroids.T[:, None] - points.T[:, :, None],
                             require_nonzero=False)
     # centroid-to-farthest-corner is at most one diameter, so this is safe
@@ -340,14 +343,15 @@ class _NearFar:
     gathers components first and weights and sums each row's q nodes with
     one einsum, then adds the rows of each pair."""
 
-    def __init__(self, mesh, quadrature, points, frames=None):
+    def __init__(self, mesh, points):
         self.mesh, self.shape = mesh, (len(points), mesh.n_panels)
-        self.frames = _panel_frames(mesh) if frames is None else frames
+        self.frames = _panel_frames(mesh)
         self.rows, self.near, self.frame, self.near_dist, self.min_dist = (
-            _near_search(mesh, points, self.frames))
+            _near_search(mesh, points))
         far = np.ones(self.shape, dtype=bool)
         far[self.rows, self.near] = False
-        self.far, self.quadrature = np.nonzero(far), quadrature
+        self.far = np.nonzero(far)
+        self.quadrature = panel_quadrature(mesh, _FAR_ORDER)
         self.points, self.normals = points.T, mesh.normals.T
 
     def _groups(self, rules, far=False):
@@ -422,6 +426,7 @@ class _NearFar:
 
 # ------------------------------------------------ closed-form Stokes parts
 
+@_per_mesh
 def _panel_frames(mesh):
     """Per panel (last axis): corners (corner, component), normals n, areas,
     lengths, tangents t and normals m = t × n of the edges k → k + 1 (mod
@@ -435,9 +440,12 @@ def _panel_frames(mesh):
     i, j = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]       # the upper entries
     sym = lambda u, v: 0.5 * (u[..., i, :] * v[..., j, :]    # noqa: E731
                               + v[..., i, :] * u[..., j, :])
-    return corners, n, mesh.areas, lengths, t, m, np.concatenate([
+    frames = corners, n, mesh.areas, lengths, t, m, np.concatenate([
         np.broadcast_to(np.eye(3)[i, j, None], (1, 6, mesh.n_panels)),
         sym(n, n)[None], sym(m, m), sym(t, m), sym(m, n)])
+    for array in frames:
+        array.setflags(write=False)
+    return frames
 
 
 def _stokes_parts(frame, panels, frames, alpha, kinds):
@@ -641,14 +649,13 @@ def _layer_rows(mesh, params, points, kinds, on_boundary=False):
         "Qs": lambda x, y, nu: _pressure_cf(x - y),
         "Qd": lambda x, y, nu: _double_layer_pressure_cf(y - x, nu, alpha),
     }
-    quadrature, frames = panel_quadrature(mesh, _FAR_ORDER), _panel_frames(mesh)
     differences = _differences(mesh, alpha) if alpha > 0.0 else {}
     # closed forms: V's summed with "dV", W's beside "dW"
     closed = ["V+dV" if kind == "V" and differences else kind
               for kind in kinds] + ["dW"] * ("W" in kinds and bool(differences))
 
     def worker(start, stop):
-        plan = _NearFar(mesh, quadrature, points[start:stop], frames)
+        plan = _NearFar(mesh, points[start:stop])
         if not on_boundary:
             _point_guard(mesh, plan)
         near = plan.stokes(alpha, closed)

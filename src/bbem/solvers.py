@@ -30,8 +30,10 @@ in one row store that every handle it solves carries.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -65,6 +67,7 @@ from .potentials import (
     _near_search,
     _newtonian_rows,
     _newtonian_sums,
+    _thread_count,
 )
 
 MIXED = "mixed"
@@ -175,29 +178,44 @@ class SolveReport:
 
 
 class _RowStore:
-    """Read-only layer-evaluation rows of one mesh and α: each
-    kinds tuple keeps the rows of its most recent point set, keyed on the
-    points' shape and bytes (callers may edit a point array in place), and
-    inside=True refuses a point outside Ω as it builds them."""
+    """Read-only layer-evaluation rows of one mesh and α: each kinds tuple
+    keeps the rows of its most recent point set, keyed on the points' shape
+    and bytes (callers may edit a point array in place); inside=True refuses
+    a point outside Ω.  want() queues a set for the workspace's next LU
+    (_factor) or its first read, whichever comes first; a failed build is
+    raised by that read."""
 
     def __init__(self, mesh, params):
         self.mesh, self.params = mesh, params
-        self._entries = {}
+        self._entries, self._queue = {}, {}
+
+    def want(self, points, kinds, inside=False):
+        key = (points.shape, points.tobytes())
+        if self._entries.get(kinds, (None,))[0] != key:
+            self._queue[kinds] = key, points.copy(), inside
+
+    def build_queued(self, only=None):
+        for kinds in [k for k in list(self._queue) if only in (None, k)]:
+            key, points, inside = self._queue.pop(kinds)
+            try:
+                rows = _layer_rows(self.mesh, self.params, points, kinds)
+                outside = inside and winding_number(self.mesh, points) < 0.5
+                if np.any(outside):
+                    at = int(np.argmax(outside))
+                    raise ValueError(f"evaluation point {at} lies outside "
+                                     f"the domain: {points[at]}")
+                for array in rows:
+                    array.setflags(write=False)
+            except Exception as exc:
+                rows = exc
+            self._entries[kinds] = key, rows
 
     def rows(self, points, kinds, inside=False):
-        key = (points.shape, points.tobytes())
-        entry = self._entries.get(kinds)
-        if entry is None or entry[0] != key:
-            rows = _layer_rows(self.mesh, self.params, points, kinds)
-            outside = inside and winding_number(self.mesh, points) < 0.5
-            if np.any(outside):
-                at = int(np.argmax(outside))
-                raise ValueError(f"evaluation point {at} lies outside the "
-                                 f"domain: {points[at]}")
-            for array in rows:
-                array.setflags(write=False)
-            entry = self._entries[kinds] = (key, rows)
-        return entry[1]
+        self.want(points, kinds, inside)
+        self.build_queued(kinds)
+        if isinstance(self._entries[kinds][1], Exception):
+            raise self._entries.pop(kinds)[1]
+        return self._entries[kinds][1]
 
 
 class SolverWorkspace:
@@ -208,59 +226,67 @@ class SolverWorkspace:
     LU-factored once.  The systems that read both V and K build them from
     one plan.  No linear operator reads β, so it serves any β at fixed mesh
     and α.  It refuses an open mesh (check_closed names the bad edge).
+    Past one thread each LU runs beside the queued row builds (_factor).
     """
 
     def __init__(self, mesh, params):
         check_closed(mesh)
         self.mesh, self.params = mesh, params
-        self._single = self._double = None
         self._mixed_sys = {}
         self._mixed_lu = {}
         self._neumann_lu = None
         self._dirichlet_lu = None
-        self._probes = None
         self._grid = None, {}
         self.row_store = _RowStore(mesh, params)
 
     def matches(self, mesh, params):
         return mesh is self.mesh and params.alpha == self.params.alpha
 
-    @property
+    @functools.cached_property
     def single_layer(self):
-        if self._single is None:
-            self._single = assemble_single_layer(self.mesh, self.params)
-        return self._single
+        return assemble_single_layer(self.mesh, self.params)
 
-    @property
+    @functools.cached_property
     def double_layer(self):
-        if self._double is None:
-            self._double = assemble_double_layer(self.mesh, self.params)
-        return self._double
+        return assemble_double_layer(self.mesh, self.params)
 
     def _both_layers(self):
         """Build V and K from one plan unless either is built already."""
-        if self._single is None and self._double is None:
-            self._single, self._double = _boundary_operators(
+        if not {"single_layer", "double_layer"} & vars(self).keys():
+            self.single_layer, self.double_layer = _boundary_operators(
                 self.mesh, self.params, ("V", "W"))
 
+    def _factor(self, system, then=lambda lu: lu, other=lambda: None):
+        """(then(LU of system), other()), the LU written over system unless
+        that is read-only.  With _thread_count() > 1 the LU (LAPACK drops the
+        GIL) and then() run on a helper thread, joined on every path, while
+        this one runs other() and the row store's queued builds."""
+        factor = lambda: then(scipy.linalg.lu_factor(  # noqa: E731
+            system, overwrite_a=system.flags.writeable, check_finite=False))
+        if _thread_count() == 1:
+            return factor(), other()
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            factored = helper.submit(factor)
+            beside = other()
+            self.row_store.build_queued()
+            return factored.result(), beside
+
     def dirichlet_factorization(self):
-        """LU factor of −½I + K and its (σ_min, σ_max) estimate, the upper
-        and lower bounds of _sigma_range on the factor and _sigma_max."""
+        """LU factor of −½I + K and its (σ_min, σ_max) estimate: _sigma_range
+        on the factor after the LU, _sigma_max beside them (_factor)."""
         if self._dirichlet_lu is None:
             matrix = self.double_layer.matrix
             system = np.array(matrix, order="F")
             system.flat[::len(system) + 1] -= 0.5
-            lu = scipy.linalg.lu_factor(system, overwrite_a=True,
-                                        check_finite=False)
-            self._dirichlet_lu = (lu, (float(_sigma_range(lu)[0][0]),
-                                       _sigma_max(matrix)))
+            (lu, low), high = self._factor(
+                system, lambda lu: (lu, float(_sigma_range(lu)[0][0])),
+                lambda: _sigma_max(matrix))
+            self._dirichlet_lu = (lu, (low, high))
         return self._dirichlet_lu
 
     def neumann_factorization(self):
         if self._neumann_lu is None:
-            self._neumann_lu = scipy.linalg.lu_factor(
-                _traction_system(self, 0.5), overwrite_a=True,
-                check_finite=False)
+            self._neumann_lu = self._factor(_traction_system(self, 0.5))[0]
         return self._neumann_lu
 
     def mixed_matrix(self, labeling):
@@ -277,9 +303,8 @@ class SolverWorkspace:
     def mixed_factorization(self, labeling):
         cached = self._mixed_lu.get(labeling)
         if cached is None:
-            cached = scipy.linalg.lu_factor(self.mixed_matrix(labeling),
-                                            check_finite=False)
-            self._mixed_lu[labeling] = cached
+            cached = self._mixed_lu[labeling] = self._factor(
+                self.mixed_matrix(labeling))[0]
         return cached
 
     def grid_velocity_rows(self, grid):
@@ -287,13 +312,11 @@ class SolverWorkspace:
         shape (n_cells, 3, 3N), from the row store."""
         return self.row_store.rows(grid.centers, ("V",))[0]
 
-    @property
+    @functools.cached_property
     def probes(self):
         """The interior pressure probes, searched once; their "Qs" and "Qd"
         rows come from the row store."""
-        if self._probes is None:
-            self._probes = _pressure_probe_points(self.mesh)
-        return self._probes
+        return _pressure_probe_points(self.mesh)
 
     def _grid_data(self, grid, item, build):
         """item of the latest grid's data, build() on first use: the forced
@@ -510,6 +533,7 @@ def solve_dirichlet(spec, workspace=None):
     if scale > 0.0 and abs(h0.inner(nu)) > 0.01 * spec.flux_tol * scale:
         run_warnings.append("projected out a nonzero flux component")
 
+    ws.row_store.want(ws.probes, ("Qd",))
     lu, sigma = ws.dirichlet_factorization()
     if not sigma[0] > _SINGULAR_CUTOFF * sigma[1]:
         raise IllConditioned(
@@ -533,6 +557,7 @@ def solve_neumann(spec, workspace=None):
     t0 = time.perf_counter()
     ws = _workspace_for(spec.mesh, spec.params, workspace)
     rhs = _rhs(spec, ws).reshape(-1)
+    ws.row_store.want(ws.probes, ("Qs",))
     psi = _lu_solve(ws.neumann_factorization(), rhs, "Neumann")
     w = np.repeat(spec.mesh.areas, 3)                # K*ψ = Kᵀ(Wψ)/W
     applied = 0.5 * psi + ws.double_layer.matrix.T @ (w * psi) / w
@@ -549,6 +574,7 @@ def solve_mixed(spec, workspace=None):
     ws = _workspace_for(spec.mesh, spec.params, workspace)
     labeling = spec.labeling
     rhs = _rhs(spec, ws).reshape(-1)
+    ws.row_store.want(ws.probes, ("Qs",))
     psi = _lu_solve(ws.mixed_factorization(labeling), rhs, "mixed")
     return _solved(spec, ws, MIXED_SINGLE_LAYER, psi,
                    ws.mixed_matrix(labeling) @ psi, rhs, t0)

@@ -126,6 +126,16 @@ def test_check_closed_rejects_open_mesh():
         check_closed(mesh)
 
 
+def test_check_closed_raises_on_an_open_mesh_every_time():
+    # a mesh that passes is not walked again; a failure is not remembered
+    base = build_icosphere(0)
+    mesh = SurfaceMesh(base.vertices, base.triangles[:-1])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not closed"):
+            check_closed(mesh)
+    assert check_closed(base) and check_closed(base)
+
+
 def test_check_closed_rejects_inconsistent_orientation():
     base = build_icosphere(0)
     tris = base.triangles.copy()
@@ -322,6 +332,23 @@ def test_quadrature_polynomial_exactness(order):
             np.testing.assert_allclose(np.sum(w * x ** p * y ** q),
                                        exact_monomial(p, q), rtol=1e-13,
                                        err_msg=f"order {order}, monomial x^{p} y^{q}")
+
+
+@pytest.mark.parametrize("order", [1, 3, 6, 12])
+def test_quadrature_is_built_once_per_mesh_read_only(order):
+    # the rule is kept on the mesh: a second call returns it again, its
+    # arrays refuse writes, and they equal a fresh build's bits
+    mesh = build_cube(1)
+    quad = panel_quadrature(mesh, order)
+    assert panel_quadrature(mesh, order) is quad
+    fresh = panel_quadrature.__wrapped__(mesh, order)
+    assert fresh is not quad and fresh.order == quad.order == order
+    for kept, built in ((quad.nodes, fresh.nodes),
+                        (quad.weights, fresh.weights)):
+        assert not kept.flags.writeable
+        assert kept.tobytes() == built.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        quad.nodes[0, 0, 0] = 1.0
 
 
 def test_quadrature_nodes_lie_on_panels():

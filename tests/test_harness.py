@@ -173,7 +173,7 @@ def test_operator_spectra_names_a_non_finite_operator(monkeypatch):
     ws = SolverWorkspace(build_icosphere(1), BrinkmanParams(alpha=1.0))
     matrix = ws.double_layer.matrix.copy()
     matrix[4, 7] = np.nan
-    monkeypatch.setattr(ws, "_double", DenseOperator(matrix, "K", alpha=1.0))
+    ws.double_layer = DenseOperator(matrix, "K", alpha=1.0)
     with pytest.raises(IllConditioned, match="K"):
         H.operator_spectra(ws)
 
@@ -194,7 +194,7 @@ def test_factor_and_spectra_peaks_stay_near_one_matrix(sphere2_double_layer,
     # that its LU overwrites, and the minus factor of the spectra is gone
     # before the Neumann factor is written
     ws = SolverWorkspace(build_icosphere(2), PARAMS)
-    monkeypatch.setattr(ws, "_double", sphere2_double_layer)
+    ws.double_layer = sphere2_double_layer
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -493,3 +493,20 @@ def test_near_field_error_table():
             bound = near_bounds[kind]
         assert error <= bound, (kind, alpha, band, error)
     assert {band for kind, _, band in table if kind == "V"} >= set(_BANDS)
+
+
+@pytest.mark.parametrize("build", [build_icosphere, build_cube])
+def test_panel_frames_are_built_once_per_mesh_read_only(build):
+    # the frames are kept on the mesh: a second call returns them again,
+    # every array refuses writes and equals a fresh build's bits
+    mesh = build(1)
+    frames = P._panel_frames(mesh)
+    assert P._panel_frames(mesh) is frames
+    fresh = P._panel_frames.__wrapped__(mesh)
+    assert len(frames) == len(fresh) == 7
+    for kept, built in zip(frames, fresh):
+        assert not kept.flags.writeable
+        assert kept.shape == built.shape
+        assert kept.tobytes() == built.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        frames[4][0, 0, 0] = 1.0

@@ -256,8 +256,8 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
 def test_one_band_table_integrates_every_near_pair():
     # a one-band rule table is the two-band table with the same rule twice
     mesh = build_cube(1)
-    quad, twelve = panel_quadrature(mesh, 6), panel_quadrature(mesh, 12)
-    plan = P._NearFar(mesh, quad, 0.9 * mesh.centroids[:4] + 0.05)
+    twelve = panel_quadrature(mesh, 12)
+    plan = P._NearFar(mesh, 0.9 * mesh.centroids[:4] + 0.05)
     sums = []
     for rules in (((2.0, twelve),), ((0.5, twelve), (2.0, twelve))):
         out = np.zeros((6, len(plan.near)))
@@ -376,7 +376,7 @@ def _near_panels(mesh, x):
     the plan's Duffy rules take (from its edge frames) and their
     distances."""
     frames = P._panel_frames(mesh)
-    _, panels, frame, dist, _ = P._near_search(mesh, x[None, :], frames)
+    _, panels, frame, dist, _ = P._near_search(mesh, x[None, :])
     return (panels, P._closest_points(frames, panels, x[:, None], frame),
             dist)
 
@@ -448,7 +448,7 @@ def test_near_far_split_matches_per_panel_loop(fine):
                                    atol=1.0e-13 * np.abs(expected).max())
     for i in (3, 97, 210):
         x = mesh.centroids[i]
-        plan = P._NearFar(mesh, quad, x[None, :])
+        plan = P._NearFar(mesh, x[None, :])
         # exactly one rule for every panel, the own panel included
         panels = np.concatenate([plan.far[1], plan.near])
         np.testing.assert_array_equal(np.sort(panels),
@@ -473,7 +473,6 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
         mesh = build_cube(1)
         lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
         points = lattice[::19][:P._chunk_rows(mesh.n_panels)]
-    quad = panel_quadrature(mesh, 6)
     differences = P._differences(mesh, ALPHA)
 
     def near_parts(plan):
@@ -483,13 +482,13 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
         plan.add_near(*differences["W"], parts["W"])
         return list(parts.values())
 
-    chunk = P._NearFar(mesh, quad, points)
+    chunk = P._NearFar(mesh, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
                lambda x, y, nu: _double_layer_nodes(y - x, nu, ALPHA))
     rows = [_graded(chunk, kernel) for kernel in kernels]
     chunk_near = near_parts(chunk)
     for t, x in enumerate(points):
-        alone = P._NearFar(mesh, quad, x[None, :])
+        alone = P._NearFar(mesh, x[None, :])
         assert len(alone.near) > 0
         for kernel, chunk_rows in zip(kernels, rows):
             np.testing.assert_array_equal(chunk_rows[t],
@@ -513,7 +512,7 @@ def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
     params = BrinkmanParams(alpha=alpha)
     rows, = P._layer_rows(mesh, params, points, ("W",), on_boundary)
     row_max = np.abs(rows).max(axis=2)
-    plan = P._NearFar(mesh, panel_quadrature(mesh, 6), points)
+    plan = P._NearFar(mesh, points)
     far = (lambda x, y, nu: _double_layer_rows_cf(y - x, nu, alpha),
            lambda sums, nu: _double_layer_pairs(sums, nu, alpha))
     cases = [(group[0], plan._sums(far, group), plan._sums(
@@ -577,12 +576,11 @@ def _reference_blocks(mesh, panels, closest, order, kernel):
 def _graded_errors(mesh, targets):
     """Worst relative block error of the graded near rules against the
     order-24 rule, per (kernel, Duffy order), over the target points."""
-    quad = panel_quadrature(mesh, 6)
     worst = {}
     for x in targets:
         panels, closest, dist = _near_panels(mesh, x)
         orders = _band_orders(mesh, panels, dist)
-        plan = P._NearFar(mesh, quad, x[None, :])
+        plan = P._NearFar(mesh, x[None, :])
         for name, kernel in _LAYER_KERNELS.items():
             def at_x(y, nu):
                 return kernel(x[None, :], y, nu)
@@ -633,12 +631,11 @@ def test_graded_near_rules_match_polar_oracle(graded_targets):
     # one block per band against the adaptive polar integral around the
     # panel's closest point to the target
     mesh, targets = graded_targets[1]
-    quad = panel_quadrature(mesh, 6)
     checked = set()
     for x in targets:
         panels, closest, dist = _near_panels(mesh, x)
         orders = _band_orders(mesh, panels, dist)
-        blocks = _graded(P._NearFar(mesh, quad, x[None, :]),
+        blocks = _graded(P._NearFar(mesh, x[None, :]),
                          lambda xs, y, _: _velocity_cf(xs - y, ALPHA))[0]
         for panel, point, order, d in zip(panels, closest, orders, dist):
             # below a quarter diameter the order-12 rule itself is only

@@ -5,9 +5,11 @@ least squares and the singular-value estimates, the Neumann-to-Dirichlet
 composition identity, forced solves with the Newtonian shift, and report
 determinism."""
 
+import dataclasses
 import functools
 import gc
 import json
+import threading
 import weakref
 
 import numpy as np
@@ -378,7 +380,7 @@ def test_mixed_systems_build_v_and_k_from_one_plan(cube_mixed, sphere_coarse,
     mesh, _ = sphere_coarse
     ws = S.SolverWorkspace(mesh, PARAMS)
     S.solve_dirichlet(dirichlet_spec(mesh), ws)
-    assert calls == [("W",)] and ws._single is None
+    assert calls == [("W",)] and "single_layer" not in vars(ws)
 
 
 @pytest.mark.parametrize("sign, alpha", [(-1, 0.0), (-1, 1.0), (-1, 4.0),
@@ -513,14 +515,14 @@ def test_each_factor_overwrites_the_system_written_for_it(sphere_coarse,
     monkeypatch.setattr(scipy.linalg, "lu_factor", recorded)
     mesh, ws = sphere_coarse
     fresh = S.SolverWorkspace(mesh, PARAMS)
-    monkeypatch.setattr(fresh, "_double", ws.double_layer)
+    fresh.double_layer = ws.double_layer
     fresh.dirichlet_factorization()
     fresh.neumann_factorization()
     assert [np.shares_memory(*pair) for pair in written] == [True, True]
     cube, labeling, cube_ws = cube_mixed
     fresh = S.SolverWorkspace(cube, PARAMS)
-    monkeypatch.setattr(fresh, "_single", cube_ws.single_layer)
-    monkeypatch.setattr(fresh, "_double", cube_ws.double_layer)
+    fresh.single_layer = cube_ws.single_layer
+    fresh.double_layer = cube_ws.double_layer
     lu = fresh.mixed_factorization(labeling)[0]
     assert not np.shares_memory(lu, fresh.mixed_matrix(labeling))
 
@@ -676,7 +678,7 @@ def _poisoned_workspace(mesh, row, column):
     ws = S.SolverWorkspace(mesh, PARAMS)
     matrix = ws.double_layer.matrix.copy()
     matrix[row, column] = np.nan
-    ws._double = P.DenseOperator(matrix, "K", alpha=PARAMS.alpha)
+    ws.double_layer = P.DenseOperator(matrix, "K", alpha=PARAMS.alpha)
     return ws
 
 
@@ -1204,3 +1206,135 @@ def test_report_json_shape(sphere_coarse):
     assert doc["kind"] == S.DIRICHLET
     assert doc["alpha"] == 1.0
     assert isinstance(doc["warnings"], list)
+
+
+# ------------------------------------------------- threads and the row queue
+
+_PATCH_RULES = {"build_icosphere": {"type": "plane", "normal": [0, 0, 1],
+                                    "offset": 0.5},
+                "build_cube": {"type": "cube_faces", "neumann_faces": ["+z"]}}
+
+
+def _sharing(ws):
+    """A fresh workspace on ws's mesh and α that takes its V and K."""
+    fresh = S.SolverWorkspace(ws.mesh, ws.params)
+    fresh.single_layer, fresh.double_layer = ws.single_layer, ws.double_layer
+    return fresh
+
+
+@pytest.mark.parametrize("build", [build_icosphere, build_cube])
+def test_factorizations_keep_their_bits_across_threads(build, monkeypatch):
+    # each LU with its pivots, the Dirichlet σ pair and the rows queued
+    # beside them keep their bits whether the LU runs on this thread (one
+    # thread) or on the helper beside σ_max and the queued builds (two)
+    mesh = build(1)
+    labeling = label_patches(mesh, _PATCH_RULES[build.__name__])
+    factor, on_main = scipy.linalg.lu_factor, []
+
+    def recorded(matrix, **options):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return factor(matrix, **options)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recorded)
+    points, results = 0.5 * INTERIOR, {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BBEM_THREADS", threads)
+        ws = S.SolverWorkspace(mesh, PARAMS)
+        ws.row_store.want(points, ("V", "Qs"), inside=True)
+        (lu, pivots), sigma = ws.dirichlet_factorization()
+        results[threads] = [lu, pivots, np.array(sigma),
+                            *ws.neumann_factorization(),
+                            *ws.mixed_factorization(labeling),
+                            *ws.row_store.rows(points, ("V", "Qs"))]
+    assert on_main == [True] * 3 + [False] * 3
+    for one, two in zip(results["1"], results["2"], strict=True):
+        assert one.dtype == two.dtype and one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("target, error", [
+    (scipy.linalg, np.linalg.LinAlgError), (S, FloatingPointError)])
+def test_failed_factorization_raises_and_retries(sphere_coarse, monkeypatch,
+                                                 threads, target, error):
+    # an LU that raises (on the helper past one thread) or a σ_max that
+    # raises (on this thread) surfaces from solve_dirichlet; the workspace
+    # stays unfactored, so a second solve factors it, and every thread it
+    # started is joined
+    mesh, ws = sphere_coarse
+    name = "lu_factor" if target is scipy.linalg else "_sigma_max"
+    original, calls = getattr(target, name), []
+
+    def failing_once(*args, **options):
+        calls.append(threading.current_thread() is threading.main_thread())
+        if len(calls) == 1:
+            raise error("injected")
+        return original(*args, **options)
+
+    monkeypatch.setattr(target, name, failing_once)
+    monkeypatch.setenv("BBEM_THREADS", threads)
+    fresh, spec = _sharing(ws), dirichlet_spec(mesh)
+    before = threading.active_count()
+    with pytest.raises(error, match="injected"):
+        S.solve_dirichlet(spec, fresh)
+    assert fresh._dirichlet_lu is None
+    assert threading.active_count() == before
+    handle, report = S.solve_dirichlet(spec, fresh)
+    assert calls == [target is S or threads == "1"] * 2
+    expected, expected_report = S.solve_dirichlet(spec, ws)
+    assert handle.density.values.tobytes() == (
+        expected.density.values.tobytes())
+    assert report.sigma_min == expected_report.sigma_min
+    assert report.sigma_max == expected_report.sigma_max
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_queued_point_outside_raises_at_its_read(sphere_coarse, monkeypatch,
+                                                 threads):
+    # a queued set with a point outside Ω does not fail the solve that
+    # builds it beside its LU; evaluate_solution on that set raises the
+    # ValueError of an unqueued read, on every read
+    mesh, ws = sphere_coarse
+    monkeypatch.setenv("BBEM_THREADS", threads)
+    fresh = _sharing(ws)
+    points = np.array([[0.1, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    fresh.row_store.want(points, ("W", "Qd"), inside=True)
+    handle, _ = S.solve_dirichlet(dirichlet_spec(mesh), fresh)
+    assert (("W", "Qd") in fresh.row_store._entries) == (threads == "2")
+    with pytest.raises(ValueError) as unqueued:
+        S.evaluate_solution(dataclasses.replace(handle, row_store=None),
+                            points)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="point 1 lies outside") as read:
+            S.evaluate_solution(handle, points)
+        assert str(read.value) == str(unqueued.value)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_queued_rows_are_built_once(cube_mixed, monkeypatch, threads):
+    # a queued set is built once: beside the next LU past one thread, else
+    # at its first read; a set read before any LU or already stored is not
+    # queued again, and repeated mixed solves (as the Picard loop makes)
+    # leave the queue empty
+    mesh, labeling, ws = cube_mixed
+    monkeypatch.setenv("BBEM_THREADS", threads)
+    fresh, built = _sharing(ws), []
+    monkeypatch.setattr(S, "_layer_rows", _recording_layer_rows(built))
+    store, points, other = fresh.row_store, 0.5 * INTERIOR, 0.4 * INTERIOR
+    store.want(points, ("V", "Qs"), inside=True)
+    first = store.rows(points, ("V", "Qs"), inside=True)
+    store.want(points, ("V", "Qs"), inside=True)
+    assert built == [("V", "Qs")] and store._queue == {}
+    store.want(other, ("V",))
+    fresh.mixed_factorization(labeling)
+    assert built[1:] == ([("V",)] if threads == "2" else [])
+    store.rows(other, ("V",))
+    assert built[1:] == [("V",)] and store._queue == {}
+    for pole in (CUBE_POLE, CUBE_POLE + 0.3, CUBE_POLE + 0.6):
+        S.solve_mixed(S.BVPSpec(kind=S.MIXED, params=PARAMS, mesh=mesh,
+                                labeling=labeling,
+                                dirichlet_data=exact_trace(mesh, pole),
+                                neumann_data=exact_traction(mesh, pole)),
+                      fresh)
+        assert store._queue == {}
+    assert built == [("V", "Qs"), ("V",), ("Qs",)]
+    assert store.rows(points, ("V", "Qs")) is first
