@@ -104,16 +104,20 @@ def check_closed(mesh):
     in opposite directions; additionally the discrete divergence theorem
     Σ area·ν = 0 must hold to 1e-12 of the total area.
     """
-    directed = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(a), int(b))
-            if key in directed:
-                raise ValueError(f"edge {key} traversed twice in the same direction")
-            directed[key] = True
-    for a, b in directed:
-        if (b, a) not in directed:
-            raise ValueError(f"boundary edge ({a}, {b}): mesh is not closed")
+    # directed edges (a, b) in walk order, keyed a·nv + b
+    tri, nv = mesh.triangles, len(mesh.vertices)
+    edges = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = edges[:, 0] * nv + edges[:, 1]
+    order = np.argsort(keys, kind="stable")
+    again = order[1:][keys[order[1:]] == keys[order[:-1]]]  # later repeats
+    if len(again):
+        a, b = edges[again.min()]
+        raise ValueError(f"edge {(int(a), int(b))} traversed twice in the "
+                         "same direction")
+    open_edges = np.flatnonzero(~np.isin(edges[:, 1] * nv + edges[:, 0], keys))
+    if len(open_edges):
+        a, b = edges[open_edges[0]]
+        raise ValueError(f"boundary edge ({a}, {b}): mesh is not closed")
     flux = np.abs(mesh.areas @ mesh.normals)
     if np.any(flux > 1.0e-12 * mesh.total_area):
         raise ValueError(f"sum of area-weighted normals {flux} exceeds closure tolerance")
@@ -382,103 +386,6 @@ def panel_quadrature(mesh, order):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureSet(nodes=nodes, weights=weights, order=order)
-
-
-_DUFFY_TEMPLATES = {}
-
-
-def _duffy_template(order):
-    """Flattened tensor-Gauss template on [0,1]²: (u, u·v, w₁w₂u) arrays."""
-    template = _DUFFY_TEMPLATES.get(order)
-    if template is None:
-        gx, gw = np.polynomial.legendre.leggauss(order)
-        gu = 0.5 * (gx + 1.0)
-        gw = 0.5 * gw
-        uu, vv = np.meshgrid(gu, gu, indexing="ij")
-        ww = np.outer(gw, gw)
-        template = (uu.ravel().copy(), (uu * vv).ravel(), (ww * uu).ravel())
-        _DUFFY_TEMPLATES[order] = template
-    return template
-
-
-def _cross3(a, b):
-    """Cross product over the last axis, component by component."""
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
-
-
-def _dot3(a, b):
-    """Dot product over the last axis.  Stacked matmul takes the same BLAS
-    dot for every row, so a row's value does not depend on the batch."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def duffy_rule_batch(corners, points, order):
-    """Singularity-absorbing rules on many panels for integrands with a 1/r
-    factor.
-
-    Panel k (corners (m, 3, 3)) is fanned into sub-triangles at its singular
-    point points[k] (3 for an interior point, fewer when it sits on an edge
-    or vertex: fan triangles below 1e-14 of the panel area are dropped);
-    each fan triangle (P, A, B) carries the tensor-Gauss rule mapped by
-    x = P + u (A - P) + u v (B - A), whose Jacobian 2·area·u cancels the 1/r
-    singularity at P.  Returns nodes (M, 3), weights (M,) and per-panel node
-    counts (m,); panel k's rule is the k-th run of counts[k] rows.  nodes.T
-    is C-ordered, (3, fans, order²) nodes built along the template.
-    """
-    corners = np.asarray(corners, dtype=float)
-    p = np.asarray(points, dtype=float)
-    if corners.ndim != 3 or corners.shape[1:] != (3, 3):
-        raise ValueError("panel corners must have shape (m, 3, 3)")
-    if p.shape != (len(corners), 3):
-        raise ValueError("singular points must have shape (m, 3)")
-    for name, a in (("panel corners", corners), ("singular points", p)):
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"{name} must be finite")
-    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
-            or order < 1):
-        raise ValueError(f"order must be a whole number >= 1, got {order!r}")
-
-    # the singular point must lie on the panel (plane + barycentric test)
-    e1 = corners[:, 1] - corners[:, 0]
-    e2 = corners[:, 2] - corners[:, 0]
-    normal = _cross3(e1, e2)
-    two_area = np.sqrt(_dot3(normal, normal))
-    scale = np.sqrt(two_area)
-    rel = p - corners[:, 0]
-    if np.any(np.abs(_dot3(rel, normal)) > 1.0e-9 * scale * two_area):
-        raise ValueError("singular point does not lie in the panel plane")
-    a11, a12, a22 = _dot3(e1, e1), _dot3(e1, e2), _dot3(e2, e2)
-    b1, b2 = _dot3(e1, rel), _dot3(e2, rel)
-    det = a11 * a22 - a12 * a12
-    bary0 = (a22 * b1 - a12 * b2) / det
-    bary1 = (a11 * b2 - a12 * b1) / det
-    if np.any((bary0 < -1.0e-9) | (bary1 < -1.0e-9)
-              | (bary0 + bary1 > 1.0 + 1.0e-9)):
-        raise ValueError("singular point lies outside the panel")
-
-    u_flat, uv_flat, wu_flat = _duffy_template(int(order))
-
-    # fan triangles (P, corner a, corner b) for edges (0,1), (1,2), (2,0)
-    to_a = corners - p[:, None, :]
-    along = corners[:, [1, 2, 0]] - corners
-    arm = _cross3(to_a, along)
-    sub_area = 0.5 * np.sqrt(_dot3(arm, arm))           # (m, 3)
-    keep = ~(sub_area <= 1.0e-14 * two_area[:, None])
-    fan_panel = np.nonzero(keep)[0]
-    nodes = (p.T[:, fan_panel, None] + u_flat * to_a[keep].T[:, :, None]
-             + uv_flat * along[keep].T[:, :, None])
-    weights = wu_flat[None, :] * (2.0 * sub_area[keep])[:, None]
-    counts = keep.sum(axis=1) * len(wu_flat)
-    return nodes.reshape(3, -1).T, weights.reshape(-1), counts
-
-
-def duffy_singular_rule(panel_corners, singular_point, order):
-    """The duffy_rule_batch rule on one panel: nodes (q, 3), weights (q,)."""
-    nodes, weights, _ = duffy_rule_batch(np.asarray(panel_corners)[None],
-                                         np.asarray(singular_point)[None], order)
-    return nodes, weights
 
 
 # ---------------------------------------------------------------- volume grid

@@ -34,25 +34,25 @@ _layer_rows is the one row loop: every layer operator and evaluation is
 its rows on one near/far plan, _NearFar, per chunk.  Panels within two
 diameters of a target (its own panel included) are near, the rest take the
 _FAR_ORDER-point rule, one kernel call per piece; one edge frame per
-candidate pair (_edge_frame) gives the exact distance that splits them, the
-closed forms' coordinates and the Duffy singular points.  K is the "W" rows
-at the centroids, whose own blocks take the row-sum diagonal of the
-constant identity K⁰c = −½c; V and K come from one plan where both are
-needed (_boundary_operators).  W's nodes give normal-free rows whose
-per-pair sums are contracted with the panel normal (_double_layer_pairs);
-V is six upper entries on every path, mirrored once per block.  On a near pair
-every layer kernel takes in closed form (_stokes_parts: edge coefficients
-on per-panel tensors, _PIECE_NODES // 2 pairs at a time) its Stokes part
-(∫G⁰ for V, ∫T⁰ for K and W, all of Q^s and Q^d) and the kinked terms of
-its α-difference: G^α − G⁰'s first-order ones, (S^α − S⁰)ν's of orders 0
-and 2 in √α r (the odd ones are polynomials on a flat panel).  Quadrature
-carries the smooth rest, nothing at α = 0, on the 12-point symmetric
-rule: no layer row builds a Duffy rule.  Near blocks are within 4e-6
-(V), 6e-7 (W) and 1.1e-9 (K, off the diagonal) of converged ones down to
-1e-3 diameters, Q^s and Q^d exact; the regular rule errs up to 3e-5.  The
-remainder is smooth on a panel only while √α times the largest panel
-diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near blocks err 2.4e-5
-there, 7.5e-4 at 5.1); past it the rows are refused.
+candidate pair (_edge_frame) gives the closed forms' coordinates and the
+exact distance that splits them, with a relative margin of 1e-9 so that
+ties are near.  K is the "W" rows at the centroids, whose own blocks take
+the row-sum diagonal of the constant identity K⁰c = −½c; V and K come from
+one plan where both are needed (_boundary_operators).  W's nodes give
+normal-free rows whose per-pair sums are contracted with the panel normal
+(_double_layer_pairs); V is six upper entries on every path, mirrored once
+per block.  On a near pair every layer kernel takes in closed form
+(_stokes_parts: edge coefficients on per-panel tensors, _PIECE_NODES // 2
+pairs at a time) its Stokes part (∫G⁰ for V, ∫T⁰ for K and W, all of Q^s
+and Q^d) and the kinked terms of its α-difference: G^α − G⁰'s first-order
+ones, (S^α − S⁰)ν's of orders 0 and 2 in √α r (the odd ones are
+polynomials on a flat panel).  Quadrature carries the smooth rest, nothing
+at α = 0, on the one near rule, the 12-point symmetric rule.  Near blocks
+are within 4e-6 (V), 6e-7 (W) and 1.1e-9 (K, off the diagonal) of
+converged ones down to 1e-3 diameters, Q^s and Q^d exact; the regular rule
+errs up to 3e-5.  The remainder is smooth on a panel only while √α times
+the largest panel diameter is at most _MAX_ALPHA_DIAMETER = 2.5 (V's near
+blocks err 2.4e-5 there, 7.5e-4 at 5.1); past it the rows are refused.
 
 The Newtonian pair is linear in the forcing: _newtonian_rows builds its
 midpoint rows at any targets, which _newtonian_sums applies chunk by chunk.
@@ -75,11 +75,9 @@ import numpy as np
 
 from .errors import InvalidThreadCount, UnsupportedParameter
 from .geometry import (
-    QuadratureSet,
     SurfaceMesh,
     VolumeGrid,
     _per_mesh,
-    duffy_rule_batch,
     panel_quadrature,
 )
 from .kernels import (
@@ -100,12 +98,7 @@ _CHUNK_PAIRS = 10240        # (target, panel or cell) pairs per chunk
 _PIECE_NODES = 16384        # nodes per rule piece: bounds chunk memory
 _FAR_ORDER = 6              # points per panel of the regular (far) rule
 _MAX_ALPHA_DIAMETER = 2.5   # largest √α · panel diameter the near field serves
-# Duffy order of a near panel for the single-layer traction (the harness's
-# jump battery, which takes the full kernel) by its distance over its
-# diameter: the first band whose limit the ratio is below.  Panels past the
-# last limit take the regular rule.
-_NEAR_ORDERS = ((0.5, 12), (1.0, 8), (1.5, 6), (2.0, 5))
-_NEAR_FACTOR = _NEAR_ORDERS[-1][0]
+_NEAR_FACTOR = 2.0          # near: closer than this many panel diameters
 _WARN_FACTOR = 1.0e-3       # accuracy warning inside this many diameters
 _KIND_CODES = {"V": 0, "K": 1, "Kstar": 2, "S_mixed": 3, "custom": 255}
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
@@ -290,24 +283,14 @@ def _edge_frame(frames, panels, x):
         np.sqrt(h * h + (p * p + off * off).min(axis=0)))
 
 
-def _closest_points(frames, panels, x, frame):
-    """Closest points (m, 3) on panels (m,) to targets x (3, m) from their
-    _edge_frame: x − h n, moved by p_k m_k + o_k t_k onto the nearest edge k
-    when it lies outside the triangle."""
-    h, (p, sa, sb) = frame[0], frame[1:].reshape(3, 3, -1)
-    n, t, m = (np.take(frames[i], panels, axis=-1) for i in (1, 4, 5))
-    off = np.maximum(sa, 0.0) + np.minimum(sb, 0.0)
-    foot = np.take_along_axis(p * m.swapaxes(0, 1) + off * t.swapaxes(0, 1), (
-        p * p + off * off).argmin(axis=0)[None, None], axis=1)[:, 0]
-    return (x - h * n + np.where((p >= 0.0).all(axis=0), 0.0, foot)).T
-
-
 def _near_search(mesh, points):
     """(rows, panels, edge frames, distances, min_dist) of the (target,
-    panel) pairs closer than the Duffy-upgrade threshold, target-major with
+    panel) pairs closer than _NEAR_FACTOR diameters, target-major with
     ascending panels, their _edge_frame, and each target's distance to its
     candidate panels (inf when none), which is exact whenever it matters:
-    other panels are farther than every cutoff."""
+    other panels are farther than every cutoff.  The limit takes a relative
+    margin of 1e-9, so a pair at exactly two diameters (cube meshes have
+    them) is near whatever the rounding of its distance."""
     frames = _panel_frames(mesh)
     centroid_dist = _radial(mesh.centroids.T[:, None] - points.T[:, :, None],
                             require_nonzero=False)
@@ -317,31 +300,27 @@ def _near_search(mesh, points):
     frame, dist = _edge_frame(frames, panels, np.take(points.T, rows, axis=1))
     min_dist = np.full(len(points), np.inf)
     np.minimum.at(min_dist, rows, dist)
-    keep = np.flatnonzero(dist < _NEAR_FACTOR * mesh.diameters[panels])
+    keep = np.flatnonzero(dist < _NEAR_FACTOR * mesh.diameters[panels]
+                          * (1.0 + 1.0e-9))
     return (rows[keep], panels[keep], np.take(frame, keep, axis=1),
             dist[keep], min_dist)
 
 
 def _regular_group(targets, panels, quadrature):
     """A plan group of (targets, panels) pairs on quadrature's panel rules."""
-    q = quadrature.nodes.shape[1]
-    return (targets, panels, np.arange(len(panels)),
+    return (targets, panels,
             np.take(quadrature.nodes.transpose(2, 0, 1), panels, axis=1),
-            quadrature.weights[panels], q * np.arange(len(panels)))
+            quadrature.weights[panels])
 
 
 class _NearFar:
     """Quadrature plan for a chunk of targets.  Far pairs take the regular
     rule, near ones (a target's own panel included) the caller's closed
-    forms on their edge frames, to which add_near adds a kernel on rules:
-    (limit, Duffy order or QuadratureSet) bands by distance over diameter
-    like _NEAR_ORDERS.  The far rule and each band are integrated in pieces
-    (_groups), each a group (targets, panels, pair, nodes (3, rows, q),
-    weights (rows, q), starts): row r belongs to pair[r], pair k's rule is
-    the run of rows from node starts[k] (one per pair on a QuadratureSet,
-    one per fan triangle about _closest_points on a Duffy rule).  _sums
-    gathers components first and weights and sums each row's q nodes with
-    one einsum, then adds the rows of each pair."""
+    forms on their edge frames, to which add_near adds a kernel on one
+    QuadratureSet.  Either rule is integrated in pieces (_groups), each a
+    group (targets, panels, nodes (3, pairs, q), weights (pairs, q)); _sums
+    gathers components first and weights and sums each pair's q nodes with
+    one einsum."""
 
     def __init__(self, mesh, points):
         self.mesh, self.shape = mesh, (len(points), mesh.n_panels)
@@ -354,46 +333,26 @@ class _NearFar:
         self.quadrature = panel_quadrature(mesh, _FAR_ORDER)
         self.points, self.normals = points.T, mesh.normals.T
 
-    def _groups(self, rules, far=False):
-        """(pair indices, group) per band of rules over the near pairs, by
-        distance over diameter, or over the far pairs (far, one band), built
-        one at a time in pieces of at most _PIECE_NODES nodes (or one pair)."""
+    def _groups(self, quadrature, far=False):
+        """(pair indices, group) over the near pairs, or the far ones (far),
+        on quadrature, built one at a time in pieces of at most _PIECE_NODES
+        nodes."""
         targets, panels = self.far if far else (self.rows, self.near)
-        band = sum((self.near_dist >= limit * self.mesh.diameters[self.near]
-                    for limit, _ in rules[:-1]), np.zeros(len(panels), int))
-        for b, (_, rule) in enumerate(rules):
-            at = np.flatnonzero(band == b)
-            size = (rule.nodes.shape[1] if isinstance(rule, QuadratureSet)
-                    else 3 * rule ** 2)
-            pieces = -(-len(at) * size // _PIECE_NODES)
-            for at in np.array_split(at, pieces) if pieces else ():
-                if isinstance(rule, QuadratureSet):
-                    yield at, _regular_group(targets[at], panels[at], rule)
-                    continue
-                nodes, weights, counts = duffy_rule_batch(
-                    self.mesh.panel_corners[panels[at]], _closest_points(
-                        self.frames, panels[at], np.take(
-                            self.points, targets[at], axis=1),
-                        np.take(self.frame, at, axis=1)), rule)
-                yield at, (targets[at], panels[at],
-                           np.repeat(np.arange(len(at)), counts // rule ** 2),
-                           nodes.T.reshape(3, -1, rule ** 2),
-                           weights.reshape(-1, rule ** 2),
-                           np.cumsum(counts) - counts)
+        pieces = -(-len(panels) * quadrature.nodes.shape[1] // _PIECE_NODES)
+        for at in (np.array_split(np.arange(len(panels)), pieces)
+                   if pieces else ()):
+            yield at, _regular_group(targets[at], panels[at], quadrature)
 
     def _sums(self, kernel, group):
         """Per-pair integrals of kernel over a group, (*shape, pairs); a kernel
         (rows, form) gives form(per-pair integrals of rows, pair normals)."""
         rows, form = kernel if isinstance(kernel, tuple) else (
             kernel, lambda sums, _: sums)
-        targets, panels, pair, nodes, weights, starts = group
+        targets, panels, nodes, weights = group
         normals = np.take(self.normals, panels, axis=1)
-        values = rows(np.take(self.points, targets[pair], axis=1)[:, :, None],
-                      nodes, np.take(normals, pair, axis=1)[:, :, None])
-        sums = np.einsum("...rq,rq->...r", values, weights)
-        if len(starts) < len(weights):      # a Duffy rule's fan triangles
-            sums = np.add.reduceat(sums, starts // weights.shape[1], axis=-1)
-        return form(sums, normals)
+        values = rows(np.take(self.points, targets, axis=1)[:, :, None],
+                      nodes, normals[:, :, None])
+        return form(np.einsum("...rq,rq->...r", values, weights), normals)
 
     def integrate(self, kernel, near):
         """Per-panel integrals of kernel(x (3, R, 1), nodes (3, R, q),
@@ -403,14 +362,15 @@ class _NearFar:
         regular rule, one piece at a time."""
         blocks = np.zeros(self.shape + near.shape[:-1])
         blocks[self.rows, self.near] = np.moveaxis(near, -1, 0)
-        for _, group in self._groups(((None, self.quadrature),), far=True):
+        for _, group in self._groups(self.quadrature, far=True):
             blocks[group[0], group[1]] = np.moveaxis(
                 self._sums(kernel, group), -1, 0)
         return blocks
 
-    def add_near(self, kernel, rules, out):
-        """Add the near pairs' integrals of kernel on rules to out (*shape, pairs)."""
-        for at, group in self._groups(rules):
+    def add_near(self, kernel, quadrature, out):
+        """Add the near pairs' integrals of kernel on quadrature to out
+        (*shape, pairs)."""
+        for at, group in self._groups(quadrature):
             out[..., at] += self._sums(kernel, group)
 
     def stokes(self, alpha, kinds):
@@ -535,17 +495,17 @@ def _dot(u, v):
 # ------------------------------------------------------------- operator assembly
 
 def _differences(mesh, alpha):
-    """kind: (kernel, rules) of what near pairs add by quadrature to the
+    """kind: (kernel, rule) of what near pairs add by quadrature to the
     closed forms of kind and "d" + kind: the bounded α-differences less
     their closed-form terms, G^α − G⁰'s (O(r²)) and (S^α − S⁰)ν's (O(r),
     contracted per pair), both smooth enough for one rule, the 12-point
     symmetric rule out to two diameters."""
-    rules = ((_NEAR_FACTOR, panel_quadrature(mesh, 12)),)
-    return {"V": (lambda x, y, _: _velocity_remainder_cf(x - y, alpha), rules),
+    rule = panel_quadrature(mesh, 12)
+    return {"V": (lambda x, y, _: _velocity_remainder_cf(x - y, alpha), rule),
             "W": ((lambda x, y, nu: _double_layer_rows_cf(
                        y - x, nu, alpha, _STRESS_REMAINDER),
                    lambda sums, nu: _double_layer_pairs(sums, nu, alpha)[0]),
-                  rules)}
+                  rule)}
 
 
 def assemble_single_layer(mesh, params):

@@ -107,8 +107,8 @@ def fd_laplacian(f, x, h=1.0e-3):
 
 def closest_points_on_panels(corners, p):
     """Closest point to p on each triangle of corners (m, 3, 3), vectorized:
-    the reference for the distances of potentials._edge_frame and the Duffy
-    singular points of potentials._closest_points.
+    the reference for the distances of potentials._edge_frame and the
+    singular points of the Duffy rules below.
 
     Standard barycentric region classification: test the three vertex
     regions, then the three edge regions, and default to the face interior.
@@ -143,6 +143,108 @@ def closest_points_on_panels(corners, p):
     for inside, point in regions:
         out = np.where(inside[:, None], point, out)
     return out
+
+
+# ------------------------------------------------------------- Duffy rules
+# Singularity-absorbing tensor-Gauss rules on fan triangles: the library's
+# near rules before the near field moved to closed forms, their bodies
+# unchanged; the high-order references of the near-field tests.
+
+_DUFFY_TEMPLATES = {}
+
+
+def _duffy_template(order):
+    """Flattened tensor-Gauss template on [0,1]²: (u, u·v, w₁w₂u) arrays."""
+    template = _DUFFY_TEMPLATES.get(order)
+    if template is None:
+        gx, gw = np.polynomial.legendre.leggauss(order)
+        gu = 0.5 * (gx + 1.0)
+        gw = 0.5 * gw
+        uu, vv = np.meshgrid(gu, gu, indexing="ij")
+        ww = np.outer(gw, gw)
+        template = (uu.ravel().copy(), (uu * vv).ravel(), (ww * uu).ravel())
+        _DUFFY_TEMPLATES[order] = template
+    return template
+
+
+def _cross3(a, b):
+    """Cross product over the last axis, component by component."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
+def _dot3(a, b):
+    """Dot product over the last axis.  Stacked matmul takes the same BLAS
+    dot for every row, so a row's value does not depend on the batch."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def duffy_rule_batch(corners, points, order):
+    """Singularity-absorbing rules on many panels for integrands with a 1/r
+    factor.
+
+    Panel k (corners (m, 3, 3)) is fanned into sub-triangles at its singular
+    point points[k] (3 for an interior point, fewer when it sits on an edge
+    or vertex: fan triangles below 1e-14 of the panel area are dropped);
+    each fan triangle (P, A, B) carries the tensor-Gauss rule mapped by
+    x = P + u (A - P) + u v (B - A), whose Jacobian 2·area·u cancels the 1/r
+    singularity at P.  Returns nodes (M, 3), weights (M,) and per-panel node
+    counts (m,); panel k's rule is the k-th run of counts[k] rows.  nodes.T
+    is C-ordered, (3, fans, order²) nodes built along the template.
+    """
+    corners = np.asarray(corners, dtype=float)
+    p = np.asarray(points, dtype=float)
+    if corners.ndim != 3 or corners.shape[1:] != (3, 3):
+        raise ValueError("panel corners must have shape (m, 3, 3)")
+    if p.shape != (len(corners), 3):
+        raise ValueError("singular points must have shape (m, 3)")
+    for name, a in (("panel corners", corners), ("singular points", p)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or order < 1):
+        raise ValueError(f"order must be a whole number >= 1, got {order!r}")
+
+    # the singular point must lie on the panel (plane + barycentric test)
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    normal = _cross3(e1, e2)
+    two_area = np.sqrt(_dot3(normal, normal))
+    scale = np.sqrt(two_area)
+    rel = p - corners[:, 0]
+    if np.any(np.abs(_dot3(rel, normal)) > 1.0e-9 * scale * two_area):
+        raise ValueError("singular point does not lie in the panel plane")
+    a11, a12, a22 = _dot3(e1, e1), _dot3(e1, e2), _dot3(e2, e2)
+    b1, b2 = _dot3(e1, rel), _dot3(e2, rel)
+    det = a11 * a22 - a12 * a12
+    bary0 = (a22 * b1 - a12 * b2) / det
+    bary1 = (a11 * b2 - a12 * b1) / det
+    if np.any((bary0 < -1.0e-9) | (bary1 < -1.0e-9)
+              | (bary0 + bary1 > 1.0 + 1.0e-9)):
+        raise ValueError("singular point lies outside the panel")
+
+    u_flat, uv_flat, wu_flat = _duffy_template(int(order))
+
+    # fan triangles (P, corner a, corner b) for edges (0,1), (1,2), (2,0)
+    to_a = corners - p[:, None, :]
+    along = corners[:, [1, 2, 0]] - corners
+    arm = _cross3(to_a, along)
+    sub_area = 0.5 * np.sqrt(_dot3(arm, arm))           # (m, 3)
+    keep = ~(sub_area <= 1.0e-14 * two_area[:, None])
+    fan_panel = np.nonzero(keep)[0]
+    nodes = (p.T[:, fan_panel, None] + u_flat * to_a[keep].T[:, :, None]
+             + uv_flat * along[keep].T[:, :, None])
+    weights = wu_flat[None, :] * (2.0 * sub_area[keep])[:, None]
+    counts = keep.sum(axis=1) * len(wu_flat)
+    return nodes.reshape(3, -1).T, weights.reshape(-1), counts
+
+
+def duffy_singular_rule(panel_corners, singular_point, order):
+    """The duffy_rule_batch rule on one panel: nodes (q, 3), weights (q,)."""
+    nodes, weights, _ = duffy_rule_batch(np.asarray(panel_corners)[None],
+                                         np.asarray(singular_point)[None], order)
+    return nodes, weights
 
 
 def polar_triangle_integral(func, vertices, origin, epsabs=1.0e-12):

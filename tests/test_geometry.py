@@ -16,15 +16,17 @@ from bbem.geometry import (
     build_icosphere,
     build_volume_grid,
     check_closed,
-    duffy_rule_batch,
-    duffy_singular_rule,
     label_patches,
     load_off,
     panel_quadrature,
     winding_number,
 )
 
-from _oracles import polar_triangle_integral
+from _oracles import (
+    duffy_rule_batch,
+    duffy_singular_rule,
+    polar_triangle_integral,
+)
 
 
 # ------------------------------------------------------------------ icosphere
@@ -143,6 +145,58 @@ def test_check_closed_rejects_inconsistent_orientation():
     mesh = SurfaceMesh(base.vertices, tris, orient_outward=False)
     with pytest.raises(ValueError, match="same direction"):
         check_closed(mesh)
+
+
+def test_check_closed_names_an_edge_traversed_twice():
+    # a second copy of a triangle walks its three edges again in the same
+    # direction; the message names the first repeat, the copy's first edge
+    base = build_icosphere(1)
+    a, b, c = base.triangles[7]
+    mesh = SurfaceMesh(base.vertices, np.vstack([base.triangles,
+                                                 base.triangles[7]]),
+                       orient_outward=False)
+    with pytest.raises(ValueError, match=rf"^edge \({a}, {b}\) traversed "
+                       r"twice in the same direction$"):
+        check_closed(mesh)
+
+
+def _edge_walk(triangles):
+    """The per-edge dict walk check_closed replaced, as the reference: the
+    message of the first directed edge seen twice, else of the first edge
+    whose reverse is missing, else None."""
+    directed = {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(a), int(b))
+            if key in directed:
+                return f"edge {key} traversed twice in the same direction"
+            directed[key] = True
+    for a, b in directed:
+        if (b, a) not in directed:
+            return f"boundary edge ({a}, {b}): mesh is not closed"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_closed_names_the_edge_the_walk_names(seed):
+    # triangles dropped, repeated or flipped at seeded places: the sorted
+    # check raises the walk's message, naming the same edge
+    base = build_icosphere(1)
+    rng = np.random.default_rng(seed)
+    tris = base.triangles.copy()
+    picks = rng.choice(len(tris), 3, replace=False)
+    if seed % 3 == 0:
+        tris = np.delete(tris, picks[:1 + seed % 2], axis=0)
+    elif seed % 3 == 1:
+        tris = np.vstack([tris, tris[picks[:1]]])
+    else:
+        tris[picks[:2]] = tris[picks[:2]][:, [0, 2, 1]]
+    mesh = SurfaceMesh(base.vertices, tris, orient_outward=False)
+    expected = _edge_walk(tris)
+    assert expected is not None
+    with pytest.raises(ValueError) as raised:
+        check_closed(mesh)
+    assert str(raised.value) == expected
 
 
 def test_degenerate_triangle_rejected():

@@ -9,23 +9,24 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import polar_triangle_integral, stokes_self_block
+from _oracles import (
+    closest_points_on_panels,
+    duffy_singular_rule,
+    polar_triangle_integral,
+    stokes_self_block,
+)
 from bbem.geometry import (
     SurfaceMesh,
     VolumeGrid,
     build_cube,
     build_icosphere,
     build_volume_grid,
-    duffy_rule_batch,
-    duffy_singular_rule,
     panel_quadrature,
 )
 from bbem.kernels import (
     BrinkmanParams,
-    brinkman_pressure_tensor,
     brinkman_velocity_tensor,
     pressure_vector,
-    stress_difference_normal,
     traction_kernel,
     _STRESS_REMAINDER,
     _double_layer_nodes,
@@ -216,22 +217,13 @@ def test_own_blocks_match_self_panel_construction(build, alpha):
 def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
                                                      alpha):
     # the Stokes parts and the differences' kinked terms are closed forms
-    # and the remainders take the 12-point rule, so neither K assembly nor
-    # the V, W, Qs and Qd rows build a Duffy rule at any alpha; only the
-    # harness's single-layer traction (the full kernel) takes the graded
-    # Duffy bands
+    # and the remainders take the 12-point rule; K assembly and the V, W,
+    # Qs and Qd rows integrate every rule in pieces within the node budget
     mesh, _ = coarse
-    calls, regular_group, stokes_parts = [], P._regular_group, P._stokes_parts
-
-    def counted(corners, points, order):
-        # each piece of a band stays within the node budget
-        assert len(corners) * 3 * order ** 2 <= max(P._PIECE_NODES,
-                                                    3 * order ** 2)
-        calls.append(order)
-        return duffy_rule_batch(corners, points, order)
+    regular_group, stokes_parts = P._regular_group, P._stokes_parts
 
     def regular(targets, panels, quadrature):
-        # so does each piece of the far rule and of the 12-point bands
+        # each piece of the far rule and of the 12-point rule
         assert len(panels) * quadrature.nodes.shape[1] <= P._PIECE_NODES
         return regular_group(targets, panels, quadrature)
 
@@ -240,31 +232,11 @@ def test_near_quadrature_carries_only_the_difference(coarse, monkeypatch,
         assert 2 * len(panels) <= P._PIECE_NODES
         return stokes_parts(x, panels, *args)
 
-    monkeypatch.setattr(P, "duffy_rule_batch", counted)
     monkeypatch.setattr(P, "_regular_group", regular)
     monkeypatch.setattr(P, "_stokes_parts", closed_forms)
     params = BrinkmanParams(alpha=alpha)
     P.assemble_double_layer(mesh, params)
     P._layer_rows(mesh, params, 0.9 * mesh.centroids, ("V", "W", "Qs", "Qd"))
-    assert calls == []
-    x = 0.9 * mesh.centroids[0]
-    H._sl_traction(mesh, np.ones((mesh.n_panels, 3)), x, mesh.normals[0],
-                   alpha)
-    assert set(calls) <= {order for _, order in P._NEAR_ORDERS} and calls
-
-
-def test_one_band_table_integrates_every_near_pair():
-    # a one-band rule table is the two-band table with the same rule twice
-    mesh = build_cube(1)
-    twelve = panel_quadrature(mesh, 12)
-    plan = P._NearFar(mesh, 0.9 * mesh.centroids[:4] + 0.05)
-    sums = []
-    for rules in (((2.0, twelve),), ((0.5, twelve), (2.0, twelve))):
-        out = np.zeros((6, len(plan.near)))
-        plan.add_near(lambda x, y, _: _velocity_cf(x - y, ALPHA), rules, out)
-        sums.append(out)
-    assert np.all(sums[0].any(axis=0))
-    np.testing.assert_array_equal(sums[0], sums[1])
 
 
 # --------------------------------------------------------- operator identities
@@ -371,31 +343,26 @@ def _extrapolate_to_surface(sample, x0, normal, diameter, side):
     return (8.0 * f1 - 6.0 * f2 + f3) / 3.0
 
 
-def _near_panels(mesh, x):
-    """The near panels of target x, the closest points on them to x that
-    the plan's Duffy rules take (from its edge frames) and their
-    distances."""
-    frames = P._panel_frames(mesh)
-    _, panels, frame, dist, _ = P._near_search(mesh, x[None, :])
-    return (panels, P._closest_points(frames, panels, x[:, None], frame),
-            dist)
+# the V and K-Stokes kernels, as the library calls them
+_LAYER_KERNELS = {
+    "V": lambda x, y, nu: brinkman_velocity_tensor(x - y, ALPHA),
+    "K Stokes": lambda x, y, nu: traction_kernel(y, x, nu, 0.0),
+}
 
 
-def _per_panel_blocks(mesh, quad, x, kernel):
+def _per_panel_blocks(mesh, quad, x, kernel, near_rule):
     """Per-panel integrals of kernel(y, nu) around target x, one panel at a
-    time: the Gauss rule on far panels and duffy_singular_rule at the band
-    order on near panels."""
-    panels, closest, dist = _near_panels(mesh, x)
-    near = dict(zip(panels.tolist(),
-                    zip(closest, _band_orders(mesh, panels, dist))))
+    time: the Gauss rule quad on far panels and near_rule(j, closest point)
+    -> (nodes, weights) on the panels j within two diameters of x (by the
+    closest-point oracle)."""
+    closest = closest_points_on_panels(
+        mesh.panel_corners, np.broadcast_to(x, (mesh.n_panels, 3)))
+    near = (np.linalg.norm(closest - x, axis=1)
+            < P._NEAR_FACTOR * mesh.diameters)
     blocks = []
     for j in range(mesh.n_panels):
-        if j in near:
-            point, order = near[j]
-            nodes, weights = duffy_singular_rule(mesh.panel_corners[j], point,
-                                                 order)
-        else:
-            nodes, weights = quad.nodes[j], quad.weights[j]
+        nodes, weights = (near_rule(j, closest[j]) if near[j]
+                          else (quad.nodes[j], quad.weights[j]))
         normals = np.repeat(mesh.normals[j][None, :], len(weights), axis=0)
         block = np.einsum("q,q...->...", weights, kernel(nodes, normals))
         blocks.append(block)
@@ -413,51 +380,72 @@ def _per_node(kernel):
     return plan_kernel
 
 
-def _graded(plan, kernel):
-    """plan.integrate(kernel) with the near pairs on the graded Duffy bands
-    of _NEAR_ORDERS, as the harness's single-layer traction takes them."""
+def _on_rule(plan, kernel, rule):
+    """plan.integrate(kernel) with the near pairs on rule as well."""
     x = plan.points[:, :1, None]
     probe = kernel(x, x + 1.0, plan.normals[:, :1, None])
     near = np.zeros(probe.shape[:-2] + (len(plan.near),))
-    plan.add_near(kernel, P._NEAR_ORDERS, near)
+    plan.add_near(kernel, rule, near)
     return plan.integrate(kernel, near)
 
 
 def _sl_traction(mesh, quad, dens, x, nu_x, alpha):
     """Traction of the single layer at an off-boundary point, summed panel
-    by panel with the same near-panel upgrade policy as the library."""
-    blocks = _per_panel_blocks(mesh, quad, x, lambda y, _: traction_kernel(
-        x[None, :], y, nu_x[None, :], alpha))
+    by panel: the full kernel on order-24 Duffy rules at the closest points
+    of the panels within two diameters, the Gauss rule quad elsewhere."""
+    blocks = _per_panel_blocks(
+        mesh, quad, x, lambda y, _: traction_kernel(x[None, :], y,
+                                                    nu_x[None, :], alpha),
+        lambda j, point: duffy_singular_rule(mesh.panel_corners[j], point,
+                                             24))
     return np.einsum("jib,jb->i", blocks, dens)
 
 
-def test_near_far_split_matches_per_panel_loop(fine):
-    # the library's near/far plan against the per-panel loop above: the
-    # single-layer traction at points close enough to the boundary to have
-    # near panels, and V and K-Stokes rows at centroids, their own panel
-    # included, as assembly integrates them
-    mesh, quad = fine
-    g = smooth_density(mesh)
-    for i in (3, 97, 210):
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("build", [lambda: build_icosphere(2),
+                                   lambda: build_cube(1)],
+                         ids=["icosphere2", "cube1"])
+def test_single_layer_traction_matches_order_24_duffy(build, alpha):
+    # the harness's traction, −pν + (∇u + ∇uᵀ)ν from the V rows by central
+    # differences and the Qs row, against the full traction kernel panel by
+    # panel (_sl_traction above), at 0.25, 0.5 and 1 diameters on both
+    # sides of three centroids: within 1e-6, and within 1e-5 where √α times
+    # the panel diameter passes 1 (cube(1) at α = 4 reads 8.2e-6, the
+    # gradient of V's remainder on the 12-point rule; the graded Duffy
+    # bands that took the full kernel before read 1.7e-5, 1.1e-5 and
+    # 6.4e-6 on cube(1) at α = 0, 1 and 4)
+    mesh = build()
+    quad, g = panel_quadrature(mesh, 6), smooth_density(mesh)
+    bound = 1.0e-5 if np.sqrt(alpha) * mesh.diameters.max() > 1.0 else 1.0e-6
+    for i in (3, 21, 40):
         nu = mesh.normals[i]
-        x = mesh.centroids[i] - 0.3 * mesh.diameters[i] * nu
-        assert len(P._near_search(mesh, x[None, :])[1]) > 0
-        expected = _sl_traction(mesh, quad, g, x, nu, ALPHA)
-        got = H._sl_traction(mesh, g, x, nu, ALPHA)
-        np.testing.assert_allclose(got, expected, rtol=1.0e-13,
-                                   atol=1.0e-13 * np.abs(expected).max())
+        for offset in (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0):
+            x = mesh.centroids[i] + offset * mesh.diameters[i] * nu
+            expected = _sl_traction(mesh, quad, g, x, nu, alpha)
+            got = H._sl_traction(mesh, g, x, nu, alpha)
+            assert (np.linalg.norm(got - expected)
+                    <= bound * np.linalg.norm(expected)), (i, offset)
+
+
+def test_near_far_split_matches_per_panel_loop(fine):
+    # the library's near/far plan against the per-panel loop above: V and
+    # K-Stokes rows at centroids, their own panel included, with the near
+    # pairs on the 12-point rule; every panel takes exactly one rule
+    mesh, quad = fine
+    twelve = panel_quadrature(mesh, 12)
     for i in (3, 97, 210):
         x = mesh.centroids[i]
         plan = P._NearFar(mesh, x[None, :])
-        # exactly one rule for every panel, the own panel included
         panels = np.concatenate([plan.far[1], plan.near])
         np.testing.assert_array_equal(np.sort(panels),
                                       np.arange(mesh.n_panels))
         for name in ("V", "K Stokes"):
             def kernel(y, nu):
                 return _LAYER_KERNELS[name](x[None, :], y, nu)
-            got = _graded(plan, _per_node(_LAYER_KERNELS[name]))[0]
-            expected = _per_panel_blocks(mesh, quad, x, kernel)
+            got = _on_rule(plan, _per_node(_LAYER_KERNELS[name]), twelve)[0]
+            expected = _per_panel_blocks(
+                mesh, quad, x, kernel,
+                lambda j, _: (twelve.nodes[j], twelve.weights[j]))
             np.testing.assert_allclose(got, expected, rtol=1.0e-13,
                                        atol=1.0e-13 * np.abs(expected).max())
 
@@ -485,14 +473,15 @@ def test_plan_rows_do_not_depend_on_the_chunk(case):
     chunk = P._NearFar(mesh, points)
     kernels = (lambda x, y, _: _velocity_cf(x - y, ALPHA),
                lambda x, y, nu: _double_layer_nodes(y - x, nu, ALPHA))
-    rows = [_graded(chunk, kernel) for kernel in kernels]
+    rows = [_on_rule(chunk, kernel, differences["V"][1])
+            for kernel in kernels]
     chunk_near = near_parts(chunk)
     for t, x in enumerate(points):
         alone = P._NearFar(mesh, x[None, :])
         assert len(alone.near) > 0
         for kernel, chunk_rows in zip(kernels, rows):
-            np.testing.assert_array_equal(chunk_rows[t],
-                                          _graded(alone, kernel)[0])
+            np.testing.assert_array_equal(
+                chunk_rows[t], _on_rule(alone, kernel, differences["V"][1])[0])
         for chunk_part, part in zip(chunk_near, near_parts(alone)):
             np.testing.assert_array_equal(chunk_part[..., chunk.rows == t],
                                           part)
@@ -505,7 +494,7 @@ def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
     # K's kernel contracted per pair from the normal-free rows against the
     # same rows contracted node by node and summed on the same plan
     # (_double_layer_nodes): the far rule's pieces, together every far pair,
-    # and the near bands' remainder (_STRESS_REMAINDER), within 1e-15 of
+    # and the near rule's remainder (_STRESS_REMAINDER), within 1e-15 of
     # each row's maximum of W
     mesh = build(1)
     points = mesh.centroids if on_boundary else 0.9 * mesh.centroids + 0.02
@@ -517,14 +506,14 @@ def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
            lambda sums, nu: _double_layer_pairs(sums, nu, alpha))
     cases = [(group[0], plan._sums(far, group), plan._sums(
         lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha), group))
-        for _, group in plan._groups(((None, plan.quadrature),), far=True)]
+        for _, group in plan._groups(plan.quadrature, far=True)]
     assert sum(len(targets) for targets, _, _ in cases) == len(plan.far[0])
     if alpha > 0.0:
-        near, rules = P._differences(mesh, alpha)["W"]
+        near, rule = P._differences(mesh, alpha)["W"]
         near_cases = [(plan.rows[at], plan._sums(near, group), plan._sums(
             lambda x, y, nu: _double_layer_nodes(y - x, nu, alpha,
                                                  _STRESS_REMAINDER)[0],
-            group)) for at, group in plan._groups(rules)]
+            group)) for at, group in plan._groups(rule)]
         assert sum(len(targets) for targets, _, _ in near_cases) == len(
             plan.near)
         cases += near_cases
@@ -532,122 +521,6 @@ def test_double_layer_per_pair_matches_node_wise(build, on_boundary, alpha):
         assert got.shape == expected.shape
         scale = row_max[targets].T[:, None]         # (a, 1, pairs)
         assert np.all(np.abs(got - expected) <= 1.0e-15 * scale)
-
-
-# ------------------------------------------------- distance-graded near rules
-
-_REFERENCE_ORDER = 24
-
-# every layer kernel the near/far split integrates, as the library calls it
-_LAYER_KERNELS = {
-    "V": lambda x, y, nu: brinkman_velocity_tensor(x - y, ALPHA),
-    "W": lambda x, y, nu: traction_kernel(y, x, nu, ALPHA),
-    "K Stokes": lambda x, y, nu: traction_kernel(y, x, nu, 0.0),
-    "K difference": lambda x, y, nu: stress_difference_normal(y, x, nu,
-                                                              ALPHA),
-    "Qs": lambda x, y, nu: pressure_vector(x - y),
-    "Qd": lambda x, y, nu: np.einsum("qik,qk->qi",
-                                     brinkman_pressure_tensor(x, y, ALPHA),
-                                     nu),
-}
-
-
-def _band_orders(mesh, panels, dist):
-    """The Duffy order of each near panel, read off the library's table."""
-    ratio = dist / mesh.diameters[panels]
-    return np.array([next(order for limit, order in P._NEAR_ORDERS
-                          if r < limit) for r in ratio])
-
-
-def _reference_blocks(mesh, panels, closest, order, kernel):
-    """Per-panel integrals of kernel with a uniform Duffy order, summed as
-    the plan sums: each fan triangle's order² nodes by one einsum,
-    components first, then the triangles of each panel."""
-    nodes, weights, counts = duffy_rule_batch(mesh.panel_corners[panels],
-                                              closest, order)
-    q = order ** 2
-    values = kernel(nodes, np.repeat(mesh.normals[panels], counts, axis=0))
-    values = np.moveaxis(values, 0, -1).reshape(values.shape[1:] + (-1, q))
-    sums = np.einsum("...rq,rq->...r", values, weights.reshape(-1, q))
-    return np.moveaxis(np.add.reduceat(sums, (np.cumsum(counts) - counts) // q,
-                                       axis=-1), -1, 0)
-
-
-def _graded_errors(mesh, targets):
-    """Worst relative block error of the graded near rules against the
-    order-24 rule, per (kernel, Duffy order), over the target points."""
-    worst = {}
-    for x in targets:
-        panels, closest, dist = _near_panels(mesh, x)
-        orders = _band_orders(mesh, panels, dist)
-        plan = P._NearFar(mesh, x[None, :])
-        for name, kernel in _LAYER_KERNELS.items():
-            def at_x(y, nu):
-                return kernel(x[None, :], y, nu)
-            got = _graded(plan, _per_node(kernel))[0][panels]
-            ref = _reference_blocks(mesh, panels, closest, _REFERENCE_ORDER,
-                                    at_x)
-            full = _reference_blocks(mesh, panels, closest,
-                                     P._NEAR_ORDERS[0][1], at_x)
-            axes = tuple(range(1, ref.ndim))
-            error = (np.abs(got - ref).max(axis=axes)
-                     / np.abs(ref).max(axis=axes))
-            for order in np.unique(orders):
-                band = orders == order
-                key = (name, int(order))
-                worst[key] = max(worst.get(key, 0.0), error[band].max())
-                if order == P._NEAR_ORDERS[0][1]:
-                    # the closest band keeps the full rule
-                    np.testing.assert_allclose(
-                        got[band], full[band], rtol=0.0,
-                        atol=1.0e-14 * np.abs(full).max())
-    return worst
-
-
-@pytest.fixture(scope="module")
-def graded_targets():
-    """Icosphere-2 centroids (each on its own panel) and points of the 10^3
-    lattice in the level-1 cube, thinned to a few dozen targets."""
-    sphere = build_icosphere(2)
-    cube = build_cube(1)
-    lattice = build_volume_grid({"type": "cube", "side": 1.0}, 10).centers
-    return [(sphere, sphere.centroids[::32]), (cube, lattice[::53])]
-
-
-def test_graded_near_rules_match_order_24(graded_targets):
-    # the graded bands lose at most 1e-6 against order 24 on every layer
-    # kernel; below half a diameter the order stays 12, whose own error
-    # against order 24 is that of the full rule and is not graded here
-    for mesh, targets in graded_targets:
-        worst = _graded_errors(mesh, targets)
-        graded = [order for _, order in P._NEAR_ORDERS
-                  if order < P._NEAR_ORDERS[0][1]]
-        for name in _LAYER_KERNELS:
-            for order in graded:
-                assert worst[(name, order)] <= 1.0e-6, (name, order, worst)
-
-
-def test_graded_near_rules_match_polar_oracle(graded_targets):
-    # one block per band against the adaptive polar integral around the
-    # panel's closest point to the target
-    mesh, targets = graded_targets[1]
-    checked = set()
-    for x in targets:
-        panels, closest, dist = _near_panels(mesh, x)
-        orders = _band_orders(mesh, panels, dist)
-        blocks = _graded(P._NearFar(mesh, x[None, :]),
-                         lambda xs, y, _: _velocity_cf(xs - y, ALPHA))[0]
-        for panel, point, order, d in zip(panels, closest, orders, dist):
-            # below a quarter diameter the order-12 rule itself is only
-            # good to about 1e-5 here; that band is not graded
-            if order in checked or d < 0.25 * mesh.diameters[panel]:
-                continue
-            checked.add(order)
-            expected = polar_triangle_integral(
-                lambda y: brinkman_velocity_tensor(x - y, ALPHA)[..., 0, 0],
-                mesh.panel_corners[panel], point)
-            assert blocks[panel, 0] == pytest.approx(expected, rel=1.0e-6)
-    assert checked == {order for _, order in P._NEAR_ORDERS}
 
 
 def test_single_layer_trace_continuity(fine_ops, fine):
